@@ -12,6 +12,7 @@ constant c; both sides of that equivalence are checked numerically here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,23 +21,22 @@ import numpy as np
 from .fields import ScalarField, determinant, exp, log_abs, variable, _div
 from .frames import (
     CurvatureTensor,
-    FrameStructure,
-    curvature,
+    constancy_on_grid,
+    fit_constant,
     gradient,
-    inverse_metric,
-    koszul_connection,
     laplacian,
     laplacian_orthonormal,
     max_abs_on_grid,
+    plane_laplacian_log_abs,
     spread_on_grid,
 )
 from .kahler import (
     CASE_CENTRAL,
     AdmissibleData,
+    KahlerChain,
     KahlerMetric,
     X,
     Y,
-    build_kahler,
 )
 from .reporting import VerificationReport
 
@@ -91,53 +91,40 @@ def conformal_scalar_closed_form(constants) -> float:
     return -(a * a + b * b) / (2 * a * a) + 2.0 * (b * constants.alpha - a * constants.beta) / (a * a)
 
 
-def conformal_scalar(
-    A: AdmissibleData,
-    kahler: KahlerMetric,
-    conn_k,
-    curv_k: CurvatureTensor,
-) -> dict:
+def conformal_scalar(chain: KahlerChain) -> dict:
     """Scalar curvature of the conformal metric e^{-tau} gK.
 
     Computed from the conformal-change formula
         s~ = s_K u^2 + 6 u Lap u - 12 gK(grad u, grad u),   u = e^{tau/2},
     with the Laplacian taken two ways (inverse-metric contraction and the
-    normalized-frame sum) as an internal cross-check.  For constant twist
-    the closed-form constant is also returned.
+    normalized-frame sum) as an internal cross-check; the two results are
+    returned as ``s_tilde`` and ``s_tilde_alt``.
     """
-    S = kahler.structure
+    A, S, conn_k, curv_k = chain.data, chain.kahler.structure, chain.conn, chain.curv
     tau = variable(A.kset, A.kset.names[A.tau_index])
     u = exp(tau * 0.5)
-    invg = inverse_metric(S)
-    lap_u = laplacian(S, conn_k, u, invg)
+    lap_u = laplacian(S, conn_k, u, curv_k.invg)
     lap_u_frame = laplacian_orthonormal(S, conn_k, u)
-    grad_u = gradient(S, u, invg)
+    grad_u = gradient(S, u, curv_k.invg)
     grad_sq = S.zero()
     for a in range(4):
         grad_sq = grad_sq + grad_u[a] * S.dd(a, u)
-    s_tilde = curv_k.scalar * u * u + 6.0 * u * lap_u - 12.0 * grad_sq
-    s_tilde_alt = curv_k.scalar * u * u + 6.0 * u * lap_u_frame - 12.0 * grad_sq
-    lap_tau = laplacian(S, conn_k, tau, invg)
-    lap_tau_frame = laplacian_orthonormal(S, conn_k, tau)
     return {
-        "s_tilde": s_tilde,
-        "s_tilde_alt": s_tilde_alt,
-        "laplacian_tau": lap_tau,
-        "laplacian_tau_alt": lap_tau_frame,
-        "u": u,
+        "s_tilde": curv_k.scalar * u * u + 6.0 * u * lap_u - 12.0 * grad_sq,
+        "s_tilde_alt": curv_k.scalar * u * u + 6.0 * u * lap_u_frame - 12.0 * grad_sq,
     }
 
 
-def laplacian_self_test(A: AdmissibleData, kahler: KahlerMetric, conn_k, grid, tol: float = 1e-8) -> VerificationReport:
+def laplacian_self_test(chain: KahlerChain, grid, tol: float = 1e-8) -> VerificationReport:
     """Internal Laplacian checks on the central structure.
 
     The two Laplacian routes must agree, and Lap_K tau must equal the
     closed-form value e^{-tau} (1 + b^2/a^2)."""
     report = VerificationReport(suite="laplacian-self-test")
-    S = kahler.structure
+    A, S = chain.data, chain.kahler.structure
     tau = variable(A.kset, A.kset.names[A.tau_index])
-    lap_tau = laplacian(S, conn_k, tau)
-    lap_tau_frame = laplacian_orthonormal(S, conn_k, tau)
+    lap_tau = laplacian(S, chain.conn, tau, chain.curv.invg)
+    lap_tau_frame = laplacian_orthonormal(S, chain.conn, tau)
     report.add(
         "laplacian_routes_agree",
         max_abs_on_grid(lap_tau - lap_tau_frame, grid),
@@ -162,23 +149,11 @@ def liouville_residual(iota: ScalarField, c: float, x_index: int = 0, y_index: i
     return lap - iota * float(c)
 
 
-def _plane_laplacian_log_abs(S: FrameStructure, iota: ScalarField) -> ScalarField:
-    """(d_x d_x + d_y d_y) log|iota| through the frame directions of S."""
-    L = log_abs(iota)
-    return S.dd(X, S.dd(X, L)) + S.dd(Y, S.dd(Y, L))
-
-
 def liouville_fit(A: AdmissibleData, grid):
     """Least-squares constant c for  Lap_H log|iota| = c iota  on the grid.
 
     Returns (c, max residual).  A constant twist fits c = 0 exactly."""
-    lap = _plane_laplacian_log_abs(A.structure, A.iota)
-    lap_vals = np.array([lap.at(p) for p in grid])
-    iota_vals = np.array([A.iota.at(p) for p in grid])
-    denom = float(np.dot(iota_vals, iota_vals))
-    c = float(np.dot(lap_vals, iota_vals) / denom) if denom > 0 else 0.0
-    residual = float(np.max(np.abs(lap_vals - c * iota_vals)))
-    return c, residual
+    return fit_constant(plane_laplacian_log_abs(A.structure, A.iota, X, Y), A.iota, grid)
 
 
 @dataclass
@@ -189,6 +164,7 @@ class CentralReport:
     central_curvature_max: float
     q: Optional[float]
     s_tilde: ScalarField
+    s_tilde_alt: ScalarField
     s_tilde_mean: float
     s_tilde_spread: float
     is_csc: bool
@@ -209,53 +185,35 @@ class CentralReport:
         }
 
 
-def _is_constant_on_grid(field: ScalarField, grid, tol: float) -> bool:
-    spread, mean = spread_on_grid(field, grid)
-    return spread <= tol * (1.0 + abs(mean))
-
-
-def csc_verdict(
-    A: AdmissibleData,
-    grid,
-    kahler: Optional[KahlerMetric] = None,
-    conn_k=None,
-    curv_k: Optional[CurvatureTensor] = None,
-    tol: float = 1e-7,
-) -> CentralReport:
+def csc_verdict(chain: KahlerChain, grid, tol: float = 1e-7) -> CentralReport:
     """Constant-scalar-curvature verdict for the conformal metric.
 
     Decides CSC two independent ways: constancy of the computed conformal
     scalar curvature on the grid, and existence of a constant c fitting the
     twist equation; the verdicts must agree.
     """
+    A = chain.data
     if A.case != CASE_CENTRAL:
         raise ValueError("csc_verdict applies to central-case data")
-    if kahler is None:
-        kahler = build_kahler(A)
-    if conn_k is None:
-        conn_k = koszul_connection(kahler.structure)
-    if curv_k is None:
-        curv_k = curvature(kahler.structure, conn_k)
 
-    det_field = central_curvature(A, kahler, curv_k)
+    det_field = central_curvature(A, chain.kahler, chain.curv)
     cc_max = max_abs_on_grid(det_field, grid)
 
-    parts = conformal_scalar(A, kahler, conn_k, curv_k)
-    s_tilde = parts["s_tilde"]
-    spread, mean = spread_on_grid(s_tilde, grid)
-    s_constant = spread <= tol * (1.0 + abs(mean))
+    parts = conformal_scalar(chain)
+    s_constant, spread, mean = constancy_on_grid(parts["s_tilde"], grid, tol)
 
     c_fit, pde_res = liouville_fit(A, grid)
     pde_holds = pde_res <= tol
 
-    iota_constant = _is_constant_on_grid(A.iota, grid, 1e-10)
+    iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
     q = expected_q(A.constants) if iota_constant else None
 
     return CentralReport(
         central_curvature=det_field,
         central_curvature_max=cc_max,
         q=q,
-        s_tilde=s_tilde,
+        s_tilde=parts["s_tilde"],
+        s_tilde_alt=parts["s_tilde_alt"],
         s_tilde_mean=mean,
         s_tilde_spread=spread,
         is_csc=s_constant,
@@ -275,25 +233,16 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, tol: fl
     twist is not constant (the check does not apply)."""
     report = VerificationReport(suite="left-invariance")
     S = A.structure
-    if not _is_constant_on_grid(A.iota, grid, 1e-10):
+    if not constancy_on_grid(A.iota, grid, 1e-10)[0]:
         report.add("applicable", 0.0, 0.0, note="not applicable: twist is not constant on the grid")
         return report, None
 
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                spread, _ = spread_on_grid(S.C[a][b][c], grid)
-                worst = max(worst, spread)
+    worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
     report.add("brackets_constant", worst, tol)
 
     tau = variable(A.kset, A.kset.names[A.tau_index])
     scale = exp(-tau)
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            spread, _ = spread_on_grid(scale * kahler.g[a][b], grid)
-            worst = max(worst, spread)
+    worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, tol)
 
     base = grid[len(grid) // 2]
@@ -302,18 +251,17 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, tol: fl
     for a in range(4):
         for b in range(a + 1, 4):
             table[(S.frame_names[a], S.frame_names[b])] = list(cvals[a][b])
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for e in range(4):
-                    total = 0.0
-                    for d in range(4):
-                        total += (
-                            cvals[a][b][d] * cvals[d][c][e]
-                            + cvals[b][c][d] * cvals[d][a][e]
-                            + cvals[c][a][d] * cvals[d][b][e]
-                        )
-                    worst = max(worst, abs(total))
+
+    def jacobi(a, b, c, e):
+        total = 0.0
+        for d in range(4):
+            total += (
+                cvals[a][b][d] * cvals[d][c][e]
+                + cvals[b][c][d] * cvals[d][a][e]
+                + cvals[c][a][d] * cvals[d][b][e]
+            )
+        return abs(total)
+
+    worst = max(jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4))
     report.add("structure_constants_jacobi", worst, tol)
     return report, table

@@ -9,10 +9,6 @@ verify   Run the central or warped verification suite on a catalog entry or
 ke       Evaluate an Einstein family (ODE residual, region inequalities,
          completeness) and emit the (tau, w, f, c, residual, s) curve.
 catalog  List the built-in structures or show one entry.
-
-The environment variable FRAME_KAHLER_THREADS (default 1) caps the worker
-threads used to pre-evaluate fields over the grid; results are identical for
-any setting.
 """
 
 from __future__ import annotations
@@ -23,18 +19,14 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import catalog as catalog_mod
 from .catalog import CatalogEntry, SchemaError, coordinate_crosscheck, load, parse_document
 from .central import (
-    central_curvature,
-    conformal_scalar,
     conformal_scalar_closed_form,
     csc_verdict,
-    expected_q,
     laplacian_self_test,
     left_invariance_check,
     ricci_endomorphism_eigenvalues,
@@ -47,6 +39,7 @@ from .frames import (
     grid_spec_string,
     koszul_connection,
     max_abs_on_grid,
+    plane_laplacian_log_abs,
     sectional_curvature,
 )
 from .kahler import (
@@ -56,16 +49,14 @@ from .kahler import (
     T,
     X,
     Y,
+    build_chain,
     build_kahler,
     check_admissible,
     cross_route_ricci_residual,
     exterior_d_two_form,
-    gamma_forms,
     j_image,
     kahler_form_closed,
-    ricci_form,
     ricci_form_imag_residual,
-    ricci_form_real,
 )
 from .reporting import VerificationReport
 from .warped import (
@@ -78,6 +69,8 @@ from .warped import (
     family_implicit_tan,
     fiber_consistency,
     ke_ode_residual,
+    lift_fiber,
+    make_fiber,
     quotient_gauss_check,
     solve_implicit_w,
 )
@@ -86,32 +79,6 @@ TOL_TIGHT = 1e-9
 TOL_FRAME = 1e-8
 TOL_CROSS = 1e-7
 TOL_CHART = 1e-6
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("FRAME_KAHLER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _prewarm(fields, grid):
-    """Evaluate shared fields over the grid, optionally in parallel; the
-    per-field caches make later checks cheap and results identical."""
-    threads = thread_cap()
-    if threads <= 1:
-        for f in fields:
-            for p in grid:
-                f.at(p)
-        return
-
-    def work(f):
-        for p in grid:
-            f.at(p)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +112,9 @@ def _gamma_closed_form_residual_central(A, gf, grid):
             CScalarField(inv2i * dyi, inv2i * dxi),
         ],
     }
-    worst = 0.0
-    for (i, j), coeffs in expected.items():
-        for u in range(4):
-            worst = max(worst, max_abs_on_grid(gf.forms[i][j](u) - coeffs[u], grid))
-    return worst
+    return max_abs_on_grid(
+        (gf.forms[i][j](u) - coeffs[u] for (i, j), coeffs in expected.items() for u in range(4)), grid
+    )
 
 
 def _gamma_closed_form_residual_warped(A, kahler, gf, grid):
@@ -186,26 +151,26 @@ def _gamma_closed_form_residual_warped(A, kahler, gf, grid):
             CScalarField(0.5 * dy_log, 0.5 * dx_log),
         ],
     }
-    worst = 0.0
-    for (i, j), coeffs in expected.items():
-        for u in range(4):
-            worst = max(worst, max_abs_on_grid(gf.forms[i][j](u) - coeffs[u], grid))
-    return worst
+    return max_abs_on_grid(
+        (gf.forms[i][j](u) - coeffs[u] for (i, j), coeffs in expected.items() for u in range(4)), grid
+    )
 
 
 def _shared_kahler_checks(entry: CatalogEntry, grid, report: VerificationReport):
-    """Checks common to both cases; returns the built objects for reuse, or
+    """Checks common to both cases; returns the Kahler chain for reuse, or
     None when the structural gates already failed (curvature analysis of
     inconsistent frame data would be meaningless)."""
     A = entry.data
-    report.extend(consistency_suite(A.structure, grid))
-    report.extend(check_admissible(A, grid))
+    conn_base = koszul_connection(A.structure)
+    report.extend(consistency_suite(conn_base, grid))
+    report.extend(check_admissible(A, conn_base, grid))
     if not report.passed:
         report.add("structural_gates", 1.0, 0.0, passed=False,
                    note="frame data inconsistent; curvature analysis skipped")
         return None
 
-    kahler = build_kahler(A)
+    chain = build_chain(A)
+    kahler, conn_k, rho, curv_k = chain.kahler, chain.conn, chain.rho, chain.curv
     mask = kahler.region_mask(grid)
     report.add(
         "region_nonempty",
@@ -214,26 +179,14 @@ def _shared_kahler_checks(entry: CatalogEntry, grid, report: VerificationReport)
         passed=all(mask),
         note="%d of %d grid points inside the region" % (sum(mask), len(grid)),
     )
-    worst = 0.0
-    for p in grid:
-        m = np.array([[fld.at(p) for fld in row] for row in kahler.g])
-        eig = np.linalg.eigvalsh(m)
-        worst = max(worst, max(0.0, -float(eig[0])))
+    lowest = min(float(np.linalg.eigvalsh(kahler.structure.metric_matrix(p))[0]) for p in grid)
+    worst = max(0.0, -lowest)
     report.add("kahler_positive_definite", worst, 0.0, passed=worst == 0.0)
 
-    _prewarm([fld for row in kahler.g for fld in row], grid)
-    conn_k = koszul_connection(kahler.structure)
     report.add("kahler_torsion_free", conn_k.torsion_residual(grid), TOL_FRAME)
     report.add("kahler_metric_compatible", conn_k.compatibility_residual(grid), TOL_FRAME)
-
-    gf = gamma_forms(A, kahler, conn_k)
-    report.add("gamma_reconstruction", gf.reconstruction_residual(grid), TOL_TIGHT)
-
-    rho_c = ricci_form(A, gf)
-    report.add("ricci_form_real", ricci_form_imag_residual(rho_c, grid), TOL_TIGHT)
-    rho = ricci_form_real(rho_c)
-
-    curv_k = curvature(kahler.structure, conn_k)
+    report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), TOL_TIGHT)
+    report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), TOL_TIGHT)
     report.add("ricci_forms_vs_tensor", cross_route_ricci_residual(rho, curv_k, grid), TOL_CROSS)
     report.add("curvature_pair_symmetry", curv_k.pair_symmetry_residual(grid), TOL_CROSS)
     report.add("curvature_first_bianchi", curv_k.first_bianchi_residual(grid), TOL_CROSS)
@@ -241,17 +194,17 @@ def _shared_kahler_checks(entry: CatalogEntry, grid, report: VerificationReport)
 
     report.extend(kahler_form_closed(A, kahler, grid, TOL_FRAME))
     d_rho = exterior_d_two_form(A.structure, rho)
-    report.add("d_rho", max(max_abs_on_grid(f, grid) for f in d_rho.values()), TOL_CROSS)
+    report.add("d_rho", max_abs_on_grid(d_rho.values(), grid), TOL_CROSS)
 
-    worst = 0.0
-    for u in range(4):
-        for v in range(4):
-            ju, su = j_image(u)
-            jv, sv = j_image(v)
-            worst = max(worst, max_abs_on_grid(rho(ju, jv) * (su * sv) - rho(u, v), grid))
+    def j_defect(u, v):
+        ju, su = j_image(u)
+        jv, sv = j_image(v)
+        return rho(ju, jv) * (su * sv) - rho(u, v)
+
+    worst = max_abs_on_grid((j_defect(u, v) for u in range(4) for v in range(4)), grid)
     report.add("rho_J_invariant", worst, TOL_FRAME)
 
-    return kahler, conn_k, gf, rho, curv_k
+    return chain
 
 
 def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
@@ -264,22 +217,19 @@ def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
         suite="central:%s" % entry.entry_id,
         grid_spec=grid_spec_string(A.kset, entry.grid_box),
     )
-    shared = _shared_kahler_checks(entry, grid, report)
-    if shared is None:
+    chain = _shared_kahler_checks(entry, grid, report)
+    if chain is None:
         return report, None
-    kahler, conn_k, gf, rho, curv_k = shared
+    kahler, rho, curv_k = chain.kahler, chain.rho, chain.curv
     S = A.structure
     a, b = A.constants.a, A.constants.b
 
-    report.add("gamma_closed_forms", _gamma_closed_form_residual_central(A, gf, grid), TOL_TIGHT,
+    report.add("gamma_closed_forms", _gamma_closed_form_residual_central(A, chain.gforms, grid), TOL_TIGHT,
                source="reported")
 
     # gK(k,k) = gK(T,T) = a^2 f'
     fp = A.f_prime()
-    worst = max(
-        max_abs_on_grid(kahler.g[K][K] - (a * a) * fp, grid),
-        max_abs_on_grid(kahler.g[T][T] - (a * a) * fp, grid),
-    )
+    worst = max_abs_on_grid([kahler.g[K][K] - (a * a) * fp, kahler.g[T][T] - (a * a) * fp], grid)
     report.add("kahler_vertical_value", worst, TOL_FRAME, source="reported")
 
     # twist-like values of the induced metric: gK(k,[x,y]) = -iota b f',
@@ -293,33 +243,25 @@ def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
     # rho vanishes on the vertical field pairs and on mixed pairs
     worst_v = max_abs_on_grid(rho(K, T), grid)
     report.add("rho_vanishes_on_vertical", worst_v, TOL_TIGHT, source="reported")
-    worst_m = max(
-        max_abs_on_grid(rho(K, X), grid),
-        max_abs_on_grid(rho(K, Y), grid),
-        max_abs_on_grid(rho(T, X), grid),
-        max_abs_on_grid(rho(T, Y), grid),
-    )
+    worst_m = max_abs_on_grid([rho(K, X), rho(K, Y), rho(T, X), rho(T, Y)], grid)
     report.add("rho_vanishes_mixed", worst_m, TOL_TIGHT, source="reported")
 
     # rho(x,y) closed form
-    logi = log_abs(A.iota)
-    lap_h = S.dd(X, S.dd(X, logi)) + S.dd(Y, S.dd(Y, logi))
+    lap_h = plane_laplacian_log_abs(S, A.iota, X, Y)
     factor = (a * a + b * b - b * A.constants.alpha + a * A.constants.beta) / (a * a)
     rho_xy_expected = A.iota * factor - 0.5 * lap_h
     report.add("rho_xy_closed_form", max_abs_on_grid(rho(X, Y) - rho_xy_expected, grid), TOL_CROSS,
                source="reported")
 
-    # Ricci endomorphism: vertical kernel and central curvature
-    worst = 0.0
-    for u in (K, T):
-        for v in range(4):
-            worst = max(worst, max_abs_on_grid(curv_k.ricci[u][v], grid))
-    report.add("ricci_vertical_kernel", worst, TOL_FRAME, source="reported")
-    det_field = central_curvature(A, kahler, curv_k)
-    report.add("central_curvature_zero", max_abs_on_grid(det_field, grid), TOL_FRAME,
-               source="reported")
+    # the CSC verdict carries the central curvature and the conformal scalar
+    # curvature for the checks below
+    verdict = csc_verdict(chain, grid)
 
-    verdict = csc_verdict(A, grid, kahler, conn_k, curv_k)
+    # Ricci endomorphism: vertical kernel and central curvature
+    worst = max_abs_on_grid([curv_k.ricci[u][v] for u in (K, T) for v in range(4)], grid)
+    report.add("ricci_vertical_kernel", worst, TOL_FRAME, source="reported")
+    report.add("central_curvature_zero", verdict.central_curvature_max, TOL_FRAME, source="reported")
+
     report.add(
         "csc_verdicts_agree",
         0.0 if verdict.verdicts_agree else 1.0,
@@ -335,37 +277,32 @@ def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
         note=json.dumps(verdict.to_dict(), sort_keys=True),
     )
 
-    iota_constant = verdict.q is not None
-    tau = variable(A.kset, A.kset.names[A.tau_index])
-    if iota_constant:
-        q = expected_q(A.constants)
-        qe = q * exp(-tau)
-        worst = 0.0
-        for u in (X, Y):
-            worst = max(worst, max_abs_on_grid(curv_k.ricci[u][u] - qe * kahler.g[u][u], grid))
+    q = verdict.q
+    if q is not None:
+        qe = q * exp(-variable(A.kset, A.kset.names[A.tau_index]))
+        worst = max_abs_on_grid([curv_k.ricci[u][u] - qe * kahler.g[u][u] for u in (X, Y)], grid)
         report.add("ricci_horizontal_eigenvalue", worst, TOL_CROSS, source="derived",
                    note="q = %.6g" % q)
         report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid),
                    TOL_FRAME, source="reported")
-        worst = 0.0
-        for p in grid:
-            lam_vals = ricci_endomorphism_eigenvalues(kahler, curv_k, p)
+
+        def eigenvalue_error(p):
             qv = q * math.exp(-p[A.tau_index])
             expected_vals = np.sort(np.array([0.0, 0.0, qv, qv]))
-            worst = max(worst, float(np.max(np.abs(lam_vals - expected_vals))))
-        report.add("ricci_eigenvalues", worst, TOL_CROSS, source="derived")
+            return float(np.max(np.abs(ricci_endomorphism_eigenvalues(kahler, curv_k, p) - expected_vals)))
+
+        report.add("ricci_eigenvalues", max(map(eigenvalue_error, grid)), TOL_CROSS, source="derived")
 
         closed = conformal_scalar_closed_form(A.constants)
-        parts = conformal_scalar(A, kahler, conn_k, curv_k)
-        report.add("conformal_scalar_routes", max_abs_on_grid(parts["s_tilde"] - closed, grid),
+        report.add("conformal_scalar_routes", max_abs_on_grid(verdict.s_tilde - closed, grid),
                    TOL_CROSS, source="derived", note="closed form %.6g" % closed)
         report.add("conformal_scalar_two_laplacians",
-                   max_abs_on_grid(parts["s_tilde"] - parts["s_tilde_alt"], grid), TOL_CROSS)
+                   max_abs_on_grid(verdict.s_tilde - verdict.s_tilde_alt, grid), TOL_CROSS)
 
         li_report, _ = left_invariance_check(A, kahler, grid)
         report.extend(li_report, prefix="left_invariance.")
 
-    report.extend(laplacian_self_test(A, kahler, conn_k, grid))
+    report.extend(laplacian_self_test(chain, grid))
 
     # expectations recorded on the entry
     exp_tw = entry.expected.get("twist")
@@ -430,16 +367,16 @@ def run_ke_suite(entry: CatalogEntry, grid=None) -> tuple:
     fiber_grid = grid_points(fiber.structure.kset, entry.grid_box)
     report.extend(fiber_consistency(fiber, fiber_grid), prefix="fiber.")
 
-    shared = _shared_kahler_checks(entry, grid, report)
-    if shared is None:
+    chain = _shared_kahler_checks(entry, grid, report)
+    if chain is None:
         return report, None
-    kahler, conn_k, gf, rho, curv_k = shared
+    kahler, curv_k = chain.kahler, chain.curv
 
-    report.add("gamma_closed_forms", _gamma_closed_form_residual_warped(A, kahler, gf, grid),
+    report.add("gamma_closed_forms", _gamma_closed_form_residual_warped(A, kahler, chain.gforms, grid),
                TOL_TIGHT, source="reported")
 
     lam = fam.lam
-    ev = einstein_verdict(A, lam, grid, fam=fam, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
+    ev = einstein_verdict(chain, lam, grid, fam=fam, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
     report.extend(ev, prefix="einstein.")
 
     # region inequalities in the warped reduction: f > 0 and (fw)' > 0
@@ -558,9 +495,12 @@ def _parse_grid_overrides(specs, entry: CatalogEntry):
         try:
             name, rng = spec.split("=", 1)
             lo, hi, n = rng.split(":")
-            box[name] = (float(lo), float(hi), int(n))
+            lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise SchemaError("--grid", "expected var=lo:hi:n, got %r" % spec) from None
+        if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SchemaError("--grid", "need finite lo, hi and n >= 1, got %r" % spec)
+        box[name] = (lo, hi, n)
         if name not in entry.data.kset.names:
             raise SchemaError("--grid", "unknown variable %r" % name)
     return box
@@ -679,14 +619,10 @@ def cmd_ke(args) -> int:
                    note="verdict %s; s extends to (%.4g, %.4g)" % ((cv.verdict,) + cv.s_range))
 
     # flatness flag of the induced metric over a reference fiber
-    from .frames import curvature as _curvature
-    from .warped import lift_fiber, make_fiber
-
-    fiber = make_fiber(alpha, "-2")
-    lifted = lift_fiber(fiber, fam.w, fam.f)
+    lifted = lift_fiber(make_fiber(alpha, "-2"), fam.w, fam.f)
     sub = [(t,) for t in np.linspace(lo, hi, 9)]
     km = build_kahler(lifted)
-    curv = _curvature(km.structure, koszul_connection(km.structure))
+    curv = curvature(km.structure, koszul_connection(km.structure))
     max_R = curv.max_component(sub)
     report.add("flatness_flag", 0.0, 0.0, passed=True,
                note="flat=%s (max |R| = %.3e)" % ("true" if max_R <= 1e-7 else "false", max_R))

@@ -12,6 +12,7 @@ sectional curvatures all follow from this data alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .fields import (
     ScalarField,
     _div,
     determinant,
+    log_abs,
 )
 
 __all__ = [
@@ -36,6 +38,8 @@ __all__ = [
     "grid_spec_string",
     "max_abs_on_grid",
     "spread_on_grid",
+    "constancy_on_grid",
+    "fit_constant",
     "directional_derivative",
     "koszul_connection",
     "curvature",
@@ -44,6 +48,8 @@ __all__ = [
     "inverse_metric",
     "laplacian",
     "gradient",
+    "plane_laplacian_log_abs",
+    "shear_fields",
     "consistency_suite",
 ]
 
@@ -80,20 +86,45 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
     return ",".join(parts) if parts else "(point)"
 
 
-def max_abs_on_grid(field, grid) -> float:
-    """Largest |value| of a real or complex field over the grid."""
-    worst = 0.0
-    for p in grid:
-        v = abs(field.at(p))
-        if v > worst:
-            worst = v
-    return worst
+def max_abs_on_grid(fields, grid) -> float:
+    """Largest |value| over the grid of a real or complex field, or of every
+    field in an iterable of them.
+
+    A non-finite value anywhere gives inf, so a check against a finite
+    tolerance fails on it, and an outer ``max`` keeps it."""
+    if isinstance(fields, (ScalarField, CScalarField)):
+        fields = (fields,)
+    values = [abs(f.at(p)) for f in fields for p in grid]
+    if not all(map(math.isfinite, values)):
+        return math.inf
+    return max(values, default=0.0)
 
 
 def spread_on_grid(field, grid):
-    """(max - min, mean) of a real field over the grid."""
+    """(max - min, mean) of a real field over the grid; (inf, nan) when a
+    value is non-finite, so no constancy test can pass on it."""
     vals = [field.at(p) for p in grid]
+    if not all(map(math.isfinite, vals)):
+        return math.inf, math.nan
     return max(vals) - min(vals), sum(vals) / len(vals)
+
+
+def constancy_on_grid(field, grid, tol: float):
+    """(constant, spread, mean) of a real field over the grid; the field
+    counts as constant when spread <= tol (1 + |mean|)."""
+    spread, mean = spread_on_grid(field, grid)
+    return spread <= tol * (1.0 + abs(mean)), spread, mean
+
+
+def fit_constant(lhs, rhs, grid):
+    """Least-squares constant c in lhs = c rhs over the grid.
+
+    Returns (c, max |lhs - c rhs|); c = 0 when rhs vanishes on the grid."""
+    lhs_vals = np.array([lhs.at(p) for p in grid])
+    rhs_vals = np.array([rhs.at(p) for p in grid])
+    denom = float(np.dot(rhs_vals, rhs_vals))
+    c = float(np.dot(lhs_vals, rhs_vals) / denom) if denom > 0 else 0.0
+    return c, float(np.max(np.abs(lhs_vals - c * rhs_vals)))
 
 
 class FrameStructure:
@@ -181,26 +212,25 @@ class ConnectionTable:
     def torsion_residual(self, grid) -> float:
         """max |Gamma_ab^c - Gamma_ba^c - C_ab^c| over the grid."""
         S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(a + 1, S.n):
-                for c in range(S.n):
-                    f = self.gamma[a][b][c] - self.gamma[b][a][c] - S.C[a][b][c]
-                    worst = max(worst, max_abs_on_grid(f, grid))
-        return worst
+        return max_abs_on_grid(
+            (self.gamma[a][b][c] - self.gamma[b][a][c] - S.C[a][b][c]
+             for a in range(S.n) for b in range(a + 1, S.n) for c in range(S.n)),
+            grid,
+        )
 
     def compatibility_residual(self, grid) -> float:
         """max |d_a g_bc - Gamma_ab^d g_dc - Gamma_ac^d g_bd| over the grid."""
         S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(S.n):
-                for c in range(b, S.n):
-                    f = S.dd(a, S.g[b][c])
-                    for d in range(S.n):
-                        f = f - self.gamma[a][b][d] * S.g[d][c] - self.gamma[a][c][d] * S.g[b][d]
-                    worst = max(worst, max_abs_on_grid(f, grid))
-        return worst
+
+        def residual(a, b, c):
+            f = S.dd(a, S.g[b][c])
+            for d in range(S.n):
+                f = f - self.gamma[a][b][d] * S.g[d][c] - self.gamma[a][c][d] * S.g[b][d]
+            return f
+
+        return max_abs_on_grid(
+            (residual(a, b, c) for a in range(S.n) for b in range(S.n) for c in range(b, S.n)), grid
+        )
 
 
 def koszul_connection(S: FrameStructure, min_abs_det: float = 1e-10) -> ConnectionTable:
@@ -240,11 +270,12 @@ class CurvatureTensor:
     sphere has positive Ricci.
     """
 
-    def __init__(self, structure: FrameStructure, R, ricci, scalar):
+    def __init__(self, structure: FrameStructure, R, ricci, scalar, invg):
         self.structure = structure
         self.R = R
         self.ricci = ricci
         self.scalar = scalar
+        self.invg = invg  # inverse metric g^{ab}, used for the scalar contraction
         self._lowered = {}
 
     def lowered(self, a, b, c, d) -> ScalarField:
@@ -260,52 +291,36 @@ class CurvatureTensor:
         return f
 
     def max_component(self, grid) -> float:
-        S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(a + 1, S.n):
-                for c in range(S.n):
-                    for d in range(S.n):
-                        worst = max(worst, max_abs_on_grid(self.R[a][b][c][d], grid))
-        return worst
+        n = self.structure.n
+        return max_abs_on_grid(
+            (self.R[a][b][c][d] for a in range(n) for b in range(a + 1, n)
+             for c in range(n) for d in range(n)),
+            grid,
+        )
 
     def pair_symmetry_residual(self, grid) -> float:
-        S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(a + 1, S.n):
-                for c in range(S.n):
-                    for d in range(c + 1, S.n):
-                        f = self.lowered(a, b, c, d) - self.lowered(c, d, a, b)
-                        worst = max(worst, max_abs_on_grid(f, grid))
-        return worst
+        n = self.structure.n
+        return max_abs_on_grid(
+            (self.lowered(a, b, c, d) - self.lowered(c, d, a, b)
+             for a in range(n) for b in range(a + 1, n) for c in range(n) for d in range(c + 1, n)),
+            grid,
+        )
 
     def first_bianchi_residual(self, grid) -> float:
-        S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(S.n):
-                for c in range(S.n):
-                    for d in range(S.n):
-                        f = self.lowered(a, b, c, d) + self.lowered(b, c, a, d) + self.lowered(c, a, b, d)
-                        worst = max(worst, max_abs_on_grid(f, grid))
-        return worst
+        return max_abs_on_grid(
+            (self.lowered(a, b, c, d) + self.lowered(b, c, a, d) + self.lowered(c, a, b, d)
+             for a, b, c, d in itertools.product(range(self.structure.n), repeat=4)),
+            grid,
+        )
 
     def ricci_symmetry_residual(self, grid) -> float:
-        S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(a + 1, S.n):
-                worst = max(worst, max_abs_on_grid(self.ricci[a][b] - self.ricci[b][a], grid))
-        return worst
+        n = self.structure.n
+        return max_abs_on_grid(
+            (self.ricci[a][b] - self.ricci[b][a] for a in range(n) for b in range(a + 1, n)), grid
+        )
 
     def max_ricci(self, grid) -> float:
-        S = self.structure
-        worst = 0.0
-        for a in range(S.n):
-            for b in range(S.n):
-                worst = max(worst, max_abs_on_grid(self.ricci[a][b], grid))
-        return worst
+        return max_abs_on_grid((f for row in self.ricci for f in row), grid)
 
 
 def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
@@ -337,7 +352,7 @@ def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
     for a in range(n):
         for b in range(n):
             scalar = scalar + invg[a][b] * ricci[a][b]
-    return CurvatureTensor(S, R, ricci, scalar)
+    return CurvatureTensor(S, R, ricci, scalar, invg)
 
 
 def inverse_metric(S: FrameStructure, min_abs_det: float = 1e-10):
@@ -362,20 +377,14 @@ def twist(S: FrameStructure, k: int = 0, x: int = 2, y: int = 3, grid=None, tol:
     g(e_k, [e_x, e_y]).  When a grid is given, orthonormality of the pair is
     verified first."""
     if grid is not None:
-        bad = max(
-            max_abs_on_grid(S.g[x][x] - 1.0, grid),
-            max_abs_on_grid(S.g[y][y] - 1.0, grid),
-            max_abs_on_grid(S.g[x][y], grid),
-        )
+        bad = max_abs_on_grid([S.g[x][x] - 1.0, S.g[y][y] - 1.0, S.g[x][y]], grid)
         if bad > tol:
             raise FrameError("frame pair (%d, %d) is not g-orthonormal (residual %.3e)" % (x, y, bad))
     return S.g_of_bracket(k, x, y)
 
 
-def gradient(S: FrameStructure, F: ScalarField, invg=None):
+def gradient(S: FrameStructure, F: ScalarField, invg):
     """Frame components of the metric gradient of F: grad F = (g^{ab} d_b F) e_a."""
-    if invg is None:
-        invg = inverse_metric(S)
     n = S.n
     out = []
     for a in range(n):
@@ -386,10 +395,8 @@ def gradient(S: FrameStructure, F: ScalarField, invg=None):
     return out
 
 
-def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg=None) -> ScalarField:
+def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) -> ScalarField:
     """Metric Laplacian: g^{ab} (d_a d_b F - Gamma_ab^c d_c F)."""
-    if invg is None:
-        invg = inverse_metric(S)
     n = S.n
     out = S.zero()
     dF = [S.dd(c, F) for c in range(n)]
@@ -425,6 +432,20 @@ def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarFie
     return out
 
 
+def plane_laplacian_log_abs(S: FrameStructure, iota: ScalarField, x: int, y: int) -> ScalarField:
+    """(d_x d_x + d_y d_y) log|iota| through the frame directions e_x, e_y."""
+    L = log_abs(iota)
+    return S.dd(x, S.dd(x, L)) + S.dd(y, S.dd(y, L))
+
+
+def shear_fields(S: FrameStructure, v: int, x: int, y: int):
+    """The two components of the shear of e_v against the orthonormal pair
+    (e_x, e_y); both vanish exactly when e_v is shear-free."""
+    off = S.g_of_bracket(y, v, x) + S.g_of_bracket(x, v, y)
+    diag = S.g_of_bracket(x, v, x) - S.g_of_bracket(y, v, y)
+    return off, diag
+
+
 def jacobi_residual_fields(S: FrameStructure):
     """Jacobi identity for the bracket table, including the derivative terms:
     sum over cyclic (a,b,c) of  C_ab^d C_dc^e - d_c C_ab^e  must vanish."""
@@ -458,27 +479,23 @@ def frame_derivative_consistency_fields(S: FrameStructure):
     return out
 
 
-def consistency_suite(S: FrameStructure, grid, tol: float = 1e-8, det_floor: float = 1e-10):
+def consistency_suite(conn: ConnectionTable, grid, tol: float = 1e-8, det_floor: float = 1e-10):
     """Structural invariants of a frame structure, as a verification report:
     metric symmetry, bracket antisymmetry, nondegeneracy, Jacobi identity,
     derivative-table consistency, and torsion-freeness plus metric
-    compatibility of the Koszul connection."""
+    compatibility of its Koszul connection ``conn``."""
     from .reporting import VerificationReport
 
     report = VerificationReport(suite="frame-consistency")
+    S = conn.structure
     n = S.n
 
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            worst = max(worst, max_abs_on_grid(S.g[a][b] - S.g[b][a], grid))
+    worst = max_abs_on_grid((S.g[a][b] - S.g[b][a] for a in range(n) for b in range(a + 1, n)), grid)
     report.add("metric_symmetric", worst, tol)
 
-    worst = 0.0
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                worst = max(worst, max_abs_on_grid(S.C[a][b][c] + S.C[b][a][c], grid))
+    worst = max_abs_on_grid(
+        (S.C[a][b][c] + S.C[b][a][c] for a in range(n) for b in range(a, n) for c in range(n)), grid
+    )
     report.add("bracket_antisymmetric", worst, tol)
 
     det_field = determinant(S.g)
@@ -490,17 +507,9 @@ def consistency_suite(S: FrameStructure, grid, tol: float = 1e-8, det_floor: flo
         note="min |det g| = %.3e" % min_det,
     )
 
-    worst = 0.0
-    for f in jacobi_residual_fields(S):
-        worst = max(worst, max_abs_on_grid(f, grid))
-    report.add("jacobi_identity", worst, tol)
-
-    worst = 0.0
-    for f in frame_derivative_consistency_fields(S):
-        worst = max(worst, max_abs_on_grid(f, grid))
+    report.add("jacobi_identity", max_abs_on_grid(jacobi_residual_fields(S), grid), tol)
+    worst = max_abs_on_grid(frame_derivative_consistency_fields(S), grid)
     report.add("frame_derivative_consistency", worst, tol)
-
-    conn = koszul_connection(S)
     report.add("torsion_free", conn.torsion_residual(grid), tol)
     report.add("metric_compatible", conn.compatibility_residual(grid), tol)
     return report

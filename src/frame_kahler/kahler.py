@@ -23,11 +23,14 @@ from typing import Optional
 from .fields import CScalarField, Const, KSet, ScalarField
 from .frames import (
     ConnectionTable,
+    CurvatureTensor,
     FrameError,
     FrameStructure,
+    curvature,
     directional_derivative,
     koszul_connection,
     max_abs_on_grid,
+    shear_fields,
 )
 from .reporting import VerificationReport
 
@@ -37,6 +40,7 @@ __all__ = [
     "AdmissibleConstants",
     "AdmissibleData",
     "KahlerMetric",
+    "KahlerChain",
     "GammaForms",
     "FrameOneForm",
     "FrameTwoForm",
@@ -44,6 +48,7 @@ __all__ = [
     "j_image",
     "check_admissible",
     "build_kahler",
+    "build_chain",
     "gamma_forms",
     "exterior_d",
     "exterior_d_two_form",
@@ -147,8 +152,9 @@ class KahlerMetric:
         return [self.region_ok(p) for p in grid]
 
 
-def check_admissible(A: AdmissibleData, grid, tol: float = 1e-8) -> VerificationReport:
-    """Admissibility residuals of a role-assigned frame structure.
+def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float = 1e-8) -> VerificationReport:
+    """Admissibility residuals of a role-assigned frame structure whose
+    Koszul connection is ``conn``.
 
     Checks the spacelike/orthonormal horizontal pair, closure of the
     vertical brackets into H, shear-freeness of k and T, the gradient
@@ -157,58 +163,36 @@ def check_admissible(A: AdmissibleData, grid, tol: float = 1e-8) -> Verification
     the twist.
     """
     S = A.structure
+    if conn.structure is not S:
+        raise FrameError("check_admissible needs the connection of the admissible structure")
     cs = A.constants
     report = VerificationReport(suite="admissibility")
 
     # horizontal frame orthonormal (hence g|_H positive definite)
-    worst = max(
-        max_abs_on_grid(S.g[X][X] - 1.0, grid),
-        max_abs_on_grid(S.g[Y][Y] - 1.0, grid),
-        max_abs_on_grid(S.g[X][Y], grid),
-    )
+    worst = max_abs_on_grid([S.g[X][X] - 1.0, S.g[Y][Y] - 1.0, S.g[X][Y]], grid)
     report.add("horizontal_orthonormal", worst, tol)
 
-    worst = max(
-        max_abs_on_grid(S.g[K][X], grid),
-        max_abs_on_grid(S.g[K][Y], grid),
-        max_abs_on_grid(S.g[T][X], grid),
-        max_abs_on_grid(S.g[T][Y], grid),
-    )
+    worst = max_abs_on_grid([S.g[K][X], S.g[K][Y], S.g[T][X], S.g[T][Y]], grid)
     report.add("vertical_horizontal_orthogonal", worst, tol)
 
     # [k, H] and [T, H] stay horizontal
-    worst = 0.0
-    for v in (K, T):
-        for h in (X, Y):
-            for c in (K, T):
-                worst = max(worst, max_abs_on_grid(S.C[v][h][c], grid))
+    worst = max_abs_on_grid((S.C[v][h][c] for v in (K, T) for h in (X, Y) for c in (K, T)), grid)
     report.add("vertical_brackets_preserve_H", worst, tol)
 
     # shear-freeness of k and T against the orthonormal pair
-    worst = 0.0
-    for v in (K, T):
-        off = S.g_of_bracket(Y, v, X) + S.g_of_bracket(X, v, Y)
-        diag = S.g_of_bracket(X, v, X) - S.g_of_bracket(Y, v, Y)
-        worst = max(worst, max_abs_on_grid(off, grid), max_abs_on_grid(diag, grid))
+    worst = max_abs_on_grid((f for v in (K, T) for f in shear_fields(S, v, X, Y)), grid)
     report.add("shear_free", worst, tol)
 
     # T = ell grad(tau): g(T, e_a) = ell d_a tau
-    worst = 0.0
-    for a in range(4):
-        f = S.g[T][a] - cs.ell_gradient * S.D[a][A.tau_index]
-        worst = max(worst, max_abs_on_grid(f, grid))
+    worst = max_abs_on_grid((S.g[T][a] - cs.ell_gradient * S.D[a][A.tau_index] for a in range(4)), grid)
     report.add("gradient_condition", worst, tol)
 
     # constants of the metric on V, constant along H
-    worst = max(
-        max_abs_on_grid(S.g[K][T] - cs.a, grid),
-        max_abs_on_grid(S.g[T][T] - cs.b, grid) if A.case == CASE_CENTRAL else 0.0,
-    )
-    report.add("vertical_metric_constants", worst, tol)
-    worst = 0.0
-    for h in (X, Y):
-        worst = max(worst, max_abs_on_grid(S.dd(h, S.g[K][T]), grid))
-        worst = max(worst, max_abs_on_grid(S.dd(h, S.g[K][K]), grid))
+    fields = [S.g[K][T] - cs.a]
+    if A.case == CASE_CENTRAL:
+        fields.append(S.g[T][T] - cs.b)
+    report.add("vertical_metric_constants", max_abs_on_grid(fields, grid), tol)
+    worst = max_abs_on_grid((S.dd(h, S.g[K][c]) for h in (X, Y) for c in (T, K)), grid)
     report.add("vertical_metric_constant_along_H", worst, tol)
 
     report.add("k_null", max_abs_on_grid(S.g[K][K], grid), tol)
@@ -216,13 +200,12 @@ def check_admissible(A: AdmissibleData, grid, tol: float = 1e-8) -> Verification
     if A.case == CASE_CENTRAL:
         # k must have geodesic flow or be Killing (warped k is merely
         # pre-geodesic once the warping is nonconstant, so only here)
-        conn_base = koszul_connection(S)
-        geo = max(max_abs_on_grid(conn_base.gamma[K][K][c], grid) for c in range(4))
-        kill = 0.0
-        for u in range(4):
-            for v in range(u, 4):
-                f = S.dd(K, S.g[u][v]) - S.g_of_bracket(v, K, u) - S.g_of_bracket(u, K, v)
-                kill = max(kill, max_abs_on_grid(f, grid))
+        geo = max_abs_on_grid([conn.gamma[K][K][c] for c in range(4)], grid)
+        kill = max_abs_on_grid(
+            (S.dd(K, S.g[u][v]) - S.g_of_bracket(v, K, u) - S.g_of_bracket(u, K, v)
+             for u in range(4) for v in range(u, 4)),
+            grid,
+        )
         report.add(
             "k_geodesic_or_killing",
             min(geo, kill),
@@ -230,21 +213,15 @@ def check_admissible(A: AdmissibleData, grid, tol: float = 1e-8) -> Verification
             passed=geo <= tol or kill <= tol,
             note="geodesic residual %.2e, Killing residual %.2e" % (geo, kill),
         )
-        worst = 0.0
-        for c in range(4):
-            worst = max(worst, max_abs_on_grid(S.C[K][T][c], grid))
-        report.add("k_T_commute", worst, tol)
-        worst = max(
-            max_abs_on_grid(S.C[K][X][Y] - cs.alpha, grid),
-            max_abs_on_grid(S.C[K][Y][X] + cs.alpha, grid),
-            max_abs_on_grid(S.C[T][X][Y] - cs.beta, grid),
-            max_abs_on_grid(S.C[T][Y][X] + cs.beta, grid),
-            max_abs_on_grid(S.C[K][X][X], grid),
-            max_abs_on_grid(S.C[K][Y][Y], grid),
-            max_abs_on_grid(S.C[T][X][X], grid),
-            max_abs_on_grid(S.C[T][Y][Y], grid),
-            max_abs_on_grid(S.C[X][Y][X], grid),
-            max_abs_on_grid(S.C[X][Y][Y], grid),
+        report.add("k_T_commute", max_abs_on_grid(S.C[K][T], grid), tol)
+        worst = max_abs_on_grid(
+            [
+                S.C[K][X][Y] - cs.alpha, S.C[K][Y][X] + cs.alpha,
+                S.C[T][X][Y] - cs.beta, S.C[T][Y][X] + cs.beta,
+                S.C[K][X][X], S.C[K][Y][Y], S.C[T][X][X], S.C[T][Y][Y],
+                S.C[X][Y][X], S.C[X][Y][Y],
+            ],
+            grid,
         )
         report.add("bracket_pattern", worst, tol)
     else:
@@ -262,26 +239,15 @@ def check_admissible(A: AdmissibleData, grid, tol: float = 1e-8) -> Verification
             (S.C[T][X][X] - rho), (S.C[T][Y][Y] - rho),
             (S.C[T][X][Y]), (S.C[T][Y][X]),
         ]
-        worst = max(max_abs_on_grid(f, grid) for f in checks)
-        report.add("bracket_pattern", worst, tol)
-        report.add(
-            "warped_metric_values",
-            max(
-                max_abs_on_grid(S.g[K][T] - 1.0, grid),
-                max_abs_on_grid(S.g[T][T] + 1.0, grid),
-            ),
-            tol,
-        )
+        report.add("bracket_pattern", max_abs_on_grid(checks, grid), tol)
+        report.add("warped_metric_values", max_abs_on_grid([S.g[K][T] - 1.0, S.g[T][T] + 1.0], grid), tol)
 
     # twist matches the structure; the central twist (warped: the fiber
     # twist) has no vertical derivative
     worst = max_abs_on_grid(A.iota - S.g_of_bracket(K, X, Y), grid)
     report.add("twist_matches_brackets", worst, tol)
     invariant_twist = A.iota if A.case == CASE_CENTRAL else A.iota_bar
-    worst = max(
-        max_abs_on_grid(S.dd(K, invariant_twist), grid),
-        max_abs_on_grid(S.dd(T, invariant_twist), grid),
-    )
+    worst = max_abs_on_grid([S.dd(K, invariant_twist), S.dd(T, invariant_twist)], grid)
     report.add("twist_vertical_derivative", worst, tol)
 
     min_twist = min(abs(A.iota.at(p)) for p in grid)
@@ -407,7 +373,7 @@ class GammaForms:
     antiholomorphic: list  # flat list of CScalarField
 
     def reconstruction_residual(self, grid) -> float:
-        return max(max_abs_on_grid(f, grid) for f in self.antiholomorphic)
+        return max_abs_on_grid(self.antiholomorphic, grid)
 
 
 def gamma_forms(A: AdmissibleData, kahler: KahlerMetric, conn_k: ConnectionTable) -> GammaForms:
@@ -459,7 +425,7 @@ def ricci_form_real(rho: FrameTwoForm) -> FrameTwoForm:
 
 
 def ricci_form_imag_residual(rho: FrameTwoForm, grid) -> float:
-    return max(max_abs_on_grid(f.im, grid) for f in rho.vals.values())
+    return max_abs_on_grid((f.im for f in rho.vals.values()), grid)
 
 
 def ricci_from_form(rho_real: FrameTwoForm):
@@ -488,16 +454,44 @@ def kahler_form_closed(A: AdmissibleData, kahler: KahlerMetric, grid, tol: float
     report = VerificationReport(suite="kahler-form-closed")
     omega = kahler_form(kahler)
     d_omega = exterior_d_two_form(A.structure, omega)
-    worst = max(max_abs_on_grid(f, grid) for f in d_omega.values())
-    report.add("d_omega", worst, tol)
+    report.add("d_omega", max_abs_on_grid(d_omega.values(), grid), tol)
     return report
 
 
 def cross_route_ricci_residual(rho_real: FrameTwoForm, curv_k, grid) -> float:
     """Forms-route Ricci against the tensor-route Ricci, all frame pairs."""
     ric_form = ricci_from_form(rho_real)
-    worst = 0.0
-    for u in range(4):
-        for v in range(4):
-            worst = max(worst, max_abs_on_grid(ric_form[u][v] - curv_k.ricci[u][v], grid))
-    return worst
+    return max_abs_on_grid((ric_form[u][v] - curv_k.ricci[u][v] for u in range(4) for v in range(4)), grid)
+
+
+@dataclass
+class KahlerChain:
+    """The induced metric of admissible data and every object derived from
+    it: Koszul connection, curvature tensor (which keeps the inverse
+    metric), complex connection forms, and the Ricci form as a complex form
+    and as its real part."""
+
+    data: AdmissibleData
+    kahler: KahlerMetric
+    conn: ConnectionTable
+    curv: CurvatureTensor
+    gforms: GammaForms
+    rho_complex: FrameTwoForm
+    rho: FrameTwoForm
+
+
+def build_chain(A: AdmissibleData) -> KahlerChain:
+    """Build the induced metric and its derived objects, each once."""
+    kahler = build_kahler(A)
+    conn = koszul_connection(kahler.structure)
+    gforms = gamma_forms(A, kahler, conn)
+    rho_complex = ricci_form(A, gforms)
+    return KahlerChain(
+        data=A,
+        kahler=kahler,
+        conn=conn,
+        curv=curvature(kahler.structure, conn),
+        gforms=gforms,
+        rho_complex=rho_complex,
+        rho=ricci_form_real(rho_complex),
+    )

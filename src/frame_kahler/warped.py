@@ -38,23 +38,23 @@ from .fields import (
 from .frames import (
     FrameError,
     FrameStructure,
+    constancy_on_grid,
+    fit_constant,
     koszul_connection,
     max_abs_on_grid,
-    spread_on_grid,
+    plane_laplacian_log_abs,
+    shear_fields,
 )
 from .kahler import (
     CASE_WARPED,
     AdmissibleConstants,
     AdmissibleData,
     K,
+    KahlerChain,
     T,
     X,
     Y,
-    build_kahler,
-    gamma_forms,
-    ricci_form,
     ricci_form_imag_residual,
-    ricci_form_real,
     ricci_from_form,
 )
 from .reporting import VerificationReport
@@ -67,6 +67,7 @@ __all__ = [
     "make_fiber",
     "fiber_consistency",
     "lift_fiber",
+    "ke_operator",
     "ke_ode_residual",
     "ke_pde_residual",
     "einstein_verdict",
@@ -102,6 +103,13 @@ class FiberData:
     iota_bar: ScalarField
 
 
+def _set_bracket(C, a, b, coeffs):
+    """[e_a, e_b] = sum of coeffs[c] e_c, with [e_b, e_a] filled in antisymmetrically."""
+    for c, val in coeffs.items():
+        C[a][b][c] = val
+        C[b][a][c] = -val
+
+
 def make_fiber(alpha: float, iota_bar_expr: str, plane_vars: Tuple[str, ...] = ()) -> FiberData:
     """Fiber structure from the bracket constant and a twist expression.
 
@@ -115,15 +123,9 @@ def make_fiber(alpha: float, iota_bar_expr: str, plane_vars: Tuple[str, ...] = (
     one = Const(kset, 1.0)
     g = [[one if i == j else zero for j in range(3)] for i in range(3)]
     C = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-
-    def setbr(a, b, coeffs):
-        for c, val in coeffs.items():
-            C[a][b][c] = val
-            C[b][a][c] = -val
-
-    setbr(KBAR, XBAR, {YBAR: Const(kset, alpha)})
-    setbr(KBAR, YBAR, {XBAR: Const(kset, -alpha)})
-    setbr(XBAR, YBAR, {KBAR: iota_bar})
+    _set_bracket(C, KBAR, XBAR, {YBAR: Const(kset, alpha)})
+    _set_bracket(C, KBAR, YBAR, {XBAR: Const(kset, -alpha)})
+    _set_bracket(C, XBAR, YBAR, {KBAR: iota_bar})
     D = [[zero] * kset.size for _ in range(3)]
     for i, _ in enumerate(kset.names):
         D[XBAR][i] = one if i == 0 else zero
@@ -138,31 +140,24 @@ def fiber_consistency(F: FiberData, grid, tol: float = 1e-8) -> VerificationRepo
     report = VerificationReport(suite="fiber-consistency")
     S = F.structure
 
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            expected = 1.0 if i == j else 0.0
-            worst = max(worst, max_abs_on_grid(S.g[i][j] - expected, grid))
+    worst = max_abs_on_grid(
+        (S.g[i][j] - (1.0 if i == j else 0.0) for i in range(3) for j in range(3)), grid
+    )
     report.add("orthonormal_frame", worst, tol)
 
     conn = koszul_connection(S)
-    worst = max(max_abs_on_grid(conn.gamma[KBAR][KBAR][c], grid) for c in range(3))
-    report.add("kbar_geodesic", worst, tol)
+    report.add("kbar_geodesic", max_abs_on_grid(conn.gamma[KBAR][KBAR], grid), tol)
+    report.add("kbar_shear_free", max_abs_on_grid(shear_fields(S, KBAR, XBAR, YBAR), grid), tol)
 
-    off = S.g_of_bracket(YBAR, KBAR, XBAR) + S.g_of_bracket(XBAR, KBAR, YBAR)
-    diag = S.g_of_bracket(XBAR, KBAR, XBAR) - S.g_of_bracket(YBAR, KBAR, YBAR)
-    report.add("kbar_shear_free", max(max_abs_on_grid(off, grid), max_abs_on_grid(diag, grid)), tol)
-
-    worst = max(
-        max_abs_on_grid(S.C[KBAR][XBAR][YBAR] - F.alpha, grid),
-        max_abs_on_grid(S.C[KBAR][YBAR][XBAR] + F.alpha, grid),
-        max_abs_on_grid(S.C[KBAR][XBAR][XBAR], grid),
-        max_abs_on_grid(S.C[KBAR][YBAR][YBAR], grid),
-        max_abs_on_grid(S.C[KBAR][XBAR][KBAR], grid),
-        max_abs_on_grid(S.C[KBAR][YBAR][KBAR], grid),
-        max_abs_on_grid(S.C[XBAR][YBAR][XBAR], grid),
-        max_abs_on_grid(S.C[XBAR][YBAR][YBAR], grid),
-        max_abs_on_grid(S.C[XBAR][YBAR][KBAR] - F.iota_bar, grid),
+    worst = max_abs_on_grid(
+        [
+            S.C[KBAR][XBAR][YBAR] - F.alpha, S.C[KBAR][YBAR][XBAR] + F.alpha,
+            S.C[KBAR][XBAR][XBAR], S.C[KBAR][YBAR][YBAR],
+            S.C[KBAR][XBAR][KBAR], S.C[KBAR][YBAR][KBAR],
+            S.C[XBAR][YBAR][XBAR], S.C[XBAR][YBAR][YBAR],
+            S.C[XBAR][YBAR][KBAR] - F.iota_bar,
+        ],
+        grid,
     )
     report.add("bracket_pattern", worst, tol)
 
@@ -206,18 +201,12 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
     g[X][X] = g[Y][Y] = one
 
     C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-
-    def setbr(a, b, coeffs):
-        for c, val in coeffs.items():
-            C[a][b][c] = val
-            C[b][a][c] = -val
-
-    setbr(K, T, {K: -rho, T: -rho})
-    setbr(K, X, {Y: alpha_over_w, X: -rho})
-    setbr(K, Y, {X: -alpha_over_w, Y: -rho})
-    setbr(T, X, {X: rho})
-    setbr(T, Y, {Y: rho})
-    setbr(X, Y, {K: iota_bar * inv_w, T: iota_bar * inv_w})
+    _set_bracket(C, K, T, {K: -rho, T: -rho})
+    _set_bracket(C, K, X, {Y: alpha_over_w, X: -rho})
+    _set_bracket(C, K, Y, {X: -alpha_over_w, Y: -rho})
+    _set_bracket(C, T, X, {X: rho})
+    _set_bracket(C, T, Y, {Y: rho})
+    _set_bracket(C, X, Y, {K: iota_bar * inv_w, T: iota_bar * inv_w})
 
     D = [[zero] * kset.size for _ in range(4)]
     D[K][0] = one
@@ -259,28 +248,28 @@ class WarpedFamily:
         return _div(fw.partial(0), self.w, label="warping function")
 
 
-def ke_ode_residual(fam: WarpedFamily, alpha: float) -> ScalarField:
-    """Residual of the tau-ODE:
-    (fw)''/(fw)' + 2 w'/w + f'/f + alpha/w + lambda (C/w + f)."""
-    f, w = fam.f, fam.w
-    fw = f * w
-    fwp = fw.partial(0)
-    lhs = (
-        _div(fwp.partial(0), fwp, label="(fw)'")
-        + 2.0 * _div(w.partial(0), w, label="w")
-        + _div(f.partial(0), f, label="f")
+def ke_operator(f: ScalarField, w: ScalarField, alpha: float, tau_index: int = 0) -> ScalarField:
+    """L = (fw)''/(fw)' + 2 w'/w + f'/f + alpha/w, derivatives in tau."""
+    fwp = (f * w).partial(tau_index)
+    return (
+        _div(fwp.partial(tau_index), fwp, label="(fw)'")
+        + 2.0 * _div(w.partial(tau_index), w, label="w")
+        + _div(f.partial(tau_index), f, label="f")
         + _div(Const(f.kset, alpha), w, label="w")
     )
+
+
+def ke_ode_residual(fam: WarpedFamily, alpha: float) -> ScalarField:
+    """Residual of the tau-ODE:  L + lambda (C/w + f)  with L from ``ke_operator``."""
+    f, w = fam.f, fam.w
     rhs = -fam.lam * (_div(Const(f.kset, fam.C), w, label="w") + f)
-    return lhs - rhs
+    return ke_operator(f, w, alpha) - rhs
 
 
 def ke_pde_residual(F: FiberData, lam: float, C: float) -> ScalarField:
     """Residual of the fiber equation:
     (d_xbar^2 + d_ybar^2) log|iota_bar| + 2 lambda C iota_bar."""
-    S = F.structure
-    L = log_abs(F.iota_bar)
-    lap = S.dd(XBAR, S.dd(XBAR, L)) + S.dd(YBAR, S.dd(YBAR, L))
+    lap = plane_laplacian_log_abs(F.structure, F.iota_bar, XBAR, YBAR)
     return lap + (2.0 * lam * C) * F.iota_bar
 
 
@@ -407,7 +396,7 @@ def family_implicit_tan(interval: Tuple[float, float],
 
 
 def einstein_verdict(
-    A: AdmissibleData,
+    chain: KahlerChain,
     lam: float,
     grid,
     fam: Optional[WarpedFamily] = None,
@@ -419,44 +408,27 @@ def einstein_verdict(
     """Einstein residual of the induced metric through the Ricci-form route,
     with the companion ODE/PDE residuals and the closed-form Ricci displays
     as cross-checks."""
+    A = chain.data
     if A.case != CASE_WARPED:
         raise ValueError("einstein_verdict applies to warped-case data")
     report = VerificationReport(suite="einstein-verdict")
     S = A.structure
-    kahler = build_kahler(A)
-    conn_k = koszul_connection(kahler.structure)
-    gf = gamma_forms(A, kahler, conn_k)
-    report.add("gamma_reconstruction", gf.reconstruction_residual(grid), 1e-9)
-    rho_c = ricci_form(A, gf)
-    report.add("ricci_form_real", ricci_form_imag_residual(rho_c, grid), 1e-9)
-    rho = ricci_form_real(rho_c)
+    kahler, rho = chain.kahler, chain.rho
+    report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), 1e-9)
+    report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), 1e-9)
 
     ric = ricci_from_form(rho)
-    worst = 0.0
-    for u in range(4):
-        for v in range(4):
-            worst = max(worst, max_abs_on_grid(ric[u][v] - lam * kahler.g[u][v], grid))
+    worst = max_abs_on_grid((ric[u][v] - lam * kahler.g[u][v] for u in range(4) for v in range(4)), grid)
     report.add("einstein_residual", worst, tol)
 
-    worst = max(
-        max_abs_on_grid(rho(K, X), grid),
-        max_abs_on_grid(rho(K, Y), grid),
-        max_abs_on_grid(rho(T, X), grid),
-        max_abs_on_grid(rho(T, Y), grid),
-    )
+    worst = max_abs_on_grid([rho(K, X), rho(K, Y), rho(T, X), rho(T, Y)], grid)
     report.add("rho_horizontal_vertical", worst, 1e-9)
 
     # closed-form displays: rho(k,T) = -(1/w)[(L w)]' and
     # rho(x,y) = L iota_bar / w - (1/(2 w^2)) plane-Laplacian of log|iota_bar|
     w, f = A.w, A.f
-    fw = f * w
-    fwp = fw.partial(A.tau_index)
-    L = (
-        _div(fwp.partial(A.tau_index), fwp, label="(fw)'")
-        + 2.0 * _div(w.partial(A.tau_index), w, label="w")
-        + _div(f.partial(A.tau_index), f, label="f")
-        + _div(Const(S.kset, A.constants.alpha), w, label="w")
-    )
+    fwp = (f * w).partial(A.tau_index)
+    L = ke_operator(f, w, A.constants.alpha, A.tau_index)
     rho_kT_closed = -_div((L * w).partial(A.tau_index), w, label="w")
     report.add("rho_kT_closed_form", max_abs_on_grid(rho(K, T) - rho_kT_closed, grid), tol,
                source="reported")
@@ -535,42 +507,39 @@ class CompletenessVerdict:
         return (-self.s_lower, self.s_upper)
 
 
+def _segments_toward(anchor: float, end: float, count: int):
+    """Up to ``count`` consecutive (lo, hi) segments from the anchor toward
+    the end: doubling steps toward an infinite end; toward a finite end,
+    halving gaps starting from half the distance, never reaching the end
+    itself."""
+    cursor = anchor
+    step = 1.0
+    gap = 0.5 * abs(end - anchor)
+    for _ in range(count):
+        if math.isinf(end):
+            nxt = cursor + step if end > 0 else cursor - step
+            step *= 2.0
+        else:
+            gap *= 0.5
+            nxt = end - gap if end > anchor else end + gap
+        lo, hi = (cursor, nxt) if nxt > cursor else (nxt, cursor)
+        if hi - lo <= 0.0:
+            return
+        yield lo, hi
+        cursor = nxt
+
+
 def _integrate_toward(fn, anchor: float, end: float, rel_tol: float, bound: float,
-                      max_expansions: int, end_margin: float) -> Tuple[float, bool]:
+                      max_expansions: int) -> Tuple[float, bool]:
     """Accumulate integral of fn from the anchor toward an (possibly
     infinite) end; diverged when the total passes the bound with the last
     three segment increments nondecreasing."""
     total = 0.0
     increments = []
-    if math.isinf(end):
-        step = 1.0
-        cursor = anchor
-        for _ in range(max_expansions):
-            nxt = cursor + step if end > 0 else cursor - step
-            lo, hi = (cursor, nxt) if end > 0 else (nxt, cursor)
-            inc = adaptive_simpson(fn, lo, hi, rel_tol)
-            total += inc
-            increments.append(inc)
-            cursor = nxt
-            step *= 2.0
-            if total > bound and len(increments) >= 3 and (
-                increments[-1] >= increments[-2] >= increments[-3] > 0.0
-            ):
-                return total, True
-        return total, False
-    # finite end: approach geometrically, never evaluating at the end itself
-    gap = abs(end - anchor) * end_margin
-    cursor = anchor
-    for j in range(max_expansions):
-        gap *= 0.5
-        nxt = end - gap if end > anchor else end + gap
-        lo, hi = (cursor, nxt) if nxt > cursor else (nxt, cursor)
-        if hi - lo <= 0.0:
-            break
+    for lo, hi in _segments_toward(anchor, end, max_expansions):
         inc = adaptive_simpson(fn, lo, hi, rel_tol)
         total += inc
         increments.append(inc)
-        cursor = nxt
         if total > bound and len(increments) >= 3 and (
             increments[-1] >= increments[-2] >= increments[-3] > 0.0
         ):
@@ -614,11 +583,8 @@ def completeness(
     for t in np.linspace(scan_lo, scan_hi, samples):
         integrand(float(t))
 
-    s_upper, up_div = _integrate_toward(integrand, anchor, hi, rel_tol, divergence_bound,
-                                        max_expansions, 1e-0 if math.isinf(hi) else 0.5)
-    s_lower, lo_div = _integrate_toward(lambda t: integrand(t), anchor, lo, rel_tol,
-                                        divergence_bound, max_expansions,
-                                        1e-0 if math.isinf(lo) else 0.5)
+    s_upper, up_div = _integrate_toward(integrand, anchor, hi, rel_tol, divergence_bound, max_expansions)
+    s_lower, lo_div = _integrate_toward(integrand, anchor, lo, rel_tol, divergence_bound, max_expansions)
     if not math.isinf(lo):
         s_lower = abs(s_lower)
     verdict = "complete" if (up_div and lo_div) else "inconclusive"
@@ -640,20 +606,12 @@ def quotient_gauss_check(F: FiberData, lam: float, C: float, grid, tol: float = 
     when the fiber equation holds with (lam, C), the fitted constant matches
     -2 lam C."""
     report = VerificationReport(suite="quotient-gauss")
-    S = F.structure
-    logi = log_abs(F.iota_bar)
-    lap = S.dd(XBAR, S.dd(XBAR, logi)) + S.dd(YBAR, S.dd(YBAR, logi))
+    lap = plane_laplacian_log_abs(F.structure, F.iota_bar, XBAR, YBAR)
     kg = -0.5 * _div(lap, F.iota_bar, label="iota_bar")
 
-    lap_vals = np.array([lap.at(p) for p in grid])
-    iota_vals = np.array([F.iota_bar.at(p) for p in grid])
-    denom = float(np.dot(iota_vals, iota_vals))
-    c_fit = float(np.dot(lap_vals, iota_vals) / denom) if denom > 0 else 0.0
-    fit_res = float(np.max(np.abs(lap_vals - c_fit * iota_vals)))
+    c_fit, fit_res = fit_constant(lap, F.iota_bar, grid)
     pde_holds = fit_res <= tol
-
-    spread, mean = spread_on_grid(kg, grid)
-    kg_constant = spread <= tol * (1.0 + abs(mean))
+    kg_constant, spread, _ = constancy_on_grid(kg, grid, tol)
 
     report.add(
         "gauss_constant_iff_twist_equation",

@@ -8,13 +8,7 @@ so the oracle never shares code with the path it verifies.
 import pytest
 
 from frame_kahler import catalog
-from frame_kahler.frames import curvature, koszul_connection
-from frame_kahler.kahler import (
-    build_kahler,
-    gamma_forms,
-    ricci_form,
-    ricci_form_real,
-)
+from frame_kahler.kahler import build_chain
 
 
 def central_diff(fn, point, i, h=1e-5):
@@ -54,11 +48,12 @@ class BuiltEntry:
         self.entry = entry
         self.data = entry.data
         self.grid = entry.grid()
-        self.kahler = build_kahler(entry.data)
-        self.conn_k = koszul_connection(self.kahler.structure)
-        self.gforms = gamma_forms(entry.data, self.kahler, self.conn_k)
-        self.rho = ricci_form_real(ricci_form(entry.data, self.gforms))
-        self.curv_k = curvature(self.kahler.structure, self.conn_k)
+        self.chain = build_chain(entry.data)
+        self.kahler = self.chain.kahler
+        self.conn_k = self.chain.conn
+        self.gforms = self.chain.gforms
+        self.rho = self.chain.rho
+        self.curv_k = self.chain.curv
 
 
 @pytest.fixture(scope="session")

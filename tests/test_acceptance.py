@@ -23,6 +23,7 @@ from frame_kahler.fields import KSet, make_closed_form
 from frame_kahler.frames import (
     consistency_suite,
     grid_points,
+    koszul_connection,
     max_abs_on_grid,
     sectional_curvature,
 )
@@ -95,7 +96,7 @@ def test_criterion_03_s3xr_ricci_flat_and_flat(built):
 def test_criterion_04_ppwave_conformal_scalar_minus_one(built):
     with criterion(4, "pp-wave (constant twist): s~ = -1 by both routes, agreement <= 1e-7"):
         be = built("ppwave")
-        parts = conformal_scalar(be.data, be.kahler, be.conn_k, be.curv_k)
+        parts = conformal_scalar(be.chain)
         closed = conformal_scalar_closed_form(be.data.constants)
         assert closed == pytest.approx(-1.0, abs=1e-12)
         assert max_abs_on_grid(parts["s_tilde"] - (-1.0), be.grid) <= 1e-7
@@ -127,7 +128,7 @@ def test_criterion_06_csc_equivalence():
     with criterion(6, "CSC equivalence: s~-constancy and twist-equation verdicts agree on 3 CSC + 2 non-CSC"):
         for iota_expr, expect in CSC_TABLE:
             be = BuiltEntry(catalog.load("ppwave", iota=iota_expr))
-            verdict = csc_verdict(be.data, be.grid, be.kahler, be.conn_k, be.curv_k)
+            verdict = csc_verdict(be.chain, be.grid)
             assert verdict.verdicts_agree, iota_expr
             assert verdict.is_csc == expect, iota_expr
 
@@ -157,13 +158,13 @@ def test_criterion_07_ke_ode_families():
 def test_criterion_08_einstein_verdicts(built):
     with criterion(8, "Einstein: alpha0 lam=-3 <= 1e-7; alphaneg flat <= 1e-7; implicit Ricci-flat with |K(x,y)| > 0.1"):
         be = built("warped_alpha0")
-        rep = einstein_verdict(be.data, -3.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, -3.0, be.grid, fam=be.entry.family,
                                fiber=be.entry.fiber, fiber_grid=[()])
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["einstein_residual"].residual <= 1e-7
 
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.data, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert {c.check_id: c for c in rep.checks}["einstein_residual"].residual <= 1e-7
         assert be.curv_k.max_component(be.grid) <= 1e-7
@@ -197,7 +198,7 @@ def test_criterion_10_cross_route_property_suite(entries, built):
     with criterion(10, "every entry: torsion/compat/Jacobi <= 1e-8, d(omega) <= 1e-8, d(rho) <= 1e-7, routes <= 1e-7; chart <= 1e-6"):
         for eid, entry in entries.items():
             be = built(eid)
-            rep = consistency_suite(entry.data.structure, be.grid)
+            rep = consistency_suite(koszul_connection(entry.data.structure), be.grid)
             by_id = {c.check_id: c for c in rep.checks}
             assert by_id["torsion_free"].residual <= 1e-8, eid
             assert by_id["metric_compatible"].residual <= 1e-8, eid

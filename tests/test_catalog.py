@@ -16,7 +16,7 @@ from frame_kahler.catalog import (
     ppwave_from_shift,
     serialize_structure,
 )
-from frame_kahler.frames import consistency_suite, max_abs_on_grid
+from frame_kahler.frames import consistency_suite, koszul_connection, max_abs_on_grid
 from frame_kahler.kahler import check_admissible
 
 
@@ -31,8 +31,9 @@ class TestLoad:
     def test_all_entries_consistent_and_admissible(self, entries):
         for eid, entry in entries.items():
             grid = entry.grid()
-            assert consistency_suite(entry.data.structure, grid).passed, eid
-            assert check_admissible(entry.data, grid).passed, eid
+            conn = koszul_connection(entry.data.structure)
+            assert consistency_suite(conn, grid).passed, eid
+            assert check_admissible(entry.data, conn, grid).passed, eid
 
     def test_s3xr_constants(self, entries):
         cs = entries["s3xr"].data.constants
@@ -141,7 +142,7 @@ class TestCoordinateOracle:
 
     def test_degenerate_shift_twist_inadmissible(self):
         entry = ppwave_from_shift("0", "0")
-        rep = check_admissible(entry.data, entry.grid())
+        rep = check_admissible(entry.data, koszul_connection(entry.data.structure), entry.grid())
         assert not rep.passed
         assert any(c.check_id == "twist_nonvanishing" for c in rep.failed_checks())
 

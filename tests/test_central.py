@@ -71,14 +71,14 @@ class TestConformalScalar:
     )
     def test_catalog_values(self, built, eid, expected):
         be = built(eid)
-        parts = conformal_scalar(be.data, be.kahler, be.conn_k, be.curv_k)
+        parts = conformal_scalar(be.chain)
         assert max_abs_on_grid(parts["s_tilde"] - expected, be.grid) <= 1e-7
         closed = conformal_scalar_closed_form(be.data.constants)
         assert closed == pytest.approx(expected, abs=1e-12)
 
     def test_ppwave_constant_twist_value(self):
         be = ppwave_built("-2")
-        parts = conformal_scalar(be.data, be.kahler, be.conn_k, be.curv_k)
+        parts = conformal_scalar(be.chain)
         assert max_abs_on_grid(parts["s_tilde"] + 1.0, be.grid) <= 1e-7
         assert conformal_scalar_closed_form(be.data.constants) == pytest.approx(-1.0)
         assert max_abs_on_grid(parts["s_tilde"] - parts["s_tilde_alt"], be.grid) <= 1e-7
@@ -86,7 +86,7 @@ class TestConformalScalar:
     def test_laplacian_self_test(self, built):
         for eid in ("planewave", "s3xr"):
             be = built(eid)
-            rep = laplacian_self_test(be.data, be.kahler, be.conn_k, be.grid)
+            rep = laplacian_self_test(be.chain, be.grid)
             assert rep.passed
 
     def test_scalar_curvature_2q(self, built):
@@ -140,19 +140,19 @@ class TestCscVerdict:
     @pytest.mark.parametrize("iota_expr,expect_csc", CSC_CASES)
     def test_verdicts_agree(self, iota_expr, expect_csc):
         be = ppwave_built(iota_expr)
-        rep = csc_verdict(be.data, be.grid, be.kahler, be.conn_k, be.curv_k)
+        rep = csc_verdict(be.chain, be.grid)
         assert rep.verdicts_agree
         assert rep.is_csc == expect_csc
 
     def test_sech_profile_constant(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        rep = csc_verdict(be.data, be.grid, be.kahler, be.conn_k, be.curv_k)
+        rep = csc_verdict(be.chain, be.grid)
         # negative sech^2 twist satisfies the equation with c = +2 (1 + 4)
         assert rep.pde_constant_c == pytest.approx(10.0, abs=1e-7)
 
     def test_harmonic_exponent_c_zero(self):
         be = ppwave_built("-exp(x^2 - y^2)")
-        rep = csc_verdict(be.data, be.grid, be.kahler, be.conn_k, be.curv_k)
+        rep = csc_verdict(be.chain, be.grid)
         assert rep.pde_constant_c == pytest.approx(0.0, abs=1e-8)
         assert rep.s_tilde_mean == pytest.approx(-1.0, abs=1e-7)
 
@@ -214,24 +214,14 @@ class TestSyntheticFamilyProperties:
         st.floats(-3.0, -0.5),
     )
     def test_central_claims_hold_across_constants(self, a, b, alpha, beta, iota_const):
-        from frame_kahler.frames import curvature, grid_points, koszul_connection, max_abs_on_grid
-        from frame_kahler.kahler import (
-            build_kahler,
-            check_admissible,
-            cross_route_ricci_residual,
-            gamma_forms,
-            ricci_form,
-            ricci_form_real,
-        )
+        from frame_kahler.frames import grid_points, koszul_connection, max_abs_on_grid
+        from frame_kahler.kahler import build_chain, check_admissible, cross_route_ricci_residual
 
         A = synthetic_central(a, b, alpha, beta, iota_const)
         grid = grid_points(A.kset, {"tau": (-0.5, 0.5, 3)})
-        assert check_admissible(A, grid).passed
-        km = build_kahler(A)
-        conn_k = koszul_connection(km.structure)
-        curv_k = curvature(km.structure, conn_k)
-        gf = gamma_forms(A, km, conn_k)
-        rho = ricci_form_real(ricci_form(A, gf))
+        assert check_admissible(A, koszul_connection(A.structure), grid).passed
+        chain = build_chain(A)
+        km, curv_k, rho = chain.kahler, chain.curv, chain.rho
 
         # Ricci endomorphism kills V, and its determinant vanishes
         for u in (0, 1):
@@ -250,7 +240,7 @@ class TestSyntheticFamilyProperties:
             assert max_abs_on_grid(curv_k.ricci[u][u] - qe * km.g[u][u], grid) <= 1e-7
 
         # conformal scalar curvature matches its closed form
-        parts = conformal_scalar(A, km, conn_k, curv_k)
+        parts = conformal_scalar(chain)
         closed = conformal_scalar_closed_form(A.constants)
         assert max_abs_on_grid(parts["s_tilde"] - closed, grid) <= 1e-6
 

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, report files, determinism."""
 
+import collections
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from frame_kahler.catalog import load, serialize_structure
 from frame_kahler.cli import main, run_suite
@@ -44,6 +48,10 @@ class TestVerify:
 
     def test_bad_grid_spec(self):
         assert run_cli("verify", "--example", "planewave", "--grid", "u=oops") == 2
+
+    @pytest.mark.parametrize("spec", ["x=0:1:0", "x=0:1:-2", "x=nan:1:3", "x=inf:1:3"])
+    def test_empty_or_non_finite_grid_is_usage_error(self, spec):
+        assert run_cli("verify", "--example", "ppwave", "--grid", spec) == 2
 
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -174,6 +182,60 @@ class TestCatalogCommand:
 
     def test_show_unknown(self):
         assert run_cli("catalog", "show", "nope") == 2
+
+
+BUILDERS = {
+    "frames": ("koszul_connection", "curvature", "inverse_metric"),
+    "kahler": ("build_kahler", "gamma_forms", "ricci_form"),
+    "central": ("central_curvature", "conformal_scalar"),
+}
+MODULES = ("frames", "kahler", "central", "warped", "catalog", "cli")
+
+
+def count_builds(monkeypatch, entry_id):
+    """Calls of each builder during one run_suite call, counted through
+    every module attribute that holds the builder."""
+    modules = [importlib.import_module("frame_kahler." + name) for name in MODULES]
+    counts = collections.Counter()
+    for home, names in BUILDERS.items():
+        for name in names:
+            original = getattr(importlib.import_module("frame_kahler." + home), name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+    report, _ = run_suite(load(entry_id), "all")
+    assert report.passed
+    return dict(counts)
+
+
+class TestBuildCounts:
+    @pytest.mark.parametrize("entry_id", ["s3xr", "ppwave"])
+    def test_central_builds_each_object_once(self, monkeypatch, entry_id):
+        assert count_builds(monkeypatch, entry_id) == {
+            "koszul_connection": 2,  # base structure and induced metric
+            "build_kahler": 1,
+            "gamma_forms": 1,
+            "ricci_form": 1,
+            "curvature": 1,
+            "inverse_metric": 1,
+            "central_curvature": 1,
+            "conformal_scalar": 1,
+        }
+
+    def test_warped_builds_each_object_once(self, monkeypatch):
+        assert count_builds(monkeypatch, "warped_alpha0") == {
+            "koszul_connection": 3,  # base structure, fiber and induced metric
+            "build_kahler": 1,
+            "gamma_forms": 1,
+            "ricci_form": 1,
+            "curvature": 1,
+            "inverse_metric": 1,
+        }
 
 
 class TestSuiteRunners:

@@ -9,14 +9,17 @@ from frame_kahler.frames import (
     FrameError,
     FrameStructure,
     consistency_suite,
+    constancy_on_grid,
     curvature,
     directional_derivative,
     grid_points,
     koszul_connection,
     max_abs_on_grid,
     sectional_curvature,
+    spread_on_grid,
     twist,
 )
+from frame_kahler.reporting import VerificationReport
 
 from frame_kahler import catalog
 
@@ -46,6 +49,19 @@ class TestGrid:
     def test_missing_variable_defaults_to_zero(self):
         pts = grid_points(KSet(("a", "b")), {"a": (1.0, 2.0, 2)})
         assert pts == [(1.0, 0.0), (2.0, 0.0)]
+
+    def test_non_finite_value_fails_every_reduction(self):
+        # x * nan is NaN at every point; no residual may read as small
+        ks = KSet(("x",))
+        grid = grid_points(ks, {"x": (0.0, 1.0, 3)})
+        bad = variable(ks, "x") * math.nan
+        assert max_abs_on_grid(bad, grid) == math.inf
+        assert max(0.0, max_abs_on_grid([Const(ks, 0.0), bad], grid)) == math.inf
+        assert spread_on_grid(bad, grid)[0] == math.inf
+        assert not constancy_on_grid(bad, grid, 1e-8)[0]
+        report = VerificationReport(suite="nan")
+        report.add("residual", max_abs_on_grid(bad, grid), 1e-8)
+        assert not report.passed
 
 
 class TestDirectionalDerivative:
@@ -213,7 +229,7 @@ class TestTwist:
 class TestConsistencySuite:
     def test_catalog_structures_pass(self, entries):
         for eid, entry in entries.items():
-            rep = consistency_suite(entry.data.structure, entry.grid())
+            rep = consistency_suite(koszul_connection(entry.data.structure), entry.grid())
             assert rep.passed, "%s: %s" % (eid, [c.check_id for c in rep.failed_checks()])
             worst = max(c.residual for c in rep.checks)
             assert worst <= 1e-8
@@ -226,11 +242,11 @@ class TestConsistencySuite:
         C[2][3][0] = C[2][3][0] + 0.1
         C[3][2][0] = -C[2][3][0]
         S2 = FrameStructure(S.kset, S.frame_names, S.g, C, S.D)
-        rep = consistency_suite(S2, entry.grid())
+        rep = consistency_suite(koszul_connection(S2), entry.grid())
         assert not rep.passed
         failed = {c.check_id for c in rep.failed_checks()}
         assert failed & {"jacobi_identity", "frame_derivative_consistency"}
 
     def test_flat_frame_passes(self):
-        rep = consistency_suite(flat_frame(), [()])
+        rep = consistency_suite(koszul_connection(flat_frame()), [()])
         assert rep.passed

@@ -76,12 +76,12 @@ class TestBuildKahler:
 class TestCheckAdmissible:
     def test_catalog_entries_pass(self, entries):
         for eid, entry in entries.items():
-            rep = check_admissible(entry.data, entry.grid())
+            rep = check_admissible(entry.data, koszul_connection(entry.data.structure), entry.grid())
             assert rep.passed, "%s: %s" % (eid, [c.check_id for c in rep.failed_checks()])
 
     def test_planewave_k_geodesic_and_killing(self, entries):
         entry = entries["planewave"]
-        rep = check_admissible(entry.data, entry.grid())
+        rep = check_admissible(entry.data, koszul_connection(entry.data.structure), entry.grid())
         by_id = {c.check_id: c for c in rep.checks}
         note = by_id["k_geodesic_or_killing"].note
         assert by_id["k_geodesic_or_killing"].passed
@@ -104,7 +104,7 @@ class TestCheckAdmissible:
             iota=entry.data.iota,
             case=CASE_CENTRAL,
         )
-        rep = check_admissible(bad, entry.grid())
+        rep = check_admissible(bad, koszul_connection(S2), entry.grid())
         assert not rep.passed
         failed = {c.check_id for c in rep.failed_checks()}
         assert failed & {"shear_free", "bracket_pattern"}

@@ -224,7 +224,7 @@ class TestEinsteinVerdict:
     def test_alpha0_einstein(self, built):
         be = built("warped_alpha0")
         entry = be.entry
-        rep = einstein_verdict(be.data, -3.0, be.grid, fam=entry.family, fiber=entry.fiber,
+        rep = einstein_verdict(be.chain, -3.0, be.grid, fam=entry.family, fiber=entry.fiber,
                                fiber_grid=[()], C=0.0)
         assert rep.passed
         by_id = {c.check_id: c for c in rep.checks}
@@ -233,7 +233,7 @@ class TestEinsteinVerdict:
 
     def test_alphaneg_flat(self, built):
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.data, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert rep.passed
         assert be.curv_k.max_component(be.grid) <= 1e-7
@@ -241,7 +241,7 @@ class TestEinsteinVerdict:
 
     def test_implicit_family_ricci_flat_not_flat(self, built):
         be = built("warped_alpha_minus2")
-        rep = einstein_verdict(be.data, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert rep.passed
         assert be.curv_k.max_ricci(be.grid) <= 1e-7
@@ -250,14 +250,14 @@ class TestEinsteinVerdict:
 
     def test_wrong_lambda_fails(self, built):
         be = built("warped_alpha0")
-        rep = einstein_verdict(be.data, -1.0, be.grid)
+        rep = einstein_verdict(be.chain, -1.0, be.grid)
         assert not rep.passed
 
     def test_log_derivative_identity(self, built):
         # c'/c = (fw)''/(fw)' - w'/w as fields
         for eid in ("warped_alpha0", "warped_alphaneg", "warped_alpha_minus2"):
             be = built(eid)
-            rep = einstein_verdict(be.data, be.entry.family.lam, be.grid)
+            rep = einstein_verdict(be.chain, be.entry.family.lam, be.grid)
             by_id = {c.check_id: c for c in rep.checks}
             assert by_id["log_derivative_identity"].residual <= 1e-10
             assert by_id["twist_substitution"].residual <= 1e-10
