@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Const, KSet, ScalarField, make_closed_form
+from .fields import Const, KSet, ScalarField, make_closed_form, tan
 from .frames import FrameStructure, grid_points
 from .kahler import (
     CASE_CENTRAL,
@@ -52,6 +52,7 @@ __all__ = [
     "load",
     "parse_structure",
     "parse_document",
+    "entry_from_document",
     "serialize_structure",
     "ppwave_from_shift",
     "planewave_chart",
@@ -242,9 +243,7 @@ def _family_from_document(doc: dict, fiber: FiberData) -> WarpedFamily:
         if "implicit_tan_seed" not in raw_w:
             raise SchemaError("family.w", "expected an expression or {'implicit_tan_seed': number}")
         x = implicit_tan_field(TAU_KSET, 0, float(raw_w["implicit_tan_seed"]))
-        from .fields import tan as _tan
-
-        w = -_tan(x)
+        w = -tan(x)
     else:
         w = _parse_expr(raw_w, TAU_KSET, "family.w")
     interval_raw = fam.get("interval", [-1.0, 1.0])
@@ -300,6 +299,24 @@ def default_grid_box(doc: dict, data: AdmissibleData) -> dict:
     for name in data.kset.names:
         box.setdefault(name, (-1.0, 1.0, 5))
     return box
+
+
+def entry_from_document(entry_id: str, description: str, doc: dict, expected: dict,
+                        chart=None) -> CatalogEntry:
+    """Parse a structure document into a catalog entry on its default grid."""
+    data, fiber, family = parse_document(doc)
+    return CatalogEntry(
+        entry_id=entry_id,
+        description=description,
+        case=data.case,
+        document=doc,
+        data=data,
+        grid_box=default_grid_box(doc, data),
+        expected=expected,
+        fiber=fiber,
+        family=family,
+        chart=chart,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +396,6 @@ def _doc_warped(alpha, iota_expr, f_expr, w_spec, lam, C, interval, tau_box, fib
 
 def _entry_s3xr() -> CatalogEntry:
     doc = _doc_s3xr()
-    data, _, _ = parse_document(doc)
     expected = {
         "twist": Expectation(-2.0, "reported"),
         "q": Expectation(0.0, "reported", "-(a^2+b^2-b*alpha+a*beta)/a^2 with a=1, b=-1, alpha=-2"),
@@ -388,20 +404,14 @@ def _entry_s3xr() -> CatalogEntry:
         "flat": Expectation(True, "reported"),
         "csc": Expectation(True, "reported"),
     }
-    return CatalogEntry(
-        entry_id="s3xr",
-        description="Product of the round 3-sphere with a line; induced metric is flat",
-        case=CASE_CENTRAL,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-    )
+    return entry_from_document(
+        "s3xr",
+        "Product of the round 3-sphere with a line; induced metric is flat",
+        doc, expected)
 
 
 def _entry_planewave() -> CatalogEntry:
     doc = _doc_planewave()
-    data, _, _ = parse_document(doc)
     expected = {
         "twist": Expectation(-2.0, "reported"),
         "ric_xx": Expectation(-2.0, "reported", "equals the twist"),
@@ -410,21 +420,14 @@ def _entry_planewave() -> CatalogEntry:
         "csc": Expectation(True, "reported"),
         "left_invariant": Expectation(True, "reported"),
     }
-    return CatalogEntry(
-        entry_id="planewave",
-        description="Gravitational plane wave with its rotating null frame; k is Killing",
-        case=CASE_CENTRAL,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-        chart=planewave_chart(),
-    )
+    return entry_from_document(
+        "planewave",
+        "Gravitational plane wave with its rotating null frame; k is Killing",
+        doc, expected, chart=planewave_chart())
 
 
 def _entry_ppwave(iota_expr: str = "-2") -> CatalogEntry:
     doc = _doc_ppwave(iota_expr)
-    data, _, _ = parse_document(doc)
     expected = {
         "q": Expectation(-2.0, "derived", "q formula with a=1, b=-1, alpha=beta=0; constant twist only"),
         "s_tilde": Expectation(-1.0, "reported", "constant twist only"),
@@ -432,15 +435,10 @@ def _entry_ppwave(iota_expr: str = "-2") -> CatalogEntry:
     }
     if iota_expr != "-2":
         expected = {}
-    return CatalogEntry(
-        entry_id="ppwave",
-        description="Line times a truncated pp-wave 3-metric; twist profile is a parameter",
-        case=CASE_CENTRAL,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-    )
+    return entry_from_document(
+        "ppwave",
+        "Line times a truncated pp-wave 3-metric; twist profile is a parameter",
+        doc, expected)
 
 
 def _entry_warped_alpha0() -> CatalogEntry:
@@ -454,21 +452,13 @@ def _entry_warped_alpha0() -> CatalogEntry:
         interval=(-1.0, 1.0),
         tau_box=(-1.0, 1.0, 5),
     )
-    data, fiber, family = parse_document(doc)
     expected = {
         "einstein_lambda": Expectation(-3.0, "derived", "solution family of the tau-ODE"),
     }
-    return CatalogEntry(
-        entry_id="warped_alpha0",
-        description="Warped product over a flat-type fiber (alpha=0), Einstein with lambda=-3",
-        case=CASE_WARPED,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-        fiber=fiber,
-        family=family,
-    )
+    return entry_from_document(
+        "warped_alpha0",
+        "Warped product over a flat-type fiber (alpha=0), Einstein with lambda=-3",
+        doc, expected)
 
 
 def _entry_warped_alphaneg() -> CatalogEntry:
@@ -482,23 +472,15 @@ def _entry_warped_alphaneg() -> CatalogEntry:
         interval=(0.2, 1.4),
         tau_box=(0.2, 1.4, 5),
     )
-    data, fiber, family = parse_document(doc)
     expected = {
         "einstein_lambda": Expectation(0.0, "derived", "solution family of the tau-ODE"),
         "ricci_flat": Expectation(True, "derived"),
         "flat": Expectation(True, "reported"),
     }
-    return CatalogEntry(
-        entry_id="warped_alphaneg",
-        description="Warped product, alpha=-1, Ricci-flat scaling solution f = tau^(-1/2), w = tau",
-        case=CASE_WARPED,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-        fiber=fiber,
-        family=family,
-    )
+    return entry_from_document(
+        "warped_alphaneg",
+        "Warped product, alpha=-1, Ricci-flat scaling solution f = tau^(-1/2), w = tau",
+        doc, expected)
 
 
 def _entry_warped_alpha_minus2() -> CatalogEntry:
@@ -513,7 +495,6 @@ def _entry_warped_alpha_minus2() -> CatalogEntry:
         interval=(0.05, 1.0),
         tau_box=(0.05, 1.0, 5),
     )
-    data, fiber, family = parse_document(doc)
     expected = {
         "einstein_lambda": Expectation(0.0, "derived"),
         "ricci_flat": Expectation(True, "reported"),
@@ -521,17 +502,10 @@ def _entry_warped_alpha_minus2() -> CatalogEntry:
         "tau0": Expectation(tau0, "reported"),
         "sectional_xy_nonzero": Expectation(True, "reported", "magnitude (2/w)|w' - 1| at tau0"),
     }
-    return CatalogEntry(
-        entry_id="warped_alpha_minus2",
-        description="Warped product over the round-sphere-type fiber (alpha=-2); Ricci flat, not flat",
-        case=CASE_WARPED,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-        fiber=fiber,
-        family=family,
-    )
+    return entry_from_document(
+        "warped_alpha_minus2",
+        "Warped product over the round-sphere-type fiber (alpha=-2); Ricci flat, not flat",
+        doc, expected)
 
 
 def _entry_warped_complete() -> CatalogEntry:
@@ -545,7 +519,6 @@ def _entry_warped_complete() -> CatalogEntry:
         interval=("-inf", "inf"),
         tau_box=(-1.0, 1.0, 5),
     )
-    data, fiber, family = parse_document(doc)
     expected = {
         "einstein_lambda": Expectation(-3.0, "derived"),
         "c_constant": Expectation(1.0, "reported", "c = -lambda/3"),
@@ -553,17 +526,10 @@ def _entry_warped_complete() -> CatalogEntry:
         "sectional_xk": Expectation(-0.5, "reported", "lambda / 6"),
         "complete": Expectation(True, "reported"),
     }
-    return CatalogEntry(
-        entry_id="warped_complete",
-        description="Complete Einstein example: f = 1, w = e^tau, lambda = -3, constant c = 1",
-        case=CASE_WARPED,
-        document=doc,
-        data=data,
-        grid_box=default_grid_box(doc, data),
-        expected=expected,
-        fiber=fiber,
-        family=family,
-    )
+    return entry_from_document(
+        "warped_complete",
+        "Complete Einstein example: f = 1, w = e^tau, lambda = -3, constant c = 1",
+        doc, expected)
 
 
 _BUILDERS = {

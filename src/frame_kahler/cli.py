@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import catalog as catalog_mod
-from .catalog import CatalogEntry, SchemaError, coordinate_crosscheck, load, parse_document
+from .catalog import CatalogEntry, SchemaError, coordinate_crosscheck, entry_from_document, load
 from .central import (
     conformal_scalar_closed_form,
     csc_verdict,
@@ -39,6 +39,7 @@ from .frames import (
     grid_spec_string,
     koszul_connection,
     max_abs_on_grid,
+    min_on_grid,
     plane_laplacian_log_abs,
     sectional_curvature,
 )
@@ -383,8 +384,8 @@ def run_ke_suite(entry: CatalogEntry, grid=None) -> tuple:
     tau_grid = sorted({(p[0],) for p in grid})
     fw = fam.f * fam.w
     fwp = fw.partial(0)
-    min_f = min(fam.f.at(p) for p in tau_grid)
-    min_fwp = min(fwp.at(p) for p in tau_grid)
+    min_f = min_on_grid(fam.f, tau_grid)
+    min_fwp = min_on_grid(fwp, tau_grid)
     report.add("region_f_positive", max(0.0, -min_f), 0.0, passed=min_f > 0.0,
                note="min f = %.6g" % min_f)
     report.add("region_fw_increasing", max(0.0, -min_fwp), 0.0, passed=min_fwp > 0.0,
@@ -518,19 +519,8 @@ def _entry_from_args(args) -> CatalogEntry:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SchemaError(args.config, "invalid JSON: %s" % exc) from None
-        data, fiber, family = parse_document(doc)
-        box = catalog_mod.default_grid_box(doc, data)
-        return CatalogEntry(
-            entry_id=os.path.splitext(os.path.basename(args.config))[0],
-            description="user structure from %s" % args.config,
-            case=data.case,
-            document=doc,
-            data=data,
-            grid_box=box,
-            expected={},
-            fiber=fiber,
-            family=family,
-        )
+        return entry_from_document(os.path.splitext(os.path.basename(args.config))[0],
+                                   "user structure from %s" % args.config, doc, {})
     raise SchemaError("verify", "need --example or --config")
 
 
@@ -608,9 +598,9 @@ def cmd_ke(args) -> int:
     tau_grid = [(float(t),) for t in np.linspace(lo, hi, args.n)]
     ode = ke_ode_residual(fam, alpha)
     report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
-    min_f = min(fam.f.at(p) for p in tau_grid)
+    min_f = min_on_grid(fam.f, tau_grid)
     fwp = (fam.f * fam.w).partial(0)
-    min_fwp = min(fwp.at(p) for p in tau_grid)
+    min_fwp = min_on_grid(fwp, tau_grid)
     report.add("region_f_positive", max(0.0, -min_f), 0.0, passed=min_f > 0.0)
     report.add("region_fw_increasing", max(0.0, -min_fwp), 0.0, passed=min_fwp > 0.0)
     if args.complete:

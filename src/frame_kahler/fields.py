@@ -9,18 +9,23 @@ differentiation -- connection coefficients, curvature tensors, Ricci forms
 and their exterior derivatives -- stays free of finite-difference noise.
 Finite differences appear only in the test suite, as an independent oracle.
 
+Elementary functions (exp, log, sin, ...) come from one table,
+``_ELEMENTARY``: each row holds the value, the domain test and the
+derivative rule of one function, applied by a single node class.
+
 Evaluation is pointwise and cached per field, so shared subexpressions (the
 pointwise connection solves in particular) are computed once per grid point.
-Fields are immutable after construction; the caches are write-once per point
-and safe to share between threads.
+Fields are immutable after construction; each cache holds one value per
+point, written on first evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re as _re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -201,12 +206,8 @@ class ScalarField:
         if o is None:
             return NotImplemented
         if o.is_constant:
-            return _pow(self, o.at(_origin(self.kset)))
+            return _pow(self, o.c)
         return exp(o * log(self))
-
-
-def _origin(kset: KSet):
-    return (0.0,) * kset.size
 
 
 def _coerce(x, kset: KSet):
@@ -232,9 +233,6 @@ class Const(ScalarField):
     def at(self, point):
         return self.c
 
-    def _eval(self, point):
-        return self.c
-
     def _derive(self, i):
         return Const(self.kset, 0.0)
 
@@ -254,9 +252,6 @@ class Var(ScalarField):
         self.i = i
 
     def at(self, point):
-        return point[self.i]
-
-    def _eval(self, point):
         return point[self.i]
 
     def _derive(self, j):
@@ -357,155 +352,58 @@ def _safe_pow(base, p, point):
         raise DomainError("power %r**%r failed at %r: %s" % (base, p, point, exc)) from None
 
 
-class _Exp(ScalarField):
-    __slots__ = ("f",)
+class _Fn(NamedTuple):
+    """One row of the elementary-function table."""
 
-    def __init__(self, f):
+    value: Callable  # value of the function at the argument's value
+    derive: Callable  # (node, argument, argument's partial) -> partial of node
+    outside: Callable | None = None  # argument value -> outside the domain?
+    message: str = ""  # DomainError text; %(x)r is the argument, %(p)r the point
+
+
+class _Elementary(ScalarField):
+    """An elementary function of a field; ``name`` keys ``_ELEMENTARY``."""
+
+    __slots__ = ("name", "f", "_fn")
+
+    def __init__(self, name, f):
         super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.exp(self.f.at(p))
-
-    def _derive(self, i):
-        return _mul(self, self.f.partial(i))
-
-
-class _Log(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
+        self.name, self.f = name, f
+        self._fn = _ELEMENTARY[name]
 
     def _eval(self, p):
         x = self.f.at(p)
-        if x <= 0.0:
-            raise DomainError("log of nonpositive value %r at %r" % (x, p))
-        return math.log(x)
+        fn = self._fn
+        if fn.outside is not None and fn.outside(x):
+            raise DomainError(fn.message % {"x": x, "p": p})
+        return fn.value(x)
 
     def _derive(self, i):
-        return _div(self.f.partial(i), self.f)
+        return self._fn.derive(self, self.f, self.f.partial(i))
 
 
-class _LogAbs(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        x = self.f.at(p)
-        if x == 0.0:
-            raise DomainError("log|.| of zero at %r" % (p,))
-        return math.log(abs(x))
-
-    def _derive(self, i):
-        return _div(self.f.partial(i), self.f)
+def _over_square(df, g):
+    return _div(df, _mul(g, g))
 
 
-class _Sin(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.sin(self.f.at(p))
-
-    def _derive(self, i):
-        return _mul(_Cos(self.f), self.f.partial(i))
-
-
-class _Cos(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.cos(self.f.at(p))
-
-    def _derive(self, i):
-        return _mul(Const(self.kset, -1.0), _mul(_Sin(self.f), self.f.partial(i)))
-
-
-class _Tan(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.tan(self.f.at(p))
-
-    def _derive(self, i):
-        c = _Cos(self.f)
-        return _div(self.f.partial(i), _mul(c, c))
-
-
-class _Sinh(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.sinh(self.f.at(p))
-
-    def _derive(self, i):
-        return _mul(_Cosh(self.f), self.f.partial(i))
-
-
-class _Cosh(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.cosh(self.f.at(p))
-
-    def _derive(self, i):
-        return _mul(_Sinh(self.f), self.f.partial(i))
-
-
-class _Tanh(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        return math.tanh(self.f.at(p))
-
-    def _derive(self, i):
-        c = _Cosh(self.f)
-        return _div(self.f.partial(i), _mul(c, c))
-
-
-class _Sqrt(ScalarField):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__(f.kset)
-        self.f = f
-
-    def _eval(self, p):
-        x = self.f.at(p)
-        if x < 0.0:
-            raise DomainError("sqrt of negative value %r at %r" % (x, p))
-        return math.sqrt(x)
-
-    def _derive(self, i):
-        return _div(self.f.partial(i), _mul(Const(self.kset, 2.0), self))
+# Elementary functions by grammar name. A function without a domain test
+# folds a constant argument at construction; the others keep their node, so
+# that a constant outside the domain fails at evaluation, naming the point.
+_ELEMENTARY = {
+    "exp": _Fn(math.exp, lambda n, f, df: _mul(n, df)),
+    "log": _Fn(math.log, lambda n, f, df: _div(df, f),
+               lambda x: x <= 0.0, "log of nonpositive value %(x)r at %(p)r"),
+    "logabs": _Fn(lambda x: math.log(abs(x)), lambda n, f, df: _div(df, f),
+                  lambda x: x == 0.0, "log|.| of zero at %(p)r"),
+    "sin": _Fn(math.sin, lambda n, f, df: _mul(_Elementary("cos", f), df)),
+    "cos": _Fn(math.cos, lambda n, f, df: _mul(Const(n.kset, -1.0), _mul(_Elementary("sin", f), df))),
+    "tan": _Fn(math.tan, lambda n, f, df: _over_square(df, _Elementary("cos", f))),
+    "sinh": _Fn(math.sinh, lambda n, f, df: _mul(_Elementary("cosh", f), df)),
+    "cosh": _Fn(math.cosh, lambda n, f, df: _mul(_Elementary("sinh", f), df)),
+    "tanh": _Fn(math.tanh, lambda n, f, df: _over_square(df, _Elementary("cosh", f))),
+    "sqrt": _Fn(math.sqrt, lambda n, f, df: _div(df, _mul(Const(n.kset, 2.0), n)),
+                lambda x: x < 0.0, "sqrt of negative value %(x)r at %(p)r"),
+}
 
 
 class _Remap(ScalarField):
@@ -600,6 +498,12 @@ def _split_const_factor(f):
 
 
 def _div(f, g, eps=0.0, label=""):
+    """f / g. A quotient of one shared node by itself, up to constant
+    factors, folds to a constant, so f/f is 1 even where f = 0. The fold is
+    kept on purpose: it makes w'/w = 1 for w = e^tau, which the completeness
+    integral over an unbounded tau interval needs far beyond the overflow
+    range of w. Only one node object folds: the parser builds a new node for
+    each occurrence of a name, so a parsed ``x/x`` stays a quotient."""
     if g.is_constant:
         if g.c == 0.0:
             raise DomainError("division by the zero field")
@@ -609,9 +513,6 @@ def _div(f, g, eps=0.0, label=""):
     fc, f_inner = _split_const_factor(f)
     gc, g_inner = _split_const_factor(g)
     if f_inner is g_inner:
-        # exact quotient of a shared node (up to constant factors); keeps
-        # ratios like w'/w for w = e^tau evaluable far beyond the overflow
-        # range of w itself
         return Const(f.kset, fc / gc)
     return _Div(f, g, eps, label)
 
@@ -635,50 +536,28 @@ def variable(kset: KSet, name: str) -> ScalarField:
     return Var(kset, kset.index(name))
 
 
-def exp(f: ScalarField) -> ScalarField:
-    if f.is_constant:
-        return Const(f.kset, math.exp(f.c))
-    return _Exp(f)
+def _apply(name, f):
+    """The elementary function ``name`` of f; ``sech`` is the quotient 1/cosh."""
+    if name == "sech":
+        return _div(Const(f.kset, 1.0), _apply("cosh", f))
+    fn = _ELEMENTARY[name]
+    if fn.outside is None and f.is_constant:
+        return Const(f.kset, fn.value(f.c))
+    return _Elementary(name, f)
 
 
-def log(f: ScalarField) -> ScalarField:
-    return _Log(f)
+def _constructor(name, grammar_name):
+    def construct(f: ScalarField) -> ScalarField:
+        return _apply(grammar_name, f)
+
+    construct.__name__ = construct.__qualname__ = name
+    construct.__doc__ = "The field %s(f)." % grammar_name
+    return construct
 
 
-def log_abs(f: ScalarField) -> ScalarField:
-    return _LogAbs(f)
-
-
-def sin(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.sin(f.c)) if f.is_constant else _Sin(f)
-
-
-def cos(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.cos(f.c)) if f.is_constant else _Cos(f)
-
-
-def tan(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.tan(f.c)) if f.is_constant else _Tan(f)
-
-
-def sinh(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.sinh(f.c)) if f.is_constant else _Sinh(f)
-
-
-def cosh(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.cosh(f.c)) if f.is_constant else _Cosh(f)
-
-
-def tanh(f: ScalarField) -> ScalarField:
-    return Const(f.kset, math.tanh(f.c)) if f.is_constant else _Tanh(f)
-
-
-def sech(f: ScalarField) -> ScalarField:
-    return _div(Const(f.kset, 1.0), cosh(f))
-
-
-def sqrt(f: ScalarField) -> ScalarField:
-    return _Sqrt(f)
+exp, log, log_abs, sin, cos, tan, sinh, cosh, tanh, sech, sqrt = (
+    _constructor(name, name.replace("_", "")) for name in
+    ("exp", "log", "log_abs", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sech", "sqrt"))
 
 
 def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
@@ -797,8 +676,6 @@ def _perm_sign(perm):
 
 def determinant(m) -> ScalarField:
     """Determinant of a small matrix of fields, by the Leibniz expansion."""
-    import itertools
-
     n = len(m)
     kset = m[0][0].kset
     total = Const(kset, 0.0)
@@ -902,20 +779,6 @@ class CScalarField:
 
 # closed-form expression parser ---------------------------------------------
 
-_FUNCTIONS = {
-    "exp": exp,
-    "log": log,
-    "logabs": log_abs,
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-    "sech": sech,
-    "sqrt": sqrt,
-}
-
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _NUM_RE = _re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -979,17 +842,14 @@ class _Parser:
     def _unary(self):
         if self._peek() == "-":
             self.pos += 1
-            return _mul(Const(self.kset, -1.0), self._unary())
+            return -self._unary()
         return self._power()
 
     def _power(self):
         base = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            expo = self._unary()
-            if expo.is_constant:
-                return _pow(base, expo.c)
-            return exp(_mul(expo, log(base)))
+            return base ** self._unary()
         return base
 
     def _atom(self):
@@ -1013,8 +873,7 @@ class _Parser:
             name = m.group()
             self.pos = m.end()
             if self._peek() == "(":
-                fn = _FUNCTIONS.get(name)
-                if fn is None:
+                if name not in _ELEMENTARY and name != "sech":
                     raise ExpressionError("unknown function %r" % name, m.start())
                 self.pos += 1
                 arg = self._expression()
@@ -1023,7 +882,7 @@ class _Parser:
                 if self._peek() != ")":
                     raise ExpressionError("expected ')' after argument of %r" % name, self.pos)
                 self.pos += 1
-                return fn(arg)
+                return _apply(name, arg)
             if name in _NAMED_CONSTANTS:
                 return Const(self.kset, _NAMED_CONSTANTS[name])
             if name in self.kset.names:

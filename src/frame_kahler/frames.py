@@ -27,7 +27,9 @@ from .fields import (
     _div,
     determinant,
     log_abs,
+    sqrt,
 )
+from .reporting import VerificationReport
 
 __all__ = [
     "FrameStructure",
@@ -37,6 +39,7 @@ __all__ = [
     "grid_points",
     "grid_spec_string",
     "max_abs_on_grid",
+    "min_on_grid",
     "spread_on_grid",
     "constancy_on_grid",
     "fit_constant",
@@ -98,6 +101,17 @@ def max_abs_on_grid(fields, grid) -> float:
     if not all(map(math.isfinite, values)):
         return math.inf
     return max(values, default=0.0)
+
+
+def min_on_grid(field, grid, key=float) -> float:
+    """Smallest key(value) of a real field over the grid.
+
+    A non-finite value anywhere gives -inf, so a check that the minimum is
+    large enough fails on it."""
+    values = [key(field.at(p)) for p in grid]
+    if not all(map(math.isfinite, values)):
+        return -math.inf
+    return min(values)
 
 
 def spread_on_grid(field, grid):
@@ -417,12 +431,10 @@ def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarFie
       d_e d_e F      = (1/s) d_a((1/s) d_a F)
       dF(nabla_e e)  = (1/s) d_a(1/s) d_a F + (1/s^2) Gamma_aa^c d_c F
     """
-    from .fields import sqrt as _sqrt
-
     n = S.n
     out = S.zero()
     for a in range(n):
-        s = _sqrt(S.g[a][a])
+        s = sqrt(S.g[a][a])
         inv_s = _div(Const(S.kset, 1.0), s, label="frame norm")
         first = inv_s * S.dd(a, inv_s * S.dd(a, F))
         correction = inv_s * S.dd(a, inv_s) * S.dd(a, F)
@@ -484,8 +496,6 @@ def consistency_suite(conn: ConnectionTable, grid, tol: float = 1e-8, det_floor:
     metric symmetry, bracket antisymmetry, nondegeneracy, Jacobi identity,
     derivative-table consistency, and torsion-freeness plus metric
     compatibility of its Koszul connection ``conn``."""
-    from .reporting import VerificationReport
-
     report = VerificationReport(suite="frame-consistency")
     S = conn.structure
     n = S.n
@@ -499,7 +509,7 @@ def consistency_suite(conn: ConnectionTable, grid, tol: float = 1e-8, det_floor:
     report.add("bracket_antisymmetric", worst, tol)
 
     det_field = determinant(S.g)
-    min_det = min(abs(det_field.at(p)) for p in grid)
+    min_det = min_on_grid(det_field, grid, key=abs)
     report.add(
         "metric_nondegenerate",
         0.0 if min_det > det_floor else det_floor - min_det,

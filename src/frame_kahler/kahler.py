@@ -30,6 +30,7 @@ from .frames import (
     directional_derivative,
     koszul_connection,
     max_abs_on_grid,
+    min_on_grid,
     shear_fields,
 )
 from .reporting import VerificationReport
@@ -250,7 +251,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float 
     worst = max_abs_on_grid([S.dd(K, invariant_twist), S.dd(T, invariant_twist)], grid)
     report.add("twist_vertical_derivative", worst, tol)
 
-    min_twist = min(abs(A.iota.at(p)) for p in grid)
+    min_twist = min_on_grid(A.iota, grid, key=abs)
     report.add(
         "twist_nonvanishing",
         0.0 if min_twist > tol else tol - min_twist,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -91,8 +92,6 @@ class VerificationReport:
         return buf.getvalue()
 
     def print_lines(self, out=None):
-        import sys
-
         out = out or sys.stdout
         print("suite: %s%s" % (self.suite, "  [%s]" % self.grid_spec if self.grid_spec else ""), file=out)
         for c in self.checks:

@@ -14,6 +14,7 @@ sqrt(c/2) with c = (fw)'/w, and exposes the closed-form solution families.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -42,6 +43,7 @@ from .frames import (
     fit_constant,
     koszul_connection,
     max_abs_on_grid,
+    min_on_grid,
     plane_laplacian_log_abs,
     shear_fields,
 )
@@ -163,7 +165,7 @@ def fiber_consistency(F: FiberData, grid, tol: float = 1e-8) -> VerificationRepo
 
     report.add("kbar_kills_twist", max_abs_on_grid(S.dd(KBAR, F.iota_bar), grid), tol)
 
-    max_iota = max(F.iota_bar.at(p) for p in grid)
+    max_iota = -min_on_grid(F.iota_bar, grid, key=operator.neg)
     report.add(
         "twist_negative",
         max(0.0, max_iota),

@@ -110,6 +110,8 @@ class TestParser:
             "sqrt(4 + x^2)",
             "1 / (2 + sin(x))",
             "(2 + x)^1.5 + 2",
+            "tan(x/2) - cos(x*y)",
+            "sinh(x + y^2) + logabs(x - 2)",
         ],
     )
     def test_partials_match_finite_differences(self, expr):
@@ -302,6 +304,17 @@ class TestRemapAndFolds:
         ratio = w.partial(0) / w
         assert ratio.is_constant
         assert ratio.at((1.0e6,)) == 1.0
+
+    def test_self_quotient_folds_even_at_zero(self):
+        # f/f of one shared node folds to 1, so it reads 1 where f = 0; the
+        # fold is kept because w'/w above needs it. The parser builds a new
+        # node for each occurrence of a name, so a written x/x does not fold.
+        x = variable(KS2, "x")
+        ratio = x / x
+        assert ratio.is_constant
+        assert ratio.at((0.0, 0.3)) == 1.0
+        with pytest.raises(DomainError):
+            make_closed_form("x/x", KS2).at((0.0, 0.3))
 
     def test_exp_product_quotient_folds(self):
         w = 2.0 * exp(variable(KS1, "tau") * 3.0)

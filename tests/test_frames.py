@@ -15,6 +15,7 @@ from frame_kahler.frames import (
     grid_points,
     koszul_connection,
     max_abs_on_grid,
+    min_on_grid,
     sectional_curvature,
     spread_on_grid,
     twist,
@@ -59,6 +60,8 @@ class TestGrid:
         assert max(0.0, max_abs_on_grid([Const(ks, 0.0), bad], grid)) == math.inf
         assert spread_on_grid(bad, grid)[0] == math.inf
         assert not constancy_on_grid(bad, grid, 1e-8)[0]
+        assert min_on_grid(bad, grid) == -math.inf
+        assert min_on_grid(bad, grid, key=abs) == -math.inf
         report = VerificationReport(suite="nan")
         report.add("residual", max_abs_on_grid(bad, grid), 1e-8)
         assert not report.passed

@@ -61,6 +61,16 @@ class TestFiber:
         assert not rep.passed
         assert any(c.check_id == "twist_negative" for c in rep.failed_checks())
 
+    def test_non_finite_twist_fails_negativity(self):
+        # (1e200 p)^2 overflows to inf for p > 0, and inf * 0 is NaN: the
+        # twist is -2 at p = 0 and NaN at the other 4 of 6 grid points
+        F = plane_fiber("-2 + (1e200*p)*(1e200*p)*(p-p)")
+        grid = grid_points(F.structure.kset, {"p": (0.0, 1.0, 3), "q": (0.0, 1.0, 2)})
+        assert sum(math.isnan(F.iota_bar.at(p)) for p in grid) == 4
+        check = {c.check_id: c for c in fiber_consistency(F, grid).checks}["twist_negative"]
+        assert not check.passed
+        assert check.residual == math.inf
+
     def test_plane_variables_require_alpha_zero(self):
         with pytest.raises(FrameError):
             make_fiber(-1.0, "-sech(p)^2", ("p", "q"))
