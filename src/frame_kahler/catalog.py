@@ -15,6 +15,7 @@ ties the frame presentation back to an honest coordinate realization.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import Const, KSet, ScalarField, make_closed_form, tan
-from .frames import FrameStructure, grid_points
+from .frames import FrameStructure, grid_points, values_on_grid, worst_abs
 from .kahler import (
     CASE_CENTRAL,
     CASE_WARPED,
@@ -242,7 +243,7 @@ def _family_from_document(doc: dict, fiber: FiberData) -> WarpedFamily:
     if isinstance(raw_w, dict):
         if "implicit_tan_seed" not in raw_w:
             raise SchemaError("family.w", "expected an expression or {'implicit_tan_seed': number}")
-        x = implicit_tan_field(TAU_KSET, 0, float(raw_w["implicit_tan_seed"]))
+        x = implicit_tan_field(float(raw_w["implicit_tan_seed"]))
         w = -tan(x)
     else:
         w = _parse_expr(raw_w, TAU_KSET, "family.w")
@@ -656,13 +657,7 @@ def _fd_bracket(chart: CoordinateChart, a: int, b: int, p: np.ndarray, h: float)
     return out
 
 
-def coordinate_crosscheck(
-    entry: CatalogEntry,
-    chart: Optional[CoordinateChart] = None,
-    points=None,
-    h: float = 1e-5,
-    tol: float = 1e-6,
-) -> VerificationReport:
+def coordinate_crosscheck(entry: CatalogEntry, chart: Optional[CoordinateChart] = None) -> VerificationReport:
     """Compare a coordinate chart against the abstract frame data.
 
     Metric values, bracket coefficients (finite-differenced and re-expanded
@@ -673,39 +668,25 @@ def coordinate_crosscheck(
         raise ValueError("entry %r has no coordinate chart" % entry.entry_id)
     report = VerificationReport(suite="coordinate-crosscheck")
     S = entry.data.structure
-    if points is None:
-        points = [
-            np.array([u, v, x, y])
-            for u in (-0.8, 0.0, 0.8)
-            for v in (-0.5, 0.5)
-            for x in (0.3, 1.1)
-            for y in (-0.7, 0.4)
-        ]
+    points = [np.array(p) for p in itertools.product((-0.8, 0.0, 0.8), (-0.5, 0.5), (0.3, 1.1), (-0.7, 0.4))]
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    h, tol = 1e-5, 1e-6
 
-    worst_g = worst_c = worst_null = worst_twist = 0.0
+    # chart side, one point at a time; frame side through the grid primitive
+    g_chart, c_chart, twist_chart = [], [], []
     for p in points:
-        kp = chart.kset_point(p)
         G = chart.metric_fn(p)
         E = np.array([chart.frame_fns[a](p) for a in range(4)])
-        g_frame = E @ G @ E.T
-        for a in range(4):
-            for b in range(4):
-                worst_g = max(worst_g, abs(g_frame[a, b] - S.g[a][b].at(kp)))
-        worst_null = max(worst_null, abs(g_frame[0, 0]))
-
+        g_chart.append(E @ G @ E.T)
         M = E.T  # columns are the frame fields
-        for a in range(4):
-            for b in range(a + 1, 4):
-                br = _fd_bracket(chart, a, b, p, h)
-                coeffs = np.linalg.solve(M, br)
-                for c in range(4):
-                    worst_c = max(worst_c, abs(coeffs[c] - S.C[a][b][c].at(kp)))
-        br_xy = _fd_bracket(chart, X, Y, p, h)
-        iota_chart = float(chart.frame_fns[K](p) @ G @ br_xy)
-        worst_twist = max(worst_twist, abs(iota_chart - entry.data.iota.at(kp)))
+        c_chart.append([np.linalg.solve(M, _fd_bracket(chart, a, b, p, h)) for a, b in pairs])
+        twist_chart.append(float(chart.frame_fns[K](p) @ G @ _fd_bracket(chart, X, Y, p, h)))
+    kset_points = [chart.kset_point(p) for p in points]
+    g_chart = np.moveaxis(np.array(g_chart), 0, -1)
 
-    report.add("metric_values", worst_g, tol)
-    report.add("bracket_coefficients", worst_c, tol)
-    report.add("k_null", worst_null, tol)
-    report.add("twist", worst_twist, tol)
+    report.add("metric_values", worst_abs(g_chart - values_on_grid(S.g, kset_points)), tol)
+    c_frame = values_on_grid([S.C[a][b] for a, b in pairs], kset_points)
+    report.add("bracket_coefficients", worst_abs(np.moveaxis(np.array(c_chart), 0, -1) - c_frame), tol)
+    report.add("k_null", worst_abs(g_chart[K, K]), tol)
+    report.add("twist", worst_abs(np.array(twist_chart) - values_on_grid(entry.data.iota, kset_points)), tol)
     return report

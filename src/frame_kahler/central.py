@@ -13,6 +13,7 @@ constant c; both sides of that equivalence are checked numerically here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,8 @@ from .frames import (
     max_abs_on_grid,
     plane_laplacian_log_abs,
     spread_on_grid,
+    values_on_grid,
+    worst_abs,
 )
 from .kahler import (
     CASE_CENTRAL,
@@ -38,7 +41,7 @@ from .kahler import (
     X,
     Y,
 )
-from .reporting import VerificationReport
+from .reporting import TOL_CROSS, TOL_FRAME, VerificationReport
 
 __all__ = [
     "CentralReport",
@@ -69,19 +72,22 @@ def central_curvature(A: AdmissibleData, kahler: KahlerMetric, curv_k: Curvature
     return _div(det_ric, det_gk, eps=1e-300, label="det gK")
 
 
-def ricci_endomorphism_eigenvalues(kahler: KahlerMetric, curv_k: CurvatureTensor, point):
-    """Eigenvalues of gK^{-1} Ric at a point, sorted ascending.
+def ricci_endomorphism_eigenvalues(kahler: KahlerMetric, curv_k: CurvatureTensor, grid):
+    """Eigenvalues of gK^{-1} Ric at each grid point, one row per point,
+    sorted ascending; a row is NaN where gK or Ric has a non-finite value.
 
     The endomorphism is gK-self-adjoint, so the spectrum is real; tiny
     imaginary parts from the general eigensolver are dropped after a
     sanity bound."""
-    gk = np.array([[f.at(point) for f in row] for row in kahler.g])
-    ric = np.array([[f.at(point) for f in row] for row in curv_k.ricci])
-    endo = np.linalg.solve(gk, ric)
-    vals = np.linalg.eigvals(endo)
-    if np.max(np.abs(vals.imag)) > 1e-8 * (1.0 + np.max(np.abs(vals.real))):
-        raise ArithmeticError("Ricci endomorphism spectrum unexpectedly complex at %r" % (point,))
-    return np.sort(vals.real)
+    values = np.moveaxis(values_on_grid([kahler.g, curv_k.ricci], grid), -1, 0)
+    finite = np.isfinite(values).all(axis=(1, 2, 3))
+    out = np.full((len(grid), 4), math.nan)
+    vals = np.linalg.eigvals(np.linalg.solve(values[finite, 0], values[finite, 1]))
+    for i, row in zip(np.flatnonzero(finite), vals):
+        if np.max(np.abs(row.imag)) > 1e-8 * (1.0 + np.max(np.abs(row.real))):
+            raise ArithmeticError("Ricci endomorphism spectrum unexpectedly complex at %r" % (grid[i],))
+        out[i] = np.sort(row.real)
+    return out
 
 
 def conformal_scalar_closed_form(constants) -> float:
@@ -115,7 +121,7 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     }
 
 
-def laplacian_self_test(chain: KahlerChain, grid, tol: float = 1e-8) -> VerificationReport:
+def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
     """Internal Laplacian checks on the central structure.
 
     The two Laplacian routes must agree, and Lap_K tau must equal the
@@ -128,24 +134,24 @@ def laplacian_self_test(chain: KahlerChain, grid, tol: float = 1e-8) -> Verifica
     report.add(
         "laplacian_routes_agree",
         max_abs_on_grid(lap_tau - lap_tau_frame, grid),
-        tol,
+        TOL_FRAME,
     )
     a, b = A.constants.a, A.constants.b
     closed = exp(-tau) * (1.0 + (b * b) / (a * a))
     report.add(
         "laplacian_tau_closed_form",
         max_abs_on_grid(lap_tau - closed, grid),
-        tol,
+        TOL_FRAME,
         source="derived",
     )
     return report
 
 
-def liouville_residual(iota: ScalarField, c: float, x_index: int = 0, y_index: int = 1) -> ScalarField:
+def liouville_residual(iota: ScalarField, c: float) -> ScalarField:
     """(d_x d_x + d_y d_y) log|iota| - c iota, with the two directions acting
-    as plane partials of the given variable indices."""
+    as plane partials of the first two variables."""
     L = log_abs(iota)
-    lap = L.partial(x_index).partial(x_index) + L.partial(y_index).partial(y_index)
+    lap = L.partial(0).partial(0) + L.partial(1).partial(1)
     return lap - iota * float(c)
 
 
@@ -185,12 +191,13 @@ class CentralReport:
         }
 
 
-def csc_verdict(chain: KahlerChain, grid, tol: float = 1e-7) -> CentralReport:
+def csc_verdict(chain: KahlerChain, grid) -> CentralReport:
     """Constant-scalar-curvature verdict for the conformal metric.
 
     Decides CSC two independent ways: constancy of the computed conformal
     scalar curvature on the grid, and existence of a constant c fitting the
-    twist equation; the verdicts must agree.
+    twist equation; the verdicts must agree, and they do not when either
+    route saw a non-finite value.
     """
     A = chain.data
     if A.case != CASE_CENTRAL:
@@ -200,10 +207,10 @@ def csc_verdict(chain: KahlerChain, grid, tol: float = 1e-7) -> CentralReport:
     cc_max = max_abs_on_grid(det_field, grid)
 
     parts = conformal_scalar(chain)
-    s_constant, spread, mean = constancy_on_grid(parts["s_tilde"], grid, tol)
+    s_constant, spread, mean = constancy_on_grid(parts["s_tilde"], grid, TOL_CROSS)
 
     c_fit, pde_res = liouville_fit(A, grid)
-    pde_holds = pde_res <= tol
+    pde_holds = pde_res <= TOL_CROSS
 
     iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
     q = expected_q(A.constants) if iota_constant else None
@@ -219,11 +226,11 @@ def csc_verdict(chain: KahlerChain, grid, tol: float = 1e-7) -> CentralReport:
         is_csc=s_constant,
         pde_constant_c=c_fit if pde_holds else None,
         pde_residual=pde_res,
-        verdicts_agree=s_constant == pde_holds,
+        verdicts_agree=s_constant == pde_holds and math.isfinite(spread) and math.isfinite(pde_res),
     )
 
 
-def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, tol: float = 1e-8):
+def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     """For constant twist: the conformal metric is locally a left-invariant
     metric; checked through constancy of the bracket coefficients, constancy
     of the e^{-tau}-rescaled metric values on the frame, and the Jacobi
@@ -238,19 +245,15 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, tol: fl
         return report, None
 
     worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
-    report.add("brackets_constant", worst, tol)
+    report.add("brackets_constant", worst, TOL_FRAME)
 
     tau = variable(A.kset, A.kset.names[A.tau_index])
     scale = exp(-tau)
     worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
-    report.add("conformal_metric_constant", worst, tol)
+    report.add("conformal_metric_constant", worst, TOL_FRAME)
 
-    base = grid[len(grid) // 2]
-    table = {}
-    cvals = [[[S.C[a][b][c].at(base) for c in range(4)] for b in range(4)] for a in range(4)]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            table[(S.frame_names[a], S.frame_names[b])] = list(cvals[a][b])
+    cvals = values_on_grid(S.C, [grid[len(grid) // 2]])[..., 0].tolist()
+    table = {(S.frame_names[a], S.frame_names[b]): cvals[a][b] for a in range(4) for b in range(a + 1, 4)}
 
     def jacobi(a, b, c, e):
         total = 0.0
@@ -260,8 +263,8 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, tol: fl
                 + cvals[b][c][d] * cvals[d][a][e]
                 + cvals[c][a][d] * cvals[d][b][e]
             )
-        return abs(total)
+        return total
 
-    worst = max(jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4))
-    report.add("structure_constants_jacobi", worst, tol)
+    worst = worst_abs([jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4)])
+    report.add("structure_constants_jacobi", worst, TOL_FRAME)
     return report, table

@@ -42,6 +42,8 @@ from .frames import (
     min_on_grid,
     plane_laplacian_log_abs,
     sectional_curvature,
+    values_on_grid,
+    worst_abs,
 )
 from .kahler import (
     CASE_CENTRAL,
@@ -59,7 +61,7 @@ from .kahler import (
     kahler_form_closed,
     ricci_form_imag_residual,
 )
-from .reporting import VerificationReport
+from .reporting import TOL_CROSS, TOL_FRAME, TOL_TIGHT, VerificationReport
 from .warped import (
     WarpedFamily,
     adaptive_simpson,
@@ -75,12 +77,6 @@ from .warped import (
     quotient_gauss_check,
     solve_implicit_w,
 )
-
-TOL_TIGHT = 1e-9
-TOL_FRAME = 1e-8
-TOL_CROSS = 1e-7
-TOL_CHART = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # suite runners
@@ -180,8 +176,9 @@ def _shared_kahler_checks(entry: CatalogEntry, grid, report: VerificationReport)
         passed=all(mask),
         note="%d of %d grid points inside the region" % (sum(mask), len(grid)),
     )
-    lowest = min(float(np.linalg.eigvalsh(kahler.structure.metric_matrix(p))[0]) for p in grid)
-    worst = max(0.0, -lowest)
+    metric = np.moveaxis(values_on_grid(kahler.g, grid), -1, 0)
+    finite = np.isfinite(metric).all()
+    worst = max(0.0, -min(np.linalg.eigvalsh(metric)[:, 0].tolist())) if finite else math.inf
     report.add("kahler_positive_definite", worst, 0.0, passed=worst == 0.0)
 
     report.add("kahler_torsion_free", conn_k.torsion_residual(grid), TOL_FRAME)
@@ -193,7 +190,7 @@ def _shared_kahler_checks(entry: CatalogEntry, grid, report: VerificationReport)
     report.add("curvature_first_bianchi", curv_k.first_bianchi_residual(grid), TOL_CROSS)
     report.add("ricci_symmetric", curv_k.ricci_symmetry_residual(grid), TOL_CROSS)
 
-    report.extend(kahler_form_closed(A, kahler, grid, TOL_FRAME))
+    report.extend(kahler_form_closed(A, kahler, grid))
     d_rho = exterior_d_two_form(A.structure, rho)
     report.add("d_rho", max_abs_on_grid(d_rho.values(), grid), TOL_CROSS)
 
@@ -287,12 +284,9 @@ def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
         report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid),
                    TOL_FRAME, source="reported")
 
-        def eigenvalue_error(p):
-            qv = q * math.exp(-p[A.tau_index])
-            expected_vals = np.sort(np.array([0.0, 0.0, qv, qv]))
-            return float(np.max(np.abs(ricci_endomorphism_eigenvalues(kahler, curv_k, p) - expected_vals)))
-
-        report.add("ricci_eigenvalues", max(map(eigenvalue_error, grid)), TOL_CROSS, source="derived")
+        expected_vals = np.sort([[0.0, 0.0, qv, qv] for qv in (q * math.exp(-p[A.tau_index]) for p in grid)])
+        eig = ricci_endomorphism_eigenvalues(kahler, curv_k, grid)
+        report.add("ricci_eigenvalues", worst_abs(eig - expected_vals), TOL_CROSS, source="derived")
 
         closed = conformal_scalar_closed_form(A.constants)
         report.add("conformal_scalar_routes", max_abs_on_grid(verdict.s_tilde - closed, grid),
@@ -341,17 +335,8 @@ def run_central_suite(entry: CatalogEntry, grid=None) -> tuple:
 
 def _central_curves(entry, grid, verdict, curv_k):
     header = list(entry.data.kset.names) + ["s_tilde", "s_K", "central_curvature"]
-    rows = []
-    for p in grid:
-        rows.append(
-            list(p)
-            + [
-                verdict.s_tilde.at(p),
-                curv_k.scalar.at(p),
-                verdict.central_curvature.at(p),
-            ]
-        )
-    return header, rows
+    columns = values_on_grid([verdict.s_tilde, curv_k.scalar, verdict.central_curvature], grid)
+    return header, np.column_stack([np.array(grid), columns.T])
 
 
 def run_ke_suite(entry: CatalogEntry, grid=None) -> tuple:
@@ -380,16 +365,8 @@ def run_ke_suite(entry: CatalogEntry, grid=None) -> tuple:
     ev = einstein_verdict(chain, lam, grid, fam=fam, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
     report.extend(ev, prefix="einstein.")
 
-    # region inequalities in the warped reduction: f > 0 and (fw)' > 0
     tau_grid = sorted({(p[0],) for p in grid})
-    fw = fam.f * fam.w
-    fwp = fw.partial(0)
-    min_f = min_on_grid(fam.f, tau_grid)
-    min_fwp = min_on_grid(fwp, tau_grid)
-    report.add("region_f_positive", max(0.0, -min_f), 0.0, passed=min_f > 0.0,
-               note="min f = %.6g" % min_f)
-    report.add("region_fw_increasing", max(0.0, -min_fwp), 0.0, passed=min_fwp > 0.0,
-               note="min (fw)' = %.6g" % min_fwp)
+    _add_region_checks(report, fam, tau_grid)
 
     report.extend(quotient_gauss_check(fiber, lam, fam.C, fiber_grid), prefix="fiber.")
 
@@ -455,6 +432,16 @@ def run_ke_suite(entry: CatalogEntry, grid=None) -> tuple:
     return report, curves
 
 
+def _add_region_checks(report: VerificationReport, fam: WarpedFamily, tau_grid):
+    """Region inequalities of the warped reduction: f > 0 and (fw)' > 0."""
+    min_f = min_on_grid(fam.f, tau_grid)
+    min_fwp = min_on_grid((fam.f * fam.w).partial(0), tau_grid)
+    report.add("region_f_positive", max(0.0, -min_f), 0.0, passed=min_f > 0.0,
+               note="min f = %.6g" % min_f)
+    report.add("region_fw_increasing", max(0.0, -min_fwp), 0.0, passed=min_fwp > 0.0,
+               note="min (fw)' = %.6g" % min_fwp)
+
+
 def _ke_curves(tau_grid, fam: WarpedFamily, alpha: float):
     header = ["tau", "w", "f", "c", "ke_residual", "s"]
     ode = ke_ode_residual(fam, alpha)
@@ -464,16 +451,11 @@ def _ke_curves(tau_grid, fam: WarpedFamily, alpha: float):
         c = c_field.at((t,))
         return math.sqrt(max(c, 0.0) * 0.5)
 
-    rows = []
-    s_val = 0.0
-    prev = None
-    for p in tau_grid:
-        t = p[0]
-        if prev is not None:
-            s_val += adaptive_simpson(integrand, prev, t, 1e-9)
-        prev = t
-        rows.append([t, fam.w.at(p), fam.f.at(p), c_field.at(p), ode.at(p), s_val])
-    return header, rows
+    columns = values_on_grid([fam.w, fam.f, c_field, ode], tau_grid)
+    s = [0.0]
+    for (lo,), (hi,) in zip(tau_grid, tau_grid[1:]):
+        s.append(s[-1] + adaptive_simpson(integrand, lo, hi, 1e-9))
+    return header, np.column_stack([[p[0] for p in tau_grid], columns.T, s])
 
 
 def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
@@ -545,6 +527,8 @@ def _write_report(report: VerificationReport, curves, args):
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise SchemaError("--tol", "need a finite factor > 0, got %r" % args.tol)
     entry = _entry_from_args(args)
     if args.suite != "all":
         wanted = CASE_CENTRAL if args.suite == "central" else CASE_WARPED
@@ -556,9 +540,10 @@ def cmd_verify(args) -> int:
     start = time.time()
     report, curves = run_suite(entry, args.suite, grid)
     report.duration_s = time.time() - start
-    if args.tol and args.tol != 1.0:
-        for c in report.checks:
-            c.passed = c.residual <= c.tol * args.tol if c.tol > 0 else c.passed
+    for c in report.checks:
+        if c.tol > 0.0:
+            c.tol *= args.tol
+            c.passed = c.residual <= c.tol
     report.print_lines()
     print("(%.2fs)" % report.duration_s, file=sys.stderr)
     _write_report(report, curves, args)
@@ -598,11 +583,7 @@ def cmd_ke(args) -> int:
     tau_grid = [(float(t),) for t in np.linspace(lo, hi, args.n)]
     ode = ke_ode_residual(fam, alpha)
     report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
-    min_f = min_on_grid(fam.f, tau_grid)
-    fwp = (fam.f * fam.w).partial(0)
-    min_fwp = min_on_grid(fwp, tau_grid)
-    report.add("region_f_positive", max(0.0, -min_f), 0.0, passed=min_f > 0.0)
-    report.add("region_fw_increasing", max(0.0, -min_fwp), 0.0, passed=min_fwp > 0.0)
+    _add_region_checks(report, fam, tau_grid)
     if args.complete:
         cv = completeness(fam)
         report.add("completeness", 0.0, 0.0, passed=True,
@@ -666,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="report output path")
     p_verify.add_argument("--format", choices=["json", "csv", "both"], default="json")
     p_verify.add_argument("--tol", type=float, default=1.0,
-                          help="multiplier applied to every check tolerance")
+                          help="finite factor > 0 applied to every nonzero check tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ke = sub.add_parser("ke", help="evaluate an Einstein family")

@@ -61,6 +61,9 @@ __all__ = [
 
 _MISSING = object()
 
+# A pointwise solve whose matrix has |det| at or below this floor raises.
+MIN_ABS_DET = 1e-10
+
 
 class FieldError(Exception):
     """Base error for scalar-field construction and evaluation."""
@@ -599,14 +602,13 @@ class LinearFieldSystem:
     exactly through the solve.
     """
 
-    __slots__ = ("A", "b", "kset", "n", "min_abs_det", "_cache", "_dsys", "_components")
+    __slots__ = ("A", "b", "kset", "n", "_cache", "_dsys", "_components")
 
-    def __init__(self, A, b, min_abs_det=1e-10):
+    def __init__(self, A, b):
         self.A = [list(row) for row in A]
         self.b = list(b)
         self.n = len(self.b)
         self.kset = self.b[0].kset
-        self.min_abs_det = min_abs_det
         self._cache = {}
         self._dsys = {}
         self._components = None
@@ -617,7 +619,7 @@ class LinearFieldSystem:
             M = np.array([[f.at(point) for f in row] for row in self.A])
             v = np.array([f.at(point) for f in self.b])
             det = np.linalg.det(M)
-            if abs(det) <= self.min_abs_det:
+            if abs(det) <= MIN_ABS_DET:
                 raise SingularMatrixError(
                     "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs(det), point)
                 )
@@ -640,7 +642,7 @@ class LinearFieldSystem:
                 for d in range(self.n):
                     term = _sub(term, _mul(self.A[c][d].partial(i), x[d]))
                 rhs.append(term)
-            sys_i = LinearFieldSystem(self.A, rhs, self.min_abs_det)
+            sys_i = LinearFieldSystem(self.A, rhs)
             self._dsys[i] = sys_i
         return sys_i
 
@@ -660,9 +662,9 @@ class _SolveComponent(ScalarField):
         return self.sys.derivative_system(i).components()[self.j]
 
 
-def solve_linear(A, b, min_abs_det=1e-10):
+def solve_linear(A, b):
     """Solve A x = b pointwise; returns the solution component fields."""
-    return LinearFieldSystem(A, b, min_abs_det).components()
+    return LinearFieldSystem(A, b).components()
 
 
 def _perm_sign(perm):

@@ -7,6 +7,10 @@ frame derivatives of the independent variables.  Directional derivatives,
 the Levi-Civita connection (via the Koszul formula, solved pointwise as an
 n-by-n linear system against g), the curvature tensor, Ricci, scalar and
 sectional curvatures all follow from this data alone.
+
+Every check reads field values over a grid through ``values_on_grid``, the
+one evaluation path, and reduces them with ``worst_abs`` or a reduction built
+on the two; a NaN or infinite value at any grid point fails the check.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    MIN_ABS_DET,
     CScalarField,
     Const,
     FieldError,
@@ -29,7 +34,7 @@ from .fields import (
     log_abs,
     sqrt,
 )
-from .reporting import VerificationReport
+from .reporting import TOL_FRAME, TOL_TIGHT, VerificationReport
 
 __all__ = [
     "FrameStructure",
@@ -38,6 +43,8 @@ __all__ = [
     "FrameError",
     "grid_points",
     "grid_spec_string",
+    "values_on_grid",
+    "worst_abs",
     "max_abs_on_grid",
     "min_on_grid",
     "spread_on_grid",
@@ -89,37 +96,55 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
     return ",".join(parts) if parts else "(point)"
 
 
-def max_abs_on_grid(fields, grid) -> float:
-    """Largest |value| over the grid of a real or complex field, or of every
-    field in an iterable of them.
-
-    A non-finite value anywhere gives inf, so a check against a finite
-    tolerance fails on it, and an outer ``max`` keeps it."""
+def _values(fields, grid):
     if isinstance(fields, (ScalarField, CScalarField)):
-        fields = (fields,)
-    values = [abs(f.at(p)) for f in fields for p in grid]
-    if not all(map(math.isfinite, values)):
+        return [fields.at(p) for p in grid]
+    return [_values(f, grid) for f in fields]
+
+
+def values_on_grid(fields, grid) -> np.ndarray:
+    """Values over the grid of one real or complex field, or of every field
+    in a nested iterable of them: an array with the nesting's shape plus a
+    last axis over the grid, evaluated field by field through ``at``."""
+    return np.array(_values(fields, grid))
+
+
+def worst_abs(values) -> float:
+    """Largest |value| (0.0 for no values), or inf when any value is
+    non-finite, so that a check against a finite tolerance fails on it."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
         return math.inf
-    return max(values, default=0.0)
+    # hypot, not np.abs: numpy's complex absolute value can differ from
+    # Python's abs() in the last bit
+    mags = np.hypot(values.real, values.imag) if np.iscomplexobj(values) else np.abs(values)
+    return float(mags.max(initial=0.0))
 
 
-def min_on_grid(field, grid, key=float) -> float:
-    """Smallest key(value) of a real field over the grid.
+def max_abs_on_grid(fields, grid) -> float:
+    """``worst_abs`` of ``values_on_grid``."""
+    return worst_abs(values_on_grid(fields, grid))
 
-    A non-finite value anywhere gives -inf, so a check that the minimum is
-    large enough fails on it."""
-    values = [key(field.at(p)) for p in grid]
-    if not all(map(math.isfinite, values)):
+
+def min_on_grid(field, grid, key=None) -> float:
+    """Smallest value of a real field over the grid, after the elementwise
+    array function ``key`` (such as ``abs``) when one is given; -inf when a
+    value is non-finite, so a check that the minimum is large enough fails."""
+    values = values_on_grid(field, grid)
+    if key is not None:
+        values = key(values)
+    if not np.isfinite(values).all():
         return -math.inf
-    return min(values)
+    return min(values.tolist())
 
 
 def spread_on_grid(field, grid):
     """(max - min, mean) of a real field over the grid; (inf, nan) when a
     value is non-finite, so no constancy test can pass on it."""
-    vals = [field.at(p) for p in grid]
-    if not all(map(math.isfinite, vals)):
+    values = values_on_grid(field, grid)
+    if not np.isfinite(values).all():
         return math.inf, math.nan
+    vals = values.tolist()
     return max(vals) - min(vals), sum(vals) / len(vals)
 
 
@@ -133,12 +158,15 @@ def constancy_on_grid(field, grid, tol: float):
 def fit_constant(lhs, rhs, grid):
     """Least-squares constant c in lhs = c rhs over the grid.
 
-    Returns (c, max |lhs - c rhs|); c = 0 when rhs vanishes on the grid."""
-    lhs_vals = np.array([lhs.at(p) for p in grid])
-    rhs_vals = np.array([rhs.at(p) for p in grid])
+    Returns (c, max |lhs - c rhs|); c = 0 when rhs vanishes on the grid.
+    A non-finite value of either side gives (nan, inf)."""
+    values = values_on_grid([lhs, rhs], grid)
+    if not np.isfinite(values).all():
+        return math.nan, math.inf
+    lhs_vals, rhs_vals = values
     denom = float(np.dot(rhs_vals, rhs_vals))
     c = float(np.dot(lhs_vals, rhs_vals) / denom) if denom > 0 else 0.0
-    return c, float(np.max(np.abs(lhs_vals - c * rhs_vals)))
+    return c, worst_abs(lhs_vals - c * rhs_vals)
 
 
 class FrameStructure:
@@ -173,12 +201,6 @@ class FrameStructure:
     def n(self) -> int:
         return len(self.frame_names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.frame_names.index(name)
-        except ValueError:
-            raise FrameError("unknown frame name %r" % name) from None
-
     def dd(self, a: int, field: ScalarField) -> ScalarField:
         """Directional derivative d_{e_a} of a field, via the D table."""
         if field.is_constant:
@@ -194,9 +216,6 @@ class FrameStructure:
         for e in range(self.n):
             out = out + self.C[v][w][e] * self.g[u][e]
         return out
-
-    def metric_matrix(self, point) -> np.ndarray:
-        return np.array([[f.at(point) for f in row] for row in self.g])
 
     def with_metric(self, new_g) -> "FrameStructure":
         """Same frame, brackets and derivatives under a different metric."""
@@ -219,9 +238,6 @@ class ConnectionTable:
 
     structure: FrameStructure
     gamma: list  # gamma[a][b][c] ScalarField
-
-    def coeff(self, a, b, c) -> ScalarField:
-        return self.gamma[a][b][c]
 
     def torsion_residual(self, grid) -> float:
         """max |Gamma_ab^c - Gamma_ba^c - C_ab^c| over the grid."""
@@ -247,7 +263,7 @@ class ConnectionTable:
         )
 
 
-def koszul_connection(S: FrameStructure, min_abs_det: float = 1e-10) -> ConnectionTable:
+def koszul_connection(S: FrameStructure) -> ConnectionTable:
     """Levi-Civita connection coefficients from the Koszul formula.
 
     For each frame pair (a, b) the coefficients solve the pointwise linear
@@ -271,7 +287,7 @@ def koszul_connection(S: FrameStructure, min_abs_det: float = 1e-10) -> Connecti
                 ) * 0.5
                 rhs.append(expr)
             matrix = [[S.g[c][d] for d in range(n)] for c in range(n)]
-            row.append(LinearFieldSystem(matrix, rhs, min_abs_det).components())
+            row.append(LinearFieldSystem(matrix, rhs).components())
         gamma.append(row)
     return ConnectionTable(S, gamma)
 
@@ -369,13 +385,13 @@ def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
     return CurvatureTensor(S, R, ricci, scalar, invg)
 
 
-def inverse_metric(S: FrameStructure, min_abs_det: float = 1e-10):
+def inverse_metric(S: FrameStructure):
     """Inverse metric components g^{ab} as fields (pointwise solves)."""
     n = S.n
     cols = []
     for j in range(n):
         e_j = [Const(S.kset, 1.0 if i == j else 0.0) for i in range(n)]
-        cols.append(LinearFieldSystem(S.g, e_j, min_abs_det).components())
+        cols.append(LinearFieldSystem(S.g, e_j).components())
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -386,15 +402,15 @@ def sectional_curvature(S: FrameStructure, curv: CurvatureTensor, a: int, b: int
     return _div(num, den, eps=1e-12, label="sectional-curvature plane (%d,%d)" % (a, b))
 
 
-def twist(S: FrameStructure, k: int = 0, x: int = 2, y: int = 3, grid=None, tol: float = 1e-9) -> ScalarField:
-    """Twist of e_k with respect to the orthonormal pair (e_x, e_y):
-    g(e_k, [e_x, e_y]).  When a grid is given, orthonormality of the pair is
+def twist(S: FrameStructure, grid=None) -> ScalarField:
+    """Twist of e_0 with respect to the orthonormal pair (e_2, e_3):
+    g(e_0, [e_2, e_3]).  When a grid is given, orthonormality of the pair is
     verified first."""
     if grid is not None:
-        bad = max_abs_on_grid([S.g[x][x] - 1.0, S.g[y][y] - 1.0, S.g[x][y]], grid)
-        if bad > tol:
-            raise FrameError("frame pair (%d, %d) is not g-orthonormal (residual %.3e)" % (x, y, bad))
-    return S.g_of_bracket(k, x, y)
+        bad = max_abs_on_grid([S.g[2][2] - 1.0, S.g[3][3] - 1.0, S.g[2][3]], grid)
+        if bad > TOL_TIGHT:
+            raise FrameError("frame pair (2, 3) is not g-orthonormal (residual %.3e)" % bad)
+    return S.g_of_bracket(0, 2, 3)
 
 
 def gradient(S: FrameStructure, F: ScalarField, invg):
@@ -491,7 +507,7 @@ def frame_derivative_consistency_fields(S: FrameStructure):
     return out
 
 
-def consistency_suite(conn: ConnectionTable, grid, tol: float = 1e-8, det_floor: float = 1e-10):
+def consistency_suite(conn: ConnectionTable, grid):
     """Structural invariants of a frame structure, as a verification report:
     metric symmetry, bracket antisymmetry, nondegeneracy, Jacobi identity,
     derivative-table consistency, and torsion-freeness plus metric
@@ -501,25 +517,25 @@ def consistency_suite(conn: ConnectionTable, grid, tol: float = 1e-8, det_floor:
     n = S.n
 
     worst = max_abs_on_grid((S.g[a][b] - S.g[b][a] for a in range(n) for b in range(a + 1, n)), grid)
-    report.add("metric_symmetric", worst, tol)
+    report.add("metric_symmetric", worst, TOL_FRAME)
 
     worst = max_abs_on_grid(
         (S.C[a][b][c] + S.C[b][a][c] for a in range(n) for b in range(a, n) for c in range(n)), grid
     )
-    report.add("bracket_antisymmetric", worst, tol)
+    report.add("bracket_antisymmetric", worst, TOL_FRAME)
 
     det_field = determinant(S.g)
     min_det = min_on_grid(det_field, grid, key=abs)
     report.add(
         "metric_nondegenerate",
-        0.0 if min_det > det_floor else det_floor - min_det,
+        0.0 if min_det > MIN_ABS_DET else MIN_ABS_DET - min_det,
         0.0,
         note="min |det g| = %.3e" % min_det,
     )
 
-    report.add("jacobi_identity", max_abs_on_grid(jacobi_residual_fields(S), grid), tol)
+    report.add("jacobi_identity", max_abs_on_grid(jacobi_residual_fields(S), grid), TOL_FRAME)
     worst = max_abs_on_grid(frame_derivative_consistency_fields(S), grid)
-    report.add("frame_derivative_consistency", worst, tol)
-    report.add("torsion_free", conn.torsion_residual(grid), tol)
-    report.add("metric_compatible", conn.compatibility_residual(grid), tol)
+    report.add("frame_derivative_consistency", worst, TOL_FRAME)
+    report.add("torsion_free", conn.torsion_residual(grid), TOL_FRAME)
+    report.add("metric_compatible", conn.compatibility_residual(grid), TOL_FRAME)
     return report

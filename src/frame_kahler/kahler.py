@@ -32,8 +32,9 @@ from .frames import (
     max_abs_on_grid,
     min_on_grid,
     shear_fields,
+    values_on_grid,
 )
-from .reporting import VerificationReport
+from .reporting import TOL_FRAME, VerificationReport
 
 __all__ = [
     "CASE_CENTRAL",
@@ -146,14 +147,13 @@ class KahlerMetric:
     region_twist_factor: ScalarField  # f * iota, required < 0
     region_vertical_factor: ScalarField  # f' det(g|_V)/ell - f dk^flat(k,T), required < 0
 
-    def region_ok(self, point) -> bool:
-        return self.region_twist_factor.at(point) < 0.0 and self.region_vertical_factor.at(point) < 0.0
-
     def region_mask(self, grid):
-        return [self.region_ok(p) for p in grid]
+        """Per grid point, whether both region factors are negative there."""
+        factors = values_on_grid([self.region_twist_factor, self.region_vertical_factor], grid)
+        return (factors < 0.0).all(axis=0).tolist()
 
 
-def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float = 1e-8) -> VerificationReport:
+def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> VerificationReport:
     """Admissibility residuals of a role-assigned frame structure whose
     Koszul connection is ``conn``.
 
@@ -171,32 +171,32 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float 
 
     # horizontal frame orthonormal (hence g|_H positive definite)
     worst = max_abs_on_grid([S.g[X][X] - 1.0, S.g[Y][Y] - 1.0, S.g[X][Y]], grid)
-    report.add("horizontal_orthonormal", worst, tol)
+    report.add("horizontal_orthonormal", worst, TOL_FRAME)
 
     worst = max_abs_on_grid([S.g[K][X], S.g[K][Y], S.g[T][X], S.g[T][Y]], grid)
-    report.add("vertical_horizontal_orthogonal", worst, tol)
+    report.add("vertical_horizontal_orthogonal", worst, TOL_FRAME)
 
     # [k, H] and [T, H] stay horizontal
     worst = max_abs_on_grid((S.C[v][h][c] for v in (K, T) for h in (X, Y) for c in (K, T)), grid)
-    report.add("vertical_brackets_preserve_H", worst, tol)
+    report.add("vertical_brackets_preserve_H", worst, TOL_FRAME)
 
     # shear-freeness of k and T against the orthonormal pair
     worst = max_abs_on_grid((f for v in (K, T) for f in shear_fields(S, v, X, Y)), grid)
-    report.add("shear_free", worst, tol)
+    report.add("shear_free", worst, TOL_FRAME)
 
     # T = ell grad(tau): g(T, e_a) = ell d_a tau
     worst = max_abs_on_grid((S.g[T][a] - cs.ell_gradient * S.D[a][A.tau_index] for a in range(4)), grid)
-    report.add("gradient_condition", worst, tol)
+    report.add("gradient_condition", worst, TOL_FRAME)
 
     # constants of the metric on V, constant along H
     fields = [S.g[K][T] - cs.a]
     if A.case == CASE_CENTRAL:
         fields.append(S.g[T][T] - cs.b)
-    report.add("vertical_metric_constants", max_abs_on_grid(fields, grid), tol)
+    report.add("vertical_metric_constants", max_abs_on_grid(fields, grid), TOL_FRAME)
     worst = max_abs_on_grid((S.dd(h, S.g[K][c]) for h in (X, Y) for c in (T, K)), grid)
-    report.add("vertical_metric_constant_along_H", worst, tol)
+    report.add("vertical_metric_constant_along_H", worst, TOL_FRAME)
 
-    report.add("k_null", max_abs_on_grid(S.g[K][K], grid), tol)
+    report.add("k_null", max_abs_on_grid(S.g[K][K], grid), TOL_FRAME)
 
     if A.case == CASE_CENTRAL:
         # k must have geodesic flow or be Killing (warped k is merely
@@ -210,11 +210,11 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float 
         report.add(
             "k_geodesic_or_killing",
             min(geo, kill),
-            tol,
-            passed=geo <= tol or kill <= tol,
+            TOL_FRAME,
+            passed=geo <= TOL_FRAME or kill <= TOL_FRAME,
             note="geodesic residual %.2e, Killing residual %.2e" % (geo, kill),
         )
-        report.add("k_T_commute", max_abs_on_grid(S.C[K][T], grid), tol)
+        report.add("k_T_commute", max_abs_on_grid(S.C[K][T], grid), TOL_FRAME)
         worst = max_abs_on_grid(
             [
                 S.C[K][X][Y] - cs.alpha, S.C[K][Y][X] + cs.alpha,
@@ -224,7 +224,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float 
             ],
             grid,
         )
-        report.add("bracket_pattern", worst, tol)
+        report.add("bracket_pattern", worst, TOL_FRAME)
     else:
         # lifted warped brackets: [k,T] = -(w'/w)(k+T), [k,x] = (alpha/w) y - (w'/w) x, ...
         if A.w is None:
@@ -240,21 +240,21 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid, tol: float 
             (S.C[T][X][X] - rho), (S.C[T][Y][Y] - rho),
             (S.C[T][X][Y]), (S.C[T][Y][X]),
         ]
-        report.add("bracket_pattern", max_abs_on_grid(checks, grid), tol)
-        report.add("warped_metric_values", max_abs_on_grid([S.g[K][T] - 1.0, S.g[T][T] + 1.0], grid), tol)
+        report.add("bracket_pattern", max_abs_on_grid(checks, grid), TOL_FRAME)
+        report.add("warped_metric_values", max_abs_on_grid([S.g[K][T] - 1.0, S.g[T][T] + 1.0], grid), TOL_FRAME)
 
     # twist matches the structure; the central twist (warped: the fiber
     # twist) has no vertical derivative
     worst = max_abs_on_grid(A.iota - S.g_of_bracket(K, X, Y), grid)
-    report.add("twist_matches_brackets", worst, tol)
+    report.add("twist_matches_brackets", worst, TOL_FRAME)
     invariant_twist = A.iota if A.case == CASE_CENTRAL else A.iota_bar
     worst = max_abs_on_grid([S.dd(K, invariant_twist), S.dd(T, invariant_twist)], grid)
-    report.add("twist_vertical_derivative", worst, tol)
+    report.add("twist_vertical_derivative", worst, TOL_FRAME)
 
     min_twist = min_on_grid(A.iota, grid, key=abs)
     report.add(
         "twist_nonvanishing",
-        0.0 if min_twist > tol else tol - min_twist,
+        0.0 if min_twist > TOL_FRAME else TOL_FRAME - min_twist,
         0.0,
         note="min |iota| = %.3e" % min_twist,
     )
@@ -450,12 +450,12 @@ def kahler_form(kahler: KahlerMetric) -> FrameTwoForm:
     return FrameTwoForm(4, vals, kahler.structure.zero())
 
 
-def kahler_form_closed(A: AdmissibleData, kahler: KahlerMetric, grid, tol: float = 1e-8) -> VerificationReport:
+def kahler_form_closed(A: AdmissibleData, kahler: KahlerMetric, grid) -> VerificationReport:
     """d omega = 0 on all frame triples: the testable shadow of Kahlerness."""
     report = VerificationReport(suite="kahler-form-closed")
     omega = kahler_form(kahler)
     d_omega = exterior_d_two_form(A.structure, omega)
-    report.add("d_omega", max_abs_on_grid(d_omega.values(), grid), tol)
+    report.add("d_omega", max_abs_on_grid(d_omega.values(), grid), TOL_FRAME)
     return report
 
 

@@ -10,10 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
+
+# Check tolerances: exact identities, frame-level residuals, cross-route comparisons.
+TOL_TIGHT = 1e-9
+TOL_FRAME = 1e-8
+TOL_CROSS = 1e-7
 
 
 @dataclass
@@ -91,9 +95,8 @@ class VerificationReport:
                              int(c.passed), c.note, c.source])
         return buf.getvalue()
 
-    def print_lines(self, out=None):
-        out = out or sys.stdout
-        print("suite: %s%s" % (self.suite, "  [%s]" % self.grid_spec if self.grid_spec else ""), file=out)
+    def print_lines(self):
+        print("suite: %s%s" % (self.suite, "  [%s]" % self.grid_spec if self.grid_spec else ""))
         for c in self.checks:
-            print("  " + c.line(), file=out)
-        print("  => %s" % ("PASS" if self.passed else "FAIL"), file=out)
+            print("  " + c.line())
+        print("  => %s" % ("PASS" if self.passed else "FAIL"))

@@ -59,7 +59,7 @@ from .kahler import (
     ricci_form_imag_residual,
     ricci_from_form,
 )
-from .reporting import VerificationReport
+from .reporting import TOL_CROSS, TOL_FRAME, TOL_TIGHT, VerificationReport
 
 __all__ = [
     "FiberData",
@@ -136,7 +136,7 @@ def make_fiber(alpha: float, iota_bar_expr: str, plane_vars: Tuple[str, ...] = (
     return FiberData(S, float(alpha), iota_bar)
 
 
-def fiber_consistency(F: FiberData, grid, tol: float = 1e-8) -> VerificationReport:
+def fiber_consistency(F: FiberData, grid) -> VerificationReport:
     """Unit/geodesic/shear-free checks on kbar plus the bracket pattern,
     negativity and kbar-invariance of the twist."""
     report = VerificationReport(suite="fiber-consistency")
@@ -145,11 +145,11 @@ def fiber_consistency(F: FiberData, grid, tol: float = 1e-8) -> VerificationRepo
     worst = max_abs_on_grid(
         (S.g[i][j] - (1.0 if i == j else 0.0) for i in range(3) for j in range(3)), grid
     )
-    report.add("orthonormal_frame", worst, tol)
+    report.add("orthonormal_frame", worst, TOL_FRAME)
 
     conn = koszul_connection(S)
-    report.add("kbar_geodesic", max_abs_on_grid(conn.gamma[KBAR][KBAR], grid), tol)
-    report.add("kbar_shear_free", max_abs_on_grid(shear_fields(S, KBAR, XBAR, YBAR), grid), tol)
+    report.add("kbar_geodesic", max_abs_on_grid(conn.gamma[KBAR][KBAR], grid), TOL_FRAME)
+    report.add("kbar_shear_free", max_abs_on_grid(shear_fields(S, KBAR, XBAR, YBAR), grid), TOL_FRAME)
 
     worst = max_abs_on_grid(
         [
@@ -161,9 +161,9 @@ def fiber_consistency(F: FiberData, grid, tol: float = 1e-8) -> VerificationRepo
         ],
         grid,
     )
-    report.add("bracket_pattern", worst, tol)
+    report.add("bracket_pattern", worst, TOL_FRAME)
 
-    report.add("kbar_kills_twist", max_abs_on_grid(S.dd(KBAR, F.iota_bar), grid), tol)
+    report.add("kbar_kills_twist", max_abs_on_grid(S.dd(KBAR, F.iota_bar), grid), TOL_FRAME)
 
     max_iota = -min_on_grid(F.iota_bar, grid, key=operator.neg)
     report.add(
@@ -242,7 +242,6 @@ class WarpedFamily:
     lam: float
     C: float
     interval: Tuple[float, float]
-    label: str = ""
 
     def c_field(self) -> ScalarField:
         """gK(k,k) profile c = (fw)'/w."""
@@ -278,8 +277,7 @@ def ke_pde_residual(F: FiberData, lam: float, C: float) -> ScalarField:
 # implicit-tan solution branch -------------------------------------------------
 
 
-def solve_implicit_w(tau: float, seed: float, halfwidth: float = 0.5,
-                     tol: float = 1e-12, max_iter: int = 100) -> float:
+def solve_implicit_w(tau: float, seed: float, halfwidth: float = 0.5, max_iter: int = 100) -> float:
     """Solve x = tau + tan(x) near the seed by safeguarded Newton.
 
     The bracket (seed - halfwidth, seed + halfwidth) confines the iteration
@@ -299,7 +297,7 @@ def solve_implicit_w(tau: float, seed: float, halfwidth: float = 0.5,
     x = seed
     for _ in range(max_iter):
         hx = h(x)
-        if abs(hx) <= tol:
+        if abs(hx) <= 1e-12:
             return x
         if have_bracket:
             if (hx < 0.0) == (hlo < 0.0):
@@ -324,27 +322,23 @@ class _ImplicitTanField(ScalarField):
     The tau-derivative is the closed form -cot^2(x), so derivative fields of
     every order are exact."""
 
-    __slots__ = ("tau_index", "seed", "halfwidth")
+    __slots__ = ("seed",)
 
-    def __init__(self, kset, tau_index=0, seed=-math.pi / 4, halfwidth=0.5):
-        super().__init__(kset)
-        self.tau_index = tau_index
+    def __init__(self, seed):
+        super().__init__(TAU_KSET)
         self.seed = seed
-        self.halfwidth = halfwidth
 
     def _eval(self, point):
-        return solve_implicit_w(point[self.tau_index], self.seed, self.halfwidth)
+        return solve_implicit_w(point[0], self.seed)
 
     def _derive(self, i):
-        if i != self.tau_index:
-            return Const(self.kset, 0.0)
         cot = _div(cos(self), sin(self), label="cot of implicit branch")
         return -(cot * cot)
 
 
-def implicit_tan_field(kset: KSet = TAU_KSET, tau_index: int = 0,
-                       seed: float = -math.pi / 4, halfwidth: float = 0.5) -> ScalarField:
-    return _ImplicitTanField(kset, tau_index, seed, halfwidth)
+def implicit_tan_field(seed: float) -> ScalarField:
+    """x(tau) over ``TAU_KSET`` on the branch of x = tau + tan(x) through the seed."""
+    return _ImplicitTanField(seed)
 
 
 # closed-form families ---------------------------------------------------------
@@ -366,8 +360,7 @@ def family_alpha_zero(lam: float, a1: float, a2: float,
     else:
         w = (3.0 * (a1 * tau + a2)) ** (1.0 / 3.0)
     f = Const(kset, 1.0)
-    return WarpedFamily(f=f, w=w, lam=lam, C=0.0, interval=interval,
-                        label="alpha0(lam=%g, a1=%g, a2=%g)" % (lam, a1, a2))
+    return WarpedFamily(f=f, w=w, lam=lam, C=0.0, interval=interval)
 
 
 def family_alpha_negative(alpha: float, interval: Tuple[float, float]) -> WarpedFamily:
@@ -379,19 +372,14 @@ def family_alpha_negative(alpha: float, interval: Tuple[float, float]) -> Warped
     pos = lambda point: point[0] > 0.0
     f = guarded(tau ** (-(1.0 + alpha / 2.0)), pos, "tau > 0")
     w = guarded(tau, pos, "tau > 0")
-    return WarpedFamily(f=f, w=w, lam=0.0, C=0.0, interval=interval,
-                        label="alphaneg(alpha=%g)" % alpha)
+    return WarpedFamily(f=f, w=w, lam=0.0, C=0.0, interval=interval)
 
 
-def family_implicit_tan(interval: Tuple[float, float],
-                        seed: float = -math.pi / 4) -> WarpedFamily:
-    """alpha = -2, lam = 0: f = 1 and w = -tan(x(tau)) with x = tau + tan(x)."""
-    kset = TAU_KSET
-    x = implicit_tan_field(kset, 0, seed)
-    w = -tan(x)
-    f = Const(kset, 1.0)
-    return WarpedFamily(f=f, w=w, lam=0.0, C=0.0, interval=interval,
-                        label="implicit_tan(seed=%g)" % seed)
+def family_implicit_tan(interval: Tuple[float, float]) -> WarpedFamily:
+    """alpha = -2, lam = 0: f = 1 and w = -tan(x(tau)) with x = tau + tan(x),
+    on the branch through x = -pi/4."""
+    w = -tan(implicit_tan_field(-math.pi / 4))
+    return WarpedFamily(f=Const(TAU_KSET, 1.0), w=w, lam=0.0, C=0.0, interval=interval)
 
 
 # Einstein verification --------------------------------------------------------
@@ -405,7 +393,6 @@ def einstein_verdict(
     fiber: Optional[FiberData] = None,
     fiber_grid=None,
     C: float = 0.0,
-    tol: float = 1e-7,
 ) -> VerificationReport:
     """Einstein residual of the induced metric through the Ricci-form route,
     with the companion ODE/PDE residuals and the closed-form Ricci displays
@@ -416,15 +403,15 @@ def einstein_verdict(
     report = VerificationReport(suite="einstein-verdict")
     S = A.structure
     kahler, rho = chain.kahler, chain.rho
-    report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), 1e-9)
-    report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), 1e-9)
+    report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), TOL_TIGHT)
+    report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), TOL_TIGHT)
 
     ric = ricci_from_form(rho)
     worst = max_abs_on_grid((ric[u][v] - lam * kahler.g[u][v] for u in range(4) for v in range(4)), grid)
-    report.add("einstein_residual", worst, tol)
+    report.add("einstein_residual", worst, TOL_CROSS)
 
     worst = max_abs_on_grid([rho(K, X), rho(K, Y), rho(T, X), rho(T, Y)], grid)
-    report.add("rho_horizontal_vertical", worst, 1e-9)
+    report.add("rho_horizontal_vertical", worst, TOL_TIGHT)
 
     # closed-form displays: rho(k,T) = -(1/w)[(L w)]' and
     # rho(x,y) = L iota_bar / w - (1/(2 w^2)) plane-Laplacian of log|iota_bar|
@@ -432,7 +419,7 @@ def einstein_verdict(
     fwp = (f * w).partial(A.tau_index)
     L = ke_operator(f, w, A.constants.alpha, A.tau_index)
     rho_kT_closed = -_div((L * w).partial(A.tau_index), w, label="w")
-    report.add("rho_kT_closed_form", max_abs_on_grid(rho(K, T) - rho_kT_closed, grid), tol,
+    report.add("rho_kT_closed_form", max_abs_on_grid(rho(K, T) - rho_kT_closed, grid), TOL_CROSS,
                source="reported")
     lap_bar = S.zero()
     logi = log_abs(A.iota_bar)
@@ -441,7 +428,7 @@ def einstein_verdict(
     rho_xy_closed = L * A.iota_bar * _div(Const(S.kset, 1.0), w, label="w") - 0.5 * _div(
         lap_bar, w * w, label="w^2"
     )
-    report.add("rho_xy_closed_form", max_abs_on_grid(rho(X, Y) - rho_xy_closed, grid), tol,
+    report.add("rho_xy_closed_form", max_abs_on_grid(rho(X, Y) - rho_xy_closed, grid), TOL_CROSS,
                source="reported")
 
     # substitution and logarithmic-derivative identities
@@ -459,19 +446,20 @@ def einstein_verdict(
     if fam is not None:
         tau_grid = sorted({(p[0],) for p in grid})
         ode = ke_ode_residual(fam, A.constants.alpha)
-        report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), 1e-9)
+        report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
     if fiber is not None:
         fgrid = fiber_grid if fiber_grid is not None else [()]
         pde = ke_pde_residual(fiber, lam, C)
-        report.add("ke_pde_residual", max_abs_on_grid(pde, fgrid), 1e-9)
+        report.add("ke_pde_residual", max_abs_on_grid(pde, fgrid), TOL_TIGHT)
     return report
 
 
 # completeness -----------------------------------------------------------------
 
 
-def adaptive_simpson(fn, a: float, b: float, rel_tol: float = 1e-9, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with a relative tolerance."""
+def adaptive_simpson(fn, a: float, b: float, rel_tol: float = 1e-9) -> float:
+    """Adaptive Simpson quadrature with a relative tolerance, recursing at
+    most 40 levels deep."""
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
@@ -484,7 +472,7 @@ def adaptive_simpson(fn, a: float, b: float, rel_tol: float = 1e-9, max_depth: i
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
+        if depth >= 40 or abs(delta) <= 15.0 * eps:
             return left + right + delta / 15.0
         return recurse(a, fa, m, fm, lm, flm, left, depth + 1, eps / 2.0) + recurse(
             m, fm, b, fb, rm, frm, right, depth + 1, eps / 2.0
@@ -531,31 +519,24 @@ def _segments_toward(anchor: float, end: float, count: int):
         cursor = nxt
 
 
-def _integrate_toward(fn, anchor: float, end: float, rel_tol: float, bound: float,
-                      max_expansions: int) -> Tuple[float, bool]:
+def _integrate_toward(fn, anchor: float, end: float) -> Tuple[float, bool]:
     """Accumulate integral of fn from the anchor toward an (possibly
-    infinite) end; diverged when the total passes the bound with the last
-    three segment increments nondecreasing."""
+    infinite) end over at most 60 segments; diverged when the total passes
+    1e6 with the last three segment increments nondecreasing."""
     total = 0.0
     increments = []
-    for lo, hi in _segments_toward(anchor, end, max_expansions):
-        inc = adaptive_simpson(fn, lo, hi, rel_tol)
+    for lo, hi in _segments_toward(anchor, end, 60):
+        inc = adaptive_simpson(fn, lo, hi)
         total += inc
         increments.append(inc)
-        if total > bound and len(increments) >= 3 and (
+        if total > 1e6 and len(increments) >= 3 and (
             increments[-1] >= increments[-2] >= increments[-3] > 0.0
         ):
             return total, True
     return total, False
 
 
-def completeness(
-    fam: WarpedFamily,
-    divergence_bound: float = 1e6,
-    rel_tol: float = 1e-9,
-    max_expansions: int = 60,
-    samples: int = 33,
-) -> CompletenessVerdict:
+def completeness(fam: WarpedFamily) -> CompletenessVerdict:
     """Completeness analysis of gK = ds^2 + g_s via s = integral sqrt(c/2).
 
     The verdict is ``complete`` only when the arclength diverges toward both
@@ -582,11 +563,11 @@ def completeness(
     # precondition scan on a sample of the finite window around the anchor
     scan_lo = anchor - 1.0 if math.isinf(lo) else lo + (anchor - lo) * 1e-6
     scan_hi = anchor + 1.0 if math.isinf(hi) else hi - (hi - anchor) * 1e-6
-    for t in np.linspace(scan_lo, scan_hi, samples):
+    for t in np.linspace(scan_lo, scan_hi, 33):
         integrand(float(t))
 
-    s_upper, up_div = _integrate_toward(integrand, anchor, hi, rel_tol, divergence_bound, max_expansions)
-    s_lower, lo_div = _integrate_toward(integrand, anchor, lo, rel_tol, divergence_bound, max_expansions)
+    s_upper, up_div = _integrate_toward(integrand, anchor, hi)
+    s_lower, lo_div = _integrate_toward(integrand, anchor, lo)
     if not math.isinf(lo):
         s_lower = abs(s_lower)
     verdict = "complete" if (up_div and lo_div) else "inconclusive"
@@ -599,34 +580,35 @@ def completeness(
     )
 
 
-def quotient_gauss_check(F: FiberData, lam: float, C: float, grid, tol: float = 1e-7) -> VerificationReport:
+def quotient_gauss_check(F: FiberData, lam: float, C: float, grid) -> VerificationReport:
     """Equivalence of the fiber equation with constancy of the Gauss
     curvature of the quotient 2-metric scaling like iota_bar gbar|_H.
 
     The curvature profile K_G = -(1/(2 iota_bar)) Lap log|iota_bar| must be
     constant exactly when a constant fits Lap log|iota_bar| = c iota_bar;
     when the fiber equation holds with (lam, C), the fitted constant matches
-    -2 lam C."""
+    -2 lam C.  A non-finite fit residual or spread fails the equivalence."""
     report = VerificationReport(suite="quotient-gauss")
     lap = plane_laplacian_log_abs(F.structure, F.iota_bar, XBAR, YBAR)
     kg = -0.5 * _div(lap, F.iota_bar, label="iota_bar")
 
     c_fit, fit_res = fit_constant(lap, F.iota_bar, grid)
-    pde_holds = fit_res <= tol
-    kg_constant, spread, _ = constancy_on_grid(kg, grid, tol)
+    pde_holds = fit_res <= TOL_CROSS
+    kg_constant, spread, _ = constancy_on_grid(kg, grid, TOL_CROSS)
+    agree = kg_constant == pde_holds and math.isfinite(spread) and math.isfinite(fit_res)
 
     report.add(
         "gauss_constant_iff_twist_equation",
-        0.0 if kg_constant == pde_holds else 1.0,
+        0.0 if agree else 1.0,
         0.0,
-        passed=kg_constant == pde_holds,
+        passed=agree,
         note="K_G spread %.3e, fit residual %.3e (c = %.6g)" % (spread, fit_res, c_fit),
     )
     if pde_holds:
-        report.add("fitted_constant", abs(c_fit - (-2.0 * lam * C)), tol,
+        report.add("fitted_constant", abs(c_fit - (-2.0 * lam * C)), TOL_CROSS,
                    note="fit %.6g vs -2 lam C = %.6g" % (c_fit, -2.0 * lam * C),
                    source="derived")
-        report.add("gauss_value", abs((-0.5 * c_fit) - lam * C), tol,
+        report.add("gauss_value", abs((-0.5 * c_fit) - lam * C), TOL_CROSS,
                    note="K_G = %.6g vs lam C = %.6g" % (-0.5 * c_fit, lam * C),
                    source="derived")
     return report

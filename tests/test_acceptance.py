@@ -79,7 +79,7 @@ def test_criterion_02_planewave_central_curvature_and_spectrum(built):
         q = expected_q(be.data.constants)
         assert q == pytest.approx(-1.0, abs=1e-12)
         for p in be.grid:
-            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, p)
+            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, [p])[0]
             qe = q * math.exp(-p[0])
             expect = np.sort(np.array([0.0, 0.0, qe, qe]))
             assert float(np.max(np.abs(vals - expect))) <= 1e-7
@@ -204,7 +204,7 @@ def test_criterion_10_cross_route_property_suite(entries, built):
             assert by_id["metric_compatible"].residual <= 1e-8, eid
             assert by_id["jacobi_identity"].residual <= 1e-8, eid
 
-            assert kahler_form_closed(entry.data, be.kahler, be.grid, 1e-8).passed, eid
+            assert kahler_form_closed(entry.data, be.kahler, be.grid).passed, eid
             d_rho = exterior_d_two_form(entry.data.structure, be.rho)
             assert max(max_abs_on_grid(f, be.grid) for f in d_rho.values()) <= 1e-7, eid
             assert cross_route_ricci_residual(be.rho, be.curv_k, be.grid) <= 1e-7, eid

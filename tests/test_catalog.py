@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from frame_kahler import catalog
@@ -139,6 +140,24 @@ class TestCoordinateOracle:
         rep = coordinate_crosscheck(entries["planewave"], chart=broken)
         assert not rep.passed
         assert any(c.check_id == "k_null" for c in rep.failed_checks())
+
+    def test_non_finite_chart_fails(self, entries):
+        # a chart metric that turns NaN after its first point must not read
+        # as the residual of the points before it
+        chart = planewave_chart()
+        good_metric, calls = chart.metric_fn, []
+
+        def metric(p):
+            calls.append(p)
+            return good_metric(p) if len(calls) == 1 else np.full((4, 4), math.nan)
+
+        chart.metric_fn = metric
+        rep = coordinate_crosscheck(entries["planewave"], chart=chart)
+        by_id = {c.check_id: c for c in rep.checks}
+        for cid in ("metric_values", "k_null", "twist"):
+            assert not by_id[cid].passed
+            assert by_id[cid].residual == math.inf
+        assert by_id["bracket_coefficients"].passed
 
     def test_degenerate_shift_twist_inadmissible(self):
         entry = ppwave_from_shift("0", "0")

@@ -41,7 +41,7 @@ class TestCentralCurvature:
         q = expected_q(be.data.constants)
         assert q == pytest.approx(-1.0)
         for p in be.grid:
-            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, p)
+            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, [p])[0]
             qe = q * math.exp(-p[0])
             expect = np.sort(np.array([0.0, 0.0, qe, qe]))
             assert np.max(np.abs(vals - expect)) <= 1e-7
@@ -51,7 +51,7 @@ class TestCentralCurvature:
         det = central_curvature(be.data, be.kahler, be.curv_k)
         assert max_abs_on_grid(det, be.grid) <= 1e-8
         for p in be.grid:
-            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, p)
+            vals = ricci_endomorphism_eigenvalues(be.kahler, be.curv_k, [p])[0]
             assert np.max(np.abs(vals)) <= 1e-8
 
     def test_nonconstant_twist_keeps_vertical_kernel(self):
@@ -155,6 +155,14 @@ class TestCscVerdict:
         rep = csc_verdict(be.chain, be.grid)
         assert rep.pde_constant_c == pytest.approx(0.0, abs=1e-8)
         assert rep.s_tilde_mean == pytest.approx(-1.0, abs=1e-7)
+
+    def test_non_finite_twist_does_not_agree(self):
+        # the twist is NaN at every grid point (no grid x is 0)
+        be = ppwave_built("-2 + (1e200*x)*(1e200*x)*(x-x)")
+        rep = csc_verdict(be.chain, be.grid)
+        assert rep.s_tilde_spread == math.inf
+        assert rep.pde_residual == math.inf
+        assert not rep.verdicts_agree
 
     def test_fit_matches_direct_computation(self):
         be = ppwave_built("-sech(x + 2*y)^2")

@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import collections
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,6 +52,30 @@ class TestVerify:
     @pytest.mark.parametrize("spec", ["x=0:1:0", "x=0:1:-2", "x=nan:1:3", "x=inf:1:3"])
     def test_empty_or_non_finite_grid_is_usage_error(self, spec):
         assert run_cli("verify", "--example", "ppwave", "--grid", spec) == 2
+
+    @pytest.mark.parametrize("tol,code", [("0", 2), ("-1", 2), ("nan", 2), ("inf", 2),
+                                          ("1e-30", 1), ("2", 0)])
+    def test_tol_factor_is_applied_and_written(self, tmp_path, tol, code):
+        out = tmp_path / "r.json"
+        assert run_cli("verify", "--example", "planewave", "--tol", tol, "--out", str(out)) == code
+        if code == 2:
+            assert not out.exists()
+            return
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["passed"] == (c["residual"] <= c["tol"]) for c in checks)
+
+    def test_non_finite_kahler_metric_fails_with_report(self, tmp_path, capsys):
+        # f is NaN at every tau but 0; the eigenvalue scans must fail, not raise
+        doc = serialize_structure(load("s3xr"))
+        doc["f"] = "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"
+        path, out = tmp_path / "nan.json", tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(path), "--out", str(out)) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        by_id = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+        for cid in ("kahler_positive_definite", "ricci_eigenvalues"):
+            assert not by_id[cid]["passed"]
+            assert by_id[cid]["residual"] == float("inf")
 
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -254,3 +278,17 @@ class TestSuiteRunners:
         )
         assert proc.returncode == 0
         assert "planewave" in proc.stdout
+
+
+class TestReportHarness:
+    def test_writes_every_report(self, tmp_path):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "write_reports.py")
+        spec = importlib.util.spec_from_file_location("write_reports", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        assert harness.main([str(tmp_path)]) == 0
+        codes = dict(line.split() for line in (tmp_path / "exit_codes.txt").read_text().splitlines())
+        assert len(codes) == 13 and set(codes.values()) == {"0"}
+        for name in codes:
+            assert (tmp_path / (name + ".json")).stat().st_size > 0
+            assert (tmp_path / (name + ".csv")).stat().st_size > 0

@@ -12,6 +12,7 @@ from frame_kahler.frames import (
     constancy_on_grid,
     curvature,
     directional_derivative,
+    fit_constant,
     grid_points,
     koszul_connection,
     max_abs_on_grid,
@@ -19,6 +20,7 @@ from frame_kahler.frames import (
     sectional_curvature,
     spread_on_grid,
     twist,
+    worst_abs,
 )
 from frame_kahler.reporting import VerificationReport
 
@@ -62,6 +64,13 @@ class TestGrid:
         assert not constancy_on_grid(bad, grid, 1e-8)[0]
         assert min_on_grid(bad, grid) == -math.inf
         assert min_on_grid(bad, grid, key=abs) == -math.inf
+        c, residual = fit_constant(bad, Const(ks, 1.0), grid)
+        assert math.isnan(c) and residual == math.inf
+        assert fit_constant(Const(ks, 1.0), bad, grid)[1] == math.inf
+        assert worst_abs([1.0, math.nan, 2.0]) == math.inf
+        assert worst_abs([1.0, complex(0.0, math.inf)]) == math.inf
+        assert worst_abs([-3.0, 2.0]) == 3.0
+        assert worst_abs([]) == 0.0
         report = VerificationReport(suite="nan")
         report.add("residual", max_abs_on_grid(bad, grid), 1e-8)
         assert not report.passed

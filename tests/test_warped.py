@@ -214,7 +214,7 @@ class TestImplicitSolve:
 
     def test_derivative_closed_form_and_fd(self):
         # x'(tau) = -cot^2(x(tau)); at tau0 this is -1
-        x = implicit_tan_field(TAU_KSET, 0, -math.pi / 4.0)
+        x = implicit_tan_field(-math.pi / 4.0)
         assert x.partial(0).at((TAU0,)) == pytest.approx(-1.0, abs=1e-10)
         oracle = central_diff(lambda p: solve_implicit_w(p[0], -math.pi / 4.0), (TAU0,), 0)
         assert x.partial(0).at((TAU0,)) == pytest.approx(oracle, abs=1e-6)
@@ -331,6 +331,16 @@ class TestQuotientGauss:
         assert "fitted_constant" not in {c.check_id for c in rep.checks}
         res = ke_pde_residual(F, 1.0, 1.0)
         assert max_abs_on_grid(res, grid) > 0.1
+
+
+    def test_non_finite_twist_fails_equivalence(self):
+        # NaN at 4 of 6 points: both routes see NaN, and that is no agreement
+        F = plane_fiber("-2 + (1e200*p)*(1e200*p)*(p-p)")
+        grid = grid_points(F.structure.kset, {"p": (0.0, 1.0, 3), "q": (0.0, 1.0, 2)})
+        rep = quotient_gauss_check(F, 1.0, 1.0, grid)
+        check = {c.check_id: c for c in rep.checks}["gauss_constant_iff_twist_equation"]
+        assert not check.passed
+        assert "fit residual inf" in check.note
 
 
 class TestSectionalValues:

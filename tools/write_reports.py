@@ -1,0 +1,88 @@
+"""Write a fixed set of frame-kahler reports into one directory.
+
+Usage (from the root of a source checkout):
+
+    PYTHONPATH=src python3 tools/write_reports.py OUT_DIR
+
+The reports come from the public command line (``cli.main``) and catalog
+API only, so the script also runs against an older ``src/``: point
+``PYTHONPATH`` at it. Run it on two versions and ``diff -r`` the two
+directories to see every report byte that a change moved. The package is
+imported from ``PYTHONPATH`` (or an installed copy) first, and from the
+``src/`` next to this script otherwise; the directory used is printed to
+standard error.
+
+OUT_DIR receives:
+
+* ``<id>.json``/``<id>.csv`` for the seven catalog entries at their default
+  grids;
+* ``ppwave_sech_8x8`` (twist ``-2*sech(x)^2`` on 3x8x8 points);
+* ``config_ppwave_sech``/``config_warped_alpha0``, ``verify --config`` on
+  those two documents (``docs/`` holds the documents);
+* ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV;
+* ``exit_codes.txt``, the exit code of every run above.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.append(os.path.join(ROOT, "src"))
+
+from frame_kahler import catalog, cli  # noqa: E402
+
+SECH = "-2*sech(x)^2"
+
+KE_RUNS = {
+    "ke_alpha0": ["--family", "alpha0", "--lam", "-1", "--interval=-inf:inf", "--complete"],
+    "ke_alphaneg": ["--family", "alphaneg", "--interval=0.2:1.4"],
+    "ke_alpha_minus2": ["--family", "alpha_minus2", "--interval=0.05:1.0", "--complete"],
+}
+
+
+def runs(out_dir: str):
+    """(name, argv) of every command line, writing documents it needs."""
+    for eid in catalog.catalog_ids():
+        yield eid, ["verify", "--example", eid]
+    docs = os.path.join(out_dir, "docs")
+    os.makedirs(docs, exist_ok=True)
+    configs = {
+        "ppwave_sech": catalog.load("ppwave", iota=SECH).document,
+        "warped_alpha0": catalog.load("warped_alpha0").document,
+    }
+    for name, doc in configs.items():
+        path = os.path.join(docs, name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        yield "config_" + name, ["verify", "--config", path]
+    yield "ppwave_sech_8x8", ["verify", "--config", os.path.join(docs, "ppwave_sech.json"),
+                              "--grid", "x=-0.6:0.6:8", "--grid", "y=-0.6:0.6:8"]
+    for name, argv in KE_RUNS.items():
+        yield name, ["ke"] + argv
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: write_reports.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = argv[0]
+    os.makedirs(out_dir, exist_ok=True)
+    print("frame_kahler from %s" % os.path.dirname(cli.__file__), file=sys.stderr)
+    codes = []
+    for name, args in runs(out_dir):
+        args = args + ["--format", "both", "--out", os.path.join(out_dir, name)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append("%s %d\n" % (name, cli.main(args)))
+    with open(os.path.join(out_dir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(codes)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
