@@ -13,10 +13,17 @@ Elementary functions (exp, log, sin, ...) come from one table,
 ``_ELEMENTARY``: each row holds the value, the domain test and the
 derivative rule of one function, applied by a single node class.
 
-Evaluation is pointwise and cached per field, so shared subexpressions (the
-pointwise connection solves in particular) are computed once per grid point.
-Fields are immutable after construction; each cache holds one value per
-point, written on first evaluation.
+Evaluation is whole-grid: a grid of points becomes one column per variable
+(``_Grid``), and each node computes one array of values over the grid,
+memoized in its ``_cache`` under the grid's key, so shared subexpressions
+(the pointwise connection solves in particular) are computed once per grid.
+``+ - * /`` run as numpy operations with floating-point errors ignored, as
+Python floats overflow silently to inf or NaN; elementary functions and
+powers apply ``math`` per element, which numpy's ufuncs do not match in the
+last bit; a pointwise solve is one stacked ``np.linalg.solve``. A domain
+violation raises ``DomainError`` naming the first grid point where that node
+fails. ``at(point)`` is a one-point convenience over the same path. Fields
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -58,8 +65,6 @@ __all__ = [
     "determinant",
     "solve_linear",
 ]
-
-_MISSING = object()
 
 # A pointwise solve whose matrix has |det| at or below this floor raises.
 MIN_ABS_DET = 1e-10
@@ -115,12 +120,53 @@ class KSet:
             raise ValueError("unknown variable name %r (k-set has %r)" % (name, self.names)) from None
 
 
+class _Grid:
+    """Evaluation points as columns: ``cols[i]`` holds variable i at every
+    point. ``key`` identifies the grid by value, so that every node keeps
+    one array per grid whichever call built the grid."""
+
+    __slots__ = ("cols", "n", "key", "point")
+
+    def __init__(self, cols, point):
+        self.cols = cols
+        self.n = cols.shape[1]
+        self.key = (self.n, cols.tobytes())
+        self.point = point  # i -> the i-th point as a tuple, for error messages
+
+    @classmethod
+    def of(cls, points):
+        # an empty grid gets an empty column for each of the (at most 3)
+        # variables any field can read
+        k = len(points[0]) if points else 3
+        cols = np.array(points, dtype=float).reshape(len(points), k).T
+        return cls(np.ascontiguousarray(cols), lambda i: tuple(points[i]))
+
+    def remapped(self, mapping):
+        """The grid of a field whose i-th variable is this grid's mapping[i]."""
+        return _Grid(self.cols[list(mapping)], lambda i: tuple(self.point(i)[m] for m in mapping))
+
+
+def _values_of(fields, grid):
+    if isinstance(fields, (ScalarField, CScalarField)):
+        return fields._values(grid)
+    return [_values_of(f, grid) for f in fields]
+
+
+def _evaluate(fields, points):
+    """Values over ``points`` of one field, or of every field in a nested
+    iterable of them (nested lists of arrays). Arithmetic overflow and
+    invalid operations give inf and NaN silently, as with Python floats."""
+    grid = _Grid.of(points)
+    with np.errstate(all="ignore"):
+        return _values_of(fields, grid)
+
+
 class ScalarField:
     """Function of the k-set variables with exact partials of every order.
 
-    Subclasses implement ``_eval`` (value at a point tuple) and ``_derive``
-    (construct the field of the i-th first partial).  ``partial`` memoizes
-    the derivative fields, ``at`` memoizes point values.
+    Subclasses implement ``_compute`` (the array of values over a ``_Grid``)
+    and ``_derive`` (construct the field of the i-th first partial).
+    ``partial`` memoizes the derivative fields, ``_values`` the arrays.
     """
 
     __slots__ = ("kset", "_partials", "_cache")
@@ -133,15 +179,17 @@ class ScalarField:
     # evaluation ----------------------------------------------------------
 
     def at(self, point) -> float:
-        if type(point) is not tuple:
-            point = tuple(point)
-        got = self._cache.get(point, _MISSING)
-        if got is _MISSING:
-            got = self._eval(point)
-            self._cache[point] = got
+        """The value at one point, through the whole-grid path."""
+        return _evaluate(self, [point]).item()
+
+    def _values(self, grid):
+        got = self._cache.get(grid.key)
+        if got is None:
+            got = self._compute(grid)
+            self._cache[grid.key] = got
         return got
 
-    def _eval(self, point):  # pragma: no cover - abstract
+    def _compute(self, grid):  # pragma: no cover - abstract
         raise NotImplementedError
 
     # derivatives ---------------------------------------------------------
@@ -233,8 +281,8 @@ class Const(ScalarField):
         super().__init__(kset)
         self.c = float(c)
 
-    def at(self, point):
-        return self.c
+    def _values(self, grid):
+        return np.full(grid.n, self.c)
 
     def _derive(self, i):
         return Const(self.kset, 0.0)
@@ -254,8 +302,8 @@ class Var(ScalarField):
         super().__init__(kset)
         self.i = i
 
-    def at(self, point):
-        return point[self.i]
+    def _values(self, grid):
+        return grid.cols[self.i]
 
     def _derive(self, j):
         return Const(self.kset, 1.0 if j == self.i else 0.0)
@@ -271,8 +319,8 @@ class _Add(ScalarField):
         super().__init__(f.kset)
         self.f, self.g = f, g
 
-    def _eval(self, p):
-        return self.f.at(p) + self.g.at(p)
+    def _compute(self, grid):
+        return self.f._values(grid) + self.g._values(grid)
 
     def _derive(self, i):
         return _add(self.f.partial(i), self.g.partial(i))
@@ -285,8 +333,8 @@ class _Sub(ScalarField):
         super().__init__(f.kset)
         self.f, self.g = f, g
 
-    def _eval(self, p):
-        return self.f.at(p) - self.g.at(p)
+    def _compute(self, grid):
+        return self.f._values(grid) - self.g._values(grid)
 
     def _derive(self, i):
         return _sub(self.f.partial(i), self.g.partial(i))
@@ -299,8 +347,8 @@ class _Mul(ScalarField):
         super().__init__(f.kset)
         self.f, self.g = f, g
 
-    def _eval(self, p):
-        return self.f.at(p) * self.g.at(p)
+    def _compute(self, grid):
+        return self.f._values(grid) * self.g._values(grid)
 
     def _derive(self, i):
         return _add(_mul(self.f.partial(i), self.g), _mul(self.f, self.g.partial(i)))
@@ -315,12 +363,14 @@ class _Div(ScalarField):
         self.eps = eps
         self.label = label
 
-    def _eval(self, p):
-        den = self.g.at(p)
-        if den == 0.0 or abs(den) <= self.eps:
+    def _compute(self, grid):
+        den = self.g._values(grid)
+        bad = (den == 0.0) | (np.abs(den) <= self.eps)
+        if bad.any():
+            i = int(bad.argmax())
             what = self.label or "quotient"
-            raise DomainError("%s has degenerate denominator %r at %r" % (what, den, p))
-        return self.f.at(p) / den
+            raise DomainError("%s has degenerate denominator %r at %r" % (what, den[i].item(), grid.point(i)))
+        return self.f._values(grid) / den
 
     def _derive(self, i):
         num = _sub(_mul(self.f.partial(i), self.g), _mul(self.f, self.g.partial(i)))
@@ -336,23 +386,24 @@ class _PowC(ScalarField):
         super().__init__(f.kset)
         self.f, self.p = f, float(p)
 
-    def _eval(self, point):
-        base = self.f.at(point)
-        return _safe_pow(base, self.p, point)
+    def _compute(self, grid):
+        bases = self.f._values(grid).tolist()
+        return np.array([_safe_pow(b, self.p, grid, i) for i, b in enumerate(bases)], dtype=float)
 
     def _derive(self, i):
         return _mul(Const(self.kset, self.p), _mul(_pow(self.f, self.p - 1.0), self.f.partial(i)))
 
 
-def _safe_pow(base, p, point):
+def _safe_pow(base, p, grid, i):
+    """base ** p for the value at the i-th point of the grid."""
     if base == 0.0 and p < 0.0:
-        raise DomainError("zero base raised to negative power %r at %r" % (p, point))
+        raise DomainError("zero base raised to negative power %r at %r" % (p, grid.point(i)))
     if base < 0.0 and p != int(p):
-        raise DomainError("negative base %r raised to fractional power %r at %r" % (base, p, point))
+        raise DomainError("negative base %r raised to fractional power %r at %r" % (base, p, grid.point(i)))
     try:
         return math.pow(base, p)
     except (ValueError, OverflowError) as exc:
-        raise DomainError("power %r**%r failed at %r: %s" % (base, p, point, exc)) from None
+        raise DomainError("power %r**%r failed at %r: %s" % (base, p, grid.point(i), exc)) from None
 
 
 class _Fn(NamedTuple):
@@ -374,12 +425,15 @@ class _Elementary(ScalarField):
         self.name, self.f = name, f
         self._fn = _ELEMENTARY[name]
 
-    def _eval(self, p):
-        x = self.f.at(p)
+    def _compute(self, grid):
+        x = self.f._values(grid)
         fn = self._fn
-        if fn.outside is not None and fn.outside(x):
-            raise DomainError(fn.message % {"x": x, "p": p})
-        return fn.value(x)
+        if fn.outside is not None:
+            bad = fn.outside(x)
+            if bad.any():
+                i = int(bad.argmax())
+                raise DomainError(fn.message % {"x": x[i].item(), "p": grid.point(i)})
+        return np.array([fn.value(v) for v in x.tolist()], dtype=float)
 
     def _derive(self, i):
         return self._fn.derive(self, self.f, self.f.partial(i))
@@ -423,8 +477,8 @@ class _Remap(ScalarField):
         self.f = f
         self.mapping = tuple(mapping)
 
-    def _eval(self, p):
-        return self.f.at(tuple(p[m] for m in self.mapping))
+    def _compute(self, grid):
+        return self.f._values(grid.remapped(self.mapping))
 
     def _derive(self, j):
         for i, m in enumerate(self.mapping):
@@ -447,10 +501,12 @@ class _Guarded(ScalarField):
         self.pred = pred
         self.description = description
 
-    def _eval(self, p):
-        if not self.pred(p):
-            raise DomainError("point %r violates domain guard: %s" % (p, self.description))
-        return self.f.at(p)
+    def _compute(self, grid):
+        for i in range(grid.n):
+            p = grid.point(i)
+            if not self.pred(p):
+                raise DomainError("point %r violates domain guard: %s" % (p, self.description))
+        return self.f._values(grid)
 
     def _derive(self, i):
         return _Guarded(self.f.partial(i), self.pred, self.description)
@@ -527,7 +583,7 @@ def _pow(f, p):
     if p == 1.0:
         return f
     if f.is_constant:
-        return Const(f.kset, _safe_pow(f.c, p, ()))
+        return Const(f.kset, _safe_pow(f.c, p, _Grid.of([()]), 0))
     return _PowC(f, p)
 
 
@@ -613,18 +669,27 @@ class LinearFieldSystem:
         self._dsys = {}
         self._components = None
 
-    def value_at(self, point):
-        got = self._cache.get(point, _MISSING)
-        if got is _MISSING:
-            M = np.array([[f.at(point) for f in row] for row in self.A])
-            v = np.array([f.at(point) for f in self.b])
-            det = np.linalg.det(M)
-            if abs(det) <= MIN_ABS_DET:
+    def value_at(self, grid):
+        """The solutions over a ``_Grid``: row j holds component j at every
+        point. One stacked determinant and solve run over the points where
+        A and b are finite; the solution is NaN at the other points."""
+        got = self._cache.get(grid.key)
+        if got is None:
+            M = np.moveaxis(np.array([[f._values(grid) for f in row] for row in self.A]), -1, 0)
+            v = np.array([f._values(grid) for f in self.b]).T
+            finite = np.flatnonzero(np.isfinite(M).all(axis=(1, 2)) & np.isfinite(v).all(axis=1))
+            det = np.abs(np.linalg.det(M[finite]))
+            singular = np.flatnonzero(det <= MIN_ABS_DET)
+            if singular.size:
+                i = singular[0]
                 raise SingularMatrixError(
-                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs(det), point)
+                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r"
+                    % (det[i], grid.point(finite[i]))
                 )
-            got = np.linalg.solve(M, v)
-            self._cache[point] = got
+            x = np.full((grid.n, self.n), math.nan)
+            x[finite] = np.linalg.solve(M[finite], v[finite, :, None])[..., 0]
+            got = np.ascontiguousarray(x.T)
+            self._cache[grid.key] = got
         return got
 
     def components(self):
@@ -655,8 +720,8 @@ class _SolveComponent(ScalarField):
         self.sys = sys
         self.j = j
 
-    def _eval(self, p):
-        return float(self.sys.value_at(p)[self.j])
+    def _compute(self, grid):
+        return self.sys.value_at(grid)[self.j]
 
     def _derive(self, i):
         return self.sys.derivative_system(i).components()[self.j]
@@ -710,7 +775,14 @@ class CScalarField:
         return self.re.kset
 
     def at(self, point) -> complex:
-        return complex(self.re.at(point), self.im.at(point))
+        """The value at one point, through the whole-grid path."""
+        return _evaluate(self, [point]).item()
+
+    def _values(self, grid):
+        out = np.empty(grid.n, dtype=complex)
+        out.real = self.re._values(grid)
+        out.imag = self.im._values(grid)
+        return out
 
     def partial(self, i) -> "CScalarField":
         return CScalarField(self.re.partial(i), self.im.partial(i))

@@ -9,8 +9,11 @@ n-by-n linear system against g), the curvature tensor, Ricci, scalar and
 sectional curvatures all follow from this data alone.
 
 Every check reads field values over a grid through ``values_on_grid``, the
-one evaluation path, and reduces them with ``worst_abs`` or a reduction built
-on the two; a NaN or infinite value at any grid point fails the check.
+one evaluation path: the grid becomes columns once, and each field node
+computes one array over the whole grid (``ScalarField.at`` is the same path
+on a one-point grid). Checks reduce the values with ``worst_abs`` or a
+reduction built on the two; a NaN or infinite value at any grid point fails
+the check.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .fields import (
     LinearFieldSystem,
     ScalarField,
     _div,
+    _evaluate,
     determinant,
     log_abs,
     sqrt,
@@ -96,17 +100,11 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
     return ",".join(parts) if parts else "(point)"
 
 
-def _values(fields, grid):
-    if isinstance(fields, (ScalarField, CScalarField)):
-        return [fields.at(p) for p in grid]
-    return [_values(f, grid) for f in fields]
-
-
 def values_on_grid(fields, grid) -> np.ndarray:
-    """Values over the grid of one real or complex field, or of every field
-    in a nested iterable of them: an array with the nesting's shape plus a
-    last axis over the grid, evaluated field by field through ``at``."""
-    return np.array(_values(fields, grid))
+    """Values over the grid (a list of points) of one real or complex
+    field, or of every field in a nested iterable of them: an array with the
+    nesting's shape plus a last axis over the grid."""
+    return np.array(_evaluate(fields, grid))
 
 
 def worst_abs(values) -> float:

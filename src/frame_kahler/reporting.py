@@ -48,6 +48,9 @@ class VerificationReport:
             passed: bool | None = None) -> CheckResult:
         if passed is None:
             passed = residual <= tol
+        elif bool(passed) != (residual <= tol):
+            raise ValueError("check %r: passed=%r contradicts residual %r against tol %r"
+                             % (check_id, passed, residual, tol))
         result = CheckResult(check_id, float(residual), float(tol), bool(passed), note, source)
         self.checks.append(result)
         return result

@@ -46,6 +46,7 @@ from .frames import (
     min_on_grid,
     plane_laplacian_log_abs,
     shear_fields,
+    values_on_grid,
 )
 from .kahler import (
     CASE_WARPED,
@@ -168,7 +169,7 @@ def fiber_consistency(F: FiberData, grid) -> VerificationReport:
     max_iota = -min_on_grid(F.iota_bar, grid, key=operator.neg)
     report.add(
         "twist_negative",
-        max(0.0, max_iota),
+        0.0 if max_iota < 0.0 else max(1.0, max_iota),
         0.0,
         passed=max_iota < 0.0,
         note="max iota_bar = %.3e" % max_iota,
@@ -320,16 +321,26 @@ class _ImplicitTanField(ScalarField):
     """x(tau) on the branch of x = tau + tan(x) through the seed.
 
     The tau-derivative is the closed form -cot^2(x), so derivative fields of
-    every order are exact."""
+    every order are exact. Each root is solved once per tau value: the
+    curve grid, the flatness sample and the quadrature points of one run
+    share many values."""
 
-    __slots__ = ("seed",)
+    __slots__ = ("seed", "_roots")
 
     def __init__(self, seed):
         super().__init__(TAU_KSET)
         self.seed = seed
+        self._roots = {}  # tau -> root
 
-    def _eval(self, point):
-        return solve_implicit_w(point[0], self.seed)
+    def _compute(self, grid):
+        roots = self._roots
+        out = []
+        for t in grid.cols[0].tolist():
+            x = roots.get(t)
+            if x is None:
+                x = roots[t] = solve_implicit_w(t, self.seed)
+            out.append(x)
+        return np.array(out, dtype=float)
 
     def _derive(self, i):
         cot = _div(cos(self), sin(self), label="cot of implicit branch")
@@ -457,29 +468,65 @@ def einstein_verdict(
 # completeness -----------------------------------------------------------------
 
 
-def adaptive_simpson(fn, a: float, b: float, rel_tol: float = 1e-9) -> float:
-    """Adaptive Simpson quadrature with a relative tolerance, recursing at
-    most 40 levels deep."""
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def adaptive_simpson(fn, a, b, rel_tol: float = 1e-9, fa=None, fb=None):
+    """Adaptive Simpson quadrature with a relative tolerance, refining each
+    interval at most 40 levels deep.
 
-    def recurse(a, fa, b, fb, m, fm, whole, depth, eps):
+    ``a`` and ``b`` are the ends of one interval, or equal-length arrays of
+    the ends of several; ``fa`` and ``fb``, when given, are the integrand's
+    values there. ``fn`` maps an array of abscissae to the array of the
+    integrand's values, and is called once per level for every interval
+    still refining. Returns the integral over each interval (a float for
+    one scalar interval). The arithmetic and the summation order are those
+    of the depth-first recursion (each interval's value is the sum of its
+    halves' values), so the result does not depend on how many intervals
+    share a call. An interval whose error estimate is not finite stops
+    refining: it cannot converge."""
+    scalar = np.ndim(a) == 0
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    k = a.size
+    if not k:
+        return np.empty(0)
+    m = 0.5 * (a + b)
+    if fa is None:
+        ends = fn(np.concatenate([a, b, m]))
+        fa, fb, fm = ends[:k], ends[k:2 * k], ends[2 * k:]
+    else:
+        fa, fb, fm = np.array(fa, dtype=float, ndmin=1), np.array(fb, dtype=float, ndmin=1), fn(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    eps = rel_tol * (1.0 + np.abs(whole))
+
+    levels = []  # per level: which intervals stop there, and their values
+    depth = 0
+    while a.size:
+        n = a.size
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
+        f = fn(np.concatenate([lm, rm]))
+        flm, frm = f[:n], f[n:]
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if depth >= 40 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, depth + 1, eps / 2.0) + recurse(
-            m, fm, b, fb, rm, frm, right, depth + 1, eps / 2.0
-        )
+        done = (np.abs(delta) <= 15.0 * eps) | ~np.isfinite(delta) | (depth >= 40)
+        levels.append((done, left + right + delta / 15.0))
+        split = ~done
+        a, fa, b, fb = (_halves(split, a, m), _halves(split, fa, fm),
+                        _halves(split, m, b), _halves(split, fm, fb))
+        m, fm, whole = _halves(split, lm, rm), _halves(split, flm, frm), _halves(split, left, right)
+        eps = np.repeat(eps[split] / 2.0, 2)
+        depth += 1
 
-    eps = rel_tol * (1.0 + abs(whole))
-    return recurse(a, fa, b, fb, m, fm, whole, 0, eps)
+    total = np.empty(0)
+    for done, value in reversed(levels):
+        value[~done] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0]) if scalar else total
+
+
+def _halves(split, lower, upper):
+    """Values for the two halves of each interval that refines, interleaved
+    (the lower half first)."""
+    return np.stack([lower[split], upper[split]], axis=1).ravel()
 
 
 @dataclass
@@ -519,14 +566,20 @@ def _segments_toward(anchor: float, end: float, count: int):
         cursor = nxt
 
 
-def _integrate_toward(fn, anchor: float, end: float) -> Tuple[float, bool]:
-    """Accumulate integral of fn from the anchor toward an (possibly
-    infinite) end over at most 60 segments; diverged when the total passes
-    1e6 with the last three segment increments nondecreasing."""
+def _integrate_toward(fn, anchor: float, f_anchor, end: float) -> Tuple[float, bool]:
+    """Accumulate integral of fn from the anchor, where fn is ``f_anchor``,
+    toward an (possibly infinite) end over at most 60 segments, each
+    evaluating fn once at its outer end; diverged when the total passes 1e6
+    with the last three segment increments nondecreasing."""
     total = 0.0
     increments = []
+    up = end > anchor
+    f_inner = f_anchor
     for lo, hi in _segments_toward(anchor, end, 60):
-        inc = adaptive_simpson(fn, lo, hi)
+        f_outer = fn(np.array([hi if up else lo]))
+        fa, fb = (f_inner, f_outer) if up else (f_outer, f_inner)
+        inc = adaptive_simpson(fn, lo, hi, fa=fa, fb=fb)
+        f_inner = f_outer
         total += inc
         increments.append(inc)
         if total > 1e6 and len(increments) >= 3 and (
@@ -545,10 +598,11 @@ def completeness(fam: WarpedFamily) -> CompletenessVerdict:
     c_field = fam.c_field()
 
     def integrand(t):
-        c = c_field.at((t,))
-        if c <= 0.0:
-            raise DomainError("c = (fw)'/w is nonpositive (%.3e) at tau=%g" % (c, t))
-        return math.sqrt(0.5 * c)
+        c = values_on_grid(c_field, [(v,) for v in t.tolist()])
+        bad = np.flatnonzero(c <= 0.0)
+        if bad.size:
+            raise DomainError("c = (fw)'/w is nonpositive (%.3e) at tau=%g" % (c[bad[0]], t[bad[0]]))
+        return np.sqrt(0.5 * c)
 
     lo, hi = fam.interval
     if math.isinf(lo) and math.isinf(hi):
@@ -563,11 +617,11 @@ def completeness(fam: WarpedFamily) -> CompletenessVerdict:
     # precondition scan on a sample of the finite window around the anchor
     scan_lo = anchor - 1.0 if math.isinf(lo) else lo + (anchor - lo) * 1e-6
     scan_hi = anchor + 1.0 if math.isinf(hi) else hi - (hi - anchor) * 1e-6
-    for t in np.linspace(scan_lo, scan_hi, 33):
-        integrand(float(t))
+    integrand(np.linspace(scan_lo, scan_hi, 33))
 
-    s_upper, up_div = _integrate_toward(integrand, anchor, hi)
-    s_lower, lo_div = _integrate_toward(integrand, anchor, lo)
+    f_anchor = integrand(np.array([anchor]))
+    s_upper, up_div = _integrate_toward(integrand, anchor, f_anchor, hi)
+    s_lower, lo_div = _integrate_toward(integrand, anchor, f_anchor, lo)
     if not math.isinf(lo):
         s_lower = abs(s_lower)
     verdict = "complete" if (up_div and lo_div) else "inconclusive"

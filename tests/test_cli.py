@@ -3,14 +3,19 @@
 import collections
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from frame_kahler.catalog import load, serialize_structure
-from frame_kahler.cli import main, run_suite
+from frame_kahler.cli import _add_region_checks, main, run_suite
+from frame_kahler.fields import constant, variable
+from frame_kahler.reporting import VerificationReport
+from frame_kahler.warped import TAU_KSET, WarpedFamily
 
 
 def run_cli(*argv):
@@ -76,6 +81,35 @@ class TestVerify:
         for cid in ("kahler_positive_definite", "ricci_eigenvalues"):
             assert not by_id[cid]["passed"]
             assert by_id[cid]["residual"] == float("inf")
+
+    def test_nan_matrix_entries_give_no_warning(self, tmp_path):
+        # the NaN potential reaches the pointwise solves: their NaN rows are
+        # left out of the stacked determinant, so numpy warns about nothing
+        doc = serialize_structure(load("s3xr"))
+        doc["f"] = "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"
+        path, out = tmp_path / "nan.json", tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("verify", "--config", str(path), "--out", str(out)) == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not json.loads(out.read_text())["passed"]
+
+    def test_math_overflow_is_usage_error(self, tmp_path):
+        # math.exp overflows at tau = 1: OverflowError is an ArithmeticError
+        doc = serialize_structure(load("s3xr"))
+        doc["f"] = "exp(tau) + exp(2000*tau)"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(path)) == 2
+
+    def test_float_overflow_fails_checks(self, tmp_path):
+        # float products overflow silently to -inf, and the checks fail on it
+        path, out = tmp_path / "doc.json", tmp_path / "r.json"
+        path.write_text(json.dumps(load("ppwave", iota="-2 - (1e200*x)*(1e200*x)").document))
+        assert run_cli("verify", "--config", str(path), "--out", str(out)) == 1
+        by_id = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert by_id["torsion_free"]["residual"] == float("inf")
 
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -183,6 +217,22 @@ class TestKeCommand:
     def test_invalid_interval(self):
         assert run_cli("ke", "--family", "alpha0", "--interval", "oops") == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_samples_is_usage_error(self, n):
+        assert run_cli("ke", "--family", "alpha0", "--n", n) == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_samples(self, tmp_path, n):
+        # the arclength column integrates over n - 1 intervals: none or one
+        out = tmp_path / "fam.csv"
+        assert run_cli("ke", "--family", "alpha0", "--lam", "-3", "--n", str(n),
+                       "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == n and float(rows[0][-1]) == 0.0
+        if n == 2:
+            # c = (fw)'/w = 1, so s grows by sqrt(1/2) per unit of tau
+            assert float(rows[1][-1]) == pytest.approx(2.0 * math.sqrt(0.5), rel=1e-12)
+
     def test_alphaneg_requires_negative_alpha(self):
         assert run_cli("ke", "--family", "alphaneg", "--alpha", "1",
                        "--interval=0.2:1.0") == 2
@@ -262,6 +312,26 @@ class TestBuildCounts:
         }
 
 
+class TestCheckConsistency:
+    def test_failing_region_check_has_positive_residual(self):
+        # min f = 0 fails f > 0; max(0, -min f) would write residual 0.0
+        tau = variable(TAU_KSET, "tau")
+        fam = WarpedFamily(tau, constant(TAU_KSET, 1.0), 0.0, 0.0, (0.0, 0.5))
+        report = VerificationReport(suite="region")
+        _add_region_checks(report, fam, [(0.0,), (0.5,)])
+        by_id = {c.check_id: c for c in report.checks}
+        assert not by_id["region_f_positive"].passed
+        assert by_id["region_f_positive"].residual > by_id["region_f_positive"].tol
+        assert by_id["region_fw_increasing"].passed
+        assert by_id["region_fw_increasing"].residual == 0.0
+
+    @pytest.mark.parametrize("residual,tol,passed", [(0.0, 0.0, False), (1.0, 0.0, True),
+                                                     (float("nan"), 1.0, True)])
+    def test_contradicting_verdict_rejected(self, residual, tol, passed):
+        with pytest.raises(ValueError):
+            VerificationReport(suite="s").add("c", residual, tol, passed=passed)
+
+
 class TestSuiteRunners:
     def test_run_suite_dispatch(self, entries):
         rep, curves = run_suite(load("s3xr"), "all")
@@ -288,7 +358,7 @@ class TestReportHarness:
         spec.loader.exec_module(harness)
         assert harness.main([str(tmp_path)]) == 0
         codes = dict(line.split() for line in (tmp_path / "exit_codes.txt").read_text().splitlines())
-        assert len(codes) == 13 and set(codes.values()) == {"0"}
+        assert len(codes) == 14 and set(codes.values()) == {"0"}
         for name in codes:
             assert (tmp_path / (name + ".json")).stat().st_size > 0
             assert (tmp_path / (name + ".csv")).stat().st_size > 0

@@ -14,6 +14,7 @@ from frame_kahler.fields import (
     FieldError,
     KSet,
     LinearFieldSystem,
+    SingularMatrixError,
     constant,
     determinant,
     exp,
@@ -27,6 +28,8 @@ from frame_kahler.fields import (
     sqrt,
     variable,
 )
+
+from frame_kahler.frames import values_on_grid
 
 from conftest import central_diff, fd_plane_laplacian, second_diff
 
@@ -287,6 +290,53 @@ class TestLinearSolve:
         ]
         d = determinant(m)
         assert d.at((3.0, 0.5)) == pytest.approx(2.0 - 1.5)
+
+
+class TestGridErrors:
+    """Each node names the first grid point where it fails, in the text that
+    per-point evaluation gave; here exactly one point, a later one, fails."""
+
+    KS3 = KSet(("tau", "p", "q"))
+
+    @pytest.mark.parametrize("make,grid,error,text", [
+        (lambda: make_closed_form("log(tau)", KS1), [(2.0,), (1.0,), (-0.5,)],
+         DomainError, "log of nonpositive value -0.5 at (-0.5,)"),
+        (lambda: make_closed_form("log(x) + y", KS2), [(1.0, 0.5), (2.0, 0.5), (-1.0, 0.25)],
+         DomainError, "log of nonpositive value -1.0 at (-1.0, 0.25)"),
+        (lambda: make_closed_form("logabs(tau)", KS1), [(1.0,), (-2.0,), (0.0,)],
+         DomainError, "log|.| of zero at (0.0,)"),
+        (lambda: make_closed_form("sqrt(tau)", KS1), [(4.0,), (0.0,), (-1.0,)],
+         DomainError, "sqrt of negative value -1.0 at (-1.0,)"),
+        (lambda: make_closed_form("1/(tau - 1)", KS1), [(0.0,), (2.0,), (1.0,)],
+         DomainError, "quotient has degenerate denominator 0.0 at (1.0,)"),
+        (lambda: make_closed_form("tau^(-2)", KS1), [(1.0,), (2.0,), (0.0,)],
+         DomainError, "zero base raised to negative power -2.0 at (0.0,)"),
+        (lambda: make_closed_form("tau^0.5", KS1), [(1.0,), (0.0,), (-1.0,)],
+         DomainError, "negative base -1.0 raised to fractional power 0.5 at (-1.0,)"),
+        (lambda: guarded(variable(KS1, "tau"), lambda p: p[0] > 0.0, "tau > 0"),
+         [(1.0,), (0.5,), (0.0,)], DomainError, "point (0.0,) violates domain guard: tau > 0"),
+        (lambda: remap(make_closed_form("log(tau)", KS1), TestGridErrors.KS3),
+         [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (-1.0, 0.5, 0.5)],
+         DomainError, "log of nonpositive value -1.0 at (-1.0,)"),
+        (lambda: solve_linear([[variable(KS1, "tau") - 1.0]], [constant(KS1, 1.0)])[0],
+         [(0.0,), (2.0,), (1.0,)], SingularMatrixError,
+         "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (1.0,)"),
+    ])
+    def test_first_failing_point_named(self, make, grid, error, text):
+        with pytest.raises(error) as exc:
+            values_on_grid(make(), grid)
+        assert str(exc.value) == text
+        with pytest.raises(error) as exc:
+            make().at(grid[-1])
+        assert str(exc.value) == text
+
+    def test_non_finite_rows_solve_to_nan(self):
+        # a NaN matrix entry at one point: NaN there, the other points solved
+        tau = variable(KS1, "tau")
+        x = solve_linear([[tau * tau - 1.0 + (1e200 * tau) * (1e200 * tau) * (tau - tau)]],
+                         [constant(KS1, 2.0)])[0]
+        values = values_on_grid(x, [(0.0,), (0.5,)])
+        assert values[0] == -2.0 and math.isnan(values[1])
 
 
 class TestRemapAndFolds:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from frame_kahler.fields import Const, KSet, variable
@@ -20,6 +21,7 @@ from frame_kahler.frames import (
     sectional_curvature,
     spread_on_grid,
     twist,
+    values_on_grid,
     worst_abs,
 )
 from frame_kahler.reporting import VerificationReport
@@ -74,6 +76,22 @@ class TestGrid:
         report = VerificationReport(suite="nan")
         report.add("residual", max_abs_on_grid(bad, grid), 1e-8)
         assert not report.passed
+
+
+class TestWholeGridEvaluation:
+    @pytest.mark.parametrize("eid", catalog.catalog_ids())
+    def test_grid_values_equal_point_values(self, built, eid):
+        # whole-grid values do not depend on which points share the grid:
+        # each equals a one-point evaluation, bit for bit
+        be = built(eid)
+        fields = ([f for row in be.kahler.g for f in row]
+                  + [f for row in be.conn_k.gamma for col in row for f in col]
+                  + [be.curv_k.scalar]
+                  + [be.rho(u, v) for u in range(4) for v in range(u + 1, 4)])
+        on_grid = values_on_grid(fields, be.grid)
+        at_points = np.array([[f.at(p) for p in be.grid] for f in fields])
+        assert on_grid.shape == (len(fields), len(be.grid))
+        assert on_grid.tobytes() == at_points.tobytes()
 
 
 class TestDirectionalDerivative:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from frame_kahler.fields import DomainError, constant, make_closed_form
@@ -302,10 +303,43 @@ class TestCompleteness:
             completeness(fam)
 
     def test_adaptive_simpson_accuracy(self):
-        val = adaptive_simpson(math.exp, 0.0, 1.0, rel_tol=1e-12)
+        val = adaptive_simpson(np.exp, 0.0, 1.0, rel_tol=1e-12)
         assert val == pytest.approx(math.e - 1.0, rel=1e-11)
         val = adaptive_simpson(lambda t: t ** (-0.75), 1e-12, 1.0, rel_tol=1e-9)
         assert val == pytest.approx(4.0, rel=1e-3)
+
+
+    def test_batched_simpson_equals_single_intervals(self):
+        # one level-by-level call over k intervals gives each interval's
+        # single-interval value, and both equal the depth-first recursion
+        def fn(t):
+            return np.sqrt(np.abs(np.sin(3.0 * t))) + t * t
+
+        def recursive(a, b, rel_tol):
+            f = lambda t: float(fn(np.array([t]))[0])  # noqa: E731
+
+            def recurse(a, fa, b, fb, m, fm, whole, depth, eps):
+                lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+                flm, frm = f(lm), f(rm)
+                left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+                right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+                delta = left + right - whole
+                if depth >= 40 or abs(delta) <= 15.0 * eps:
+                    return left + right + delta / 15.0
+                return (recurse(a, fa, m, fm, lm, flm, left, depth + 1, eps / 2.0)
+                        + recurse(m, fm, b, fb, rm, frm, right, depth + 1, eps / 2.0))
+
+            m = 0.5 * (a + b)
+            whole = (b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))
+            return recurse(a, f(a), b, f(b), m, f(m), whole, 0, rel_tol * (1.0 + abs(whole)))
+
+        a = [0.0, 0.3, 1.0, -2.0, 5.0]
+        b = [0.3, 1.0, 2.5, -1.0, 5.0]
+        batched = adaptive_simpson(fn, np.array(a), np.array(b), 1e-10)
+        single = [adaptive_simpson(fn, lo, hi, 1e-10) for lo, hi in zip(a, b)]
+        assert batched.tolist() == single
+        assert single == [recursive(lo, hi, 1e-10) for lo, hi in zip(a, b)]
+        assert adaptive_simpson(fn, np.array([]), np.array([])).size == 0
 
 
 class TestQuotientGauss:

@@ -16,7 +16,9 @@ OUT_DIR receives:
 
 * ``<id>.json``/``<id>.csv`` for the seven catalog entries at their default
   grids;
-* ``ppwave_sech_8x8`` (twist ``-2*sech(x)^2`` on 3x8x8 points);
+* ``ppwave_sech_8x8`` and ``ppwave_sech_16x16`` (twist ``-2*sech(x)^2``
+  on 3x8x8 and on 3x16x16 points, the grid of the benchmark's
+  central_sech_768 workload);
 * ``config_ppwave_sech``/``config_warped_alpha0``, ``verify --config`` on
   those two documents (``docs/`` holds the documents);
 * ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV;
@@ -60,8 +62,10 @@ def runs(out_dir: str):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         yield "config_" + name, ["verify", "--config", path]
-    yield "ppwave_sech_8x8", ["verify", "--config", os.path.join(docs, "ppwave_sech.json"),
-                              "--grid", "x=-0.6:0.6:8", "--grid", "y=-0.6:0.6:8"]
+    for n in (8, 16):
+        yield "ppwave_sech_%dx%d" % (n, n), [
+            "verify", "--config", os.path.join(docs, "ppwave_sech.json"),
+            "--grid", "x=-0.6:0.6:%d" % n, "--grid", "y=-0.6:0.6:%d" % n]
     for name, argv in KE_RUNS.items():
         yield name, ["ke"] + argv
 
