@@ -54,6 +54,7 @@ __all__ = [
     "parse_structure",
     "parse_document",
     "entry_from_document",
+    "grid_axis",
     "serialize_structure",
     "ppwave_from_shift",
     "planewave_chart",
@@ -290,13 +291,29 @@ def serialize_structure(entry: CatalogEntry) -> dict:
     return copy.deepcopy(entry.document)
 
 
+def grid_axis(spec, path: str) -> tuple:
+    """One evaluation axis (lo, hi, n) from three numbers or numeric strings:
+    a document's [lo, hi, n] or the parts of a --grid lo:hi:n. The bounds
+    must be finite and n an integral value >= 1; anything else is a
+    SchemaError at ``path``."""
+    try:
+        lo, hi, n = (float(v) for v in spec)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(path, "expected [lo, hi, n], got %r" % (spec,)) from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(n) and n >= 1 and n == int(n)):
+        raise SchemaError(path, "need finite lo, hi and an integral n >= 1, got %r" % (spec,))
+    return lo, hi, int(n)
+
+
 def default_grid_box(doc: dict, data: AdmissibleData) -> dict:
+    grid = doc.get("grid", {})
+    if not isinstance(grid, dict):
+        raise SchemaError("grid", "expected an object {variable: [lo, hi, n]}")
     box = {}
-    for name, spec in doc.get("grid", {}).items():
+    for name, spec in grid.items():
         if name not in data.kset.names:
             raise SchemaError("grid.%s" % name, "unknown variable name")
-        lo, hi, n = spec
-        box[name] = (float(lo), float(hi), int(n))
+        box[name] = grid_axis(spec, "grid.%s" % name)
     for name in data.kset.names:
         box.setdefault(name, (-1.0, 1.0, 5))
     return box
@@ -419,7 +436,6 @@ def _entry_planewave() -> CatalogEntry:
         "q": Expectation(-1.0, "derived", "q formula with a=-1, b=0, alpha=-1, beta=0"),
         "s_tilde": Expectation(-0.5, "derived", "closed form cross-checked against the conformal route"),
         "csc": Expectation(True, "reported"),
-        "left_invariant": Expectation(True, "reported"),
     }
     return entry_from_document(
         "planewave",
@@ -453,13 +469,10 @@ def _entry_warped_alpha0() -> CatalogEntry:
         interval=(-1.0, 1.0),
         tau_box=(-1.0, 1.0, 5),
     )
-    expected = {
-        "einstein_lambda": Expectation(-3.0, "derived", "solution family of the tau-ODE"),
-    }
     return entry_from_document(
         "warped_alpha0",
         "Warped product over a flat-type fiber (alpha=0), Einstein with lambda=-3",
-        doc, expected)
+        doc, {})
 
 
 def _entry_warped_alphaneg() -> CatalogEntry:
@@ -474,7 +487,6 @@ def _entry_warped_alphaneg() -> CatalogEntry:
         tau_box=(0.2, 1.4, 5),
     )
     expected = {
-        "einstein_lambda": Expectation(0.0, "derived", "solution family of the tau-ODE"),
         "ricci_flat": Expectation(True, "derived"),
         "flat": Expectation(True, "reported"),
     }
@@ -497,7 +509,6 @@ def _entry_warped_alpha_minus2() -> CatalogEntry:
         tau_box=(0.05, 1.0, 5),
     )
     expected = {
-        "einstein_lambda": Expectation(0.0, "derived"),
         "ricci_flat": Expectation(True, "reported"),
         "x_at_tau0": Expectation(-math.pi / 4.0, "reported", "root of x = tau + tan(x) at tau0 = 1 - pi/4"),
         "tau0": Expectation(tau0, "reported"),
@@ -521,7 +532,6 @@ def _entry_warped_complete() -> CatalogEntry:
         tau_box=(-1.0, 1.0, 5),
     )
     expected = {
-        "einstein_lambda": Expectation(-3.0, "derived"),
         "c_constant": Expectation(1.0, "reported", "c = -lambda/3"),
         "sectional_kT": Expectation(-2.0, "reported", "2 lambda / 3"),
         "sectional_xk": Expectation(-0.5, "reported", "lambda / 6"),
@@ -590,7 +600,7 @@ def ppwave_from_shift(k_expr: str, h_expr: str) -> CatalogEntry:
         document={"shift_k": k_expr, "shift_h": h_expr},
         data=data,
         grid_box=base.grid_box,
-        expected={"twist_is_shift_curl": Expectation(True, "direct", "iota = d_x h - d_y k")},
+        expected={},
     )
 
 

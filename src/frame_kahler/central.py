@@ -13,18 +13,20 @@ constant c; both sides of that equivalence are checked numerically here.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, determinant, exp, log_abs, variable, _div
+from .fields import CScalarField, ScalarField, determinant, exp, log_abs, variable, _div
 from .frames import (
     CurvatureTensor,
     constancy_on_grid,
     fit_constant,
     gradient,
+    grid_spec_string,
     laplacian,
     laplacian_orthonormal,
     max_abs_on_grid,
@@ -36,12 +38,15 @@ from .frames import (
 from .kahler import (
     CASE_CENTRAL,
     AdmissibleData,
+    K,
     KahlerChain,
     KahlerMetric,
+    T,
     X,
     Y,
+    shared_checks,
 )
-from .reporting import TOL_CROSS, TOL_FRAME, VerificationReport
+from .reporting import TOL_CROSS, TOL_FRAME, TOL_TIGHT, VerificationReport
 
 __all__ = [
     "CentralReport",
@@ -55,6 +60,7 @@ __all__ = [
     "liouville_fit",
     "csc_verdict",
     "left_invariance_check",
+    "central_suite",
 ]
 
 
@@ -268,3 +274,138 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     worst = worst_abs([jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4)])
     report.add("structure_constants_jacobi", worst, TOL_FRAME)
     return report, table
+
+
+def _gamma_displays(A: AdmissibleData) -> dict:
+    """The constant-coefficient displays of the complex connection forms in
+    the commuting (central) case, as ``GammaForms.closed_form_residual``
+    reads them."""
+    S = A.structure
+    a, b = A.constants.a, A.constants.b
+    alpha, beta = A.constants.alpha, A.constants.beta
+    fp = A.f_prime()
+    fpp = fp.partial(A.tau_index)
+    h1 = fpp / (2.0 * fp)  # f''/2f'
+    h2 = fp / (2.0 * A.f)  # f'/2f
+    zero = S.zero()
+    czero = CScalarField(zero, zero)
+    i_a = A.iota / (2.0 * a * a)
+    dxi = S.dd(X, A.iota)
+    dyi = S.dd(Y, A.iota)
+    inv2i = 1.0 / (2.0 * A.iota)
+    return {
+        (0, 0): [h1 * complex(a, -b), h1 * complex(b, a), czero, czero],
+        (0, 1): [czero, czero, h2 * complex(a, -b), h2 * complex(b, a)],
+        (1, 0): [czero, czero, i_a * complex(a, b), i_a * complex(b, -a)],
+        (1, 1): [
+            h2 * complex(a, -b) + complex(0.0, alpha),
+            h2 * complex(b, a) + complex(0.0, beta),
+            CScalarField(inv2i * dxi, -(inv2i * dyi)),
+            CScalarField(inv2i * dyi, inv2i * dxi),
+        ],
+    }
+
+
+def central_suite(entry, grid):
+    """Every check of a central-case entry (any object with ``entry_id``,
+    ``data``, ``grid_box`` and ``expected``) on the grid. Returns the report
+    and, unless the structural gates failed (then None), the CSC verdict and
+    the curvature tensor that the curve table reads."""
+    A = entry.data
+    report = VerificationReport(suite="central:%s" % entry.entry_id,
+                                grid_spec=grid_spec_string(A.kset, entry.grid_box))
+    chain = shared_checks(A, grid, report)
+    if chain is None:
+        return report, None
+    kahler, rho, curv_k = chain.kahler, chain.rho, chain.curv
+    a, b = A.constants.a, A.constants.b
+
+    report.add("gamma_closed_forms", chain.gforms.closed_form_residual(_gamma_displays(A), grid), TOL_TIGHT,
+               source="reported")
+
+    # gK(k,k) = gK(T,T) = a^2 f'
+    fp = A.f_prime()
+    worst = max_abs_on_grid([kahler.g[K][K] - (a * a) * fp, kahler.g[T][T] - (a * a) * fp], grid)
+    report.add("kahler_vertical_value", worst, TOL_FRAME, source="reported")
+
+    # twist-like values of the induced metric: gK(k,[x,y]) = -iota b f',
+    # gK(T,[x,y]) = iota a f'
+    SK = kahler.structure
+    worst = max_abs_on_grid(SK.g_of_bracket(K, X, Y) - (-b) * A.iota * fp, grid)
+    report.add("induced_twist_k", worst, TOL_FRAME, source="derived")
+    worst = max_abs_on_grid(SK.g_of_bracket(T, X, Y) - a * A.iota * fp, grid)
+    report.add("induced_twist_T", worst, TOL_FRAME, source="derived")
+
+    # rho vanishes on the vertical field pairs and on mixed pairs
+    report.add("rho_vanishes_on_vertical", max_abs_on_grid(rho(K, T), grid), TOL_TIGHT, source="reported")
+    worst = max_abs_on_grid([rho(K, X), rho(K, Y), rho(T, X), rho(T, Y)], grid)
+    report.add("rho_vanishes_mixed", worst, TOL_TIGHT, source="reported")
+
+    # rho(x,y) closed form
+    lap_h = plane_laplacian_log_abs(A.structure, A.iota, X, Y)
+    factor = (a * a + b * b - b * A.constants.alpha + a * A.constants.beta) / (a * a)
+    rho_xy_expected = A.iota * factor - 0.5 * lap_h
+    report.add("rho_xy_closed_form", max_abs_on_grid(rho(X, Y) - rho_xy_expected, grid), TOL_CROSS,
+               source="reported")
+
+    # the CSC verdict carries the central curvature and the conformal scalar
+    # curvature for the checks below
+    verdict = csc_verdict(chain, grid)
+
+    # Ricci endomorphism: vertical kernel and central curvature
+    worst = max_abs_on_grid([curv_k.ricci[u][v] for u in (K, T) for v in range(4)], grid)
+    report.add("ricci_vertical_kernel", worst, TOL_FRAME, source="reported")
+    report.add("central_curvature_zero", verdict.central_curvature_max, TOL_FRAME, source="reported")
+
+    note = "s~ spread %.3e; twist-equation residual %.3e" % (verdict.s_tilde_spread, verdict.pde_residual)
+    report.add("csc_verdicts_agree", 0.0 if verdict.verdicts_agree else 1.0, 0.0, note=note)
+    report.add("central_summary", 0.0, 0.0, note=json.dumps(verdict.to_dict(), sort_keys=True))
+
+    q = verdict.q
+    if q is not None:
+        qe = q * exp(-variable(A.kset, A.kset.names[A.tau_index]))
+        worst = max_abs_on_grid([curv_k.ricci[u][u] - qe * kahler.g[u][u] for u in (X, Y)], grid)
+        report.add("ricci_horizontal_eigenvalue", worst, TOL_CROSS, source="derived", note="q = %.6g" % q)
+        report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid), TOL_FRAME,
+                   source="reported")
+
+        expected_vals = np.sort([[0.0, 0.0, qv, qv] for qv in (q * math.exp(-p[A.tau_index]) for p in grid)])
+        eig = ricci_endomorphism_eigenvalues(kahler, curv_k, grid)
+        report.add("ricci_eigenvalues", worst_abs(eig - expected_vals), TOL_CROSS, source="derived")
+
+        closed = conformal_scalar_closed_form(A.constants)
+        report.add("conformal_scalar_routes", max_abs_on_grid(verdict.s_tilde - closed, grid), TOL_CROSS,
+                   source="derived", note="closed form %.6g" % closed)
+        report.add("conformal_scalar_two_laplacians",
+                   max_abs_on_grid(verdict.s_tilde - verdict.s_tilde_alt, grid), TOL_CROSS)
+
+        li_report, _ = left_invariance_check(A, kahler, grid)
+        report.extend(li_report, prefix="left_invariance.")
+
+    report.extend(laplacian_self_test(chain, grid))
+
+    # expectations recorded on the entry
+    expected = entry.expected
+    if "twist" in expected:
+        e = expected["twist"]
+        report.add("expected_twist", max_abs_on_grid(A.iota - e.value, grid), TOL_FRAME, source=e.source)
+    if "ric_xx" in expected:
+        e = expected["ric_xx"]
+        report.add("expected_ric_xx", max_abs_on_grid(curv_k.ricci[X][X] - e.value, grid), TOL_CROSS,
+                   source=e.source)
+    if "q" in expected and q is not None:
+        e = expected["q"]
+        report.add("expected_q", abs(q - e.value), TOL_FRAME, source=e.source)
+    if "s_tilde" in expected:
+        e = expected["s_tilde"]
+        report.add("expected_s_tilde", abs(verdict.s_tilde_mean - e.value), TOL_CROSS, source=e.source,
+                   note="spread %.3e" % verdict.s_tilde_spread)
+    if "csc" in expected:
+        e = expected["csc"]
+        report.add("expected_csc", 0.0 if verdict.is_csc == e.value else 1.0, 0.0, source=e.source)
+    if "ricci_flat" in expected:
+        e = expected["ricci_flat"]
+        report.add("expected_ricci_flat", curv_k.max_ricci(grid), TOL_FRAME, source=e.source)
+    if "flat" in expected:
+        report.add("expected_flat", curv_k.max_component(grid), TOL_FRAME, source=expected["flat"].source)
+    return report, (verdict, curv_k)

@@ -17,8 +17,11 @@ used as an independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .fields import CScalarField, Const, KSet, ScalarField
 from .frames import (
@@ -26,6 +29,7 @@ from .frames import (
     CurvatureTensor,
     FrameError,
     FrameStructure,
+    consistency_suite,
     curvature,
     directional_derivative,
     koszul_connection,
@@ -34,7 +38,7 @@ from .frames import (
     shear_fields,
     values_on_grid,
 )
-from .reporting import TOL_FRAME, VerificationReport
+from .reporting import TOL_CROSS, TOL_FRAME, TOL_TIGHT, VerificationReport
 
 __all__ = [
     "CASE_CENTRAL",
@@ -59,6 +63,7 @@ __all__ = [
     "kahler_form",
     "kahler_form_closed",
     "cross_route_ricci_residual",
+    "shared_checks",
 ]
 
 CASE_CENTRAL = "central"
@@ -211,7 +216,6 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
             "k_geodesic_or_killing",
             min(geo, kill),
             TOL_FRAME,
-            passed=geo <= TOL_FRAME or kill <= TOL_FRAME,
             note="geodesic residual %.2e, Killing residual %.2e" % (geo, kill),
         )
         report.add("k_T_commute", max_abs_on_grid(S.C[K][T], grid), TOL_FRAME)
@@ -376,6 +380,13 @@ class GammaForms:
     def reconstruction_residual(self, grid) -> float:
         return max_abs_on_grid(self.antiholomorphic, grid)
 
+    def closed_form_residual(self, expected, grid) -> float:
+        """Largest deviation of Gamma_i^j(e_u) from ``expected[(i, j)][u]``,
+        a case's closed-form display of the forms."""
+        return max_abs_on_grid(
+            (self.forms[i][j](u) - coeffs[u] for (i, j), coeffs in expected.items() for u in range(4)), grid
+        )
+
 
 def gamma_forms(A: AdmissibleData, kahler: KahlerMetric, conn_k: ConnectionTable) -> GammaForms:
     """Read the complex connection 1-forms off a connection of gK."""
@@ -496,3 +507,47 @@ def build_chain(A: AdmissibleData) -> KahlerChain:
         rho_complex=rho_complex,
         rho=ricci_form_real(rho_complex),
     )
+
+
+def shared_checks(A: AdmissibleData, grid, report: VerificationReport) -> Optional[KahlerChain]:
+    """Append the structural gates and the induced-metric checks that both
+    cases share; return the Kahler chain for the case checks, or None when
+    the gates (or a check already in ``report``) failed: curvature analysis
+    of inconsistent frame data would be meaningless."""
+    conn_base = koszul_connection(A.structure)
+    report.extend(consistency_suite(conn_base, grid))
+    report.extend(check_admissible(A, conn_base, grid))
+    if not report.passed:
+        report.add("structural_gates", 1.0, 0.0, note="frame data inconsistent; curvature analysis skipped")
+        return None
+
+    chain = build_chain(A)
+    kahler, conn_k, rho, curv_k = chain.kahler, chain.conn, chain.rho, chain.curv
+    mask = kahler.region_mask(grid)
+    report.add("region_nonempty", 0.0 if all(mask) else 1.0, 0.0,
+               note="%d of %d grid points inside the region" % (sum(mask), len(grid)))
+    metric = np.moveaxis(values_on_grid(kahler.g, grid), -1, 0)
+    finite = np.isfinite(metric).all()
+    worst = max(0.0, -min(np.linalg.eigvalsh(metric)[:, 0].tolist())) if finite else math.inf
+    report.add("kahler_positive_definite", worst, 0.0)
+
+    report.add("kahler_torsion_free", conn_k.torsion_residual(grid), TOL_FRAME)
+    report.add("kahler_metric_compatible", conn_k.compatibility_residual(grid), TOL_FRAME)
+    report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), TOL_TIGHT)
+    report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), TOL_TIGHT)
+    report.add("ricci_forms_vs_tensor", cross_route_ricci_residual(rho, curv_k, grid), TOL_CROSS)
+    report.add("curvature_pair_symmetry", curv_k.pair_symmetry_residual(grid), TOL_CROSS)
+    report.add("curvature_first_bianchi", curv_k.first_bianchi_residual(grid), TOL_CROSS)
+    report.add("ricci_symmetric", curv_k.ricci_symmetry_residual(grid), TOL_CROSS)
+
+    report.extend(kahler_form_closed(A, kahler, grid))
+    report.add("d_rho", max_abs_on_grid(exterior_d_two_form(A.structure, rho).values(), grid), TOL_CROSS)
+
+    def j_defect(u, v):
+        ju, su = j_image(u)
+        jv, sv = j_image(v)
+        return rho(ju, jv) * (su * sv) - rho(u, v)
+
+    worst = max_abs_on_grid((j_defect(u, v) for u in range(4) for v in range(4)), grid)
+    report.add("rho_J_invariant", worst, TOL_FRAME)
+    return chain

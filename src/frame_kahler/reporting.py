@@ -1,6 +1,7 @@
 """Structured pass/fail reports for verification suites.
 
-A check records the worst residual seen over a grid against its tolerance.
+A check records the worst residual seen over a grid against its tolerance,
+and passes exactly when residual <= tol; no caller sets the verdict.
 Reports serialize deterministically (no timing data in the payload), so two
 runs over identical inputs and grids produce byte-identical files.
 """
@@ -25,9 +26,13 @@ class CheckResult:
     check_id: str
     residual: float
     tol: float
-    passed: bool
     note: str = ""
     source: str = ""  # where the expected value comes from: reported | direct | derived
+
+    @property
+    def passed(self) -> bool:
+        """The verdict: residual <= tol, so a NaN residual fails."""
+        return self.residual <= self.tol
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -44,21 +49,15 @@ class VerificationReport:
     grid_spec: str = ""
     duration_s: float | None = None  # console-only; excluded from serialization
 
-    def add(self, check_id: str, residual: float, tol: float, note: str = "", source: str = "",
-            passed: bool | None = None) -> CheckResult:
-        if passed is None:
-            passed = residual <= tol
-        elif bool(passed) != (residual <= tol):
-            raise ValueError("check %r: passed=%r contradicts residual %r against tol %r"
-                             % (check_id, passed, residual, tol))
-        result = CheckResult(check_id, float(residual), float(tol), bool(passed), note, source)
+    def add(self, check_id: str, residual: float, tol: float, note: str = "", source: str = ""):
+        result = CheckResult(check_id, float(residual), float(tol), note, source)
         self.checks.append(result)
         return result
 
     def extend(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:
             cid = (prefix + c.check_id) if prefix else c.check_id
-            self.checks.append(CheckResult(cid, c.residual, c.tol, c.passed, c.note, c.source))
+            self.checks.append(CheckResult(cid, c.residual, c.tol, c.note, c.source))
 
     @property
     def passed(self) -> bool:

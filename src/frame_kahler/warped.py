@@ -22,6 +22,7 @@ import numpy as np
 
 from .fields import (
     Const,
+    CScalarField,
     DomainError,
     KSet,
     ScalarField,
@@ -41,10 +42,13 @@ from .frames import (
     FrameStructure,
     constancy_on_grid,
     fit_constant,
+    grid_points,
+    grid_spec_string,
     koszul_connection,
     max_abs_on_grid,
     min_on_grid,
     plane_laplacian_log_abs,
+    sectional_curvature,
     shear_fields,
     values_on_grid,
 )
@@ -59,6 +63,7 @@ from .kahler import (
     Y,
     ricci_form_imag_residual,
     ricci_from_form,
+    shared_checks,
 )
 from .reporting import TOL_CROSS, TOL_FRAME, TOL_TIGHT, VerificationReport
 
@@ -82,6 +87,8 @@ __all__ = [
     "adaptive_simpson",
     "completeness",
     "quotient_gauss_check",
+    "region_checks",
+    "warped_suite",
 ]
 
 TAU_KSET = KSet(("tau",))
@@ -171,7 +178,6 @@ def fiber_consistency(F: FiberData, grid) -> VerificationReport:
         "twist_negative",
         0.0 if max_iota < 0.0 else max(1.0, max_iota),
         0.0,
-        passed=max_iota < 0.0,
         note="max iota_bar = %.3e" % max_iota,
     )
     return report
@@ -655,7 +661,6 @@ def quotient_gauss_check(F: FiberData, lam: float, C: float, grid) -> Verificati
         "gauss_constant_iff_twist_equation",
         0.0 if agree else 1.0,
         0.0,
-        passed=agree,
         note="K_G spread %.3e, fit residual %.3e (c = %.6g)" % (spread, fit_res, c_fit),
     )
     if pde_holds:
@@ -666,3 +671,115 @@ def quotient_gauss_check(F: FiberData, lam: float, C: float, grid) -> Verificati
                    note="K_G = %.6g vs lam C = %.6g" % (-0.5 * c_fit, lam * C),
                    source="derived")
     return report
+
+
+# the warped verification suite ------------------------------------------------
+
+
+def region_checks(report: VerificationReport, fam: WarpedFamily, tau_grid):
+    """Region inequalities of the warped reduction: f > 0 and (fw)' > 0."""
+    min_f = min_on_grid(fam.f, tau_grid)
+    min_fwp = min_on_grid((fam.f * fam.w).partial(0), tau_grid)
+    report.add("region_f_positive", 0.0 if min_f > 0.0 else max(1.0, -min_f), 0.0,
+               note="min f = %.6g" % min_f)
+    report.add("region_fw_increasing", 0.0 if min_fwp > 0.0 else max(1.0, -min_fwp), 0.0,
+               note="min (fw)' = %.6g" % min_fwp)
+
+
+def _gamma_displays(A: AdmissibleData, c: ScalarField) -> dict:
+    """The tau-dependent displays of the complex connection forms in the
+    warped case, with c = gK(k,k), as ``GammaForms.closed_form_residual``
+    reads them."""
+    S = A.structure
+    ti = A.tau_index
+    f, w = A.f, A.w
+    fp, wp = f.partial(ti), w.partial(ti)
+    cp = c.partial(ti)
+    halfc = cp / (2.0 * c)
+    wow = wp / w
+    h = fp / (2.0 * f) + wp / (2.0 * w)
+    zero = S.zero()
+    czero = CScalarField(zero, zero)
+    logi = log_abs(A.iota_bar)
+    dx_log = S.dd(X, logi)
+    dy_log = S.dd(Y, logi)
+    mix = (fp * A.iota + f * wp * A.iota_bar / (w * w)) / (2.0 * c)
+    return {
+        (0, 0): [CScalarField(halfc, halfc + wow), CScalarField(-halfc, halfc + wow), czero, czero],
+        (0, 1): [czero, czero, CScalarField(h, h), CScalarField(-h, h)],
+        (1, 0): [czero, czero, CScalarField(mix, -mix), CScalarField(-mix, -mix)],
+        (1, 1): [
+            CScalarField(h - wow, h + A.constants.alpha / w),
+            CScalarField(-h + wow, h),
+            CScalarField(0.5 * dx_log, -0.5 * dy_log),
+            CScalarField(0.5 * dy_log, 0.5 * dx_log),
+        ],
+    }
+
+
+def warped_suite(entry, grid):
+    """Every check of a warped-case entry (any object with ``entry_id``,
+    ``data``, ``grid_box``, ``expected``, ``fiber`` and ``family``) on the
+    grid. Returns the report and, unless the structural gates failed (then
+    None), the tau samples of the grid that the curve table reads."""
+    A = entry.data
+    report = VerificationReport(suite="ke:%s" % entry.entry_id,
+                                grid_spec=grid_spec_string(A.kset, entry.grid_box))
+    fam, fiber = entry.family, entry.fiber
+    fiber_grid = grid_points(fiber.structure.kset, entry.grid_box)
+    report.extend(fiber_consistency(fiber, fiber_grid), prefix="fiber.")
+
+    chain = shared_checks(A, grid, report)
+    if chain is None:
+        return report, None
+    kahler, curv_k = chain.kahler, chain.curv
+
+    displays = _gamma_displays(A, kahler.g[K][K])
+    report.add("gamma_closed_forms", chain.gforms.closed_form_residual(displays, grid), TOL_TIGHT,
+               source="reported")
+    ev = einstein_verdict(chain, fam.lam, grid, fam=fam, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
+    report.extend(ev, prefix="einstein.")
+    tau_grid = sorted({(p[0],) for p in grid})
+    region_checks(report, fam, tau_grid)
+    report.extend(quotient_gauss_check(fiber, fam.lam, fam.C, fiber_grid), prefix="fiber.")
+
+    # expectations recorded on the entry
+    expected = entry.expected
+    if "c_constant" in expected:
+        e = expected["c_constant"]
+        report.add("expected_c_constant", max_abs_on_grid(fam.c_field() - e.value, tau_grid), TOL_TIGHT,
+                   source=e.source)
+    for key, u, v in (("sectional_kT", K, T), ("sectional_xk", X, K)):
+        if key in expected:
+            e = expected[key]
+            K_uv = sectional_curvature(kahler.structure, curv_k, u, v)
+            report.add("expected_" + key, max_abs_on_grid(K_uv - e.value, grid), TOL_FRAME, source=e.source)
+    if "sectional_kT" in expected and "sectional_xk" in expected:
+        gap = abs(expected["sectional_kT"].value - expected["sectional_xk"].value)
+        report.add("sectional_values_differ", 0.0 if gap > 1e-6 else 1.0, 0.0,
+                   note="|K(k,T) - K(x,k)| = %.6g" % gap)
+    if "ricci_flat" in expected:
+        e = expected["ricci_flat"]
+        report.add("expected_ricci_flat", curv_k.max_ricci(grid), TOL_CROSS, source=e.source)
+    if "flat" in expected:
+        report.add("expected_flat", curv_k.max_component(grid), TOL_CROSS, source=expected["flat"].source)
+    if "x_at_tau0" in expected:
+        e = expected["x_at_tau0"]
+        x0 = solve_implicit_w(expected["tau0"].value, e.value)
+        report.add("implicit_root_at_tau0", abs(x0 - e.value), 1e-12, source=e.source)
+    if "sectional_xy_nonzero" in expected:
+        e = expected["sectional_xy_nonzero"]
+        K_xy = sectional_curvature(kahler.structure, curv_k, X, Y)
+        point = (expected["tau0"].value,) + (0.0,) * (A.kset.size - 1)
+        value, w0, wp0 = values_on_grid([K_xy, A.w, A.w.partial(0)], [point])[:, 0].tolist()
+        magnitude = abs((2.0 / w0) * (wp0 - 1.0))
+        report.add("sectional_xy_magnitude", abs(abs(value) - magnitude), TOL_CROSS, source=e.source,
+                   note="K(x,y) = %.6g at tau0" % value)
+        report.add("sectional_xy_nonzero", 0.0 if abs(value) > 0.1 else 1.0, 0.0,
+                   note="|K(x,y)| = %.6g > 0.1" % abs(value))
+    if "complete" in expected:
+        e = expected["complete"]
+        cv = completeness(fam)
+        report.add("completeness_verdict", 0.0 if (cv.verdict == "complete") == e.value else 1.0, 0.0,
+                   source=e.source, note="s extends to (%.3g, %.3g)" % cv.s_range)
+    return report, tau_grid

@@ -11,11 +11,14 @@ import warnings
 
 import pytest
 
-from frame_kahler.catalog import load, serialize_structure
-from frame_kahler.cli import _add_region_checks, main, run_suite
+from frame_kahler.catalog import SchemaError, catalog_ids, load, serialize_structure
+from frame_kahler.cli import main, run_suite
 from frame_kahler.fields import constant, variable
 from frame_kahler.reporting import VerificationReport
-from frame_kahler.warped import TAU_KSET, WarpedFamily
+from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
+
+
+SECH = "-2*sech(x)^2"
 
 
 def run_cli(*argv):
@@ -54,9 +57,27 @@ class TestVerify:
     def test_bad_grid_spec(self):
         assert run_cli("verify", "--example", "planewave", "--grid", "u=oops") == 2
 
-    @pytest.mark.parametrize("spec", ["x=0:1:0", "x=0:1:-2", "x=nan:1:3", "x=inf:1:3"])
+    @pytest.mark.parametrize("spec", ["x=0:1:0", "x=0:1:-2", "x=nan:1:3", "x=inf:1:3", "x=0:1:2.7"])
     def test_empty_or_non_finite_grid_is_usage_error(self, spec):
         assert run_cli("verify", "--example", "ppwave", "--grid", spec) == 2
+
+    @pytest.mark.parametrize("grid,path", [
+        ({"tau": [-0.5, 0.5, 0]}, "grid.tau"),
+        ({"tau": ["nan", 0.5, 3]}, "grid.tau"),
+        ({"tau": [-0.5, 0.5]}, "grid.tau"),
+        ({"tau": ["low", 0.5, 3]}, "grid.tau"),
+        ({"tau": [-0.5, 0.5, 2.7]}, "grid.tau"),
+        ([[-0.5, 0.5, 3]], "grid"),
+    ])
+    def test_bad_document_grid_is_usage_error(self, tmp_path, capsys, grid, path):
+        # documents follow the --grid rule: finite bounds, an integral n >= 1
+        doc = load("ppwave", iota=SECH).document
+        doc["grid"] = grid
+        config, out = tmp_path / "doc.json", tmp_path / "r.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: %s: " % path)
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol,code", [("0", 2), ("-1", 2), ("nan", 2), ("inf", 2),
                                           ("1e-30", 1), ("2", 0)])
@@ -318,21 +339,56 @@ class TestCheckConsistency:
         tau = variable(TAU_KSET, "tau")
         fam = WarpedFamily(tau, constant(TAU_KSET, 1.0), 0.0, 0.0, (0.0, 0.5))
         report = VerificationReport(suite="region")
-        _add_region_checks(report, fam, [(0.0,), (0.5,)])
+        region_checks(report, fam, [(0.0,), (0.5,)])
         by_id = {c.check_id: c for c in report.checks}
         assert not by_id["region_f_positive"].passed
         assert by_id["region_f_positive"].residual > by_id["region_f_positive"].tol
         assert by_id["region_fw_increasing"].passed
         assert by_id["region_fw_increasing"].residual == 0.0
 
-    @pytest.mark.parametrize("residual,tol,passed", [(0.0, 0.0, False), (1.0, 0.0, True),
-                                                     (float("nan"), 1.0, True)])
-    def test_contradicting_verdict_rejected(self, residual, tol, passed):
-        with pytest.raises(ValueError):
-            VerificationReport(suite="s").add("c", residual, tol, passed=passed)
+    @pytest.mark.parametrize("residual,tol,passed", [(0.0, 0.0, True), (1.0, 0.0, False),
+                                                     (float("nan"), 1.0, False), (float("inf"), 1.0, False),
+                                                     (1e-9, 1e-9, True)])
+    def test_passed_follows_residual_le_tol(self, residual, tol, passed):
+        report = VerificationReport(suite="s")
+        check = report.add("c", residual, tol)
+        assert check.passed is passed and report.passed is passed
+        copy = VerificationReport(suite="t")
+        copy.extend(report, prefix="copy.")
+        assert copy.checks[0].passed is passed
+
+
+class RecordingDict(dict):
+    """Expectations that remember which keys a suite looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 class TestSuiteRunners:
+    def test_wrong_suite_raises_schema_error(self):
+        with pytest.raises(SchemaError):
+            run_suite(load("s3xr"), "ke")
+        with pytest.raises(SchemaError):
+            run_suite(load("warped_alpha0"), "central")
+
+    @pytest.mark.parametrize("entry_id", catalog_ids())
+    def test_every_expectation_is_read(self, entry_id):
+        entry = load(entry_id)
+        entry.expected = RecordingDict(entry.expected)
+        report, _ = run_suite(entry, "all")
+        assert report.passed
+        assert entry.expected.read == set(entry.expected)
+
     def test_run_suite_dispatch(self, entries):
         rep, curves = run_suite(load("s3xr"), "all")
         assert rep.passed
@@ -358,7 +414,10 @@ class TestReportHarness:
         spec.loader.exec_module(harness)
         assert harness.main([str(tmp_path)]) == 0
         codes = dict(line.split() for line in (tmp_path / "exit_codes.txt").read_text().splitlines())
-        assert len(codes) == 14 and set(codes.values()) == {"0"}
+        failing = {"config_warped_alpha0_lambda_m1", "config_s3xr_gxx_2", "config_s3xr_nan_f",
+                   "planewave_tol_1e-30"}
+        assert len(codes) == 18
+        assert codes == {name: "1" if name in failing else "0" for name in codes}
         for name in codes:
             assert (tmp_path / (name + ".json")).stat().st_size > 0
             assert (tmp_path / (name + ".csv")).stat().st_size > 0

@@ -22,12 +22,19 @@ OUT_DIR receives:
 * ``config_ppwave_sech``/``config_warped_alpha0``, ``verify --config`` on
   those two documents (``docs/`` holds the documents);
 * ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV;
+* four runs that fail (exit 1), so that the bytes of failing records are
+  compared too: ``config_warped_alpha0_lambda_m1`` (the warped_alpha0
+  document with lambda -1), ``config_s3xr_gxx_2`` (s3xr with g(x,x) = 2,
+  stopped by the structural gates), ``config_s3xr_nan_f`` (s3xr with a
+  potential that is NaN off tau = 0) and ``planewave_tol_1e-30``
+  (``verify --example planewave --tol 1e-30``);
 * ``exit_codes.txt``, the exit code of every run above.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -47,6 +54,21 @@ KE_RUNS = {
 }
 
 
+def _changed(entry_id: str, edit) -> dict:
+    """The document of a catalog entry after ``edit`` changed a copy of it."""
+    doc = copy.deepcopy(catalog.load(entry_id).document)
+    edit(doc)
+    return doc
+
+
+FAILING_CONFIGS = {
+    "warped_alpha0_lambda_m1": lambda: _changed("warped_alpha0", lambda d: d["family"].update({"lambda": -1})),
+    "s3xr_gxx_2": lambda: _changed("s3xr", lambda d: d["g"].update({"x,x": "2"})),
+    "s3xr_nan_f": lambda: _changed("s3xr", lambda d: d.update(
+        {"f": "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"})),
+}
+
+
 def runs(out_dir: str):
     """(name, argv) of every command line, writing documents it needs."""
     for eid in catalog.catalog_ids():
@@ -57,6 +79,7 @@ def runs(out_dir: str):
         "ppwave_sech": catalog.load("ppwave", iota=SECH).document,
         "warped_alpha0": catalog.load("warped_alpha0").document,
     }
+    configs.update((name, build()) for name, build in FAILING_CONFIGS.items())
     for name, doc in configs.items():
         path = os.path.join(docs, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -68,6 +91,7 @@ def runs(out_dir: str):
             "--grid", "x=-0.6:0.6:%d" % n, "--grid", "y=-0.6:0.6:%d" % n]
     for name, argv in KE_RUNS.items():
         yield name, ["ke"] + argv
+    yield "planewave_tol_1e-30", ["verify", "--example", "planewave", "--tol", "1e-30"]
 
 
 def main(argv=None) -> int:
