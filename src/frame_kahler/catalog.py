@@ -208,7 +208,6 @@ def _central_from_document(doc: dict) -> AdmissibleData:
         f=f,
         iota=iota,
         case=CASE_CENTRAL,
-        tau_index=0,
     )
 
 
@@ -227,14 +226,18 @@ def _fiber_from_document(doc: dict) -> FiberData:
         raise SchemaError("fiber", str(exc)) from None
 
 
-def _interval_bound(v, path):
-    if isinstance(v, str):
-        if v in ("inf", "+inf"):
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise SchemaError(path, "bad interval bound %r" % v)
-    return float(v)
+def interval_bounds(spec, path: str) -> tuple:
+    """An admissible interval (lo, hi) from two bounds, each a number or
+    "inf", "+inf" or "-inf": a document's family.interval or the parts of a
+    --interval lo:hi. Neither bound may be NaN and lo < hi; anything else is
+    a SchemaError at ``path``."""
+    try:
+        lo, hi = (float(v) for v in (spec if isinstance(spec, (list, tuple)) else ()))
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
+    if not lo < hi:
+        raise SchemaError(path, "need [lo, hi], numbers or infinities with lo < hi, got %r" % (spec,))
+    return lo, hi
 
 
 def _family_from_document(doc: dict, fiber: FiberData) -> WarpedFamily:
@@ -248,17 +251,12 @@ def _family_from_document(doc: dict, fiber: FiberData) -> WarpedFamily:
         w = -tan(x)
     else:
         w = _parse_expr(raw_w, TAU_KSET, "family.w")
-    interval_raw = fam.get("interval", [-1.0, 1.0])
-    interval = (
-        _interval_bound(interval_raw[0], "family.interval"),
-        _interval_bound(interval_raw[1], "family.interval"),
-    )
     return WarpedFamily(
         f=f,
         w=w,
         lam=float(fam.get("lambda", 0.0)),
         C=float(fam.get("C", 0.0)),
-        interval=interval,
+        interval=interval_bounds(fam.get("interval", [-1.0, 1.0]), "family.interval"),
     )
 
 
@@ -292,12 +290,12 @@ def serialize_structure(entry: CatalogEntry) -> dict:
 
 
 def grid_axis(spec, path: str) -> tuple:
-    """One evaluation axis (lo, hi, n) from three numbers or numeric strings:
-    a document's [lo, hi, n] or the parts of a --grid lo:hi:n. The bounds
+    """One evaluation axis (lo, hi, n) from a list of three numbers or numeric
+    strings: a document's [lo, hi, n] or the parts of a --grid lo:hi:n. The bounds
     must be finite and n an integral value >= 1; anything else is a
     SchemaError at ``path``."""
     try:
-        lo, hi, n = (float(v) for v in spec)
+        lo, hi, n = (float(v) for v in (spec if isinstance(spec, (list, tuple)) else ()))
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(path, "expected [lo, hi, n], got %r" % (spec,)) from None
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(n) and n >= 1 and n == int(n)):

@@ -113,7 +113,7 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     returned as ``s_tilde`` and ``s_tilde_alt``.
     """
     A, S, conn_k, curv_k = chain.data, chain.kahler.structure, chain.conn, chain.curv
-    tau = variable(A.kset, A.kset.names[A.tau_index])
+    tau = variable(A.kset, A.kset.names[0])
     u = exp(tau * 0.5)
     lap_u = laplacian(S, conn_k, u, curv_k.invg)
     lap_u_frame = laplacian_orthonormal(S, conn_k, u)
@@ -134,7 +134,7 @@ def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
     closed-form value e^{-tau} (1 + b^2/a^2)."""
     report = VerificationReport(suite="laplacian-self-test")
     A, S = chain.data, chain.kahler.structure
-    tau = variable(A.kset, A.kset.names[A.tau_index])
+    tau = variable(A.kset, A.kset.names[0])
     lap_tau = laplacian(S, chain.conn, tau, chain.curv.invg)
     lap_tau_frame = laplacian_orthonormal(S, chain.conn, tau)
     report.add(
@@ -253,7 +253,7 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
     report.add("brackets_constant", worst, TOL_FRAME)
 
-    tau = variable(A.kset, A.kset.names[A.tau_index])
+    tau = variable(A.kset, A.kset.names[0])
     scale = exp(-tau)
     worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, TOL_FRAME)
@@ -284,7 +284,7 @@ def _gamma_displays(A: AdmissibleData) -> dict:
     a, b = A.constants.a, A.constants.b
     alpha, beta = A.constants.alpha, A.constants.beta
     fp = A.f_prime()
-    fpp = fp.partial(A.tau_index)
+    fpp = fp.partial(0)
     h1 = fpp / (2.0 * fp)  # f''/2f'
     h2 = fp / (2.0 * A.f)  # f'/2f
     zero = S.zero()
@@ -363,13 +363,13 @@ def central_suite(entry, grid):
 
     q = verdict.q
     if q is not None:
-        qe = q * exp(-variable(A.kset, A.kset.names[A.tau_index]))
+        qe = q * exp(-variable(A.kset, A.kset.names[0]))
         worst = max_abs_on_grid([curv_k.ricci[u][u] - qe * kahler.g[u][u] for u in (X, Y)], grid)
         report.add("ricci_horizontal_eigenvalue", worst, TOL_CROSS, source="derived", note="q = %.6g" % q)
         report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid), TOL_FRAME,
                    source="reported")
 
-        expected_vals = np.sort([[0.0, 0.0, qv, qv] for qv in (q * math.exp(-p[A.tau_index]) for p in grid)])
+        expected_vals = np.sort([[0.0, 0.0, qv, qv] for qv in (q * math.exp(-p[0]) for p in grid)])
         eig = ricci_endomorphism_eigenvalues(kahler, curv_k, grid)
         report.add("ricci_eigenvalues", worst_abs(eig - expected_vals), TOL_CROSS, source="derived")
 

@@ -27,7 +27,8 @@ import time
 import numpy as np
 
 from . import catalog as catalog_mod
-from .catalog import CatalogEntry, SchemaError, coordinate_crosscheck, entry_from_document, grid_axis, load
+from .catalog import (CatalogEntry, SchemaError, coordinate_crosscheck, entry_from_document, grid_axis,
+                      interval_bounds, load)
 from .central import central_suite
 from .fields import DomainError, FieldError
 from .frames import curvature, koszul_connection, max_abs_on_grid, values_on_grid
@@ -174,11 +175,7 @@ def cmd_ke(args) -> int:
         raise SchemaError("--family", "unknown family %r" % args.family)
     if args.n < 1:
         raise SchemaError("--n", "need at least 1 curve sample, got %d" % args.n)
-    try:
-        lo, hi = args.interval.split(":")
-        args.interval = (float(lo), float(hi))
-    except ValueError:
-        raise SchemaError("--interval", "expected lo:hi, got %r" % args.interval) from None
+    args.interval = interval_bounds(args.interval.split(":"), "--interval")
     try:
         fam = _FAMILY_BUILDERS[args.family](args)
     except ValueError as exc:
@@ -293,6 +290,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, FieldError, DomainError, ArithmeticError, FileNotFoundError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression too deep for Python's recursion limit", file=sys.stderr)
         return 2
 
 

@@ -28,9 +28,11 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import re as _re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -623,18 +625,14 @@ def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
     return _Guarded(f, pred, description)
 
 
-def remap(f: ScalarField, kset: KSet, rename=None) -> ScalarField:
-    """View a field of a smaller k-set as a field over ``kset``.
-
-    ``rename`` optionally maps the field's variable names onto names of the
-    target k-set; by default names are matched verbatim.
-    """
+def remap(f: ScalarField, kset: KSet) -> ScalarField:
+    """View a field of a smaller k-set as a field over ``kset``, matching
+    variables by name."""
     if f.kset.names == kset.names:
         return f
     if f.is_constant:
         return Const(kset, f.c)
-    rename = rename or {}
-    mapping = tuple(kset.index(rename.get(nm, nm)) for nm in f.kset.names)
+    mapping = tuple(kset.index(nm) for nm in f.kset.names)
     if len(set(mapping)) != len(mapping):
         raise FieldError("remap must be injective: %r" % (mapping,))
     return _Remap(f, kset, mapping)
@@ -856,117 +854,52 @@ class CScalarField:
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _NUM_RE = _re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-
-class _Parser:
-    """Recursive-descent parser for the closed-form expression grammar.
-
-    Grammar: identifiers, numeric literals, ``+ - * / ^``, parentheses and
-    one-argument function calls.  ``^`` binds tighter than unary minus and
-    is right-associative.
-    """
-
-    def __init__(self, text: str, kset: KSet):
-        self.text = text
-        self.kset = kset
-        self.pos = 0
-
-    def parse(self) -> ScalarField:
-        node = self._expression()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ExpressionError("unexpected trailing input %r" % self.text[self.pos:], self.pos)
-        return node
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expression(self):
-        node = self._term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                node = _add(node, self._term())
-            elif ch == "-":
-                self.pos += 1
-                node = _sub(node, self._term())
-            else:
-                return node
-
-    def _term(self):
-        node = self._unary()
-        while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                node = _mul(node, self._unary())
-            elif ch == "/":
-                self.pos += 1
-                node = _div(node, self._unary())
-            else:
-                return node
-
-    def _unary(self):
-        if self._peek() == "-":
-            self.pos += 1
-            return -self._unary()
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return base ** self._unary()
-        return base
-
-    def _atom(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise ExpressionError("unexpected end of expression", self.pos)
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            node = self._expression()
-            if self._peek() != ")":
-                raise ExpressionError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        m = _NUM_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Const(self.kset, float(m.group()))
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            self.pos = m.end()
-            if self._peek() == "(":
-                if name not in _ELEMENTARY and name != "sech":
-                    raise ExpressionError("unknown function %r" % name, m.start())
-                self.pos += 1
-                arg = self._expression()
-                if self._peek() == ",":
-                    raise ExpressionError("function %r takes a single argument" % name, self.pos)
-                if self._peek() != ")":
-                    raise ExpressionError("expected ')' after argument of %r" % name, self.pos)
-                self.pos += 1
-                return _apply(name, arg)
-            if name in _NAMED_CONSTANTS:
-                return Const(self.kset, _NAMED_CONSTANTS[name])
-            if name in self.kset.names:
-                return Var(self.kset, self.kset.index(name))
-            raise ExpressionError(
-                "unknown variable name %r (k-set has %r)" % (name, self.kset.names), m.start()
-            )
-        raise ExpressionError("unexpected character %r" % ch, self.pos)
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: ScalarField.__pow__}
 
 
 def make_closed_form(expr: str, kset: KSet) -> ScalarField:
-    """Parse an elementary closed-form expression into a field."""
-    return _Parser(expr, kset).parse()
+    """Parse an elementary closed-form expression into a field.
+
+    The grammar is Python's expression grammar cut down to numeric literals,
+    names, ``+ - * / ^`` (``^`` is the power), unary minus, parentheses and
+    one-argument calls of the elementary functions. Error positions index
+    the normalized text: whitespace runs collapsed to one space, the ends
+    stripped, ``^`` written ``**``.
+    """
+    text = " ".join(expr.split())
+    bad = _re.search(r"[^A-Za-z0-9_.+\-*/^() ]|\*\*", text)
+    if bad:
+        raise ExpressionError("unexpected %r" % bad.group(), bad.start() + text.count("^", 0, bad.start()))
+    text = text.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning such as 1if becomes a SyntaxError
+            tree = ast.parse(text, mode="eval").body
+    except SyntaxError as exc:
+        raise ExpressionError(exc.msg, (exc.offset or 1) - 1) from None
+
+    def build(node):
+        at = node.col_offset
+        source = text[at:node.end_col_offset]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](build(node.left), build(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -build(node.operand)
+        if isinstance(node, ast.Constant) and _NUM_RE.fullmatch(source):
+            return Const(kset, float(source))
+        if isinstance(node, ast.Name):
+            if node.id in _NAMED_CONSTANTS:
+                return Const(kset, _NAMED_CONSTANTS[node.id])
+            if node.id not in kset.names:
+                raise ExpressionError("unknown variable name %r (k-set has %r)" % (node.id, kset.names), at)
+            return Var(kset, kset.index(node.id))
+        # a call names its function directly: (exp)(x) is refused
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.col_offset == at:
+            if node.func.id not in _ELEMENTARY and node.func.id != "sech":
+                raise ExpressionError("unknown function %r" % node.func.id, at)
+            if len(node.args) == 1:
+                return _apply(node.func.id, build(node.args[0]))
+        raise ExpressionError("not in the expression grammar: %r" % source, at)
+
+    return build(tree)

@@ -100,8 +100,9 @@ class AdmissibleConstants:
 class AdmissibleData:
     """Frame structure with designated roles plus the metric-building data.
 
-    The frame order is fixed as (k, T, x, y).  ``f`` is the parameter
-    function (a field of tau only), ``iota`` the twist of k.  Warped
+    The frame order is fixed as (k, T, x, y), and tau is k-set variable 0.
+    ``f`` is the parameter function (a field of tau only), ``iota`` the
+    twist of k.  Warped
     structures also carry the warping function ``w`` and the fiber twist.
     """
 
@@ -110,7 +111,6 @@ class AdmissibleData:
     f: ScalarField
     iota: ScalarField
     case: str
-    tau_index: int = 0
     w: Optional[ScalarField] = None
     iota_bar: Optional[ScalarField] = None
 
@@ -125,7 +125,7 @@ class AdmissibleData:
         return self.structure.kset
 
     def f_prime(self) -> ScalarField:
-        return self.f.partial(self.tau_index)
+        return self.f.partial(0)
 
     def vertical_det(self) -> ScalarField:
         """det(g|_V) = g(k,k) g(T,T) - g(k,T)^2."""
@@ -190,7 +190,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
     report.add("shear_free", worst, TOL_FRAME)
 
     # T = ell grad(tau): g(T, e_a) = ell d_a tau
-    worst = max_abs_on_grid((S.g[T][a] - cs.ell_gradient * S.D[a][A.tau_index] for a in range(4)), grid)
+    worst = max_abs_on_grid((S.g[T][a] - cs.ell_gradient * S.D[a][0] for a in range(4)), grid)
     report.add("gradient_condition", worst, TOL_FRAME)
 
     # constants of the metric on V, constant along H
@@ -234,7 +234,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
         if A.w is None:
             raise FrameError("warped admissible data must carry the warping function")
         w = A.w
-        wp = w.partial(A.tau_index)
+        wp = w.partial(0)
         rho = wp / w
         aw = Const(S.kset, cs.alpha) / w
         checks = [

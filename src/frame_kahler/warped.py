@@ -234,7 +234,6 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
         f=tau_f,
         iota=iota_bar * inv_w,
         case=CASE_WARPED,
-        tau_index=0,
         w=tau_w,
         iota_bar=iota_bar,
     )
@@ -256,13 +255,13 @@ class WarpedFamily:
         return _div(fw.partial(0), self.w, label="warping function")
 
 
-def ke_operator(f: ScalarField, w: ScalarField, alpha: float, tau_index: int = 0) -> ScalarField:
+def ke_operator(f: ScalarField, w: ScalarField, alpha: float) -> ScalarField:
     """L = (fw)''/(fw)' + 2 w'/w + f'/f + alpha/w, derivatives in tau."""
-    fwp = (f * w).partial(tau_index)
+    fwp = (f * w).partial(0)
     return (
-        _div(fwp.partial(tau_index), fwp, label="(fw)'")
-        + 2.0 * _div(w.partial(tau_index), w, label="w")
-        + _div(f.partial(tau_index), f, label="f")
+        _div(fwp.partial(0), fwp, label="(fw)'")
+        + 2.0 * _div(w.partial(0), w, label="w")
+        + _div(f.partial(0), f, label="f")
         + _div(Const(f.kset, alpha), w, label="w")
     )
 
@@ -433,9 +432,9 @@ def einstein_verdict(
     # closed-form displays: rho(k,T) = -(1/w)[(L w)]' and
     # rho(x,y) = L iota_bar / w - (1/(2 w^2)) plane-Laplacian of log|iota_bar|
     w, f = A.w, A.f
-    fwp = (f * w).partial(A.tau_index)
-    L = ke_operator(f, w, A.constants.alpha, A.tau_index)
-    rho_kT_closed = -_div((L * w).partial(A.tau_index), w, label="w")
+    fwp = (f * w).partial(0)
+    L = ke_operator(f, w, A.constants.alpha)
+    rho_kT_closed = -_div((L * w).partial(0), w, label="w")
     report.add("rho_kT_closed_form", max_abs_on_grid(rho(K, T) - rho_kT_closed, grid), TOL_CROSS,
                source="reported")
     lap_bar = S.zero()
@@ -455,8 +454,8 @@ def einstein_verdict(
         1e-10,
     )
     c_gk = kahler.g[K][K]
-    ident = _div(c_gk.partial(A.tau_index), c_gk, label="c") - (
-        _div(fwp.partial(A.tau_index), fwp, label="(fw)'") - _div(w.partial(A.tau_index), w, label="w")
+    ident = _div(c_gk.partial(0), c_gk, label="c") - (
+        _div(fwp.partial(0), fwp, label="(fw)'") - _div(w.partial(0), w, label="w")
     )
     report.add("log_derivative_identity", max_abs_on_grid(ident, grid), 1e-10)
 
@@ -691,10 +690,9 @@ def _gamma_displays(A: AdmissibleData, c: ScalarField) -> dict:
     warped case, with c = gK(k,k), as ``GammaForms.closed_form_residual``
     reads them."""
     S = A.structure
-    ti = A.tau_index
     f, w = A.f, A.w
-    fp, wp = f.partial(ti), w.partial(ti)
-    cp = c.partial(ti)
+    fp, wp = f.partial(0), w.partial(0)
+    cp = c.partial(0)
     halfc = cp / (2.0 * c)
     wow = wp / w
     h = fp / (2.0 * f) + wp / (2.0 * w)

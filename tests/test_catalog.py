@@ -10,6 +10,7 @@ from frame_kahler import catalog
 from frame_kahler.catalog import (
     SchemaError,
     coordinate_crosscheck,
+    interval_bounds,
     load,
     parse_document,
     parse_structure,
@@ -19,6 +20,25 @@ from frame_kahler.catalog import (
 )
 from frame_kahler.frames import consistency_suite, koszul_connection, max_abs_on_grid
 from frame_kahler.kahler import check_admissible
+
+
+class TestIntervalBounds:
+    @pytest.mark.parametrize("spec,bounds", [
+        (["-inf", "inf"], (-math.inf, math.inf)),
+        (["-inf", "+inf"], (-math.inf, math.inf)),
+        ([0.2, 1.4], (0.2, 1.4)),
+        ((-1, 1), (-1.0, 1.0)),
+        (["0.05", "1.0"], (0.05, 1.0)),
+    ])
+    def test_accepted(self, spec, bounds):
+        assert interval_bounds(spec, "family.interval") == bounds
+
+    # the command-line tests run the other refused intervals end to end
+    @pytest.mark.parametrize("spec", [None, (1.0,), [{}, 1.0], [10**400, 1.0]])
+    def test_refused_with_path(self, spec):
+        with pytest.raises(SchemaError) as err:
+            interval_bounds(spec, "family.interval")
+        assert err.value.path == "family.interval"
 
 
 class TestLoad:

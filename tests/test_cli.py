@@ -68,6 +68,7 @@ class TestVerify:
         ({"tau": ["low", 0.5, 3]}, "grid.tau"),
         ({"tau": [-0.5, 0.5, 2.7]}, "grid.tau"),
         ([[-0.5, 0.5, 3]], "grid"),
+        ({"tau": "125"}, "grid.tau"),
     ])
     def test_bad_document_grid_is_usage_error(self, tmp_path, capsys, grid, path):
         # documents follow the --grid rule: finite bounds, an integral n >= 1
@@ -77,6 +78,30 @@ class TestVerify:
         config.write_text(json.dumps(doc))
         assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: %s: " % path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval", [[1.0], 5, [1.0, -1.0], [math.nan, 1.0], [0, 1, 2], "nan",
+                                          "12", ["-inf", "nan"], [0.5, "low"]])
+    def test_bad_document_interval_is_usage_error(self, tmp_path, capsys, interval):
+        doc = load("warped_alpha0").document
+        doc["family"]["interval"] = interval
+        config, out = tmp_path / "doc.json", tmp_path / "r.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: family.interval: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_too_deep_expression_is_usage_error(self, tmp_path):
+        # evaluating a 600-term sum recurses past Python's recursion limit
+        doc = serialize_structure(load("s3xr"))
+        doc["f"] = "exp(tau)" + "+1e-300*tau" * 600
+        config, out = tmp_path / "deep.json", tmp_path / "r.json"
+        config.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "frame_kahler.cli", "verify", "--config", str(config),
+                               "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: expression too deep") and "Traceback" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("tol,code", [("0", 2), ("-1", 2), ("nan", 2), ("inf", 2),
@@ -237,6 +262,15 @@ class TestKeCommand:
 
     def test_invalid_interval(self):
         assert run_cli("ke", "--family", "alpha0", "--interval", "oops") == 2
+
+    @pytest.mark.parametrize("interval", ["nan:1", "1:nan", "1:-1", "0:0", "inf:inf", "0:1:2", "1"])
+    def test_nan_or_empty_interval_is_usage_error(self, tmp_path, capsys, interval):
+        # one interval rule (catalog.interval_bounds): two bounds, no NaN, lo < hi
+        out = tmp_path / "fam.csv"
+        assert run_cli("ke", "--family", "alpha0", "--lam", "-3", "--interval=" + interval,
+                       "--n", "5", "--complete", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: --interval: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_no_samples_is_usage_error(self, n):
@@ -416,8 +450,15 @@ class TestReportHarness:
         codes = dict(line.split() for line in (tmp_path / "exit_codes.txt").read_text().splitlines())
         failing = {"config_warped_alpha0_lambda_m1", "config_s3xr_gxx_2", "config_s3xr_nan_f",
                    "planewave_tol_1e-30"}
-        assert len(codes) == 18
-        assert codes == {name: "1" if name in failing else "0" for name in codes}
+        errors = {"config_s3xr_f_tau2", "config_s3xr_log_f"}
+        assert len(codes) == 20
+        assert codes == {name: "2" if name in errors else "1" if name in failing else "0" for name in codes}
         for name in codes:
-            assert (tmp_path / (name + ".json")).stat().st_size > 0
-            assert (tmp_path / (name + ".csv")).stat().st_size > 0
+            if name in errors:
+                assert (tmp_path / (name + ".err")).read_text().startswith("error: ")
+                assert not (tmp_path / (name + ".json")).exists()
+                assert not (tmp_path / (name + ".csv")).exists()
+            else:
+                assert (tmp_path / (name + ".json")).stat().st_size > 0
+                assert (tmp_path / (name + ".csv")).stat().st_size > 0
+                assert not (tmp_path / (name + ".err")).exists()

@@ -103,6 +103,91 @@ class TestParser:
         f = make_closed_form("pi + e", KS1)
         assert f.at((0.0,)) == pytest.approx(math.pi + math.e)
 
+    # (expression, value at (x, y) = (3, 2), or None where it is refused)
+    CORPUS = [
+        ("x\t+\ny", 5.0),
+        (" \t x *\n\n y \n", 6.0),
+        ("x\n^\n2", 9.0),
+        ("-x^2", -9.0),
+        ("2^-2", 0.25),
+        ("2^3^2", 512.0),
+        ("--x", 3.0),
+        ("x--y", 5.0),
+        ("-x*y", -6.0),
+        ("exp (y)", math.exp(2.0)),
+        ("pi*e", math.pi * math.e),
+        ("1e400", math.inf),
+        (".5", 0.5),
+        ("5.", 5.0),
+        ("1E+05", 1e5),
+        ("09.5", 9.5),
+        ("00", 0.0),
+        ("sech(x)", 1.0 / math.cosh(3.0)),
+        ("x^2/(1 + y)", 3.0),
+        ("+x", None),
+        ("x**2", None),
+        ("x* *2", None),
+        ("1_0", None),
+        ("0x10", None),
+        ("0o7", None),
+        ("0b1", None),
+        ("1j", None),
+        ("exp(x,)", None),
+        ("exp(x, y)", None),
+        ("exp()", None),
+        ("exp(*x)", None),
+        ("(exp)(x)", None),
+        ("x.y", None),
+        ("x[0]", None),
+        ("not x", None),
+        ("x < y", None),
+        ("x if y else x", None),
+        ("x #c", None),
+        ("x // y", None),
+        ("x and y", None),
+        ("True", None),
+        ("2x", None),
+        ("x y", None),
+        ("", None),
+        ("x + ", None),
+        ("(x", None),
+        ("x (y)", None),
+        ("٣", None),  # a non-ASCII digit
+        # the two narrowings: integers with leading zeros ...
+        ("007", None),
+        ("-05", None),
+    ]
+
+    @pytest.mark.parametrize("expr,value", CORPUS)
+    def test_corpus(self, expr, value):
+        if value is None:
+            with pytest.raises(ExpressionError):
+                make_closed_form(expr, KS2)
+        else:
+            assert make_closed_form(expr, KS2).at((3.0, 2.0)) == value
+
+    @pytest.mark.parametrize("name", ["lambda", "in", "if", "None"])
+    def test_keyword_variable_names_refused(self, name):
+        # ... and variables named with a Python keyword
+        with pytest.raises(ExpressionError):
+            make_closed_form(name, KSet((name,)))
+
+    @pytest.mark.parametrize("expr,message,position", [
+        ("x + q", "unknown variable name 'q'", 4),
+        ("x\t+\t\tfrob(y)", "unknown function 'frob'", 4),
+        ("x^2 + y**2", "unexpected '**'", 8),  # normalized: x**2 + y**2
+        ("x^2 + #", "unexpected '#'", 7),
+        ("exp(*x)", "not in the expression grammar: '*x'", 4),
+        ("x y", "invalid syntax", 2),
+        ("1if x else 2", "invalid decimal literal", 0),  # a SyntaxWarning, not printed
+    ])
+    def test_error_positions_index_normalized_text(self, expr, message, position, recwarn):
+        with pytest.raises(ExpressionError) as err:
+            make_closed_form(expr, KS2)
+        assert str(err.value).startswith(message)
+        assert err.value.position == position
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize(
         "expr",
         [

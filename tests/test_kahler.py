@@ -150,7 +150,7 @@ class TestGammaForms:
         S = FrameStructure(ks, ("k", "T", "x", "y"), g, C, [[]] * 4)
         conn = koszul_connection(S)
         consts = AdmissibleConstants(a=1.0, b=0.0, alpha=0.0, beta=0.0)
-        data = AdmissibleData(S, consts, one, -1.0 * one, CASE_CENTRAL, tau_index=0)
+        data = AdmissibleData(S, consts, one, -1.0 * one, CASE_CENTRAL)
         # treat S itself as the induced structure for this degenerate check
         from frame_kahler.kahler import KahlerMetric
 

@@ -28,6 +28,11 @@ OUT_DIR receives:
   stopped by the structural gates), ``config_s3xr_nan_f`` (s3xr with a
   potential that is NaN off tau = 0) and ``planewave_tol_1e-30``
   (``verify --example planewave --tol 1e-30``);
+* two runs that stop with an error (exit 2) and write no report:
+  ``config_s3xr_f_tau2`` (s3xr with f = tau*tau, a singular pointwise
+  solve) and ``config_s3xr_log_f`` (s3xr with f = log(tau), outside the
+  domain of log);
+* ``<name>.err``, the ``error:`` line of each run that exits 2;
 * ``exit_codes.txt``, the exit code of every run above.
 """
 
@@ -61,11 +66,14 @@ def _changed(entry_id: str, edit) -> dict:
     return doc
 
 
-FAILING_CONFIGS = {
+# documents that fail verification (exit 1) or stop with an error (exit 2)
+EDITED_CONFIGS = {
     "warped_alpha0_lambda_m1": lambda: _changed("warped_alpha0", lambda d: d["family"].update({"lambda": -1})),
     "s3xr_gxx_2": lambda: _changed("s3xr", lambda d: d["g"].update({"x,x": "2"})),
     "s3xr_nan_f": lambda: _changed("s3xr", lambda d: d.update(
         {"f": "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"})),
+    "s3xr_f_tau2": lambda: _changed("s3xr", lambda d: d.update({"f": "tau*tau"})),
+    "s3xr_log_f": lambda: _changed("s3xr", lambda d: d.update({"f": "log(tau)"})),
 }
 
 
@@ -79,7 +87,7 @@ def runs(out_dir: str):
         "ppwave_sech": catalog.load("ppwave", iota=SECH).document,
         "warped_alpha0": catalog.load("warped_alpha0").document,
     }
-    configs.update((name, build()) for name, build in FAILING_CONFIGS.items())
+    configs.update((name, build()) for name, build in EDITED_CONFIGS.items())
     for name, doc in configs.items():
         path = os.path.join(docs, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -105,8 +113,13 @@ def main(argv=None) -> int:
     codes = []
     for name, args in runs(out_dir):
         args = args + ["--format", "both", "--out", os.path.join(out_dir, name)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append("%s %d\n" % (name, cli.main(args)))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        codes.append("%s %d\n" % (name, code))
+        if code == 2:
+            with open(os.path.join(out_dir, name + ".err"), "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in stderr.getvalue().splitlines() if line.startswith("error:"))
     with open(os.path.join(out_dir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(codes)
     return 0
