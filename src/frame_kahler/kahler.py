@@ -102,8 +102,8 @@ class AdmissibleData:
 
     The frame order is fixed as (k, T, x, y), and tau is k-set variable 0.
     ``f`` is the parameter function (a field of tau only), ``iota`` the
-    twist of k.  Warped
-    structures also carry the warping function ``w`` and the fiber twist.
+    twist of k. Warped structures also carry the warping function ``w`` and
+    the fiber twist.
     """
 
     structure: FrameStructure
