@@ -55,6 +55,7 @@ __all__ = [
     "parse_document",
     "entry_from_document",
     "grid_axis",
+    "capped_grid_box",
     "serialize_structure",
     "ppwave_from_shift",
     "planewave_chart",
@@ -303,6 +304,22 @@ def grid_axis(spec, path: str) -> tuple:
     return lo, hi, int(n)
 
 
+# Most points one evaluation grid may hold. A verify run of ppwave with twist
+# -2*sech(x)^2 peaks at ~48 KB per point (43 MB at 192 points, 367 MB at
+# 6,912), so the cap stands for ~2.4 GB.
+MAX_GRID_POINTS = 50_000
+
+
+def capped_grid_box(box: dict, path: str) -> dict:
+    """``box`` unchanged when its grid (the product of the axis counts) holds
+    at most ``MAX_GRID_POINTS`` points; a SchemaError at ``path`` otherwise.
+    Counting needs no grid, so none is built."""
+    total = math.prod(n for _, _, n in box.values())
+    if total > MAX_GRID_POINTS:
+        raise SchemaError(path, "%d grid points exceed the cap of %d" % (total, MAX_GRID_POINTS))
+    return box
+
+
 def default_grid_box(doc: dict, data: AdmissibleData) -> dict:
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
@@ -314,7 +331,7 @@ def default_grid_box(doc: dict, data: AdmissibleData) -> dict:
         box[name] = grid_axis(spec, "grid.%s" % name)
     for name in data.kset.names:
         box.setdefault(name, (-1.0, 1.0, 5))
-    return box
+    return capped_grid_box(box, "grid")
 
 
 def entry_from_document(entry_id: str, description: str, doc: dict, expected: dict,

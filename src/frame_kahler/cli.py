@@ -27,8 +27,8 @@ import time
 import numpy as np
 
 from . import catalog as catalog_mod
-from .catalog import (CatalogEntry, SchemaError, coordinate_crosscheck, entry_from_document, grid_axis,
-                      interval_bounds, load)
+from .catalog import (CatalogEntry, SchemaError, capped_grid_box, coordinate_crosscheck, entry_from_document,
+                      grid_axis, interval_bounds, load)
 from .central import central_suite
 from .fields import DomainError, FieldError
 from .frames import curvature, koszul_connection, max_abs_on_grid, values_on_grid
@@ -106,7 +106,7 @@ def _parse_grid_overrides(specs, entry: CatalogEntry):
         if name not in entry.data.kset.names:
             raise SchemaError("--grid", "unknown variable %r in %r (expected var=lo:hi:n)" % (name, spec))
         box[name] = grid_axis(axis.split(":"), "--grid %s" % spec)
-    return box
+    return capped_grid_box(box, "--grid")
 
 
 def _entry_from_args(args) -> CatalogEntry:

@@ -20,10 +20,14 @@ memoized in its ``_cache`` under the grid's key, so shared subexpressions
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
 Python floats overflow silently to inf or NaN; elementary functions and
 powers apply ``math`` per element, which numpy's ufuncs do not match in the
-last bit; a pointwise solve is one stacked ``np.linalg.solve``. A domain
-violation raises ``DomainError`` naming the first grid point where that node
-fails. ``at(point)`` is a one-point convenience over the same path. Fields
-are immutable after construction.
+last bit; a pointwise solve is one stacked ``np.linalg.solve``. Each
+distinct pointwise matrix is assembled and det-checked once per grid, in
+one holder shared by every solve against it (derivative systems included);
+each right-hand side is still solved on its own, because one solve with
+many right-hand sides differs from separate solves in the last bits. A
+domain violation raises ``DomainError`` naming the first grid point where
+that node fails. ``at(point)`` is a one-point convenience over the same
+path. Fields are immutable after construction.
 """
 
 from __future__ import annotations
@@ -648,18 +652,45 @@ def lift_partial(f: ScalarField, i) -> ScalarField:
 # pointwise linear solves ----------------------------------------------------
 
 
+class _PointwiseMatrix:
+    """An n-by-n matrix of fields shared by every pointwise solve against
+    it. For each grid it keeps the stacked values ``M`` (points first), the
+    mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
+    points), so the matrix is assembled and det-checked once per grid."""
+
+    __slots__ = ("rows", "_cache")
+
+    def __init__(self, rows):
+        self.rows = [list(row) for row in rows]
+        self._cache = {}
+
+    def on(self, grid):
+        got = self._cache.get(grid.key)
+        if got is None:
+            M = np.moveaxis(np.array([[f._values(grid) for f in row] for row in self.rows]), -1, 0)
+            finite = np.isfinite(M).all(axis=(1, 2))
+            abs_det = np.full(grid.n, math.nan)
+            abs_det[finite] = np.abs(np.linalg.det(M[finite]))
+            got = self._cache[grid.key] = (M, finite, abs_det)
+        return got
+
+
 class LinearFieldSystem:
     """Shared n-by-n pointwise solve A(point) x = b(point).
 
     Solution components are fields; their partials are obtained from the
     identity dx = A^{-1} (db - dA x), so derivatives of any order propagate
-    exactly through the solve.
+    exactly through the solve. ``A`` is the rows of fields, or the private
+    holder of another system's A; the derivative systems share their
+    parent's holder, so every system against one matrix reads one assembled
+    and det-checked stack per grid, and solves its own right-hand side.
     """
 
-    __slots__ = ("A", "b", "kset", "n", "_cache", "_dsys", "_components")
+    __slots__ = ("_matrix", "A", "b", "kset", "n", "_cache", "_dsys", "_components")
 
     def __init__(self, A, b):
-        self.A = [list(row) for row in A]
+        self._matrix = A if isinstance(A, _PointwiseMatrix) else _PointwiseMatrix(A)
+        self.A = self._matrix.rows
         self.b = list(b)
         self.n = len(self.b)
         self.kset = self.b[0].kset
@@ -669,23 +700,21 @@ class LinearFieldSystem:
 
     def value_at(self, grid):
         """The solutions over a ``_Grid``: row j holds component j at every
-        point. One stacked determinant and solve run over the points where
-        A and b are finite; the solution is NaN at the other points."""
+        point. One stacked solve runs over the points where A and b are
+        finite; the solution is NaN at the other points."""
         got = self._cache.get(grid.key)
         if got is None:
-            M = np.moveaxis(np.array([[f._values(grid) for f in row] for row in self.A]), -1, 0)
+            M, finite, abs_det = self._matrix.on(grid)
             v = np.array([f._values(grid) for f in self.b]).T
-            finite = np.flatnonzero(np.isfinite(M).all(axis=(1, 2)) & np.isfinite(v).all(axis=1))
-            det = np.abs(np.linalg.det(M[finite]))
-            singular = np.flatnonzero(det <= MIN_ABS_DET)
+            rows = np.flatnonzero(finite & np.isfinite(v).all(axis=1))
+            singular = rows[abs_det[rows] <= MIN_ABS_DET]
             if singular.size:
                 i = singular[0]
                 raise SingularMatrixError(
-                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r"
-                    % (det[i], grid.point(finite[i]))
+                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid.point(i))
                 )
             x = np.full((grid.n, self.n), math.nan)
-            x[finite] = np.linalg.solve(M[finite], v[finite, :, None])[..., 0]
+            x[rows] = np.linalg.solve(M[rows], v[rows, :, None])[..., 0]
             got = np.ascontiguousarray(x.T)
             self._cache[grid.key] = got
         return got
@@ -705,7 +734,7 @@ class LinearFieldSystem:
                 for d in range(self.n):
                     term = _sub(term, _mul(self.A[c][d].partial(i), x[d]))
                 rhs.append(term)
-            sys_i = LinearFieldSystem(self.A, rhs)
+            sys_i = LinearFieldSystem(self._matrix, rhs)
             self._dsys[i] = sys_i
         return sys_i
 
@@ -877,7 +906,8 @@ def make_closed_form(expr: str, kset: KSet) -> ScalarField:
             warnings.simplefilter("error")  # a SyntaxWarning such as 1if becomes a SyntaxError
             tree = ast.parse(text, mode="eval").body
     except SyntaxError as exc:
-        raise ExpressionError(exc.msg, (exc.offset or 1) - 1) from None
+        # Python reports an error at the end of the input at offset 0
+        raise ExpressionError(exc.msg, exc.offset - 1 if exc.offset else len(text)) from None
 
     def build(node):
         at = node.col_offset

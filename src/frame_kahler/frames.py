@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .fields import (
     KSet,
     LinearFieldSystem,
     ScalarField,
+    _PointwiseMatrix,
     _div,
     _evaluate,
     determinant,
@@ -199,6 +201,11 @@ class FrameStructure:
     def n(self) -> int:
         return len(self.frame_names)
 
+    @cached_property
+    def _g_matrix(self) -> _PointwiseMatrix:
+        """g as the one matrix that every pointwise solve against it reads."""
+        return _PointwiseMatrix(self.g)
+
     def dd(self, a: int, field: ScalarField) -> ScalarField:
         """Directional derivative d_{e_a} of a field, via the D table."""
         if field.is_constant:
@@ -284,8 +291,7 @@ def koszul_connection(S: FrameStructure) -> ConnectionTable:
                     + S.g_of_bracket(c, a, b)
                 ) * 0.5
                 rhs.append(expr)
-            matrix = [[S.g[c][d] for d in range(n)] for c in range(n)]
-            row.append(LinearFieldSystem(matrix, rhs).components())
+            row.append(LinearFieldSystem(S._g_matrix, rhs).components())
         gamma.append(row)
     return ConnectionTable(S, gamma)
 
@@ -389,7 +395,7 @@ def inverse_metric(S: FrameStructure):
     cols = []
     for j in range(n):
         e_j = [Const(S.kset, 1.0 if i == j else 0.0) for i in range(n)]
-        cols.append(LinearFieldSystem(S.g, e_j).components())
+        cols.append(LinearFieldSystem(S._g_matrix, e_j).components())
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 

@@ -9,11 +9,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from frame_kahler.catalog import SchemaError, catalog_ids, load, serialize_structure
+from frame_kahler import catalog as catalog_mod
+from frame_kahler import frames as frames_mod
+from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load, serialize_structure
 from frame_kahler.cli import main, run_suite
 from frame_kahler.fields import constant, variable
+from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
 from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
 
@@ -60,6 +64,33 @@ class TestVerify:
     @pytest.mark.parametrize("spec", ["x=0:1:0", "x=0:1:-2", "x=nan:1:3", "x=inf:1:3", "x=0:1:2.7"])
     def test_empty_or_non_finite_grid_is_usage_error(self, spec):
         assert run_cli("verify", "--example", "ppwave", "--grid", spec) == 2
+
+    @pytest.mark.parametrize("where", ["--grid", "document"])
+    def test_grid_over_the_point_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        # 3 x 4000 x 4000 points are refused before any grid is built
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(frames_mod, "grid_points", no_grid)
+        monkeypatch.setattr(catalog_mod, "grid_points", no_grid)
+        if where == "--grid":
+            argv = ["--example", "ppwave", "--grid", "x=0:1:4000", "--grid", "y=0:1:4000"]
+        else:
+            doc = load("ppwave", iota=SECH).document
+            doc["grid"].update(x=[0, 1, 4000], y=[0, 1, 4000])
+            config = tmp_path / "doc.json"
+            config.write_text(json.dumps(doc))
+            argv = ["--config", str(config)]
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s: 48000000 grid points exceed the cap of 50000\n" % where.replace("document", "grid")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_point_cap_counts_the_product_of_the_axes(self):
+        box = {"tau": (-1.0, 1.0, 2), "x": (0.0, 1.0, 125), "y": (0.0, 1.0, 200)}
+        assert capped_grid_box(box, "grid") is box
+        with pytest.raises(SchemaError, match="50250 grid points exceed the cap of 50000"):
+            capped_grid_box(dict(box, y=(0.0, 1.0, 201)), "grid")
 
     @pytest.mark.parametrize("grid,path", [
         ({"tau": [-0.5, 0.5, 0]}, "grid.tau"),
@@ -367,6 +398,30 @@ class TestBuildCounts:
         }
 
 
+class TestSolveCounts:
+    """Each distinct pointwise matrix is assembled and det-checked once per
+    grid; every system still runs its own solve."""
+
+    @pytest.mark.parametrize("entry,box,calls", [
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)},
+         {"det": 2, "solve": 148}),  # base structure and induced metric
+        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 57}),  # and the fiber
+    ])
+    def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
+        entry = entry()
+        grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
+        counts = collections.Counter()
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report, _ = run_suite(entry, "all", grid)
+        assert report.passed
+        assert dict(counts) == calls
+
+
 class TestCheckConsistency:
     def test_failing_region_check_has_positive_residual(self):
         # min f = 0 fails f > 0; max(0, -min f) would write residual 0.0
@@ -451,7 +506,7 @@ class TestReportHarness:
         failing = {"config_warped_alpha0_lambda_m1", "config_s3xr_gxx_2", "config_s3xr_nan_f",
                    "planewave_tol_1e-30"}
         errors = {"config_s3xr_f_tau2", "config_s3xr_log_f"}
-        assert len(codes) == 20
+        assert len(codes) == 21
         assert codes == {name: "2" if name in errors else "1" if name in failing else "0" for name in codes}
         for name in codes:
             if name in errors:

@@ -180,6 +180,11 @@ class TestParser:
         ("exp(*x)", "not in the expression grammar: '*x'", 4),
         ("x y", "invalid syntax", 2),
         ("1if x else 2", "invalid decimal literal", 0),  # a SyntaxWarning, not printed
+        # an error at the end of the input is placed at its end
+        ("x +", "invalid syntax", 3),
+        ("-", "invalid syntax", 1),
+        ("exp(x) /", "invalid syntax", 8),
+        ("  x  +  ", "invalid syntax", 3),
     ])
     def test_error_positions_index_normalized_text(self, expr, message, position, recwarn):
         with pytest.raises(ExpressionError) as err:
@@ -422,6 +427,67 @@ class TestGridErrors:
                          [constant(KS1, 2.0)])[0]
         values = values_on_grid(x, [(0.0,), (0.5,)])
         assert values[0] == -2.0 and math.isnan(values[1])
+
+
+class TestSharedMatrix:
+    """Every solve against one matrix reads one assembled and det-checked
+    stack per grid; each right-hand side is still solved on its own."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(len(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        return calls
+
+    @staticmethod
+    def nan_off_zero(tau):
+        # 0 at tau = 0, NaN elsewhere: inf * 0 from an overflowing square
+        return (1e200 * tau) * (1e200 * tau) * (tau - tau)
+
+    def test_singular_only_where_b_is_nan_gives_nan(self, det_calls):
+        tau = variable(KS1, "tau")
+        x = solve_linear([[tau - 1.0]], [constant(KS1, 2.0) + self.nan_off_zero(tau)])[0]
+        values = values_on_grid(x, [(0.0,), (1.0,)])
+        assert values[0] == -2.0 and math.isnan(values[1])
+        assert det_calls == [2]
+
+    def test_first_point_finite_for_a_and_b_is_named(self):
+        tau = variable(KS1, "tau")
+        x = solve_linear([[tau * (tau - 1.0)]], [constant(KS1, 2.0) + self.nan_off_zero(tau)])[0]
+        with pytest.raises(SingularMatrixError) as exc:
+            values_on_grid(x, [(1.0,), (0.5,), (0.0,)])
+        assert str(exc.value) == "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (0.0,)"
+
+    def test_derivative_systems_share_the_matrix(self, det_calls):
+        A = [
+            [constant(KS2, 2.0), variable(KS2, "x")],
+            [variable(KS2, "x"), constant(KS2, 3.0) + variable(KS2, "y")],
+        ]
+        b = [variable(KS2, "y"), constant(KS2, 1.0)]
+        sol = solve_linear(A, b)
+        grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5)]
+        before = values_on_grid(sol, grid)
+        assert det_calls == [3]
+        derived = values_on_grid([sol[0].partial(0), sol[1].partial(1), sol[0].partial(1).partial(0)], grid)
+        assert det_calls == [3]
+        assert np.isfinite(before).all() and np.isfinite(derived).all()
+        # a right-hand side solved alone against the same matrix at each point
+        for k, (px, py) in enumerate(grid):
+            direct = np.linalg.solve(np.array([[2.0, px], [px, 3.0 + py]]), np.array([py, 1.0]))
+            assert before[:, k].tolist() == direct.tolist()
+        assert det_calls == [3]
+
+    def test_each_grid_assembles_its_own_stack(self, det_calls):
+        x = solve_linear([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)])[0]
+        assert values_on_grid([x, x.partial(0)], [(0.0,), (2.0,)]).tolist() == [[0.5, 0.25], [-0.25, -0.0625]]
+        assert values_on_grid([x, x.partial(0)], [(-1.0,)]).tolist() == [[1.0], [-1.0]]
+        assert det_calls == [2, 1]
 
 
 class TestRemapAndFolds:

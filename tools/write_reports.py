@@ -19,6 +19,8 @@ OUT_DIR receives:
 * ``ppwave_sech_8x8`` and ``ppwave_sech_16x16`` (twist ``-2*sech(x)^2``
   on 3x8x8 and on 3x16x16 points, the grid of the benchmark's
   central_sech_768 workload);
+* ``warped_alpha0_500`` (warped_alpha0 at ``tau=-1:1:500``, the grid of the
+  benchmark's warped_alpha0_500 workload);
 * ``config_ppwave_sech``/``config_warped_alpha0``, ``verify --config`` on
   those two documents (``docs/`` holds the documents);
 * ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV;
@@ -97,6 +99,7 @@ def runs(out_dir: str):
         yield "ppwave_sech_%dx%d" % (n, n), [
             "verify", "--config", os.path.join(docs, "ppwave_sech.json"),
             "--grid", "x=-0.6:0.6:%d" % n, "--grid", "y=-0.6:0.6:%d" % n]
+    yield "warped_alpha0_500", ["verify", "--example", "warped_alpha0", "--grid", "tau=-1:1:500"]
     for name, argv in KE_RUNS.items():
         yield name, ["ke"] + argv
     yield "planewave_tol_1e-30", ["verify", "--example", "planewave", "--tol", "1e-30"]
