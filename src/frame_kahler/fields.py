@@ -141,11 +141,13 @@ class _Grid:
 
     @classmethod
     def of(cls, points):
-        # an empty grid gets an empty column for each of the (at most 3)
-        # variables any field can read
-        k = len(points[0]) if points else 3
-        cols = np.array(points, dtype=float).reshape(len(points), k).T
-        return cls(np.ascontiguousarray(cols), lambda i: tuple(points[i]))
+        # k-tuples or an (N, k) array, whose rows errors name as Python floats; an empty
+        # grid gets an empty column for each of the (at most 3) variables any field can read
+        k = len(points[0]) if len(points) else 3
+        cols = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T)
+        if isinstance(points, np.ndarray):
+            return cls(cols, lambda i: tuple(points[i].tolist()))
+        return cls(cols, lambda i: tuple(points[i]))
 
     def remapped(self, mapping):
         """The grid of a field whose i-th variable is this grid's mapping[i]."""
@@ -439,7 +441,7 @@ class _Elementary(ScalarField):
             if bad.any():
                 i = int(bad.argmax())
                 raise DomainError(fn.message % {"x": x[i].item(), "p": grid.point(i)})
-        return np.array([fn.value(v) for v in x.tolist()], dtype=float)
+        return np.fromiter(map(fn.value, x.tolist()), float, x.size)
 
     def _derive(self, i):
         return self._fn.derive(self, self.f, self.f.partial(i))

@@ -288,31 +288,30 @@ def solve_implicit_w(tau: float, seed: float, halfwidth: float = 0.5, max_iter: 
 
     The bracket (seed - halfwidth, seed + halfwidth) confines the iteration
     to one branch of tan; outside it the step falls back to bisection when
-    a sign change is available, and errors out otherwise."""
-
-    def h(x):
-        return tau + math.tan(x) - x
-
+    a sign change is available, and errors out otherwise. Each step
+    evaluates tan once, for both the residual and the slope tan(x) ** 2."""
     lo, hi = seed - halfwidth, seed + halfwidth
-    hlo, hhi = h(lo), h(hi)
+    hlo, hhi = tau + math.tan(lo) - lo, tau + math.tan(hi) - hi
     if hlo == 0.0:
         return lo
     if hhi == 0.0:
         return hi
-    have_bracket = (hlo < 0.0) != (hhi < 0.0)
+    lo_negative = hlo < 0.0  # the residual keeps this sign at every new lo
+    have_bracket = lo_negative != (hhi < 0.0)
     x = seed
     for _ in range(max_iter):
-        hx = h(x)
+        t = math.tan(x)
+        hx = tau + t - x
         if abs(hx) <= 1e-12:
             return x
         if have_bracket:
-            if (hx < 0.0) == (hlo < 0.0):
-                lo, hlo = x, hx
+            if (hx < 0.0) == lo_negative:
+                lo = x
             else:
-                hi, hhi = x, hx
-        slope = math.tan(x) ** 2
+                hi = x
+        slope = t ** 2  # not t * t, which differs in the last bit
         step = x - hx / slope if slope > 1e-300 else math.inf
-        if not (lo < step < hi) or not math.isfinite(step):
+        if not lo < step < hi:  # also rejects an infinite or NaN step
             if not have_bracket:
                 raise ArithmeticError(
                     "Newton left the branch bracket (%g, %g) at tau=%g" % (lo, hi, tau)
@@ -326,9 +325,9 @@ class _ImplicitTanField(ScalarField):
     """x(tau) on the branch of x = tau + tan(x) through the seed.
 
     The tau-derivative is the closed form -cot^2(x), so derivative fields of
-    every order are exact. Each root is solved once per tau value: the
-    curve grid, the flatness sample and the quadrature points of one run
-    share many values."""
+    every order are exact. Roots are memoized per tau value, so each distinct
+    tau costs one ``solve_implicit_w`` call per run: the curve grid, the
+    flatness sample and the quadrature points of one run share many values."""
 
     __slots__ = ("seed", "_roots")
 
@@ -339,13 +338,11 @@ class _ImplicitTanField(ScalarField):
 
     def _compute(self, grid):
         roots = self._roots
-        out = []
-        for t in grid.cols[0].tolist():
-            x = roots.get(t)
-            if x is None:
-                x = roots[t] = solve_implicit_w(t, self.seed)
-            out.append(x)
-        return np.array(out, dtype=float)
+        taus = grid.cols[0].tolist()
+        for t in taus:
+            if t not in roots:
+                roots[t] = solve_implicit_w(t, self.seed)
+        return np.array([roots[t] for t in taus], dtype=float)
 
     def _derive(self, i):
         cot = _div(cos(self), sin(self), label="cot of implicit branch")
@@ -603,7 +600,7 @@ def completeness(fam: WarpedFamily) -> CompletenessVerdict:
     c_field = fam.c_field()
 
     def integrand(t):
-        c = values_on_grid(c_field, [(v,) for v in t.tolist()])
+        c = values_on_grid(c_field, t[:, None])
         bad = np.flatnonzero(c <= 0.0)
         if bad.size:
             raise DomainError("c = (fw)'/w is nonpositive (%.3e) at tau=%g" % (c[bad[0]], t[bad[0]]))

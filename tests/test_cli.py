@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report files, determinism."""
 
+import argparse
 import collections
 import importlib.util
 import json
@@ -15,7 +16,7 @@ import pytest
 from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load, serialize_structure
-from frame_kahler.cli import main, run_suite
+from frame_kahler.cli import _write_report, main, run_suite
 from frame_kahler.fields import constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
@@ -267,6 +268,31 @@ class TestVerify:
         assert "s_tilde" in header
 
 
+class TestCsvWriter:
+    """Curves are written one row at a time through one line format, in the
+    bytes that formatting each value with "%.17g" on its own gave."""
+
+    VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1.0, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def per_value_csv(header, rows):
+        lines = [",".join(header) + "\n"]
+        for row in rows:
+            lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("rows", [
+        np.array([VALUES, VALUES[::-1]]),
+        np.array(VALUES)[:, None],
+        np.column_stack([np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 1e-310, 7), np.full(7, 1e308)]),
+    ])
+    def test_bytes_equal_per_value_format(self, tmp_path, rows):
+        header = ["c%d" % i for i in range(rows.shape[1])]
+        out = tmp_path / "curves.csv"
+        _write_report(VerificationReport(suite="s"), (header, rows), argparse.Namespace(format="csv", out=str(out)))
+        assert out.read_bytes() == self.per_value_csv(header, rows).encode("utf-8")
+
+
 class TestKeCommand:
     def test_alpha0_complete(self, tmp_path):
         out = tmp_path / "fam.csv"
@@ -506,7 +532,7 @@ class TestReportHarness:
         failing = {"config_warped_alpha0_lambda_m1", "config_s3xr_gxx_2", "config_s3xr_nan_f",
                    "planewave_tol_1e-30"}
         errors = {"config_s3xr_f_tau2", "config_s3xr_log_f"}
-        assert len(codes) == 21
+        assert len(codes) == 22
         assert codes == {name: "2" if name in errors else "1" if name in failing else "0" for name in codes}
         for name in codes:
             if name in errors:

@@ -388,7 +388,7 @@ class TestGridErrors:
 
     KS3 = KSet(("tau", "p", "q"))
 
-    @pytest.mark.parametrize("make,grid,error,text", [
+    CASES = [
         (lambda: make_closed_form("log(tau)", KS1), [(2.0,), (1.0,), (-0.5,)],
          DomainError, "log of nonpositive value -0.5 at (-0.5,)"),
         (lambda: make_closed_form("log(x) + y", KS2), [(1.0, 0.5), (2.0, 0.5), (-1.0, 0.25)],
@@ -411,7 +411,9 @@ class TestGridErrors:
         (lambda: solve_linear([[variable(KS1, "tau") - 1.0]], [constant(KS1, 1.0)])[0],
          [(0.0,), (2.0,), (1.0,)], SingularMatrixError,
          "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (1.0,)"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("make,grid,error,text", CASES)
     def test_first_failing_point_named(self, make, grid, error, text):
         with pytest.raises(error) as exc:
             values_on_grid(make(), grid)
@@ -420,6 +422,14 @@ class TestGridErrors:
             make().at(grid[-1])
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("make,grid,error,text", CASES)
+    def test_array_grid_names_the_same_point(self, make, grid, error, text):
+        # an (N, k) array grid names its points as tuples of Python floats
+        with pytest.raises(error) as exc:
+            values_on_grid(make(), np.array(grid))
+        assert str(exc.value) == text
+        assert "np.float64(" not in str(exc.value)
+
     def test_non_finite_rows_solve_to_nan(self):
         # a NaN matrix entry at one point: NaN there, the other points solved
         tau = variable(KS1, "tau")
@@ -427,6 +437,30 @@ class TestGridErrors:
                          [constant(KS1, 2.0)])[0]
         values = values_on_grid(x, [(0.0,), (0.5,)])
         assert values[0] == -2.0 and math.isnan(values[1])
+
+
+class TestArrayGrid:
+    """An (N, k) array grid gives what the same points as a list of tuples
+    give, bit for bit."""
+
+    EXPRESSIONS = ["exp(tau) * sin(3*tau)", "tan(tau) / (1 + tau^2)", "sqrt(tau) + log(tau)",
+                   "cosh(tau)^0.5 - tanh(tau)", "(1e200*tau)*(1e200*tau)*(tau - tau)"]
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS)
+    def test_values_equal_list_of_tuples(self, expr):
+        taus = np.linspace(0.05, 2.0, 257)
+        from_array = values_on_grid(make_closed_form(expr, KS1), taus[:, None])
+        from_tuples = values_on_grid(make_closed_form(expr, KS1), [(v,) for v in taus.tolist()])
+        assert from_array.tobytes() == from_tuples.tobytes()
+
+    def test_partials_equal_list_of_tuples(self):
+        def fields():
+            tau = variable(KS1, "tau")
+            return [exp(tau * tau).partial(0).partial(0), log_abs(tau - 2.0).partial(0)]
+
+        taus = np.linspace(-1.0, 1.0, 65)
+        from_array = values_on_grid(fields(), taus[:, None])
+        assert from_array.tobytes() == values_on_grid(fields(), [(v,) for v in taus.tolist()]).tobytes()
 
 
 class TestSharedMatrix:

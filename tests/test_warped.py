@@ -207,6 +207,42 @@ class TestFiberEquationProperties:
         assert max_abs_on_grid(res, grid) <= 1e-8
 
 
+def _two_tan_newton(tau, seed, halfwidth=0.5, max_iter=100):
+    """Reference copy of the earlier ``solve_implicit_w``: tan through a
+    closure, twice per step, and both bracket residuals kept."""
+
+    def h(x):
+        return tau + math.tan(x) - x
+
+    lo, hi = seed - halfwidth, seed + halfwidth
+    hlo, hhi = h(lo), h(hi)
+    if hlo == 0.0:
+        return lo
+    if hhi == 0.0:
+        return hi
+    have_bracket = (hlo < 0.0) != (hhi < 0.0)
+    x = seed
+    for _ in range(max_iter):
+        hx = h(x)
+        if abs(hx) <= 1e-12:
+            return x
+        if have_bracket:
+            if (hx < 0.0) == (hlo < 0.0):
+                lo, hlo = x, hx
+            else:
+                hi, hhi = x, hx
+        slope = math.tan(x) ** 2
+        step = x - hx / slope if slope > 1e-300 else math.inf
+        if not (lo < step < hi) or not math.isfinite(step):
+            if not have_bracket:
+                raise ArithmeticError(
+                    "Newton left the branch bracket (%g, %g) at tau=%g" % (lo, hi, tau)
+                )
+            step = 0.5 * (lo + hi)
+        x = step
+    raise ArithmeticError("implicit solve did not converge in %d iterations (tau=%g)" % (max_iter, tau))
+
+
 class TestImplicitSolve:
     def test_root_at_tau0(self):
         x0 = solve_implicit_w(TAU0, -math.pi / 4.0)
@@ -227,8 +263,31 @@ class TestImplicitSolve:
 
     def test_nonconvergence_errors(self):
         # no root of x = tau + tan(x) inside (seed - 0.01, seed + 0.01)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError) as exc:
             solve_implicit_w(100.0, -math.pi / 4.0, halfwidth=0.01, max_iter=8)
+        assert str(exc.value) == "Newton left the branch bracket (-0.795398, -0.775398) at tau=100"
+        # a bracketed root that one step does not reach
+        with pytest.raises(ArithmeticError) as exc:
+            solve_implicit_w(0.5, -math.pi / 4.0, max_iter=1)
+        assert str(exc.value) == "implicit solve did not converge in 1 iterations (tau=0.5)"
+
+    @staticmethod
+    def _outcome(solve, tau):
+        try:
+            return solve(tau, -math.pi / 4.0).hex()
+        except ArithmeticError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("taus", [
+        np.linspace(0.05, 1.0, 2000).tolist() + [TAU0],
+        # 289 of these leave the branch bracket; others bisect before converging
+        np.linspace(-2.0, 3.0, 500).tolist(),
+    ])
+    def test_equals_two_tan_newton(self, taus):
+        # the same roots, bit for bit, and the same errors as a solver that
+        # calls tan twice per step through a residual closure
+        assert [self._outcome(solve_implicit_w, t) for t in taus] == \
+            [self._outcome(_two_tan_newton, t) for t in taus]
 
 
 class TestEinsteinVerdict:

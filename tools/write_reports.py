@@ -23,7 +23,9 @@ OUT_DIR receives:
   benchmark's warped_alpha0_500 workload);
 * ``config_ppwave_sech``/``config_warped_alpha0``, ``verify --config`` on
   those two documents (``docs/`` holds the documents);
-* ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV;
+* ``ke_alpha0``/``ke_alphaneg``/``ke_alpha_minus2``, ``ke`` JSON+CSV, and
+  ``ke_alpha_minus2_20k`` (alpha_minus2 at 20,000 tau samples, the command
+  line of the benchmark's ke_implicit_20k workload without its seed);
 * four runs that fail (exit 1), so that the bytes of failing records are
   compared too: ``config_warped_alpha0_lambda_m1`` (the warped_alpha0
   document with lambda -1), ``config_s3xr_gxx_2`` (s3xr with g(x,x) = 2,
@@ -58,6 +60,7 @@ KE_RUNS = {
     "ke_alpha0": ["--family", "alpha0", "--lam", "-1", "--interval=-inf:inf", "--complete"],
     "ke_alphaneg": ["--family", "alphaneg", "--interval=0.2:1.4"],
     "ke_alpha_minus2": ["--family", "alpha_minus2", "--interval=0.05:1.0", "--complete"],
+    "ke_alpha_minus2_20k": ["--family", "alpha_minus2", "--interval=0.05:1.0", "--complete", "--n", "20000"],
 }
 
 
