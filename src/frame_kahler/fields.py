@@ -141,13 +141,11 @@ class _Grid:
 
     @classmethod
     def of(cls, points):
-        # k-tuples or an (N, k) array, whose rows errors name as Python floats; an empty
-        # grid gets an empty column for each of the (at most 3) variables any field can read
+        # k-tuples or an (N, k) array; errors name a point as a tuple of Python floats. An
+        # empty grid gets an empty column for each of the (at most 3) variables any field reads
         k = len(points[0]) if len(points) else 3
         cols = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T)
-        if isinstance(points, np.ndarray):
-            return cls(cols, lambda i: tuple(points[i].tolist()))
-        return cls(cols, lambda i: tuple(points[i]))
+        return cls(cols, lambda i: tuple(cols[:, i].tolist()))
 
     def remapped(self, mapping):
         """The grid of a field whose i-th variable is this grid's mapping[i]."""

@@ -103,9 +103,9 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
 
 
 def values_on_grid(fields, grid) -> np.ndarray:
-    """Values over the grid (a list of points) of one real or complex
-    field, or of every field in a nested iterable of them: an array with the
-    nesting's shape plus a last axis over the grid."""
+    """Values over the grid (a list of k-tuples or an (N, k) float array) of
+    one real or complex field, or of every field in a nested iterable of them:
+    an array with the nesting's shape plus a last axis over the grid."""
     return np.array(_evaluate(fields, grid))
 
 

@@ -430,6 +430,14 @@ class TestGridErrors:
         assert str(exc.value) == text
         assert "np.float64(" not in str(exc.value)
 
+    @pytest.mark.parametrize("make,grid,error,text", CASES)
+    def test_numpy_scalar_grid_names_python_floats(self, make, grid, error, text):
+        # a list of tuples of np.float64 (as built from np.linspace) reads the same
+        grid = [tuple(np.float64(v) for v in point) for point in grid]
+        with pytest.raises(error) as exc:
+            values_on_grid(make(), grid)
+        assert str(exc.value) == text
+
     def test_non_finite_rows_solve_to_nan(self):
         # a NaN matrix entry at one point: NaN there, the other points solved
         tau = variable(KS1, "tau")
