@@ -65,7 +65,7 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
         report.extend(coordinate_crosscheck(entry), prefix="chart.")
     if central:
         return report, _central_curves(entry, grid, *found)
-    return report, _ke_curves(found, entry.family, entry.data.constants.alpha)
+    return report, _ke_curves(found, entry.family, ke_ode_residual(entry.family, entry.data.constants.alpha))
 
 
 def _central_curves(entry, grid, verdict, curv_k):
@@ -74,9 +74,11 @@ def _central_curves(entry, grid, verdict, curv_k):
     return header, np.column_stack([np.array(grid), columns.T])
 
 
-def _ke_curves(tau_grid, fam: WarpedFamily, alpha: float):
+def _ke_curves(tau_grid, fam: WarpedFamily, ode):
+    """The curve columns over ``tau_grid``. ``ode`` is the family's
+    ``ke_ode_residual``; ``cmd_ke`` passes the field its check has already
+    evaluated on that grid, so the column is read from its cache."""
     header = ["tau", "w", "f", "c", "ke_residual", "s"]
-    ode = ke_ode_residual(fam, alpha)
     c_field = fam.c_field()
 
     def speed(c):
@@ -213,7 +215,7 @@ def cmd_ke(args) -> int:
     report.duration_s = time.perf_counter() - start
     report.print_lines()
 
-    _write_report(report, _ke_curves(tau_grid, fam, alpha), args)
+    _write_report(report, _ke_curves(tau_grid, fam, ode), args)
     return 0 if report.passed else 1
 
 

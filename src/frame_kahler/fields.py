@@ -23,8 +23,10 @@ powers apply ``math`` per element, which numpy's ufuncs do not match in the
 last bit; a pointwise solve is one stacked ``np.linalg.solve``. Each
 distinct pointwise matrix is assembled and det-checked once per grid, in
 one holder shared by every solve against it (derivative systems included);
-each right-hand side is still solved on its own, because one solve with
-many right-hand sides differs from separate solves in the last bits. A
+each distinct right-hand side is solved once (the holder keeps each
+solution by the exact bytes of its right-hand side), but on its own,
+because one solve with many right-hand sides differs from separate solves
+in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
 that node fails. ``at(point)`` is a one-point convenience over the same
 path. Fields are immutable after construction.
@@ -656,13 +658,17 @@ class _PointwiseMatrix:
     """An n-by-n matrix of fields shared by every pointwise solve against
     it. For each grid it keeps the stacked values ``M`` (points first), the
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
-    points), so the matrix is assembled and det-checked once per grid."""
+    points), so the matrix is assembled and det-checked once per grid.
+    ``solutions`` maps (grid key, exact bytes of a stacked right-hand side)
+    to the solution, so each distinct right-hand side is solved once per
+    grid; bytes, not values, so -0.0 and NaN payloads stay distinct."""
 
-    __slots__ = ("rows", "_cache")
+    __slots__ = ("rows", "_cache", "solutions")
 
     def __init__(self, rows):
         self.rows = [list(row) for row in rows]
         self._cache = {}
+        self.solutions = {}
 
     def on(self, grid):
         got = self._cache.get(grid.key)
@@ -683,7 +689,8 @@ class LinearFieldSystem:
     exactly through the solve. ``A`` is the rows of fields, or the private
     holder of another system's A; the derivative systems share their
     parent's holder, so every system against one matrix reads one assembled
-    and det-checked stack per grid, and solves its own right-hand side.
+    and det-checked stack per grid, and each distinct right-hand side is
+    solved once.
     """
 
     __slots__ = ("_matrix", "A", "b", "kset", "n", "_cache", "_dsys", "_components")
@@ -701,7 +708,9 @@ class LinearFieldSystem:
     def value_at(self, grid):
         """The solutions over a ``_Grid``: row j holds component j at every
         point. One stacked solve runs over the points where A and b are
-        finite; the solution is NaN at the other points."""
+        finite; the solution is NaN at the other points. The singular check
+        runs for every system; a right-hand side already solved against this
+        matrix on this grid reads the stored solution."""
         got = self._cache.get(grid.key)
         if got is None:
             M, finite, abs_det = self._matrix.on(grid)
@@ -713,9 +722,12 @@ class LinearFieldSystem:
                 raise SingularMatrixError(
                     "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid.point(i))
                 )
-            x = np.full((grid.n, self.n), math.nan)
-            x[rows] = np.linalg.solve(M[rows], v[rows, :, None])[..., 0]
-            got = np.ascontiguousarray(x.T)
+            key = (grid.key, v.tobytes())
+            got = self._matrix.solutions.get(key)
+            if got is None:
+                x = np.full((grid.n, self.n), math.nan)
+                x[rows] = np.linalg.solve(M[rows], v[rows, :, None])[..., 0]
+                got = self._matrix.solutions[key] = np.ascontiguousarray(x.T)
             self._cache[grid.key] = got
         return got
 

@@ -14,7 +14,9 @@ from frame_kahler.fields import (
     FieldError,
     KSet,
     LinearFieldSystem,
+    ScalarField,
     SingularMatrixError,
+    _PointwiseMatrix,
     constant,
     determinant,
     exp,
@@ -471,9 +473,23 @@ class TestArrayGrid:
         assert from_array.tobytes() == values_on_grid(fields(), [(v,) for v in taus.tolist()]).tobytes()
 
 
+class _Table(ScalarField):
+    """A field over KS1 that reads fixed values (one per grid point) on every
+    grid, so a test controls the exact bytes of a right-hand side."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        super().__init__(KS1)
+        self.values = np.array(values, dtype=float)
+
+    def _compute(self, grid):
+        return self.values
+
+
 class TestSharedMatrix:
     """Every solve against one matrix reads one assembled and det-checked
-    stack per grid; each right-hand side is still solved on its own."""
+    stack per grid, and each distinct right-hand side is solved once."""
 
     @pytest.fixture
     def det_calls(self, monkeypatch):
@@ -486,6 +502,82 @@ class TestSharedMatrix:
 
         monkeypatch.setattr(np.linalg, "det", counted)
         return calls
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @staticmethod
+    def hexes(values):
+        return [[float.hex(v) for v in row] for row in np.asarray(values).tolist()]
+
+    def test_bit_equal_right_hand_sides_share_one_solve(self, solve_calls):
+        def A():
+            x, y = variable(KS2, "x"), variable(KS2, "y")
+            return [[constant(KS2, 2.0), x], [x, constant(KS2, 3.0) + y]]
+
+        x, y = variable(KS2, "x"), variable(KS2, "y")
+        # distinct nodes, equal values: x*y = y*x and y+1 = 1+y exactly
+        b1 = [x * y, y + 1.0]
+        b2 = [y * x, constant(KS2, 1.0) + y]
+        assert b1[0] is not b2[0] and b1[1] is not b2[1]
+        grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5), (0.0, 0.0)]
+        holder = _PointwiseMatrix(A())
+        shared = values_on_grid([LinearFieldSystem(holder, b1).components(),
+                                 LinearFieldSystem(holder, b2).components()], grid)
+        assert solve_calls == [4]
+        alone = values_on_grid([solve_linear(A(), b1), solve_linear(A(), b2)], grid)
+        assert solve_calls == [4, 4, 4]
+        assert self.hexes(shared[0]) == self.hexes(alone[0]) == self.hexes(alone[1])
+        assert self.hexes(shared[1]) == self.hexes(alone[1])
+
+    def test_signed_zeros_solve_apart(self, solve_calls):
+        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
+        plus = LinearFieldSystem(holder, [_Table([0.0, 1.0])]).components()[0]
+        minus = LinearFieldSystem(holder, [_Table([-0.0, 1.0])]).components()[0]
+        values = values_on_grid([plus, minus], [(0.0,), (2.0,)])
+        assert solve_calls == [2, 2]
+        assert self.hexes(values) == [["0x0.0p+0", "0x1.0000000000000p-2"],
+                                      ["-0x0.0p+0", "0x1.0000000000000p-2"]]
+
+    @pytest.mark.parametrize("first,second", [
+        (0.5, math.nan),
+        (math.nan, -math.nan),
+        (np.uint64(0x7FF8000000000000).view(float), np.uint64(0x7FF8000000000001).view(float)),
+    ])
+    def test_nan_differences_solve_apart(self, solve_calls, first, second):
+        b1, b2 = np.array([1.0, first]), np.array([1.0, second])
+        assert b1.tobytes() != b2.tobytes()
+        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
+        x1 = LinearFieldSystem(holder, [_Table(b1)]).components()[0]
+        x2 = LinearFieldSystem(holder, [_Table(b2)]).components()[0]
+        values = values_on_grid([x1, x2], [(0.0,), (2.0,)])
+        assert solve_calls == [2 - math.isnan(first), 1]
+        assert values[0, 0] == values[1, 0] == 0.5
+        assert math.isnan(values[1, 1])
+        if math.isnan(first):
+            assert math.isnan(values[0, 1])
+        else:
+            assert values[0, 1] == 0.125
+
+    def test_singular_point_raises_for_every_system_sharing_a_right_hand_side(self, solve_calls):
+        tau = variable(KS1, "tau")
+        holder = _PointwiseMatrix([[tau * (tau - 1.0)]])
+        grid = [(2.0,), (0.0,), (1.0,)]
+        for _ in range(2):
+            x = LinearFieldSystem(holder, [constant(KS1, 2.0)]).components()[0]
+            with pytest.raises(SingularMatrixError) as exc:
+                values_on_grid(x, grid)
+            assert str(exc.value) == "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (0.0,)"
+        assert solve_calls == []
 
     @staticmethod
     def nan_off_zero(tau):
