@@ -3,6 +3,7 @@
 Usage (from the root of a source checkout):
 
     PYTHONPATH=src python3 tools/write_reports.py OUT_DIR
+    PYTHONPATH=src python3 tools/write_reports.py --digests FILE [OUT_DIR]
 
 The reports come from the public command line (``cli.main``) and catalog
 API only, so the script also runs against an older ``src/``: point
@@ -38,16 +39,28 @@ OUT_DIR receives:
   domain of log);
 * ``<name>.err``, the ``error:`` line of each run that exits 2;
 * ``exit_codes.txt``, the exit code of every run above.
+
+``--digests FILE`` also writes FILE, a JSON object with the sha256 of every
+file written (``docs/`` included), keyed by its path under OUT_DIR, and the
+numpy version and ``platform.machine()`` of the run; without OUT_DIR the
+reports go to a temporary directory. ``tests/report_digests.json`` holds
+the digests that the test suite compares against.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
+import platform
 import sys
+import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.append(os.path.join(ROOT, "src"))
@@ -108,12 +121,37 @@ def runs(out_dir: str):
     yield "planewave_tol_1e-30", ["verify", "--example", "planewave", "--tol", "1e-30"]
 
 
+def digests(out_dir: str) -> dict:
+    """The sha256 of every file under ``out_dir``, keyed by its relative path
+    with ``/`` separators, and the environment that wrote the files."""
+    files = {}
+    for base, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out_dir).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    return {"numpy": np.__version__, "machine": platform.machine(), "sha256": dict(sorted(files.items()))}
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: write_reports.py OUT_DIR", file=sys.stderr)
-        return 2
-    out_dir = argv[0]
+    parser = argparse.ArgumentParser(prog="write_reports.py")
+    parser.add_argument("out_dir", nargs="?", metavar="OUT_DIR")
+    parser.add_argument("--digests", metavar="FILE")
+    args = parser.parse_args(argv)
+    if args.out_dir is None and args.digests is None:
+        parser.error("give OUT_DIR, --digests FILE, or both")
+    with contextlib.ExitStack() as stack:
+        out_dir = args.out_dir or stack.enter_context(tempfile.TemporaryDirectory())
+        write_reports(out_dir)
+        if args.digests:
+            with open(args.digests, "w", encoding="utf-8") as fh:
+                json.dump(digests(out_dir), fh, indent=1)
+                fh.write("\n")
+    return 0
+
+
+def write_reports(out_dir: str) -> None:
+    """Run every command line of ``runs`` into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     print("frame_kahler from %s" % os.path.dirname(cli.__file__), file=sys.stderr)
     codes = []
@@ -128,7 +166,6 @@ def main(argv=None) -> int:
                 fh.writelines(line + "\n" for line in stderr.getvalue().splitlines() if line.startswith("error:"))
     with open(os.path.join(out_dir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(codes)
-    return 0
 
 
 if __name__ == "__main__":
