@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CScalarField, ScalarField, determinant, exp, log_abs, variable, _div
+from .fields import CScalarField, ScalarField, contract, determinant, exp, log_abs, variable, _div
 from .frames import (
     CurvatureTensor,
     constancy_on_grid,
@@ -118,9 +118,7 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     lap_u = laplacian(S, conn_k, u, curv_k.invg)
     lap_u_frame = laplacian_orthonormal(S, conn_k, u)
     grad_u = gradient(S, u, curv_k.invg)
-    grad_sq = S.zero()
-    for a in range(4):
-        grad_sq = grad_sq + grad_u[a] * S.dd(a, u)
+    grad_sq = contract(S.zero(), ((1, grad_u[a], S.dd(a, u)) for a in range(4)))
     return {
         "s_tilde": curv_k.scalar * u * u + 6.0 * u * lap_u - 12.0 * grad_sq,
         "s_tilde_alt": curv_k.scalar * u * u + 6.0 * u * lap_u_frame - 12.0 * grad_sq,

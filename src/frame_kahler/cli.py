@@ -65,7 +65,8 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
         report.extend(coordinate_crosscheck(entry), prefix="chart.")
     if central:
         return report, _central_curves(entry, grid, *found)
-    return report, _ke_curves(found, entry.family, ke_ode_residual(entry.family, entry.data.constants.alpha))
+    tau_grid, ode = found
+    return report, _ke_curves(tau_grid, entry.family, ode)
 
 
 def _central_curves(entry, grid, verdict, curv_k):
@@ -76,8 +77,9 @@ def _central_curves(entry, grid, verdict, curv_k):
 
 def _ke_curves(tau_grid, fam: WarpedFamily, ode):
     """The curve columns over ``tau_grid``. ``ode`` is the family's
-    ``ke_ode_residual``; ``cmd_ke`` passes the field its check has already
-    evaluated on that grid, so the column is read from its cache."""
+    ``ke_ode_residual``; ``run_suite`` and ``cmd_ke`` pass the field that
+    their check has already evaluated on that grid, so the column is read
+    from its cache."""
     header = ["tau", "w", "f", "c", "ke_residual", "s"]
     c_field = fam.c_field()
 

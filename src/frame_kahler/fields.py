@@ -23,18 +23,24 @@ powers apply ``math`` per element, which numpy's ufuncs do not match in the
 last bit; a pointwise solve is one stacked ``np.linalg.solve``. Each
 distinct pointwise matrix is assembled and det-checked once per grid, in
 one holder shared by every solve against it (derivative systems included);
-each distinct right-hand side is solved once (the holder keeps each
-solution by the exact bytes of its right-hand side), but on its own,
+each distinct right-hand side is solved once (the holder finds it by its
+sha256 and reuses it only on a bit-for-bit match), but on its own,
 because one solve with many right-hand sides differs from separate solves
 in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
 that node fails. ``at(point)`` is a one-point convenience over the same
 path. Fields are immutable after construction.
+
+Frame tables are mostly structural zeros. Every sum of products over a
+frame index goes through ``contract``, which keeps the summation order and
+skips a term with a constant-zero factor before building it, so no node is
+ever built for a term that is zero by construction.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import itertools
 import math
 import re as _re
@@ -595,6 +601,33 @@ def _pow(f, p):
     return _PowC(f, p)
 
 
+def _constant_zero(f):
+    """Whether f is a constant 0.0 or -0.0 (complex: both parts are)."""
+    if isinstance(f, CScalarField):
+        return _constant_zero(f.re) and _constant_zero(f.im)
+    return f.is_constant and f.c == 0.0
+
+
+def contract(acc, terms):
+    """``acc + x * y`` or ``acc - x * y`` for each (sign, x, y) of ``terms``,
+    in order, for a sign of +1 or -1; real or complex fields. A term with a
+    constant-zero factor is skipped before its product is built, and ``x``
+    may be a zero-argument callable that builds the factor, called only when
+    ``y`` is not a constant zero. The values are those of the loop that
+    builds every term, except on constants the loop would fold: a constant
+    accumulator of -0.0 stays -0.0, and a constant zero times an infinite or
+    NaN constant counts as zero."""
+    for sign, x, y in terms:
+        if _constant_zero(y):
+            continue
+        if callable(x):
+            x = x()
+        if _constant_zero(x):
+            continue
+        acc = acc + x * y if sign > 0 else acc - x * y
+    return acc
+
+
 def constant(kset: KSet, c: float) -> ScalarField:
     return Const(kset, c)
 
@@ -659,9 +692,12 @@ class _PointwiseMatrix:
     it. For each grid it keeps the stacked values ``M`` (points first), the
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
     points), so the matrix is assembled and det-checked once per grid.
-    ``solutions`` maps (grid key, exact bytes of a stacked right-hand side)
-    to the solution, so each distinct right-hand side is solved once per
-    grid; bytes, not values, so -0.0 and NaN payloads stay distinct."""
+    ``solutions`` maps (grid key, sha256 of a stacked right-hand side) to
+    the first system that solved it, so each distinct right-hand side is
+    solved once per grid. A hit is reused only when the right-hand side
+    equals that system's bit for bit, so -0.0 and NaN payloads stay
+    distinct and a digest collision costs one more solve, never a wrong
+    one."""
 
     __slots__ = ("rows", "_cache", "solutions")
 
@@ -714,7 +750,8 @@ class LinearFieldSystem:
         got = self._cache.get(grid.key)
         if got is None:
             M, finite, abs_det = self._matrix.on(grid)
-            v = np.array([f._values(grid) for f in self.b]).T
+            stack = np.array([f._values(grid) for f in self.b])
+            v = stack.T
             rows = np.flatnonzero(finite & np.isfinite(v).all(axis=1))
             singular = rows[abs_det[rows] <= MIN_ABS_DET]
             if singular.size:
@@ -722,13 +759,16 @@ class LinearFieldSystem:
                 raise SingularMatrixError(
                     "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid.point(i))
                 )
-            key = (grid.key, v.tobytes())
-            got = self._matrix.solutions.get(key)
-            if got is None:
+            key = (grid.key, hashlib.sha256(stack).digest())
+            first = self._matrix.solutions.get(key)
+            if first is not None and all(np.array_equal(f._values(grid).view(np.int64), row.view(np.int64))
+                                         for f, row in zip(first.b, stack)):
+                got = self._cache[grid.key] = first._cache[grid.key]
+            else:
                 x = np.full((grid.n, self.n), math.nan)
                 x[rows] = np.linalg.solve(M[rows], v[rows, :, None])[..., 0]
-                got = self._matrix.solutions[key] = np.ascontiguousarray(x.T)
-            self._cache[grid.key] = got
+                got = self._cache[grid.key] = np.ascontiguousarray(x.T)
+                self._matrix.solutions.setdefault(key, self)
         return got
 
     def components(self):
@@ -740,12 +780,8 @@ class LinearFieldSystem:
         sys_i = self._dsys.get(i)
         if sys_i is None:
             x = self.components()
-            rhs = []
-            for c in range(self.n):
-                term = self.b[c].partial(i)
-                for d in range(self.n):
-                    term = _sub(term, _mul(self.A[c][d].partial(i), x[d]))
-                rhs.append(term)
+            rhs = [contract(self.b[c].partial(i), ((-1, self.A[c][d].partial(i), x[d]) for d in range(self.n)))
+                   for c in range(self.n)]
             sys_i = LinearFieldSystem(self._matrix, rhs)
             self._dsys[i] = sys_i
         return sys_i

@@ -18,6 +18,7 @@ the check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .fields import (
     _PointwiseMatrix,
     _div,
     _evaluate,
+    contract,
     determinant,
     log_abs,
     sqrt,
@@ -210,17 +212,12 @@ class FrameStructure:
         """Directional derivative d_{e_a} of a field, via the D table."""
         if field.is_constant:
             return Const(self.kset, 0.0)
-        out = Const(self.kset, 0.0)
-        for i in range(self.kset.size):
-            out = out + field.partial(i) * self.D[a][i]
-        return out
+        return contract(Const(self.kset, 0.0),
+                        ((1, functools.partial(field.partial, i), self.D[a][i]) for i in range(self.kset.size)))
 
     def g_of_bracket(self, u: int, v: int, w: int) -> ScalarField:
         """g(e_u, [e_v, e_w])."""
-        out = Const(self.kset, 0.0)
-        for e in range(self.n):
-            out = out + self.C[v][w][e] * self.g[u][e]
-        return out
+        return contract(Const(self.kset, 0.0), ((1, self.C[v][w][e], self.g[u][e]) for e in range(self.n)))
 
     def with_metric(self, new_g) -> "FrameStructure":
         """Same frame, brackets and derivatives under a different metric."""
@@ -258,10 +255,8 @@ class ConnectionTable:
         S = self.structure
 
         def residual(a, b, c):
-            f = S.dd(a, S.g[b][c])
-            for d in range(S.n):
-                f = f - self.gamma[a][b][d] * S.g[d][c] - self.gamma[a][c][d] * S.g[b][d]
-            return f
+            return contract(S.dd(a, S.g[b][c]), (t for d in range(S.n) for t in (
+                (-1, self.gamma[a][b][d], S.g[d][c]), (-1, self.gamma[a][c][d], S.g[b][d]))))
 
         return max_abs_on_grid(
             (residual(a, b, c) for a in range(S.n) for b in range(S.n) for c in range(b, S.n)), grid
@@ -318,10 +313,7 @@ class CurvatureTensor:
         f = self._lowered.get(key)
         if f is None:
             S = self.structure
-            f = S.zero()
-            for e in range(S.n):
-                f = f + self.R[a][b][c][e] * S.g[e][d]
-            self._lowered[key] = f
+            f = self._lowered[key] = contract(S.zero(), ((1, self.R[a][b][c][e], S.g[e][d]) for e in range(S.n)))
         return f
 
     def max_component(self, grid) -> float:
@@ -367,25 +359,15 @@ def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
         for b in range(a + 1, n):
             for c in range(n):
                 for e in range(n):
-                    f = S.dd(a, gamma[b][c][e]) - S.dd(b, gamma[a][c][e])
-                    for d in range(n):
-                        f = f + gamma[b][c][d] * gamma[a][d][e]
-                        f = f - gamma[a][c][d] * gamma[b][d][e]
-                        f = f - S.C[a][b][d] * gamma[d][c][e]
+                    f = contract(S.dd(a, gamma[b][c][e]) - S.dd(b, gamma[a][c][e]), (t for d in range(n) for t in (
+                        (1, gamma[b][c][d], gamma[a][d][e]),
+                        (-1, gamma[a][c][d], gamma[b][d][e]),
+                        (-1, S.C[a][b][d], gamma[d][c][e]))))
                     R[a][b][c][e] = f
                     R[b][a][c][e] = -f
-    ricci = [[zero for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            f = zero
-            for c in range(n):
-                f = f + R[c][a][b][c]
-            ricci[a][b] = f
+    ricci = [[sum((R[c][a][b][c] for c in range(n)), zero) for b in range(n)] for a in range(n)]
     invg = inverse_metric(S)
-    scalar = zero
-    for a in range(n):
-        for b in range(n):
-            scalar = scalar + invg[a][b] * ricci[a][b]
+    scalar = contract(zero, ((1, invg[a][b], ricci[a][b]) for a in range(n) for b in range(n)))
     return CurvatureTensor(S, R, ricci, scalar, invg)
 
 
@@ -420,27 +402,18 @@ def twist(S: FrameStructure, grid=None) -> ScalarField:
 def gradient(S: FrameStructure, F: ScalarField, invg):
     """Frame components of the metric gradient of F: grad F = (g^{ab} d_b F) e_a."""
     n = S.n
-    out = []
-    for a in range(n):
-        f = S.zero()
-        for b in range(n):
-            f = f + invg[a][b] * S.dd(b, F)
-        out.append(f)
-    return out
+    return [contract(S.zero(), ((1, invg[a][b], S.dd(b, F)) for b in range(n))) for a in range(n)]
 
 
 def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) -> ScalarField:
     """Metric Laplacian: g^{ab} (d_a d_b F - Gamma_ab^c d_c F)."""
     n = S.n
-    out = S.zero()
     dF = [S.dd(c, F) for c in range(n)]
-    for a in range(n):
-        for b in range(n):
-            hess = S.dd(a, dF[b])
-            for c in range(n):
-                hess = hess - conn.gamma[a][b][c] * dF[c]
-            out = out + invg[a][b] * hess
-    return out
+
+    def hess(a, b):
+        return contract(S.dd(a, dF[b]), ((-1, conn.gamma[a][b][c], dF[c]) for c in range(n)))
+
+    return contract(S.zero(), ((1, invg[a][b], hess(a, b)) for a in range(n) for b in range(n)))
 
 
 def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarField) -> ScalarField:
@@ -457,9 +430,8 @@ def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarFie
         s = sqrt(S.g[a][a])
         inv_s = _div(Const(S.kset, 1.0), s, label="frame norm")
         first = inv_s * S.dd(a, inv_s * S.dd(a, F))
-        correction = inv_s * S.dd(a, inv_s) * S.dd(a, F)
-        for c in range(n):
-            correction = correction + _div(conn.gamma[a][a][c], S.g[a][a], label="frame norm") * S.dd(c, F)
+        correction = contract(inv_s * S.dd(a, inv_s) * S.dd(a, F), (
+            (1, _div(conn.gamma[a][a][c], S.g[a][a], label="frame norm"), S.dd(c, F)) for c in range(n)))
         out = out + first - correction
     return out
 
@@ -482,18 +454,16 @@ def jacobi_residual_fields(S: FrameStructure):
     """Jacobi identity for the bracket table, including the derivative terms:
     sum over cyclic (a,b,c) of  C_ab^d C_dc^e - d_c C_ab^e  must vanish."""
     n = S.n
+
+    def term(u, v, w, e):
+        return contract(-S.dd(w, S.C[u][v][e]), ((1, S.C[u][v][d], S.C[d][w][e]) for d in range(n)))
+
     out = []
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 for e in range(n):
-                    f = S.zero()
-                    for (u, v, w) in ((a, b, c), (b, c, a), (c, a, b)):
-                        term = -S.dd(w, S.C[u][v][e])
-                        for d in range(n):
-                            term = term + S.C[u][v][d] * S.C[d][w][e]
-                        f = f + term
-                    out.append(f)
+                    out.append(sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), S.zero()))
     return out
 
 
@@ -504,10 +474,8 @@ def frame_derivative_consistency_fields(S: FrameStructure):
     for a in range(n):
         for b in range(a + 1, n):
             for i in range(S.kset.size):
-                f = S.dd(a, S.D[b][i]) - S.dd(b, S.D[a][i])
-                for c in range(n):
-                    f = f - S.C[a][b][c] * S.D[c][i]
-                out.append(f)
+                out.append(contract(S.dd(a, S.D[b][i]) - S.dd(b, S.D[a][i]),
+                                    ((-1, S.C[a][b][c], S.D[c][i]) for c in range(n))))
     return out
 
 

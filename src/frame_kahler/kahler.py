@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CScalarField, Const, KSet, ScalarField
+from .fields import CScalarField, Const, KSet, ScalarField, contract
 from .frames import (
     ConnectionTable,
     CurvatureTensor,
@@ -136,10 +136,7 @@ class AdmissibleData:
         """d(k^flat)(k, T) for the 1-form k^flat = g(k, .)."""
         S = self.structure
         kflat = [S.g[K][c] for c in range(4)]
-        out = S.dd(K, kflat[T]) - S.dd(T, kflat[K])
-        for c in range(4):
-            out = out - S.C[K][T][c] * kflat[c]
-        return out
+        return contract(S.dd(K, kflat[T]) - S.dd(T, kflat[K]), ((-1, S.C[K][T][c], kflat[c]) for c in range(4)))
 
 
 @dataclass
@@ -326,10 +323,8 @@ def exterior_d(S: FrameStructure, xi: FrameOneForm) -> FrameTwoForm:
     vals = {}
     for a in range(n):
         for b in range(a + 1, n):
-            f = directional_derivative(S, a, xi(b)) - directional_derivative(S, b, xi(a))
-            for c in range(n):
-                f = f - xi(c) * S.C[a][b][c]
-            vals[(a, b)] = f
+            vals[(a, b)] = contract(directional_derivative(S, a, xi(b)) - directional_derivative(S, b, xi(a)),
+                                    ((-1, xi(c), S.C[a][b][c]) for c in range(n)))
     zero = _zero_like(xi(0), S.kset)
     return FrameTwoForm(n, vals, zero)
 
@@ -346,11 +341,8 @@ def exterior_d_two_form(S: FrameStructure, eta: FrameTwoForm) -> dict:
                     - directional_derivative(S, b, eta(a, c))
                     + directional_derivative(S, c, eta(a, b))
                 )
-                for e in range(n):
-                    f = f - S.C[a][b][e] * eta(e, c)
-                    f = f + S.C[a][c][e] * eta(e, b)
-                    f = f - S.C[b][c][e] * eta(e, a)
-                out[(a, b, c)] = f
+                out[(a, b, c)] = contract(f, (t for e in range(n) for t in (
+                    (-1, S.C[a][b][e], eta(e, c)), (1, S.C[a][c][e], eta(e, b)), (-1, S.C[b][c][e], eta(e, a)))))
     return out
 
 

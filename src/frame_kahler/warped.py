@@ -402,14 +402,15 @@ def einstein_verdict(
     chain: KahlerChain,
     lam: float,
     grid,
-    fam: Optional[WarpedFamily] = None,
+    ode: Optional[ScalarField] = None,
     fiber: Optional[FiberData] = None,
     fiber_grid=None,
     C: float = 0.0,
 ) -> VerificationReport:
     """Einstein residual of the induced metric through the Ricci-form route,
     with the companion ODE/PDE residuals and the closed-form Ricci displays
-    as cross-checks."""
+    as cross-checks. ``ode`` is the family's ``ke_ode_residual``, checked on
+    the tau samples of the grid when given."""
     A = chain.data
     if A.case != CASE_WARPED:
         raise ValueError("einstein_verdict applies to warped-case data")
@@ -434,10 +435,8 @@ def einstein_verdict(
     rho_kT_closed = -_div((L * w).partial(0), w, label="w")
     report.add("rho_kT_closed_form", max_abs_on_grid(rho(K, T) - rho_kT_closed, grid), TOL_CROSS,
                source="reported")
-    lap_bar = S.zero()
     logi = log_abs(A.iota_bar)
-    for i in range(1, S.kset.size):
-        lap_bar = lap_bar + logi.partial(i).partial(i)
+    lap_bar = sum((logi.partial(i).partial(i) for i in range(1, S.kset.size)), S.zero())
     rho_xy_closed = L * A.iota_bar * _div(Const(S.kset, 1.0), w, label="w") - 0.5 * _div(
         lap_bar, w * w, label="w^2"
     )
@@ -456,9 +455,8 @@ def einstein_verdict(
     )
     report.add("log_derivative_identity", max_abs_on_grid(ident, grid), 1e-10)
 
-    if fam is not None:
+    if ode is not None:
         tau_grid = sorted({(p[0],) for p in grid})
-        ode = ke_ode_residual(fam, A.constants.alpha)
         report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
     if fiber is not None:
         fgrid = fiber_grid if fiber_grid is not None else [()]
@@ -716,7 +714,8 @@ def warped_suite(entry, grid):
     """Every check of a warped-case entry (any object with ``entry_id``,
     ``data``, ``grid_box``, ``expected``, ``fiber`` and ``family``) on the
     grid. Returns the report and, unless the structural gates failed (then
-    None), the tau samples of the grid that the curve table reads."""
+    None), the tau samples of the grid and the family's ``ke_ode_residual``,
+    built once for the Einstein verdict and the curve table."""
     A = entry.data
     report = VerificationReport(suite="ke:%s" % entry.entry_id,
                                 grid_spec=grid_spec_string(A.kset, entry.grid_box))
@@ -732,7 +731,8 @@ def warped_suite(entry, grid):
     displays = _gamma_displays(A, kahler.g[K][K])
     report.add("gamma_closed_forms", chain.gforms.closed_form_residual(displays, grid), TOL_TIGHT,
                source="reported")
-    ev = einstein_verdict(chain, fam.lam, grid, fam=fam, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
+    ode = ke_ode_residual(fam, A.constants.alpha)
+    ev = einstein_verdict(chain, fam.lam, grid, ode=ode, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
     report.extend(ev, prefix="einstein.")
     tau_grid = sorted({(p[0],) for p in grid})
     region_checks(report, fam, tau_grid)
@@ -777,4 +777,4 @@ def warped_suite(entry, grid):
         cv = completeness(fam)
         report.add("completeness_verdict", 0.0 if (cv.verdict == "complete") == e.value else 1.0, 0.0,
                    source=e.source, note="s extends to (%.3g, %.3g)" % cv.s_range)
-    return report, tau_grid
+    return report, (tau_grid, ode)

@@ -158,13 +158,13 @@ def test_criterion_07_ke_ode_families():
 def test_criterion_08_einstein_verdicts(built):
     with criterion(8, "Einstein: alpha0 lam=-3 <= 1e-7; alphaneg flat <= 1e-7; implicit Ricci-flat with |K(x,y)| > 0.1"):
         be = built("warped_alpha0")
-        rep = einstein_verdict(be.chain, -3.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, -3.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
                                fiber=be.entry.fiber, fiber_grid=[()])
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["einstein_residual"].residual <= 1e-7
 
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert {c.check_id: c for c in rep.checks}["einstein_residual"].residual <= 1e-7
         assert be.curv_k.max_component(be.grid) <= 1e-7

@@ -17,7 +17,7 @@ from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load, serialize_structure
 from frame_kahler.cli import _write_report, main, run_suite
-from frame_kahler.fields import constant, variable
+from frame_kahler.fields import ScalarField, constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
 from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
@@ -446,6 +446,26 @@ class TestSolveCounts:
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
         assert dict(counts) == calls
+
+    @pytest.mark.parametrize("entry,box,nodes", [
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12888),
+        (lambda: load("warped_alpha0"), {}, 9337),
+    ])
+    def test_nodes_built(self, monkeypatch, entry, box, nodes):
+        # frame contractions build no term with a constant-zero factor
+        # (26,003 and 16,973 nodes when every term was built)
+        entry = entry()
+        grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
+        built = []
+        init = ScalarField.__init__
+
+        def counted(self, kset):
+            built.append(1)
+            init(self, kset)
+
+        monkeypatch.setattr(ScalarField, "__init__", counted)
+        run_suite(entry, "all", grid)
+        assert len(built) == nodes
 
 
 class TestCheckConsistency:

@@ -1,12 +1,15 @@
 """Scalar-field algebra: parser, exact partials, solves, complex fields."""
 
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frame_kahler import fields as fields_mod
 from frame_kahler.fields import (
     CScalarField,
     DomainError,
@@ -18,6 +21,7 @@ from frame_kahler.fields import (
     SingularMatrixError,
     _PointwiseMatrix,
     constant,
+    contract,
     determinant,
     exp,
     guarded,
@@ -31,7 +35,7 @@ from frame_kahler.fields import (
     variable,
 )
 
-from frame_kahler.frames import values_on_grid
+from frame_kahler.frames import FrameStructure, values_on_grid
 
 from conftest import central_diff, fd_plane_laplacian, second_diff
 
@@ -617,6 +621,17 @@ class TestSharedMatrix:
             assert before[:, k].tolist() == direct.tolist()
         assert det_calls == [3]
 
+    def test_digest_collision_is_solved_apart(self, monkeypatch, solve_calls):
+        # every right-hand side gets the same digest; only the bitwise
+        # comparison keeps distinct ones apart
+        one_digest = types.SimpleNamespace(sha256=lambda data: types.SimpleNamespace(digest=lambda: b"same"))
+        monkeypatch.setattr(fields_mod, "hashlib", one_digest)
+        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
+        xs = [LinearFieldSystem(holder, [_Table(b)]).components()[0] for b in ([1.0, 2.0], [1.0, 4.0], [1.0, 2.0])]
+        values = values_on_grid(xs, [(0.0,), (2.0,)])
+        assert solve_calls == [2, 2]
+        assert values.tolist() == [[0.5, 0.5], [0.5, 1.0], [0.5, 0.5]]
+
     def test_each_grid_assembles_its_own_stack(self, det_calls):
         x = solve_linear([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)])[0]
         assert values_on_grid([x, x.partial(0)], [(0.0,), (2.0,)]).tolist() == [[0.5, 0.25], [-0.25, -0.0625]]
@@ -656,3 +671,87 @@ class TestRemapAndFolds:
         ratio = w.partial(0) / w
         assert ratio.is_constant
         assert ratio.at((0.0,)) == pytest.approx(3.0)
+
+
+def _loop(acc, terms):
+    """The accumulate loop that ``contract`` replaced: builds every term."""
+    for sign, x, y in terms:
+        x = x() if callable(x) else x
+        acc = acc + x * y if sign > 0 else acc - x * y
+    return acc
+
+
+_X, _Y = variable(KS2, "x"), variable(KS2, "y")
+# factors: constant zeros of both signs, nonzero constants, nonconstant fields
+_REAL = [constant(KS2, 0.0), constant(KS2, -0.0), constant(KS2, 1.5), constant(KS2, -0.25),
+         _X, _Y, _X * _Y + 0.5, 2.0 * _Y, constant(KS2, 1e-200)]
+_COMPLEX = _REAL + [CScalarField(constant(KS2, 0.0), constant(KS2, -0.0)),
+                    CScalarField(constant(KS2, -0.0), constant(KS2, 0.0)),
+                    CScalarField(constant(KS2, 0.0), _Y), CScalarField(_X, constant(KS2, -2.0)),
+                    CScalarField(_X, _Y)]
+# starting accumulators: a constant zero accumulator is +0.0 (see ``contract``)
+_ACC = [constant(KS2, 0.0), constant(KS2, 3.0), _X + _Y, CScalarField(constant(KS2, 0.0), constant(KS2, 0.0)),
+        CScalarField(_Y, constant(KS2, 1.0))]
+_GRID = [(0.3, -0.7), (0.0, 0.0), (-1.25, 2.0)]
+
+
+def _hexes(field):
+    values = np.asarray(values_on_grid(field, _GRID), dtype=complex).tolist()
+    return [(float.hex(v.real), float.hex(v.imag)) for v in values]
+
+
+@st.composite
+def _tables(draw, pool):
+    """An accumulator and (sign, x, y) terms; a drawn zero mask replaces
+    factors by constant zeros, and some x factors come as builders."""
+    zeros = st.sampled_from([0.0, -0.0]).map(lambda c: constant(KS2, c))
+    zero_rows = draw(st.booleans())  # every x factor a constant zero
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if zero_rows or draw(st.booleans()):
+            x = draw(zeros)
+        if draw(st.booleans()):
+            y = draw(zeros)
+        if draw(st.booleans()):
+            x = functools.partial(lambda f: f, x)
+        terms.append((draw(st.sampled_from([1, -1])), x, y))
+    return draw(st.sampled_from(_ACC if pool is _COMPLEX else _ACC[:3])), terms
+
+
+class TestContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tables(_REAL))
+    def test_real_values_equal_the_loop(self, table):
+        acc, terms = table
+        assert _hexes(contract(acc, terms)) == _hexes(_loop(acc, terms))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tables(_COMPLEX))
+    def test_complex_values_equal_the_loop(self, table):
+        acc, terms = table
+        assert _hexes(contract(acc, terms)) == _hexes(_loop(acc, terms))
+
+    def test_leading_subtracted_term_and_zero_rows(self):
+        zero = constant(KS2, 0.0)
+        negated = contract(zero, [(-1, _X, _Y), (1, zero, _X), (-1, constant(KS2, -0.0), _Y)])
+        assert _hexes(negated) == _hexes(_loop(zero, [(-1, _X, _Y)])) == _hexes(-(_X * _Y))
+        assert contract(zero, [(1, zero, _X), (-1, _Y, constant(KS2, -0.0))]) is zero
+
+    def test_skipped_term_builds_nothing(self):
+        def unbuilt():
+            raise AssertionError("a skipped factor was built")
+
+        zero = constant(KS2, 0.0)
+        assert contract(_X, [(1, unbuilt, zero), (-1, unbuilt, CScalarField(zero, constant(KS2, -0.0)))]) is _X
+
+    def test_dd_derives_no_partial_where_the_derivative_table_is_zero(self):
+        zero, one = constant(KS2, 0.0), constant(KS2, 1.0)
+        g = [[one if a == b else zero for b in range(3)] for a in range(3)]
+        C = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+        D = [[zero, zero], [one, zero], [zero, one]]
+        S = FrameStructure(KS2, ("e0", "e1", "e2"), g, C, D)
+        f = _X * _Y + _Y
+        assert S.dd(0, f).is_constant and f._partials == {}
+        S.dd(1, f)
+        assert list(f._partials) == [0]

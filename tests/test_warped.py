@@ -294,7 +294,7 @@ class TestEinsteinVerdict:
     def test_alpha0_einstein(self, built):
         be = built("warped_alpha0")
         entry = be.entry
-        rep = einstein_verdict(be.chain, -3.0, be.grid, fam=entry.family, fiber=entry.fiber,
+        rep = einstein_verdict(be.chain, -3.0, be.grid, ode=ke_ode_residual(entry.family, be.data.constants.alpha), fiber=entry.fiber,
                                fiber_grid=[()], C=0.0)
         assert rep.passed
         by_id = {c.check_id: c for c in rep.checks}
@@ -303,7 +303,7 @@ class TestEinsteinVerdict:
 
     def test_alphaneg_flat(self, built):
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert rep.passed
         assert be.curv_k.max_component(be.grid) <= 1e-7
@@ -311,7 +311,7 @@ class TestEinsteinVerdict:
 
     def test_implicit_family_ricci_flat_not_flat(self, built):
         be = built("warped_alpha_minus2")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, fam=be.entry.family,
+        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
                                fiber=be.entry.fiber, fiber_grid=[()])
         assert rep.passed
         assert be.curv_k.max_ricci(be.grid) <= 1e-7
