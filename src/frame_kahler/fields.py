@@ -24,27 +24,24 @@ last bit; a pointwise solve is one stacked ``np.linalg.solve``. Each
 distinct pointwise matrix is assembled and det-checked once per grid, in
 one holder shared by every solve against it (derivative systems included);
 each distinct right-hand side is solved once (the holder finds it by its
-sha256 and reuses it only on a bit-for-bit match), but on its own,
+CRC-32 and reuses it only on a bit-for-bit match), but on its own,
 because one solve with many right-hand sides differs from separate solves
 in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
 that node fails. ``at(point)`` is a one-point convenience over the same
-path. Fields are immutable after construction.
-
-Frame tables are mostly structural zeros. Every sum of products over a
-frame index goes through ``contract``, which keeps the summation order and
-skips a term with a constant-zero factor before building it, so no node is
-ever built for a term that is zero by construction.
+path. Fields are immutable after construction. Every sum of products over
+a frame index goes through ``contract``, which never builds a term that is
+zero by construction.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import itertools
 import math
 import re as _re
 import warnings
+import zlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -609,14 +606,12 @@ def _constant_zero(f):
 
 
 def contract(acc, terms):
-    """``acc + x * y`` or ``acc - x * y`` for each (sign, x, y) of ``terms``,
-    in order, for a sign of +1 or -1; real or complex fields. A term with a
-    constant-zero factor is skipped before its product is built, and ``x``
-    may be a zero-argument callable that builds the factor, called only when
-    ``y`` is not a constant zero. The values are those of the loop that
-    builds every term, except on constants the loop would fold: a constant
-    accumulator of -0.0 stays -0.0, and a constant zero times an infinite or
-    NaN constant counts as zero."""
+    """``acc + x * y`` (sign +1) or ``acc - x * y`` (sign -1) for each
+    (sign, x, y) of ``terms`` in order, skipping a term with a constant-zero
+    factor before its product is built; ``x`` may be a callable that builds
+    the factor, called only when ``y`` is not a constant zero. The values
+    are the loop's that builds every term, except that a constant -0.0
+    accumulator stays -0.0 and zero times a non-finite constant is zero."""
     for sign, x, y in terms:
         if _constant_zero(y):
             continue
@@ -692,12 +687,14 @@ class _PointwiseMatrix:
     it. For each grid it keeps the stacked values ``M`` (points first), the
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
     points), so the matrix is assembled and det-checked once per grid.
-    ``solutions`` maps (grid key, sha256 of a stacked right-hand side) to
-    the first system that solved it, so each distinct right-hand side is
-    solved once per grid. A hit is reused only when the right-hand side
-    equals that system's bit for bit, so -0.0 and NaN payloads stay
-    distinct and a digest collision costs one more solve, never a wrong
-    one."""
+    ``solutions`` maps (grid key, CRC-32 of a stacked right-hand side) to
+    the right-hand side arrays of the first system that solved it (its
+    nodes' cached arrays, not a copy) and the solution, so each distinct
+    right-hand side is solved once per grid. A hit is reused only when the
+    right-hand side equals the stored one bit for bit, so -0.0 and NaN
+    payloads stay distinct and a collision costs one more solve, never a
+    wrong one. (zlib is loaded with numpy; hashlib would map OpenSSL,
+    3.5 MB of RSS.)"""
 
     __slots__ = ("rows", "_cache", "solutions")
 
@@ -751,24 +748,24 @@ class LinearFieldSystem:
         if got is None:
             M, finite, abs_det = self._matrix.on(grid)
             stack = np.array([f._values(grid) for f in self.b])
-            v = stack.T
-            rows = np.flatnonzero(finite & np.isfinite(v).all(axis=1))
+            rows = np.flatnonzero(finite & np.isfinite(stack).all(axis=0))
             singular = rows[abs_det[rows] <= MIN_ABS_DET]
             if singular.size:
                 i = singular[0]
                 raise SingularMatrixError(
                     "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid.point(i))
                 )
-            key = (grid.key, hashlib.sha256(stack).digest())
+            key = (grid.key, zlib.crc32(stack))
             first = self._matrix.solutions.get(key)
-            if first is not None and all(np.array_equal(f._values(grid).view(np.int64), row.view(np.int64))
-                                         for f, row in zip(first.b, stack)):
-                got = self._cache[grid.key] = first._cache[grid.key]
+            if first is not None and all(np.array_equal(b.view(np.int64), row.view(np.int64))
+                                         for b, row in zip(first[0], stack)):
+                got = first[1]
             else:
                 x = np.full((grid.n, self.n), math.nan)
-                x[rows] = np.linalg.solve(M[rows], v[rows, :, None])[..., 0]
-                got = self._cache[grid.key] = np.ascontiguousarray(x.T)
-                self._matrix.solutions.setdefault(key, self)
+                x[rows] = np.linalg.solve(M[rows], stack.T[rows, :, None])[..., 0]
+                got = np.ascontiguousarray(x.T)
+                self._matrix.solutions.setdefault(key, ([f._values(grid) for f in self.b], got))
+            self._cache[grid.key] = got
         return got
 
     def components(self):

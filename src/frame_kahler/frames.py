@@ -6,7 +6,10 @@ g(e_a, e_b), bracket expansions [e_a, e_b] = C_ab^c e_c, and a table of
 frame derivatives of the independent variables.  Directional derivatives,
 the Levi-Civita connection (via the Koszul formula, solved pointwise as an
 n-by-n linear system against g), the curvature tensor, Ricci, scalar and
-sectional curvatures all follow from this data alone.
+sectional curvatures all follow from this data alone. Every sum of
+products over a frame index goes through ``fields.contract``, which keeps
+the summation order and never builds a term with a constant-zero factor:
+the tables are mostly structural zeros.
 
 Every check reads field values over a grid through ``values_on_grid``, the
 one evaluation path: the grid becomes columns once, and each field node

@@ -624,8 +624,7 @@ class TestSharedMatrix:
     def test_digest_collision_is_solved_apart(self, monkeypatch, solve_calls):
         # every right-hand side gets the same digest; only the bitwise
         # comparison keeps distinct ones apart
-        one_digest = types.SimpleNamespace(sha256=lambda data: types.SimpleNamespace(digest=lambda: b"same"))
-        monkeypatch.setattr(fields_mod, "hashlib", one_digest)
+        monkeypatch.setattr(fields_mod, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
         holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
         xs = [LinearFieldSystem(holder, [_Table(b)]).components()[0] for b in ([1.0, 2.0], [1.0, 4.0], [1.0, 2.0])]
         values = values_on_grid(xs, [(0.0,), (2.0,)])
