@@ -415,7 +415,10 @@ def ricci_form(A: AdmissibleData, gforms: GammaForms) -> FrameTwoForm:
     S = A.structure
     d11 = exterior_d(S, gforms.forms[0][0])
     d22 = exterior_d(S, gforms.forms[1][1])
-    vals = {ab: (d11.vals[ab] + d22.vals[ab]) * 1j for ab in d11.pairs()}
+    vals = {}
+    for ab in d11.pairs():
+        total = d11.vals[ab] + d22.vals[ab]
+        vals[ab] = total * 1j
     return FrameTwoForm(4, vals, d11.zero)
 
 
