@@ -30,7 +30,7 @@ from . import catalog as catalog_mod
 from .catalog import (CatalogEntry, SchemaError, capped_grid_box, coordinate_crosscheck, entry_from_document,
                       grid_axis, interval_bounds, load)
 from .central import central_suite
-from .fields import DomainError, FieldError
+from .fields import DomainError, FieldError, _Grid
 from .frames import curvature, koszul_connection, max_abs_on_grid, values_on_grid
 from .kahler import CASE_CENTRAL, CASE_WARPED, build_kahler
 from .reporting import TOL_TIGHT, VerificationReport
@@ -56,7 +56,7 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
     is a SchemaError."""
     if {"central": CASE_CENTRAL, "ke": CASE_WARPED, "all": entry.case}.get(suite) != entry.case:
         raise SchemaError("--suite", "entry %r is a %s-case structure" % (entry.entry_id, entry.case))
-    grid = grid if grid is not None else entry.grid()
+    grid = _Grid.of(grid if grid is not None else entry.grid())
     central = entry.case == CASE_CENTRAL
     report, found = (central_suite if central else warped_suite)(entry, grid)
     if found is None:
@@ -72,11 +72,12 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
 def _central_curves(entry, grid, verdict, curv_k):
     header = list(entry.data.kset.names) + ["s_tilde", "s_K", "central_curvature"]
     columns = values_on_grid([verdict.s_tilde, curv_k.scalar, verdict.central_curvature], grid)
-    return header, np.column_stack([np.array(grid), columns.T])
+    return header, np.column_stack([grid.cols.T, columns.T])
 
 
 def _ke_curves(tau_grid, fam: WarpedFamily, ode):
-    """The curve columns over ``tau_grid``. ``ode`` is the family's
+    """The curve columns over ``tau_grid``, a converted grid
+    (``fields._Grid``). ``ode`` is the family's
     ``ke_ode_residual``; ``run_suite`` and ``cmd_ke`` pass the field that
     their check has already evaluated on that grid, so the column is read
     from its cache."""
@@ -88,7 +89,7 @@ def _ke_curves(tau_grid, fam: WarpedFamily, ode):
         return np.sqrt(np.where(0.0 > c, 0.0, c) * 0.5)
 
     columns = values_on_grid([fam.w, fam.f, c_field, ode], tau_grid)
-    tau = np.array([p[0] for p in tau_grid])
+    tau = tau_grid.cols[0]
     at_grid = speed(columns[2])
     increments = adaptive_simpson(
         lambda t: speed(values_on_grid(c_field, t[:, None])),
@@ -196,7 +197,7 @@ def cmd_ke(args) -> int:
     # interval is unbounded (completeness integrates over the true interval)
     lo = args.interval[0] if math.isfinite(args.interval[0]) else -8.0
     hi = args.interval[1] if math.isfinite(args.interval[1]) else 8.0
-    tau_grid = [(float(t),) for t in np.linspace(lo, hi, args.n)]
+    tau_grid = _Grid.of(np.linspace(lo, hi, args.n)[:, None])
     ode = ke_ode_residual(fam, alpha)
     report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
     region_checks(report, fam, tau_grid)

@@ -17,6 +17,8 @@ Evaluation is whole-grid: a grid of points becomes one column per variable
 (``_Grid``), and each node computes one array of values over the grid,
 memoized in its ``_cache`` under the grid's key, so shared subexpressions
 (the pointwise connection solves in particular) are computed once per grid.
+A run converts each of its grids once and passes the converted grid, which
+every evaluation takes as it is, so all its nodes share one key object.
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
 Python floats overflow silently to inf or NaN; elementary functions and
 powers apply ``math`` per element, which numpy's ufuncs do not match in the
@@ -28,7 +30,8 @@ CRC-32 and reuses it only on a bit-for-bit match), but on its own,
 because one solve with many right-hand sides differs from separate solves
 in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
-that node fails. ``at(point)`` is a one-point convenience over the same
+that node fails; a domain guard walks each grid once for a field and all
+its partials. ``at(point)`` is a one-point convenience over the same
 path. Fields are immutable after construction. Every sum of products over
 a frame index goes through ``contract``, which never builds a term that is
 zero by construction.
@@ -42,6 +45,7 @@ import math
 import re as _re
 import warnings
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -131,30 +135,43 @@ class KSet:
             raise ValueError("unknown variable name %r (k-set has %r)" % (name, self.names)) from None
 
 
-class _Grid:
+class _Grid(Sequence):
     """Evaluation points as columns: ``cols[i]`` holds variable i at every
     point. ``key`` identifies the grid by value, so that every node keeps
-    one array per grid whichever call built the grid."""
+    one array per grid whichever call built the grid. A run converts its
+    points once and passes the grid, which ``of`` returns unchanged, so its
+    nodes share one key object. The grid is also a read-only sequence of
+    its points, each a tuple of Python floats (as errors name a point)."""
 
-    __slots__ = ("cols", "n", "key", "point")
+    __slots__ = ("cols", "n", "key")
 
-    def __init__(self, cols, point):
+    def __init__(self, cols):
         self.cols = cols
         self.n = cols.shape[1]
         self.key = (self.n, cols.tobytes())
-        self.point = point  # i -> the i-th point as a tuple, for error messages
 
     @classmethod
     def of(cls, points):
-        # k-tuples or an (N, k) array; errors name a point as a tuple of Python floats. An
-        # empty grid gets an empty column for each of the (at most 3) variables any field reads
+        """The grid of k-tuples or of an (N, k) array, or the grid itself.
+        An empty grid gets an empty column for each of the (at most 3)
+        variables any field reads."""
+        if isinstance(points, _Grid):
+            return points
         k = len(points[0]) if len(points) else 3
-        cols = np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T)
-        return cls(cols, lambda i: tuple(cols[:, i].tolist()))
+        return cls(np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T))
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return tuple(self.cols[:, i].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.cols.T.tolist())
 
     def remapped(self, mapping):
         """The grid of a field whose i-th variable is this grid's mapping[i]."""
-        return _Grid(self.cols[list(mapping)], lambda i: tuple(self.point(i)[m] for m in mapping))
+        return _Grid(self.cols[list(mapping)])
 
 
 def _values_of(fields, grid):
@@ -380,7 +397,7 @@ class _Div(ScalarField):
         if bad.any():
             i = int(bad.argmax())
             what = self.label or "quotient"
-            raise DomainError("%s has degenerate denominator %r at %r" % (what, den[i].item(), grid.point(i)))
+            raise DomainError("%s has degenerate denominator %r at %r" % (what, den[i].item(), grid[i]))
         return self.f._values(grid) / den
 
     def _derive(self, i):
@@ -408,13 +425,13 @@ class _PowC(ScalarField):
 def _safe_pow(base, p, grid, i):
     """base ** p for the value at the i-th point of the grid."""
     if base == 0.0 and p < 0.0:
-        raise DomainError("zero base raised to negative power %r at %r" % (p, grid.point(i)))
+        raise DomainError("zero base raised to negative power %r at %r" % (p, grid[i]))
     if base < 0.0 and p != int(p):
-        raise DomainError("negative base %r raised to fractional power %r at %r" % (base, p, grid.point(i)))
+        raise DomainError("negative base %r raised to fractional power %r at %r" % (base, p, grid[i]))
     try:
         return math.pow(base, p)
     except (ValueError, OverflowError) as exc:
-        raise DomainError("power %r**%r failed at %r: %s" % (base, p, grid.point(i), exc)) from None
+        raise DomainError("power %r**%r failed at %r: %s" % (base, p, grid[i], exc)) from None
 
 
 class _Fn(NamedTuple):
@@ -443,7 +460,7 @@ class _Elementary(ScalarField):
             bad = fn.outside(x)
             if bad.any():
                 i = int(bad.argmax())
-                raise DomainError(fn.message % {"x": x[i].item(), "p": grid.point(i)})
+                raise DomainError(fn.message % {"x": x[i].item(), "p": grid[i]})
         return np.fromiter(map(fn.value, x.tolist()), float, x.size)
 
     def _derive(self, i):
@@ -501,26 +518,42 @@ class _Remap(ScalarField):
         return Const(self.kset, 0.0)
 
 
+class _Guard:
+    """A domain predicate on evaluation points, shared by a guarded field
+    and its partials; it walks each grid once, keeping the keys it passed."""
+
+    __slots__ = ("pred", "description", "passed")
+
+    def __init__(self, pred, description):
+        self.pred = pred
+        self.description = description
+        self.passed = set()
+
+    def check(self, grid):
+        if grid.key in self.passed:
+            return
+        for p in grid:
+            if not self.pred(p):
+                raise DomainError("point %r violates domain guard: %s" % (p, self.description))
+        self.passed.add(grid.key)
+
+
 class _Guarded(ScalarField):
     """Field with an explicit domain predicate on evaluation points."""
 
-    __slots__ = ("f", "pred", "description")
+    __slots__ = ("f", "guard")
 
-    def __init__(self, f, pred, description):
+    def __init__(self, f, guard):
         super().__init__(f.kset)
         self.f = f
-        self.pred = pred
-        self.description = description
+        self.guard = guard
 
     def _compute(self, grid):
-        for i in range(grid.n):
-            p = grid.point(i)
-            if not self.pred(p):
-                raise DomainError("point %r violates domain guard: %s" % (p, self.description))
+        self.guard.check(grid)
         return self.f._values(grid)
 
     def _derive(self, i):
-        return _Guarded(self.f.partial(i), self.pred, self.description)
+        return _Guarded(self.f.partial(i), self.guard)
 
 
 # smart constructors ---------------------------------------------------------
@@ -656,7 +689,7 @@ exp, log, log_abs, sin, cos, tan, sinh, cosh, tanh, sech, sqrt = (
 
 
 def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
-    return _Guarded(f, pred, description)
+    return _Guarded(f, _Guard(pred, description))
 
 
 def remap(f: ScalarField, kset: KSet) -> ScalarField:
@@ -753,7 +786,7 @@ class LinearFieldSystem:
             if singular.size:
                 i = singular[0]
                 raise SingularMatrixError(
-                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid.point(i))
+                    "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid[i])
                 )
             key = (grid.key, zlib.crc32(stack))
             first = self._matrix.solutions.get(key)

@@ -12,7 +12,8 @@ the summation order and never builds a term with a constant-zero factor:
 the tables are mostly structural zeros.
 
 Every check reads field values over a grid through ``values_on_grid``, the
-one evaluation path: the grid becomes columns once, and each field node
+one evaluation path: the grid becomes columns once per run (the suites'
+entry points convert it and pass the converted grid on), and each field node
 computes one array over the whole grid (``ScalarField.at`` is the same path
 on a one-point grid). Checks reduce the values with ``worst_abs`` or a
 reduction built on the two; a NaN or infinite value at any grid point fails
@@ -108,8 +109,9 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
 
 
 def values_on_grid(fields, grid) -> np.ndarray:
-    """Values over the grid (a list of k-tuples or an (N, k) float array) of
-    one real or complex field, or of every field in a nested iterable of them:
+    """Values over the grid (a list of k-tuples, an (N, k) float array, or a
+    grid converted once by ``fields._Grid.of``, which passes through) of one
+    real or complex field, or of every field in a nested iterable of them:
     an array with the nesting's shape plus a last axis over the grid."""
     return np.array(_evaluate(fields, grid))
 

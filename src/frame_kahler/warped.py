@@ -36,6 +36,7 @@ from .fields import (
     tan,
     variable,
     _div,
+    _Grid,
 )
 from .frames import (
     FrameError,
@@ -398,6 +399,12 @@ def family_implicit_tan(interval: Tuple[float, float]) -> WarpedFamily:
 # Einstein verification --------------------------------------------------------
 
 
+def _tau_samples(grid):
+    """The distinct tau values of a grid, ascending, as a converted
+    one-variable grid."""
+    return _Grid.of(sorted({(p[0],) for p in grid}))
+
+
 def einstein_verdict(
     chain: KahlerChain,
     lam: float,
@@ -406,11 +413,12 @@ def einstein_verdict(
     fiber: Optional[FiberData] = None,
     fiber_grid=None,
     C: float = 0.0,
+    tau_grid=None,
 ) -> VerificationReport:
     """Einstein residual of the induced metric through the Ricci-form route,
     with the companion ODE/PDE residuals and the closed-form Ricci displays
-    as cross-checks. ``ode`` is the family's ``ke_ode_residual``, checked on
-    the tau samples of the grid when given."""
+    as cross-checks. ``ode`` is the family's ``ke_ode_residual``, checked
+    when given on ``tau_grid`` (default: ``_tau_samples(grid)``)."""
     A = chain.data
     if A.case != CASE_WARPED:
         raise ValueError("einstein_verdict applies to warped-case data")
@@ -456,7 +464,7 @@ def einstein_verdict(
     report.add("log_derivative_identity", max_abs_on_grid(ident, grid), 1e-10)
 
     if ode is not None:
-        tau_grid = sorted({(p[0],) for p in grid})
+        tau_grid = tau_grid if tau_grid is not None else _tau_samples(grid)
         report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
     if fiber is not None:
         fgrid = fiber_grid if fiber_grid is not None else [()]
@@ -720,7 +728,7 @@ def warped_suite(entry, grid):
     report = VerificationReport(suite="ke:%s" % entry.entry_id,
                                 grid_spec=grid_spec_string(A.kset, entry.grid_box))
     fam, fiber = entry.family, entry.fiber
-    fiber_grid = grid_points(fiber.structure.kset, entry.grid_box)
+    fiber_grid = _Grid.of(grid_points(fiber.structure.kset, entry.grid_box))
     report.extend(fiber_consistency(fiber, fiber_grid), prefix="fiber.")
 
     chain = shared_checks(A, grid, report)
@@ -732,9 +740,10 @@ def warped_suite(entry, grid):
     report.add("gamma_closed_forms", chain.gforms.closed_form_residual(displays, grid), TOL_TIGHT,
                source="reported")
     ode = ke_ode_residual(fam, A.constants.alpha)
-    ev = einstein_verdict(chain, fam.lam, grid, ode=ode, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
+    tau_grid = _tau_samples(grid)
+    ev = einstein_verdict(chain, fam.lam, grid, ode=ode, fiber=fiber, fiber_grid=fiber_grid, C=fam.C,
+                          tau_grid=tau_grid)
     report.extend(ev, prefix="einstein.")
-    tau_grid = sorted({(p[0],) for p in grid})
     region_checks(report, fam, tau_grid)
     report.extend(quotient_gauss_check(fiber, fam.lam, fam.C, fiber_grid), prefix="fiber.")
 

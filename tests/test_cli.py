@@ -17,7 +17,7 @@ from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load, serialize_structure
 from frame_kahler.cli import _write_report, main, run_suite
-from frame_kahler.fields import ScalarField, constant, variable
+from frame_kahler.fields import ScalarField, _Grid, constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
 from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
@@ -466,6 +466,32 @@ class TestSolveCounts:
         monkeypatch.setattr(ScalarField, "__init__", counted)
         run_suite(entry, "all", grid)
         assert len(built) == nodes
+
+
+class TestGridConversions:
+    """A run converts its grid to columns once and passes the converted grid
+    to every evaluation on it (50 and 60 conversions when each evaluation
+    converted the points again)."""
+
+    @pytest.mark.parametrize("entry,box,conversions", [
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 1),
+        # the grid, the fiber grid, the tau samples and 5 arclength refinements of the curve table
+        (lambda: load("warped_alpha0"), {}, 8),
+    ])
+    def test_grids_built_per_run(self, monkeypatch, entry, box, conversions):
+        entry = entry()
+        grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
+        built = []
+        init = _Grid.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(_Grid, "__init__", counted)
+        report, _ = run_suite(entry, "all", grid)
+        assert report.passed
+        assert len(built) == conversions
 
 
 class TestCheckConsistency:

@@ -285,6 +285,21 @@ class TestDomains:
         with pytest.raises(DomainError):
             f.partial(0).at((-2.0,))
 
+    def test_guard_walks_each_grid_once(self):
+        # a guarded field and its partials share one guard, which calls the
+        # predicate once per point of a grid (15 calls when each node walked it)
+        calls = []
+
+        def positive(p):
+            calls.append(p)
+            return p[0] > 0.0
+
+        f = guarded(variable(KS1, "tau") ** 3, positive, "tau > 0")
+        grid = [(0.5,), (1.0,), (1.5,), (2.0,), (2.5,)]
+        for field in (f, f.partial(0), f.partial(0).partial(0)):
+            values_on_grid(field, grid)
+        assert calls == grid
+
     def test_division_by_zero_field(self):
         f = constant(KS1, 1.0) / variable(KS1, "tau")
         with pytest.raises(DomainError):
@@ -429,6 +444,35 @@ class TestGridErrors:
         assert str(exc.value) == text
 
     @pytest.mark.parametrize("make,grid,error,text", CASES)
+    def test_converted_grid_names_the_same_point(self, make, grid, error, text):
+        # a grid converted beforehand passes through every evaluation unchanged
+        converted = fields_mod._Grid.of(grid)
+        assert fields_mod._Grid.of(converted) is converted
+        with pytest.raises(error) as exc:
+            values_on_grid(make(), converted)
+        assert str(exc.value) == text
+        with pytest.raises(error) as exc:
+            make().at(converted[-1])
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("convert", [list, fields_mod._Grid.of])
+    def test_ricci_spectrum_names_the_point(self, convert):
+        # gK = 1, Ric = [[1, -s], [s, 1]] (+ 1 on the diagonal) with s = tau (tau - 1):
+        # the spectrum 1 +- 2i is complex at the last point only
+        from frame_kahler.central import ricci_endomorphism_eigenvalues
+
+        tau = variable(KS1, "tau")
+        s = tau * (tau - 1.0)
+        one, zero = constant(KS1, 1.0), constant(KS1, 0.0)
+        g = [[one if u == v else zero for v in range(4)] for u in range(4)]
+        ricci = [row[:] for row in g]
+        ricci[0][1], ricci[1][0] = -s, s
+        with pytest.raises(ArithmeticError) as exc:
+            ricci_endomorphism_eigenvalues(types.SimpleNamespace(g=g), types.SimpleNamespace(ricci=ricci),
+                                           convert([(0.0,), (1.0,), (2.0,)]))
+        assert str(exc.value) == "Ricci endomorphism spectrum unexpectedly complex at (2.0,)"
+
+    @pytest.mark.parametrize("make,grid,error,text", CASES)
     def test_array_grid_names_the_same_point(self, make, grid, error, text):
         # an (N, k) array grid names its points as tuples of Python floats
         with pytest.raises(error) as exc:
@@ -456,6 +500,15 @@ class TestGridErrors:
 class TestArrayGrid:
     """An (N, k) array grid gives what the same points as a list of tuples
     give, bit for bit."""
+
+    def test_grid_is_a_sequence_of_its_points(self):
+        points = [(np.float64(0.25), 1.0), (-0.0, 2.5), (3.0, -1.0)]
+        grid = fields_mod._Grid.of(np.array(points))
+        expected = [(0.25, 1.0), (-0.0, 2.5), (3.0, -1.0)]
+        assert len(grid) == 3 and list(grid) == expected and [grid[i] for i in range(3)] == expected
+        assert grid[-1] == expected[-1] and math.copysign(1.0, grid[1][0]) == -1.0
+        assert all(type(v) is float for p in grid for v in p)
+        assert list(fields_mod._Grid.of([()])) == [()] and list(fields_mod._Grid.of([])) == []
 
     EXPRESSIONS = ["exp(tau) * sin(3*tau)", "tan(tau) / (1 + tau^2)", "sqrt(tau) + log(tau)",
                    "cosh(tau)^0.5 - tanh(tau)", "(1e200*tau)*(1e200*tau)*(tau - tau)"]
