@@ -45,7 +45,6 @@ import math
 import re as _re
 import warnings
 import zlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -135,13 +134,14 @@ class KSet:
             raise ValueError("unknown variable name %r (k-set has %r)" % (name, self.names)) from None
 
 
-class _Grid(Sequence):
+class _Grid:
     """Evaluation points as columns: ``cols[i]`` holds variable i at every
     point. ``key`` identifies the grid by value, so that every node keeps
     one array per grid whichever call built the grid. A run converts its
     points once and passes the grid, which ``of`` returns unchanged, so its
-    nodes share one key object. The grid is also a read-only sequence of
-    its points, each a tuple of Python floats (as errors name a point)."""
+    nodes share one key object. ``len(grid)``, iteration and ``grid[i]``
+    give its points, each a tuple of Python floats (as errors name a
+    point)."""
 
     __slots__ = ("cols", "n", "key")
 

@@ -413,12 +413,11 @@ def einstein_verdict(
     fiber: Optional[FiberData] = None,
     fiber_grid=None,
     C: float = 0.0,
-    tau_grid=None,
 ) -> VerificationReport:
     """Einstein residual of the induced metric through the Ricci-form route,
     with the companion ODE/PDE residuals and the closed-form Ricci displays
-    as cross-checks. ``ode`` is the family's ``ke_ode_residual``, checked
-    when given on ``tau_grid`` (default: ``_tau_samples(grid)``)."""
+    as cross-checks. ``ode`` is the family's ``ke_ode_residual``, checked on
+    the tau samples of the grid when given."""
     A = chain.data
     if A.case != CASE_WARPED:
         raise ValueError("einstein_verdict applies to warped-case data")
@@ -464,8 +463,7 @@ def einstein_verdict(
     report.add("log_derivative_identity", max_abs_on_grid(ident, grid), 1e-10)
 
     if ode is not None:
-        tau_grid = tau_grid if tau_grid is not None else _tau_samples(grid)
-        report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
+        report.add("ke_ode_residual", max_abs_on_grid(ode, _tau_samples(grid)), TOL_TIGHT)
     if fiber is not None:
         fgrid = fiber_grid if fiber_grid is not None else [()]
         pde = ke_pde_residual(fiber, lam, C)
@@ -740,10 +738,9 @@ def warped_suite(entry, grid):
     report.add("gamma_closed_forms", chain.gforms.closed_form_residual(displays, grid), TOL_TIGHT,
                source="reported")
     ode = ke_ode_residual(fam, A.constants.alpha)
-    tau_grid = _tau_samples(grid)
-    ev = einstein_verdict(chain, fam.lam, grid, ode=ode, fiber=fiber, fiber_grid=fiber_grid, C=fam.C,
-                          tau_grid=tau_grid)
+    ev = einstein_verdict(chain, fam.lam, grid, ode=ode, fiber=fiber, fiber_grid=fiber_grid, C=fam.C)
     report.extend(ev, prefix="einstein.")
+    tau_grid = _tau_samples(grid)
     region_checks(report, fam, tau_grid)
     report.extend(quotient_gauss_check(fiber, fam.lam, fam.C, fiber_grid), prefix="fiber.")
 

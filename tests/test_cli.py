@@ -475,8 +475,9 @@ class TestGridConversions:
 
     @pytest.mark.parametrize("entry,box,conversions", [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 1),
-        # the grid, the fiber grid, the tau samples and 5 arclength refinements of the curve table
-        (lambda: load("warped_alpha0"), {}, 8),
+        # the grid, the fiber grid, the tau samples (once in einstein_verdict, once for the
+        # region checks and the curve table) and 5 arclength refinements of the curve table
+        (lambda: load("warped_alpha0"), {}, 9),
     ])
     def test_grids_built_per_run(self, monkeypatch, entry, box, conversions):
         entry = entry()

@@ -501,7 +501,7 @@ class TestArrayGrid:
     """An (N, k) array grid gives what the same points as a list of tuples
     give, bit for bit."""
 
-    def test_grid_is_a_sequence_of_its_points(self):
+    def test_grid_iterates_and_indexes_as_its_points(self):
         points = [(np.float64(0.25), 1.0), (-0.0, 2.5), (3.0, -1.0)]
         grid = fields_mod._Grid.of(np.array(points))
         expected = [(0.25, 1.0), (-0.0, 2.5), (3.0, -1.0)]
