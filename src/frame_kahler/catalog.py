@@ -14,7 +14,6 @@ ties the frame presentation back to an honest coordinate realization.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Const, KSet, ScalarField, make_closed_form, tan
+from .fields import Const, KSet, ScalarField, _Grid, make_closed_form, tan
 from .frames import FrameStructure, grid_points, values_on_grid, worst_abs
 from .kahler import (
     CASE_CENTRAL,
@@ -51,12 +50,10 @@ __all__ = [
     "CoordinateChart",
     "catalog_ids",
     "load",
-    "parse_structure",
     "parse_document",
     "entry_from_document",
     "grid_axis",
     "capped_grid_box",
-    "serialize_structure",
     "ppwave_from_shift",
     "planewave_chart",
     "coordinate_crosscheck",
@@ -241,7 +238,7 @@ def interval_bounds(spec, path: str) -> tuple:
     return lo, hi
 
 
-def _family_from_document(doc: dict, fiber: FiberData) -> WarpedFamily:
+def _family_from_document(doc: dict) -> WarpedFamily:
     fam = _require(doc, "family", "")
     f = _parse_expr(_require(fam, "f", "family"), TAU_KSET, "family.f")
     raw_w = _require(fam, "w", "family")
@@ -273,21 +270,10 @@ def parse_document(doc: dict):
         return _central_from_document(doc), None, None
     if case == CASE_WARPED:
         fiber = _fiber_from_document(_require(doc, "fiber", ""))
-        family = _family_from_document(doc, fiber)
+        family = _family_from_document(doc)
         data = lift_fiber(fiber, family.w, family.f)
         return data, fiber, family
     raise SchemaError("case", "expected 'central' or 'warped', got %r" % case)
-
-
-def parse_structure(doc: dict) -> AdmissibleData:
-    """Parse a structure document into admissible data (both cases)."""
-    data, _, _ = parse_document(doc)
-    return data
-
-
-def serialize_structure(entry: CatalogEntry) -> dict:
-    """The JSON-serializable document defining an entry."""
-    return copy.deepcopy(entry.document)
 
 
 def grid_axis(spec, path: str) -> tuple:
@@ -706,7 +692,7 @@ def coordinate_crosscheck(entry: CatalogEntry, chart: Optional[CoordinateChart] 
         M = E.T  # columns are the frame fields
         c_chart.append([np.linalg.solve(M, _fd_bracket(chart, a, b, p, h)) for a, b in pairs])
         twist_chart.append(float(chart.frame_fns[K](p) @ G @ _fd_bracket(chart, X, Y, p, h)))
-    kset_points = [chart.kset_point(p) for p in points]
+    kset_points = _Grid.of([chart.kset_point(p) for p in points])
     g_chart = np.moveaxis(np.array(g_chart), 0, -1)
 
     report.add("metric_values", worst_abs(g_chart - values_on_grid(S.g, kset_points)), tol)

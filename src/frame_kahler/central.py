@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CScalarField, ScalarField, contract, determinant, exp, log_abs, variable, _div
+from .fields import CScalarField, ScalarField, contract, determinant, exp, variable, _div
 from .frames import (
     CurvatureTensor,
     constancy_on_grid,
@@ -56,8 +56,6 @@ __all__ = [
     "conformal_scalar",
     "conformal_scalar_closed_form",
     "laplacian_self_test",
-    "liouville_residual",
-    "liouville_fit",
     "csc_verdict",
     "left_invariance_check",
     "central_suite",
@@ -125,11 +123,12 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     }
 
 
-def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
+def laplacian_self_test(chain: KahlerChain, grid, e_minus_tau: ScalarField) -> VerificationReport:
     """Internal Laplacian checks on the central structure.
 
     The two Laplacian routes must agree, and Lap_K tau must equal the
-    closed-form value e^{-tau} (1 + b^2/a^2)."""
+    closed-form value e^{-tau} (1 + b^2/a^2); ``e_minus_tau`` is the field
+    e^{-tau}."""
     report = VerificationReport(suite="laplacian-self-test")
     A, S = chain.data, chain.kahler.structure
     tau = variable(A.kset, A.kset.names[0])
@@ -141,7 +140,7 @@ def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
         TOL_FRAME,
     )
     a, b = A.constants.a, A.constants.b
-    closed = exp(-tau) * (1.0 + (b * b) / (a * a))
+    closed = e_minus_tau * (1.0 + (b * b) / (a * a))
     report.add(
         "laplacian_tau_closed_form",
         max_abs_on_grid(lap_tau - closed, grid),
@@ -149,21 +148,6 @@ def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
         source="derived",
     )
     return report
-
-
-def liouville_residual(iota: ScalarField, c: float) -> ScalarField:
-    """(d_x d_x + d_y d_y) log|iota| - c iota, with the two directions acting
-    as plane partials of the first two variables."""
-    L = log_abs(iota)
-    lap = L.partial(0).partial(0) + L.partial(1).partial(1)
-    return lap - iota * float(c)
-
-
-def liouville_fit(A: AdmissibleData, grid):
-    """Least-squares constant c for  Lap_H log|iota| = c iota  on the grid.
-
-    Returns (c, max residual).  A constant twist fits c = 0 exactly."""
-    return fit_constant(plane_laplacian_log_abs(A.structure, A.iota, X, Y), A.iota, grid)
 
 
 @dataclass
@@ -195,13 +179,16 @@ class CentralReport:
         }
 
 
-def csc_verdict(chain: KahlerChain, grid) -> CentralReport:
+def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField, iota_constant: bool) -> CentralReport:
     """Constant-scalar-curvature verdict for the conformal metric.
 
     Decides CSC two independent ways: constancy of the computed conformal
     scalar curvature on the grid, and existence of a constant c fitting the
-    twist equation; the verdicts must agree, and they do not when either
-    route saw a non-finite value.
+    twist equation  Lap_H log|iota| = c iota  (``lap_h`` is the left side,
+    ``plane_laplacian_log_abs`` of the twist; a constant twist fits c = 0);
+    the verdicts must agree, and they do not when either route saw a
+    non-finite value. ``iota_constant`` says whether the twist is constant
+    on the grid, where the horizontal eigenvalue scale q applies.
     """
     A = chain.data
     if A.case != CASE_CENTRAL:
@@ -213,10 +200,8 @@ def csc_verdict(chain: KahlerChain, grid) -> CentralReport:
     parts = conformal_scalar(chain)
     s_constant, spread, mean = constancy_on_grid(parts["s_tilde"], grid, TOL_CROSS)
 
-    c_fit, pde_res = liouville_fit(A, grid)
+    c_fit, pde_res = fit_constant(lap_h, A.iota, grid)
     pde_holds = pde_res <= TOL_CROSS
-
-    iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
     q = expected_q(A.constants) if iota_constant else None
 
     return CentralReport(
@@ -234,26 +219,27 @@ def csc_verdict(chain: KahlerChain, grid) -> CentralReport:
     )
 
 
-def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
+def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, iota_constant: bool,
+                          e_minus_tau: ScalarField):
     """For constant twist: the conformal metric is locally a left-invariant
     metric; checked through constancy of the bracket coefficients, constancy
-    of the e^{-tau}-rescaled metric values on the frame, and the Jacobi
-    identity of the resulting structure constants.
+    of the e^{-tau}-rescaled metric values on the frame (``e_minus_tau`` is
+    the field e^{-tau}), and the Jacobi identity of the resulting structure
+    constants.
 
     Returns (report, structure_constant_table); the table is None when the
-    twist is not constant (the check does not apply)."""
+    twist is not constant (``iota_constant`` is False: the check does not
+    apply)."""
     report = VerificationReport(suite="left-invariance")
     S = A.structure
-    if not constancy_on_grid(A.iota, grid, 1e-10)[0]:
+    if not iota_constant:
         report.add("applicable", 0.0, 0.0, note="not applicable: twist is not constant on the grid")
         return report, None
 
     worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
     report.add("brackets_constant", worst, TOL_FRAME)
 
-    tau = variable(A.kset, A.kset.names[0])
-    scale = exp(-tau)
-    worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
+    worst = max(spread_on_grid(e_minus_tau * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, TOL_FRAME)
 
     cvals = values_on_grid(S.C, [grid[len(grid) // 2]])[..., 0].tolist()
@@ -339,16 +325,16 @@ def central_suite(entry, grid):
     worst = max_abs_on_grid([rho(K, X), rho(K, Y), rho(T, X), rho(T, Y)], grid)
     report.add("rho_vanishes_mixed", worst, TOL_TIGHT, source="reported")
 
-    # rho(x,y) closed form
+    # rho(x,y) closed form, with -q for a constant twist
     lap_h = plane_laplacian_log_abs(A.structure, A.iota, X, Y)
-    factor = (a * a + b * b - b * A.constants.alpha + a * A.constants.beta) / (a * a)
-    rho_xy_expected = A.iota * factor - 0.5 * lap_h
+    rho_xy_expected = A.iota * -expected_q(A.constants) - 0.5 * lap_h
     report.add("rho_xy_closed_form", max_abs_on_grid(rho(X, Y) - rho_xy_expected, grid), TOL_CROSS,
                source="reported")
 
     # the CSC verdict carries the central curvature and the conformal scalar
     # curvature for the checks below
-    verdict = csc_verdict(chain, grid)
+    iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
+    verdict = csc_verdict(chain, grid, lap_h, iota_constant)
 
     # Ricci endomorphism: vertical kernel and central curvature
     worst = max_abs_on_grid([curv_k.ricci[u][v] for u in (K, T) for v in range(4)], grid)
@@ -359,9 +345,10 @@ def central_suite(entry, grid):
     report.add("csc_verdicts_agree", 0.0 if verdict.verdicts_agree else 1.0, 0.0, note=note)
     report.add("central_summary", 0.0, 0.0, note=json.dumps(verdict.to_dict(), sort_keys=True))
 
+    e_minus_tau = exp(-variable(A.kset, A.kset.names[0]))
     q = verdict.q
     if q is not None:
-        qe = q * exp(-variable(A.kset, A.kset.names[0]))
+        qe = q * e_minus_tau
         worst = max_abs_on_grid([curv_k.ricci[u][u] - qe * kahler.g[u][u] for u in (X, Y)], grid)
         report.add("ricci_horizontal_eigenvalue", worst, TOL_CROSS, source="derived", note="q = %.6g" % q)
         report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid), TOL_FRAME,
@@ -377,10 +364,10 @@ def central_suite(entry, grid):
         report.add("conformal_scalar_two_laplacians",
                    max_abs_on_grid(verdict.s_tilde - verdict.s_tilde_alt, grid), TOL_CROSS)
 
-        li_report, _ = left_invariance_check(A, kahler, grid)
+        li_report, _ = left_invariance_check(A, kahler, grid, iota_constant, e_minus_tau)
         report.extend(li_report, prefix="left_invariance.")
 
-    report.extend(laplacian_self_test(chain, grid))
+    report.extend(laplacian_self_test(chain, grid, e_minus_tau))
 
     # expectations recorded on the entry
     expected = entry.expected

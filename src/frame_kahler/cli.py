@@ -82,7 +82,7 @@ def _ke_curves(tau_grid, fam: WarpedFamily, ode):
     their check has already evaluated on that grid, so the column is read
     from its cache."""
     header = ["tau", "w", "f", "c", "ke_residual", "s"]
-    c_field = fam.c_field()
+    c_field = fam.c_field
 
     def speed(c):
         # sqrt(max(c, 0) / 2), keeping NaN and -0.0 as Python's max does

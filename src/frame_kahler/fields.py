@@ -17,8 +17,11 @@ Evaluation is whole-grid: a grid of points becomes one column per variable
 (``_Grid``), and each node computes one array of values over the grid,
 memoized in its ``_cache`` under the grid's key, so shared subexpressions
 (the pointwise connection solves in particular) are computed once per grid.
-A run converts each of its grids once and passes the converted grid, which
-every evaluation takes as it is, so all its nodes share one key object.
+``values_on_grid`` is the one evaluation function: it converts the points
+unless it is given a converted grid, which it takes as it is. A run
+converts each of its grids once and passes the converted grid on, so all
+its nodes share one key object; ``at(point)`` is ``values_on_grid`` on a
+one-point grid, a convenience for tests and prompts.
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
 Python floats overflow silently to inf or NaN; elementary functions and
 powers apply ``math`` per element, which numpy's ufuncs do not match in the
@@ -30,11 +33,11 @@ CRC-32 and reuses it only on a bit-for-bit match), but on its own,
 because one solve with many right-hand sides differs from separate solves
 in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
-that node fails; a domain guard walks each grid once for a field and all
-its partials. ``at(point)`` is a one-point convenience over the same
-path. Fields are immutable after construction. Every sum of products over
-a frame index goes through ``contract``, which never builds a term that is
-zero by construction.
+that node fails; a domain guard (``guarded``) is a predicate over the
+grid's columns, tested once per grid by each guarded node. Fields are
+immutable after construction. Every sum of products over a frame index
+goes through ``contract``, which never builds a term that is zero by
+construction.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ __all__ = [
     "constant",
     "variable",
     "make_closed_form",
-    "lift_partial",
     "exp",
     "log",
     "log_abs",
@@ -77,7 +79,7 @@ __all__ = [
     "remap",
     "guarded",
     "determinant",
-    "solve_linear",
+    "values_on_grid",
 ]
 
 # A pointwise solve whose matrix has |det| at or below this floor raises.
@@ -180,13 +182,16 @@ def _values_of(fields, grid):
     return [_values_of(f, grid) for f in fields]
 
 
-def _evaluate(fields, points):
-    """Values over ``points`` of one field, or of every field in a nested
-    iterable of them (nested lists of arrays). Arithmetic overflow and
-    invalid operations give inf and NaN silently, as with Python floats."""
-    grid = _Grid.of(points)
+def values_on_grid(fields, grid) -> np.ndarray:
+    """Values over the grid (a list of k-tuples, an (N, k) float array, or a
+    grid converted once by ``_Grid.of``, which passes through) of one real
+    or complex field, or of every field in a nested iterable of them: an
+    array with the nesting's shape plus a last axis over the grid.
+    Arithmetic overflow and invalid operations give inf and NaN silently, as
+    with Python floats."""
+    grid = _Grid.of(grid)
     with np.errstate(all="ignore"):
-        return _values_of(fields, grid)
+        return np.array(_values_of(fields, grid))
 
 
 class ScalarField:
@@ -207,8 +212,8 @@ class ScalarField:
     # evaluation ----------------------------------------------------------
 
     def at(self, point) -> float:
-        """The value at one point, through the whole-grid path."""
-        return _evaluate(self, [point]).item()
+        """The value at one point, through ``values_on_grid``."""
+        return values_on_grid(self, [point]).item()
 
     def _values(self, grid):
         got = self._cache.get(grid.key)
@@ -518,42 +523,25 @@ class _Remap(ScalarField):
         return Const(self.kset, 0.0)
 
 
-class _Guard:
-    """A domain predicate on evaluation points, shared by a guarded field
-    and its partials; it walks each grid once, keeping the keys it passed."""
-
-    __slots__ = ("pred", "description", "passed")
-
-    def __init__(self, pred, description):
-        self.pred = pred
-        self.description = description
-        self.passed = set()
-
-    def check(self, grid):
-        if grid.key in self.passed:
-            return
-        for p in grid:
-            if not self.pred(p):
-                raise DomainError("point %r violates domain guard: %s" % (p, self.description))
-        self.passed.add(grid.key)
-
-
 class _Guarded(ScalarField):
-    """Field with an explicit domain predicate on evaluation points."""
+    """Field with an explicit domain predicate: ``pred`` maps the grid's
+    columns to a boolean array that is False at the points outside the
+    domain. A guarded field's partials carry the same predicate."""
 
-    __slots__ = ("f", "guard")
+    __slots__ = ("f", "pred", "description")
 
-    def __init__(self, f, guard):
+    def __init__(self, f, pred, description):
         super().__init__(f.kset)
-        self.f = f
-        self.guard = guard
+        self.f, self.pred, self.description = f, pred, description
 
     def _compute(self, grid):
-        self.guard.check(grid)
+        bad = ~self.pred(grid.cols)
+        if bad.any():
+            raise DomainError("point %r violates domain guard: %s" % (grid[int(bad.argmax())], self.description))
         return self.f._values(grid)
 
     def _derive(self, i):
-        return _Guarded(self.f.partial(i), self.guard)
+        return _Guarded(self.f.partial(i), self.pred, self.description)
 
 
 # smart constructors ---------------------------------------------------------
@@ -689,7 +677,10 @@ exp, log, log_abs, sin, cos, tan, sinh, cosh, tanh, sech, sqrt = (
 
 
 def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
-    return _Guarded(f, _Guard(pred, description))
+    """f restricted to the points where ``pred`` holds; ``pred`` takes the
+    grid's columns (``cols[i]`` is variable i at every point), as in
+    ``lambda cols: cols[0] > 0.0``."""
+    return _Guarded(f, pred, description)
 
 
 def remap(f: ScalarField, kset: KSet) -> ScalarField:
@@ -703,13 +694,6 @@ def remap(f: ScalarField, kset: KSet) -> ScalarField:
     if len(set(mapping)) != len(mapping):
         raise FieldError("remap must be injective: %r" % (mapping,))
     return _Remap(f, kset, mapping)
-
-
-def lift_partial(f: ScalarField, i) -> ScalarField:
-    """Return the field of the i-th first partial (index or variable name)."""
-    if isinstance(i, str):
-        i = f.kset.index(i)
-    return f.partial(i)
 
 
 # pointwise linear solves ----------------------------------------------------
@@ -832,11 +816,6 @@ class _SolveComponent(ScalarField):
         return self.sys.derivative_system(i).components()[self.j]
 
 
-def solve_linear(A, b):
-    """Solve A x = b pointwise; returns the solution component fields."""
-    return LinearFieldSystem(A, b).components()
-
-
 def _perm_sign(perm):
     sign = 1
     for i in range(len(perm)):
@@ -880,8 +859,8 @@ class CScalarField:
         return self.re.kset
 
     def at(self, point) -> complex:
-        """The value at one point, through the whole-grid path."""
-        return _evaluate(self, [point]).item()
+        """The value at one point, through ``values_on_grid``."""
+        return values_on_grid(self, [point]).item()
 
     def _values(self, grid):
         out = np.empty(grid.n, dtype=complex)

@@ -11,13 +11,13 @@ products over a frame index goes through ``fields.contract``, which keeps
 the summation order and never builds a term with a constant-zero factor:
 the tables are mostly structural zeros.
 
-Every check reads field values over a grid through ``values_on_grid``, the
-one evaluation path: the grid becomes columns once per run (the suites'
+Every check reads field values over a grid through ``values_on_grid``
+(defined in ``fields``, which ``ScalarField.at`` calls on a one-point grid,
+and re-exported here): the grid becomes columns once per run (the suites'
 entry points convert it and pass the converted grid on), and each field node
-computes one array over the whole grid (``ScalarField.at`` is the same path
-on a one-point grid). Checks reduce the values with ``worst_abs`` or a
-reduction built on the two; a NaN or infinite value at any grid point fails
-the check.
+computes one array over the whole grid. Checks reduce the values with
+``worst_abs`` or a reduction built on the two; a NaN or infinite value at
+any grid point fails the check.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from .fields import (
     ScalarField,
     _PointwiseMatrix,
     _div,
-    _evaluate,
     contract,
     determinant,
     log_abs,
     sqrt,
+    values_on_grid,
 )
-from .reporting import TOL_FRAME, TOL_TIGHT, VerificationReport
+from .reporting import TOL_FRAME, VerificationReport
 
 __all__ = [
     "FrameStructure",
@@ -66,7 +66,6 @@ __all__ = [
     "koszul_connection",
     "curvature",
     "sectional_curvature",
-    "twist",
     "inverse_metric",
     "laplacian",
     "gradient",
@@ -106,14 +105,6 @@ def grid_spec_string(kset: KSet, box: dict) -> str:
         else:
             parts.append("%s=0" % name)
     return ",".join(parts) if parts else "(point)"
-
-
-def values_on_grid(fields, grid) -> np.ndarray:
-    """Values over the grid (a list of k-tuples, an (N, k) float array, or a
-    grid converted once by ``fields._Grid.of``, which passes through) of one
-    real or complex field, or of every field in a nested iterable of them:
-    an array with the nesting's shape plus a last axis over the grid."""
-    return np.array(_evaluate(fields, grid))
 
 
 def worst_abs(values) -> float:
@@ -391,17 +382,6 @@ def sectional_curvature(S: FrameStructure, curv: CurvatureTensor, a: int, b: int
     num = curv.lowered(a, b, b, a)
     den = S.g[a][a] * S.g[b][b] - S.g[a][b] * S.g[a][b]
     return _div(num, den, eps=1e-12, label="sectional-curvature plane (%d,%d)" % (a, b))
-
-
-def twist(S: FrameStructure, grid=None) -> ScalarField:
-    """Twist of e_0 with respect to the orthonormal pair (e_2, e_3):
-    g(e_0, [e_2, e_3]).  When a grid is given, orthonormality of the pair is
-    verified first."""
-    if grid is not None:
-        bad = max_abs_on_grid([S.g[2][2] - 1.0, S.g[3][3] - 1.0, S.g[2][3]], grid)
-        if bad > TOL_TIGHT:
-            raise FrameError("frame pair (2, 3) is not g-orthonormal (residual %.3e)" % bad)
-    return S.g_of_bracket(0, 2, 3)
 
 
 def gradient(S: FrameStructure, F: ScalarField, invg):

@@ -51,7 +51,6 @@ __all__ = [
     "FrameOneForm",
     "FrameTwoForm",
     "J_IMAGE",
-    "j_image",
     "check_admissible",
     "build_kahler",
     "build_chain",
@@ -62,7 +61,6 @@ __all__ = [
     "ricci_from_form",
     "kahler_form",
     "kahler_form_closed",
-    "cross_route_ricci_residual",
     "shared_checks",
 ]
 
@@ -73,10 +71,6 @@ K, T, X, Y = 0, 1, 2, 3
 
 # J e_a = sign * e_b encoded as (b, sign): Jk = T, JT = -k, Jx = y, Jy = -x.
 J_IMAGE = ((T, 1.0), (K, -1.0), (Y, 1.0), (X, -1.0))
-
-
-def j_image(a: int):
-    return J_IMAGE[a]
 
 
 @dataclass(frozen=True)
@@ -462,18 +456,12 @@ def kahler_form_closed(A: AdmissibleData, kahler: KahlerMetric, grid) -> Verific
     return report
 
 
-def cross_route_ricci_residual(rho_real: FrameTwoForm, curv_k, grid) -> float:
-    """Forms-route Ricci against the tensor-route Ricci, all frame pairs."""
-    ric_form = ricci_from_form(rho_real)
-    return max_abs_on_grid((ric_form[u][v] - curv_k.ricci[u][v] for u in range(4) for v in range(4)), grid)
-
-
 @dataclass
 class KahlerChain:
     """The induced metric of admissible data and every object derived from
     it: Koszul connection, curvature tensor (which keeps the inverse
-    metric), complex connection forms, and the Ricci form as a complex form
-    and as its real part."""
+    metric), complex connection forms, the Ricci form as a complex form and
+    as its real part, and the forms-route Ricci values ``ric[u][v]``."""
 
     data: AdmissibleData
     kahler: KahlerMetric
@@ -482,6 +470,7 @@ class KahlerChain:
     gforms: GammaForms
     rho_complex: FrameTwoForm
     rho: FrameTwoForm
+    ric: list
 
 
 def build_chain(A: AdmissibleData) -> KahlerChain:
@@ -490,6 +479,7 @@ def build_chain(A: AdmissibleData) -> KahlerChain:
     conn = koszul_connection(kahler.structure)
     gforms = gamma_forms(A, kahler, conn)
     rho_complex = ricci_form(A, gforms)
+    rho = ricci_form_real(rho_complex)
     return KahlerChain(
         data=A,
         kahler=kahler,
@@ -497,7 +487,8 @@ def build_chain(A: AdmissibleData) -> KahlerChain:
         curv=curvature(kahler.structure, conn),
         gforms=gforms,
         rho_complex=rho_complex,
-        rho=ricci_form_real(rho_complex),
+        rho=rho,
+        ric=ricci_from_form(rho),
     )
 
 
@@ -527,7 +518,8 @@ def shared_checks(A: AdmissibleData, grid, report: VerificationReport) -> Option
     report.add("kahler_metric_compatible", conn_k.compatibility_residual(grid), TOL_FRAME)
     report.add("gamma_reconstruction", chain.gforms.reconstruction_residual(grid), TOL_TIGHT)
     report.add("ricci_form_real", ricci_form_imag_residual(chain.rho_complex, grid), TOL_TIGHT)
-    report.add("ricci_forms_vs_tensor", cross_route_ricci_residual(rho, curv_k, grid), TOL_CROSS)
+    worst = max_abs_on_grid((chain.ric[u][v] - curv_k.ricci[u][v] for u in range(4) for v in range(4)), grid)
+    report.add("ricci_forms_vs_tensor", worst, TOL_CROSS)
     report.add("curvature_pair_symmetry", curv_k.pair_symmetry_residual(grid), TOL_CROSS)
     report.add("curvature_first_bianchi", curv_k.first_bianchi_residual(grid), TOL_CROSS)
     report.add("ricci_symmetric", curv_k.ricci_symmetry_residual(grid), TOL_CROSS)
@@ -536,8 +528,8 @@ def shared_checks(A: AdmissibleData, grid, report: VerificationReport) -> Option
     report.add("d_rho", max_abs_on_grid(exterior_d_two_form(A.structure, rho).values(), grid), TOL_CROSS)
 
     def j_defect(u, v):
-        ju, su = j_image(u)
-        jv, sv = j_image(v)
+        ju, su = J_IMAGE[u]
+        jv, sv = J_IMAGE[v]
         return rho(ju, jv) * (su * sv) - rho(u, v)
 
     worst = max_abs_on_grid((j_defect(u, v) for u in range(4) for v in range(4)), grid)

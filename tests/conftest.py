@@ -8,7 +8,10 @@ so the oracle never shares code with the path it verifies.
 import pytest
 
 from frame_kahler import catalog
-from frame_kahler.kahler import build_chain
+from frame_kahler.central import csc_verdict
+from frame_kahler.frames import constancy_on_grid, max_abs_on_grid, plane_laplacian_log_abs
+from frame_kahler.kahler import X, Y, build_chain
+from frame_kahler.warped import einstein_verdict, ke_ode_residual
 
 
 def central_diff(fn, point, i, h=1e-5):
@@ -35,6 +38,12 @@ def fd_plane_laplacian(fn, point, ix, iy, h=1e-4):
     return second_diff(fn, point, ix, ix, h) + second_diff(fn, point, iy, iy, h)
 
 
+def ricci_route_gap(chain, grid):
+    """Forms-route Ricci (``chain.ric``) against the tensor-route Ricci, all
+    frame pairs."""
+    return max_abs_on_grid((chain.ric[u][v] - chain.curv.ricci[u][v] for u in range(4) for v in range(4)), grid)
+
+
 @pytest.fixture(scope="session")
 def entries():
     """All catalog entries, loaded once."""
@@ -54,6 +63,22 @@ class BuiltEntry:
         self.gforms = self.chain.gforms
         self.rho = self.chain.rho
         self.curv_k = self.chain.curv
+
+    def csc(self):
+        """``csc_verdict`` of a central entry, with the twist's plane
+        Laplacian and constancy test built as ``central_suite`` builds them."""
+        A = self.data
+        lap_h = plane_laplacian_log_abs(A.structure, A.iota, X, Y)
+        return csc_verdict(self.chain, self.grid, lap_h, constancy_on_grid(A.iota, self.grid, 1e-10)[0])
+
+    def einstein(self, lam):
+        """``einstein_verdict`` of a warped entry with Einstein constant
+        ``lam`` and the entry's own ODE residual, fiber (on the one-point
+        fiber grid of a constant twist) and C."""
+        fam = self.entry.family
+        tau_grid = sorted({(p[0],) for p in self.grid})
+        ode = ke_ode_residual(fam, self.data.constants.alpha)
+        return einstein_verdict(self.chain, lam, self.grid, tau_grid, ode, self.entry.fiber, [()], fam.C)
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,9 @@ from frame_kahler.central import (
     central_curvature,
     conformal_scalar,
     conformal_scalar_closed_form,
-    csc_verdict,
     expected_q,
-    liouville_residual,
     ricci_endomorphism_eigenvalues,
 )
-from frame_kahler.fields import KSet, make_closed_form
 from frame_kahler.frames import (
     consistency_suite,
     grid_points,
@@ -27,20 +24,20 @@ from frame_kahler.frames import (
     max_abs_on_grid,
     sectional_curvature,
 )
-from frame_kahler.kahler import exterior_d_two_form, kahler_form_closed, cross_route_ricci_residual
+from frame_kahler.kahler import exterior_d_two_form, kahler_form_closed
 from frame_kahler.warped import (
     TAU_KSET,
     WarpedFamily,
     completeness,
-    einstein_verdict,
     family_alpha_negative,
     family_alpha_zero,
     family_implicit_tan,
     ke_ode_residual,
+    make_fiber,
     solve_implicit_w,
 )
 
-from conftest import BuiltEntry
+from conftest import BuiltEntry, ricci_route_gap
 
 TAU0 = 1.0 - math.pi / 4.0
 
@@ -105,14 +102,14 @@ def test_criterion_04_ppwave_conformal_scalar_minus_one(built):
 
 def test_criterion_05_liouville_suite():
     with criterion(5, "twist equation: harmonic exponent c=0 (1e-8); sech^2 profile c=-2(p^2+q^2) (1e-7)"):
-        ks = KSet(("x", "y"))
-        grid = grid_points(ks, {"x": (-0.6, 0.6, 5), "y": (-0.6, 0.6, 5)})
-        harmonic = make_closed_form("exp(x^2 - y^2)", ks)
-        assert max_abs_on_grid(liouville_residual(harmonic, 0.0), grid) <= 1e-8
+        # a fiber over the (x, y) plane: xbar, ybar act as the plane partials
+        harmonic = make_fiber(0.0, "exp(x^2 - y^2)", ("x", "y"))
+        grid = grid_points(harmonic.structure.kset, {"x": (-0.6, 0.6, 5), "y": (-0.6, 0.6, 5)})
+        assert max_abs_on_grid(harmonic.lap_log_iota_bar, grid) <= 1e-8
         pc, qc = 1.0, 2.0
-        sech2 = make_closed_form("sech(%g*x + %g*y + 0.1)^2" % (pc, qc), ks)
+        sech2 = make_fiber(0.0, "sech(%g*x + %g*y + 0.1)^2" % (pc, qc), ("x", "y"))
         c = -2.0 * (pc**2 + qc**2)
-        assert max_abs_on_grid(liouville_residual(sech2, c), grid) <= 1e-7
+        assert max_abs_on_grid(sech2.lap_log_iota_bar - c * sech2.iota_bar, grid) <= 1e-7
 
 
 CSC_TABLE = [
@@ -128,7 +125,7 @@ def test_criterion_06_csc_equivalence():
     with criterion(6, "CSC equivalence: s~-constancy and twist-equation verdicts agree on 3 CSC + 2 non-CSC"):
         for iota_expr, expect in CSC_TABLE:
             be = BuiltEntry(catalog.load("ppwave", iota=iota_expr))
-            verdict = csc_verdict(be.chain, be.grid)
+            verdict = be.csc()
             assert verdict.verdicts_agree, iota_expr
             assert verdict.is_csc == expect, iota_expr
 
@@ -158,14 +155,12 @@ def test_criterion_07_ke_ode_families():
 def test_criterion_08_einstein_verdicts(built):
     with criterion(8, "Einstein: alpha0 lam=-3 <= 1e-7; alphaneg flat <= 1e-7; implicit Ricci-flat with |K(x,y)| > 0.1"):
         be = built("warped_alpha0")
-        rep = einstein_verdict(be.chain, -3.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
-                               fiber=be.entry.fiber, fiber_grid=[()])
+        rep = be.einstein(-3.0)
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["einstein_residual"].residual <= 1e-7
 
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
-                               fiber=be.entry.fiber, fiber_grid=[()])
+        rep = be.einstein(0.0)
         assert {c.check_id: c for c in rep.checks}["einstein_residual"].residual <= 1e-7
         assert be.curv_k.max_component(be.grid) <= 1e-7
 
@@ -184,7 +179,7 @@ def test_criterion_09_completeness(built):
         be = built("warped_complete")
         fam = be.entry.family
         tau_grid = sorted({(p[0],) for p in be.grid})
-        assert max_abs_on_grid(fam.c_field() - 1.0, tau_grid) <= 1e-9
+        assert max_abs_on_grid(fam.c_field - 1.0, tau_grid) <= 1e-9
         cv = completeness(WarpedFamily(fam.f, fam.w, fam.lam, fam.C, (-math.inf, math.inf)))
         assert cv.verdict == "complete"
         K_kT = sectional_curvature(be.kahler.structure, be.curv_k, 0, 1)
@@ -207,7 +202,7 @@ def test_criterion_10_cross_route_property_suite(entries, built):
             assert kahler_form_closed(entry.data, be.kahler, be.grid).passed, eid
             d_rho = exterior_d_two_form(entry.data.structure, be.rho)
             assert max(max_abs_on_grid(f, be.grid) for f in d_rho.values()) <= 1e-7, eid
-            assert cross_route_ricci_residual(be.rho, be.curv_k, be.grid) <= 1e-7, eid
+            assert ricci_route_gap(be.chain, be.grid) <= 1e-7, eid
 
         chart_rep = catalog.coordinate_crosscheck(entries["planewave"])
         assert chart_rep.passed

@@ -1,5 +1,6 @@
 """Catalog entries, the document schema, and the coordinate oracle."""
 
+import copy
 import json
 import math
 
@@ -13,10 +14,8 @@ from frame_kahler.catalog import (
     interval_bounds,
     load,
     parse_document,
-    parse_structure,
     planewave_chart,
     ppwave_from_shift,
-    serialize_structure,
 )
 from frame_kahler.frames import consistency_suite, koszul_connection, max_abs_on_grid
 from frame_kahler.kahler import check_admissible
@@ -85,9 +84,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("eid", ["s3xr", "planewave", "ppwave", "warped_alphaneg", "warped_complete"])
     def test_serialize_parse_reproduces_fields(self, entries, eid):
         entry = entries[eid]
-        doc = serialize_structure(entry)
+        doc = copy.deepcopy(entry.document)
         json.loads(json.dumps(doc))  # JSON-stable
-        data2 = parse_structure(doc)
+        data2 = parse_document(doc)[0]
         grid = entry.grid()
         S1, S2 = entry.data.structure, data2.structure
         worst = 0.0
@@ -105,44 +104,44 @@ class TestRoundTrip:
 
 class TestSchemaErrors:
     def test_missing_d_row_named(self, entries):
-        doc = serialize_structure(entries["s3xr"])
+        doc = copy.deepcopy(entries["s3xr"].document)
         del doc["D"]["x"]
         with pytest.raises(SchemaError) as err:
-            parse_structure(doc)
+            parse_document(doc)
         assert "D.x" in str(err.value)
 
     def test_conflicting_symmetric_metric(self, entries):
-        doc = serialize_structure(entries["s3xr"])
+        doc = copy.deepcopy(entries["s3xr"].document)
         doc["g"]["T,k"] = "5"
         with pytest.raises(SchemaError):
-            parse_structure(doc)
+            parse_document(doc)
 
     def test_duplicate_frame_names(self, entries):
-        doc = serialize_structure(entries["s3xr"])
+        doc = copy.deepcopy(entries["s3xr"].document)
         doc["frames"] = ["k", "k", "x", "y"]
         with pytest.raises(SchemaError):
-            parse_structure(doc)
+            parse_document(doc)
 
     def test_bad_expression_positional(self, entries):
-        doc = serialize_structure(entries["s3xr"])
+        doc = copy.deepcopy(entries["s3xr"].document)
         doc["f"] = "exp(nope)"
         with pytest.raises(SchemaError) as err:
-            parse_structure(doc)
+            parse_document(doc)
         assert "f" in str(err.value)
 
     def test_unknown_case(self):
         with pytest.raises(SchemaError):
-            parse_structure({"case": "weird"})
+            parse_document({"case": "weird"})
 
     def test_missing_fiber_key(self, entries):
-        doc = serialize_structure(entries["warped_complete"])
+        doc = copy.deepcopy(entries["warped_complete"].document)
         del doc["fiber"]["iota"]
         with pytest.raises(SchemaError) as err:
-            parse_structure(doc)
+            parse_document(doc)
         assert "fiber" in str(err.value)
 
     def test_warped_document_parses_to_lift(self, entries):
-        doc = serialize_structure(entries["warped_complete"])
+        doc = copy.deepcopy(entries["warped_complete"].document)
         data, fiber, family = parse_document(doc)
         assert data.case == "warped"
         assert fiber is not None and family is not None

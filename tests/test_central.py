@@ -12,18 +12,17 @@ from frame_kahler.central import (
     central_curvature,
     conformal_scalar,
     conformal_scalar_closed_form,
-    csc_verdict,
     expected_q,
     laplacian_self_test,
     left_invariance_check,
-    liouville_fit,
-    liouville_residual,
     ricci_endomorphism_eigenvalues,
 )
-from frame_kahler.fields import KSet, make_closed_form
-from frame_kahler.frames import grid_points, max_abs_on_grid
+from frame_kahler.fields import KSet, exp, variable
+from frame_kahler.frames import constancy_on_grid, fit_constant, grid_points, max_abs_on_grid, plane_laplacian_log_abs
+from frame_kahler.kahler import X, Y
+from frame_kahler.warped import make_fiber
 
-from conftest import BuiltEntry, fd_plane_laplacian
+from conftest import BuiltEntry, fd_plane_laplacian, ricci_route_gap
 
 KS2 = KSet(("x", "y"))
 PLANE_GRID = grid_points(KS2, {"x": (-0.6, 0.6, 5), "y": (-0.6, 0.6, 5)})
@@ -31,6 +30,24 @@ PLANE_GRID = grid_points(KS2, {"x": (-0.6, 0.6, 5), "y": (-0.6, 0.6, 5)})
 
 def ppwave_built(iota_expr):
     return BuiltEntry(catalog.load("ppwave", iota=iota_expr))
+
+
+def e_minus_tau(be):
+    return exp(-variable(be.data.kset, be.data.kset.names[0]))
+
+
+def left_invariance(be):
+    """``left_invariance_check`` with the twist-constancy test and e^{-tau}
+    built as ``central_suite`` builds them."""
+    iota_constant = constancy_on_grid(be.data.iota, be.grid, 1e-10)[0]
+    return left_invariance_check(be.data, be.kahler, be.grid, iota_constant, e_minus_tau(be))
+
+
+def plane_twist(expr):
+    """A twist over the (x, y) plane and (d_x^2 + d_y^2) log|twist|, as the
+    fiber with xbar, ybar acting as the plane partials builds them."""
+    F = make_fiber(0.0, expr, ("x", "y"))
+    return F.iota_bar, F.lap_log_iota_bar
 
 
 class TestCentralCurvature:
@@ -86,7 +103,7 @@ class TestConformalScalar:
     def test_laplacian_self_test(self, built):
         for eid in ("planewave", "s3xr"):
             be = built(eid)
-            rep = laplacian_self_test(be.chain, be.grid)
+            rep = laplacian_self_test(be.chain, be.grid, e_minus_tau(be))
             assert rep.passed
 
     def test_scalar_curvature_2q(self, built):
@@ -98,33 +115,29 @@ class TestConformalScalar:
 
 class TestLiouvilleResidual:
     def test_constant_twist_zero(self):
-        iota = make_closed_form("-2", KS2)
-        r = liouville_residual(iota, 0.0)
-        assert max_abs_on_grid(r, PLANE_GRID) == 0.0
+        _, lap = plane_twist("-2")
+        assert max_abs_on_grid(lap, PLANE_GRID) == 0.0
 
     def test_harmonic_exponent(self):
-        iota = make_closed_form("exp(x^2 - y^2)", KS2)
-        r = liouville_residual(iota, 0.0)
-        assert max_abs_on_grid(r, PLANE_GRID) <= 1e-8
+        _, lap = plane_twist("exp(x^2 - y^2)")
+        assert max_abs_on_grid(lap, PLANE_GRID) <= 1e-8
 
     def test_sech_squared_profile(self):
         p_c, q_c, r_c = 1.0, 2.0, 0.1
-        iota = make_closed_form("sech(%g*x + %g*y + %g)^2" % (p_c, q_c, r_c), KS2)
+        iota, lap = plane_twist("sech(%g*x + %g*y + %g)^2" % (p_c, q_c, r_c))
         c = -2.0 * (p_c**2 + q_c**2)
-        r = liouville_residual(iota, c)
-        assert max_abs_on_grid(r, PLANE_GRID) <= 1e-7
+        assert max_abs_on_grid(lap - c * iota, PLANE_GRID) <= 1e-7
         # oracle: finite-difference plane Laplacian of log|iota|
         pt = (0.2, -0.3)
         lap = fd_plane_laplacian(lambda s: math.log(abs(iota.at(s))), pt, 0, 1)
         assert lap == pytest.approx(c * iota.at(pt), abs=1e-5)
 
     def test_vanishing_twist_rejected(self):
-        iota = make_closed_form("x", KS2)
-        r = liouville_residual(iota, 0.0)
+        _, lap = plane_twist("x")
         from frame_kahler.fields import DomainError
 
         with pytest.raises(DomainError):
-            r.at((0.0, 0.5))
+            lap.at((0.0, 0.5))
 
 
 CSC_CASES = [
@@ -140,33 +153,34 @@ class TestCscVerdict:
     @pytest.mark.parametrize("iota_expr,expect_csc", CSC_CASES)
     def test_verdicts_agree(self, iota_expr, expect_csc):
         be = ppwave_built(iota_expr)
-        rep = csc_verdict(be.chain, be.grid)
+        rep = be.csc()
         assert rep.verdicts_agree
         assert rep.is_csc == expect_csc
 
     def test_sech_profile_constant(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        rep = csc_verdict(be.chain, be.grid)
+        rep = be.csc()
         # negative sech^2 twist satisfies the equation with c = +2 (1 + 4)
         assert rep.pde_constant_c == pytest.approx(10.0, abs=1e-7)
 
     def test_harmonic_exponent_c_zero(self):
         be = ppwave_built("-exp(x^2 - y^2)")
-        rep = csc_verdict(be.chain, be.grid)
+        rep = be.csc()
         assert rep.pde_constant_c == pytest.approx(0.0, abs=1e-8)
         assert rep.s_tilde_mean == pytest.approx(-1.0, abs=1e-7)
 
     def test_non_finite_twist_does_not_agree(self):
         # the twist is NaN at every grid point (no grid x is 0)
         be = ppwave_built("-2 + (1e200*x)*(1e200*x)*(x-x)")
-        rep = csc_verdict(be.chain, be.grid)
+        rep = be.csc()
         assert rep.s_tilde_spread == math.inf
         assert rep.pde_residual == math.inf
         assert not rep.verdicts_agree
 
     def test_fit_matches_direct_computation(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        c, residual = liouville_fit(be.data, be.grid)
+        lap_h = plane_laplacian_log_abs(be.data.structure, be.data.iota, X, Y)
+        c, residual = fit_constant(lap_h, be.data.iota, be.grid)
         assert residual <= 1e-7
         assert c == pytest.approx(10.0, abs=1e-7)
 
@@ -223,13 +237,13 @@ class TestSyntheticFamilyProperties:
     )
     def test_central_claims_hold_across_constants(self, a, b, alpha, beta, iota_const):
         from frame_kahler.frames import grid_points, koszul_connection, max_abs_on_grid
-        from frame_kahler.kahler import build_chain, check_admissible, cross_route_ricci_residual
+        from frame_kahler.kahler import build_chain, check_admissible
 
         A = synthetic_central(a, b, alpha, beta, iota_const)
         grid = grid_points(A.kset, {"tau": (-0.5, 0.5, 3)})
         assert check_admissible(A, koszul_connection(A.structure), grid).passed
         chain = build_chain(A)
-        km, curv_k, rho = chain.kahler, chain.curv, chain.rho
+        km, curv_k = chain.kahler, chain.curv
 
         # Ricci endomorphism kills V, and its determinant vanishes
         for u in (0, 1):
@@ -239,9 +253,9 @@ class TestSyntheticFamilyProperties:
         assert max_abs_on_grid(det, grid) <= 1e-8
 
         # both Ricci routes agree, and the horizontal eigenvalue is q e^-tau
-        assert cross_route_ricci_residual(rho, curv_k, grid) <= 1e-7
+        assert ricci_route_gap(chain, grid) <= 1e-7
         q = expected_q(A.constants)
-        from frame_kahler.fields import exp as f_exp, variable
+        from frame_kahler.fields import exp as f_exp
 
         qe = q * f_exp(-variable(A.kset, "tau"))
         for u in (2, 3):
@@ -256,19 +270,19 @@ class TestSyntheticFamilyProperties:
 class TestLeftInvariance:
     def test_planewave_passes_with_table(self, built):
         be = built("planewave")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
+        rep, table = left_invariance(be)
         assert rep.passed
         assert table[("x", "y")] == pytest.approx([0.0, 2.0, 0.0, 0.0])
         assert table[("k", "x")][3] == pytest.approx(-1.0)
 
     def test_s3xr_passes(self, built):
         be = built("s3xr")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
+        rep, table = left_invariance(be)
         assert rep.passed
         assert table is not None
 
     def test_nonconstant_twist_not_applicable(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
+        rep, table = left_invariance(be)
         assert table is None
         assert any("not applicable" in c.note for c in rep.checks)

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import copy
 import importlib.util
 import json
 import math
@@ -15,9 +16,9 @@ import pytest
 
 from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
-from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load, serialize_structure
+from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load
 from frame_kahler.cli import _write_report, main, run_suite
-from frame_kahler.fields import ScalarField, _Grid, constant, variable
+from frame_kahler.fields import ScalarField, _Grid, _Mul, constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
 from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
@@ -126,7 +127,7 @@ class TestVerify:
 
     def test_too_deep_expression_is_usage_error(self, tmp_path):
         # evaluating a 600-term sum recurses past Python's recursion limit
-        doc = serialize_structure(load("s3xr"))
+        doc = copy.deepcopy(load("s3xr").document)
         doc["f"] = "exp(tau)" + "+1e-300*tau" * 600
         config, out = tmp_path / "deep.json", tmp_path / "r.json"
         config.write_text(json.dumps(doc))
@@ -149,7 +150,7 @@ class TestVerify:
 
     def test_non_finite_kahler_metric_fails_with_report(self, tmp_path, capsys):
         # f is NaN at every tau but 0; the eigenvalue scans must fail, not raise
-        doc = serialize_structure(load("s3xr"))
+        doc = copy.deepcopy(load("s3xr").document)
         doc["f"] = "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"
         path, out = tmp_path / "nan.json", tmp_path / "r.json"
         path.write_text(json.dumps(doc))
@@ -163,7 +164,7 @@ class TestVerify:
     def test_nan_matrix_entries_give_no_warning(self, tmp_path):
         # the NaN potential reaches the pointwise solves: their NaN rows are
         # left out of the stacked determinant, so numpy warns about nothing
-        doc = serialize_structure(load("s3xr"))
+        doc = copy.deepcopy(load("s3xr").document)
         doc["f"] = "exp(tau) + (1e200*tau)*(1e200*tau)*(tau-tau)"
         path, out = tmp_path / "nan.json", tmp_path / "r.json"
         path.write_text(json.dumps(doc))
@@ -175,7 +176,7 @@ class TestVerify:
 
     def test_math_overflow_is_usage_error(self, tmp_path):
         # math.exp overflows at tau = 1: OverflowError is an ArithmeticError
-        doc = serialize_structure(load("s3xr"))
+        doc = copy.deepcopy(load("s3xr").document)
         doc["f"] = "exp(tau) + exp(2000*tau)"
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -210,7 +211,7 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_document(self, tmp_path):
-        doc = serialize_structure(load("planewave"))
+        doc = copy.deepcopy(load("planewave").document)
         path = tmp_path / "structure.json"
         path.write_text(json.dumps(doc))
         code = run_cli("verify", "--config", str(path), "--suite", "central")
@@ -244,7 +245,7 @@ class TestVerify:
         assert run_cli("verify", "--config", str(path), "--suite", "ke") == 1
 
     def test_failing_config_exits_one(self, tmp_path):
-        doc = serialize_structure(load("ppwave"))
+        doc = copy.deepcopy(load("ppwave").document)
         # perturbed bracket: evaluable everywhere but inconsistent data
         doc["brackets"] = {"x,y": {"k": "-2", "T": "-1.9"}}
         path = tmp_path / "bad.json"
@@ -252,7 +253,7 @@ class TestVerify:
         assert run_cli("verify", "--config", str(path), "--suite", "central") == 1
 
     def test_invalid_document_exits_two(self, tmp_path):
-        doc = serialize_structure(load("s3xr"))
+        doc = copy.deepcopy(load("s3xr").document)
         del doc["D"]["x"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -424,6 +425,68 @@ class TestBuildCounts:
         }
 
 
+class TestBuiltOnce:
+    """One run_suite builds each object that several checks read once: the
+    plane Laplacian of log|twist| (central) or of log|iota_bar| (the fiber),
+    the forms-route Ricci, log|.| of the twist over each k-set, (fw)' and
+    c = (fw)'/w, e^{-tau}, the twist-constancy test and the tau samples. At
+    the time each was shared, ppwave-sech built the plane Laplacian twice,
+    and warped_complete built the plane Laplacian, the forms-route Ricci,
+    each log|iota_bar| and the tau samples twice and c three times."""
+
+    def built(self, monkeypatch, entry):
+        # builder -> what one call builds (None: not counted)
+        keys = {
+            "plane_laplacian_log_abs": lambda *args: "plane_laplacian_log_abs",
+            "ricci_from_form": lambda rho: "ricci_from_form",
+            "log_abs": lambda f: "log_abs over %r" % (f.kset.names,),
+            "exp": lambda f: "exp(-tau)" if isinstance(f, _Mul) and f.f.is_constant and f.f.c == -1.0 else None,
+            "constancy_on_grid": lambda field, *args: "twist constancy" if field is entry.data.iota else None,
+            "_tau_samples": lambda grid: "_tau_samples",
+        }
+        counts = collections.Counter()
+
+        def counting(original, key):
+            def counted(*args, **kwargs):
+                what = key(*args, **kwargs)
+                if what is not None:
+                    counts[what] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in MODULES:
+            mod = importlib.import_module("frame_kahler." + name)
+            for builder, key in keys.items():
+                if hasattr(mod, builder):
+                    monkeypatch.setattr(mod, builder, counting(getattr(mod, builder), key))
+        for prop in ("fw_prime", "c_field"):
+            cached = WarpedFamily.__dict__[prop]
+            monkeypatch.setattr(cached, "func", counting(cached.func, lambda fam, _prop=prop: _prop))
+        report, _ = run_suite(entry, "all")
+        assert report.passed
+        return dict(counts)
+
+    def test_central(self, monkeypatch):
+        assert self.built(monkeypatch, load("ppwave", iota=SECH)) == {
+            "plane_laplacian_log_abs": 1,
+            "log_abs over ('tau', 'x', 'y')": 1,
+            "ricci_from_form": 1,
+            "exp(-tau)": 1,
+            "twist constancy": 1,
+        }
+
+    def test_warped(self, monkeypatch):
+        assert self.built(monkeypatch, load("warped_complete")) == {
+            "plane_laplacian_log_abs": 1,  # the fiber's
+            "log_abs over ()": 1,  # the fiber's
+            "log_abs over ('tau',)": 1,  # the lifted twist's
+            "ricci_from_form": 1,
+            "_tau_samples": 1,
+            "fw_prime": 1,
+            "c_field": 1,
+        }
+
+
 class TestSolveCounts:
     """Each distinct pointwise matrix is assembled and det-checked once per
     grid, and each distinct right-hand side is solved once against it."""
@@ -448,12 +511,14 @@ class TestSolveCounts:
         assert dict(counts) == calls
 
     @pytest.mark.parametrize("entry,box,nodes", [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12888),
-        (lambda: load("warped_alpha0"), {}, 9337),
-    ])
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12871),
+        (lambda: load("warped_alpha0"), {}, 9280),
+    ], ids=["ppwave_sech", "warped_alpha0"])
     def test_nodes_built(self, monkeypatch, entry, box, nodes):
         # frame contractions build no term with a constant-zero factor
-        # (26,003 and 16,973 nodes when every term was built)
+        # (26,003 and 16,973 nodes when every term was built), and each
+        # shared object is built once (12,888 and 9,337 when some were
+        # built two or three times)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []
@@ -475,9 +540,12 @@ class TestGridConversions:
 
     @pytest.mark.parametrize("entry,box,conversions", [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 1),
-        # the grid, the fiber grid, the tau samples (once in einstein_verdict, once for the
-        # region checks and the curve table) and 5 arclength refinements of the curve table
-        (lambda: load("warped_alpha0"), {}, 9),
+        # the grid, the fiber grid, the tau samples (9 when einstein_verdict converted them
+        # again) and 5 arclength refinements of the curve table
+        (lambda: load("warped_alpha0"), {}, 8),
+        # the grid, the middle point of the structure constants and the 24 chart
+        # points (5 when the chart points were converted three times)
+        (lambda: load("planewave"), {}, 3),
     ])
     def test_grids_built_per_run(self, monkeypatch, entry, box, conversions):
         entry = entry()

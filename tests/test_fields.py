@@ -25,12 +25,10 @@ from frame_kahler.fields import (
     determinant,
     exp,
     guarded,
-    lift_partial,
     log,
     log_abs,
     make_closed_form,
     remap,
-    solve_linear,
     sqrt,
     variable,
 )
@@ -232,21 +230,22 @@ class TestParser:
 class TestLiftPartial:
     def test_polynomial(self):
         f = make_closed_form("tau^2", KS1)
-        assert lift_partial(f, 0).at((3.0,)) == 6.0
+        assert f.partial(0).at((3.0,)) == 6.0
 
     def test_lift_twice_log_sech(self):
         # d^2/dx^2 of log(sech^2 x) = -2 sech^2 x; at 0 this is -2
         iota = make_closed_form("sech(x)^2", KS2)
         L = log_abs(iota)
-        twice = lift_partial(lift_partial(L, "x"), "x")
+        x = KS2.index("x")
+        twice = L.partial(x).partial(x)
         assert twice.at((0.0, 0.0)) == pytest.approx(-2.0, abs=1e-12)
         oracle = second_diff(lambda p: math.log(abs(iota.at(p))), (0.0, 0.0), 0, 0, h=1e-4)
         assert twice.at((0.0, 0.0)) == pytest.approx(oracle, abs=1e-6)
 
     def test_constant_lifts_to_zero(self):
         f = constant(KS1, 7.0)
-        assert lift_partial(f, 0).is_constant
-        assert lift_partial(f, 0).at((1.0,)) == 0.0
+        assert f.partial(0).is_constant
+        assert f.partial(0).at((1.0,)) == 0.0
 
     def test_out_of_range(self):
         f = make_closed_form("tau", KS1)
@@ -286,19 +285,21 @@ class TestDomains:
             f.partial(0).at((-2.0,))
 
     def test_guard_walks_each_grid_once(self):
-        # a guarded field and its partials share one guard, which calls the
-        # predicate once per point of a grid (15 calls when each node walked it)
+        # each guarded node calls the predicate once per grid, on the grid's
+        # columns (5 point calls when a shared guard walked the points, 15
+        # when each node walked them)
         calls = []
 
-        def positive(p):
-            calls.append(p)
-            return p[0] > 0.0
+        def positive(cols):
+            calls.append(cols[0].tolist())
+            return cols[0] > 0.0
 
         f = guarded(variable(KS1, "tau") ** 3, positive, "tau > 0")
         grid = [(0.5,), (1.0,), (1.5,), (2.0,), (2.5,)]
         for field in (f, f.partial(0), f.partial(0).partial(0)):
             values_on_grid(field, grid)
-        assert calls == grid
+            values_on_grid(field, grid)
+        assert calls == [[0.5, 1.0, 1.5, 2.0, 2.5]] * 3
 
     def test_division_by_zero_field(self):
         f = constant(KS1, 1.0) / variable(KS1, "tau")
@@ -366,7 +367,7 @@ class TestLinearSolve:
             [variable(KS2, "x"), constant(KS2, 3.0)],
         ]
         b = [variable(KS2, "y"), constant(KS2, 1.0)]
-        sol = solve_linear(A, b)
+        sol = LinearFieldSystem(A, b).components()
         pt = (0.4, -0.7)
 
         def direct(p):
@@ -429,7 +430,7 @@ class TestGridErrors:
         (lambda: remap(make_closed_form("log(tau)", KS1), TestGridErrors.KS3),
          [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (-1.0, 0.5, 0.5)],
          DomainError, "log of nonpositive value -1.0 at (-1.0,)"),
-        (lambda: solve_linear([[variable(KS1, "tau") - 1.0]], [constant(KS1, 1.0)])[0],
+        (lambda: LinearFieldSystem([[variable(KS1, "tau") - 1.0]], [constant(KS1, 1.0)]).components()[0],
          [(0.0,), (2.0,), (1.0,)], SingularMatrixError,
          "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (1.0,)"),
     ]
@@ -491,8 +492,8 @@ class TestGridErrors:
     def test_non_finite_rows_solve_to_nan(self):
         # a NaN matrix entry at one point: NaN there, the other points solved
         tau = variable(KS1, "tau")
-        x = solve_linear([[tau * tau - 1.0 + (1e200 * tau) * (1e200 * tau) * (tau - tau)]],
-                         [constant(KS1, 2.0)])[0]
+        x = LinearFieldSystem([[tau * tau - 1.0 + (1e200 * tau) * (1e200 * tau) * (tau - tau)]],
+                              [constant(KS1, 2.0)]).components()[0]
         values = values_on_grid(x, [(0.0,), (0.5,)])
         assert values[0] == -2.0 and math.isnan(values[1])
 
@@ -591,7 +592,8 @@ class TestSharedMatrix:
         shared = values_on_grid([LinearFieldSystem(holder, b1).components(),
                                  LinearFieldSystem(holder, b2).components()], grid)
         assert solve_calls == [4]
-        alone = values_on_grid([solve_linear(A(), b1), solve_linear(A(), b2)], grid)
+        alone = values_on_grid([LinearFieldSystem(A(), b1).components(),
+                                LinearFieldSystem(A(), b2).components()], grid)
         assert solve_calls == [4, 4, 4]
         assert self.hexes(shared[0]) == self.hexes(alone[0]) == self.hexes(alone[1])
         assert self.hexes(shared[1]) == self.hexes(alone[1])
@@ -643,14 +645,14 @@ class TestSharedMatrix:
 
     def test_singular_only_where_b_is_nan_gives_nan(self, det_calls):
         tau = variable(KS1, "tau")
-        x = solve_linear([[tau - 1.0]], [constant(KS1, 2.0) + self.nan_off_zero(tau)])[0]
+        x = LinearFieldSystem([[tau - 1.0]], [constant(KS1, 2.0) + self.nan_off_zero(tau)]).components()[0]
         values = values_on_grid(x, [(0.0,), (1.0,)])
         assert values[0] == -2.0 and math.isnan(values[1])
         assert det_calls == [2]
 
     def test_first_point_finite_for_a_and_b_is_named(self):
         tau = variable(KS1, "tau")
-        x = solve_linear([[tau * (tau - 1.0)]], [constant(KS1, 2.0) + self.nan_off_zero(tau)])[0]
+        x = LinearFieldSystem([[tau * (tau - 1.0)]], [constant(KS1, 2.0) + self.nan_off_zero(tau)]).components()[0]
         with pytest.raises(SingularMatrixError) as exc:
             values_on_grid(x, [(1.0,), (0.5,), (0.0,)])
         assert str(exc.value) == "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (0.0,)"
@@ -661,7 +663,7 @@ class TestSharedMatrix:
             [variable(KS2, "x"), constant(KS2, 3.0) + variable(KS2, "y")],
         ]
         b = [variable(KS2, "y"), constant(KS2, 1.0)]
-        sol = solve_linear(A, b)
+        sol = LinearFieldSystem(A, b).components()
         grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5)]
         before = values_on_grid(sol, grid)
         assert det_calls == [3]
@@ -685,7 +687,7 @@ class TestSharedMatrix:
         assert values.tolist() == [[0.5, 0.5], [0.5, 1.0], [0.5, 0.5]]
 
     def test_each_grid_assembles_its_own_stack(self, det_calls):
-        x = solve_linear([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)])[0]
+        x = LinearFieldSystem([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)]).components()[0]
         assert values_on_grid([x, x.partial(0)], [(0.0,), (2.0,)]).tolist() == [[0.5, 0.25], [-0.25, -0.0625]]
         assert values_on_grid([x, x.partial(0)], [(-1.0,)]).tolist() == [[1.0], [-1.0]]
         assert det_calls == [2, 1]

@@ -7,7 +7,6 @@ import pytest
 
 from frame_kahler.fields import Const, KSet, variable
 from frame_kahler.frames import (
-    FrameError,
     FrameStructure,
     consistency_suite,
     constancy_on_grid,
@@ -20,7 +19,6 @@ from frame_kahler.frames import (
     min_on_grid,
     sectional_curvature,
     spread_on_grid,
-    twist,
     values_on_grid,
     worst_abs,
 )
@@ -232,28 +230,21 @@ class TestSectional:
 
 
 class TestTwist:
+    """The twist of e_0 against the orthonormal pair (e_2, e_3) is
+    g(e_0, [e_2, e_3])."""
+
     def test_catalog_twists(self, entries):
-        assert twist(entries["s3xr"].data.structure).at((0.0,)) == pytest.approx(-2.0)
-        assert twist(entries["planewave"].data.structure).at((0.0,)) == pytest.approx(-2.0)
+        assert entries["s3xr"].data.structure.g_of_bracket(0, 2, 3).at((0.0,)) == pytest.approx(-2.0)
+        assert entries["planewave"].data.structure.g_of_bracket(0, 2, 3).at((0.0,)) == pytest.approx(-2.0)
 
     def test_ppwave_shift_twist(self):
         entry = catalog.ppwave_from_shift("x*y", "-2*x + x^2")
         S = entry.data.structure
         grid = grid_points(S.kset, {"x": (-0.5, 0.5, 3), "y": (-0.5, 0.5, 3)})
-        t = twist(S, grid=grid)
+        t = S.g_of_bracket(0, 2, 3)
         # iota = d_x(h) - d_y(k) = (-2 + 2x) - x
         for p in grid:
             assert t.at(p) == pytest.approx(-2.0 + p[1], abs=1e-12)
-
-    def test_requires_orthonormal_pair(self):
-        ks = KSet(())
-        zero, one = Const(ks, 0.0), Const(ks, 1.0)
-        g = [[one if i == j else zero for j in range(4)] for i in range(4)]
-        g[2][2] = Const(ks, 2.0)  # x not unit
-        C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-        S = FrameStructure(ks, ("k", "T", "x", "y"), g, C, [[]] * 4)
-        with pytest.raises(FrameError):
-            twist(S, grid=[()])
 
 
 class TestConsistencySuite:

@@ -18,17 +18,18 @@ from frame_kahler.kahler import (
     FrameOneForm,
     build_kahler,
     check_admissible,
-    cross_route_ricci_residual,
     exterior_d,
     exterior_d_two_form,
     gamma_forms,
-    j_image,
+    J_IMAGE,
     kahler_form,
     kahler_form_closed,
     ricci_form,
     ricci_form_imag_residual,
     ricci_from_form,
 )
+
+from conftest import ricci_route_gap
 
 
 class TestBuildKahler:
@@ -243,8 +244,8 @@ class TestRicciForm:
         worst = 0.0
         for u in range(4):
             for v in range(4):
-                ju, su = j_image(u)
-                jv, sv = j_image(v)
+                ju, su = J_IMAGE[u]
+                jv, sv = J_IMAGE[v]
                 diff = be.rho(ju, jv) * (su * sv) - be.rho(u, v)
                 worst = max(worst, max_abs_on_grid(diff, be.grid))
         assert worst <= 1e-8
@@ -259,7 +260,7 @@ class TestRicciForm:
     def test_cross_route_all_entries(self, built):
         for eid in ("s3xr", "planewave", "ppwave", "warped_alpha0", "warped_complete"):
             be = built(eid)
-            assert cross_route_ricci_residual(be.rho, be.curv_k, be.grid) <= 1e-7
+            assert ricci_route_gap(be.chain, be.grid) <= 1e-7
 
     def test_ricci_from_form_orientation(self, built):
         # rho(k,T) = Ric(T,T) and rho(x,y) = Ric(y,y)

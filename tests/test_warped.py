@@ -17,7 +17,6 @@ from frame_kahler.warped import (
     WarpedFamily,
     adaptive_simpson,
     completeness,
-    einstein_verdict,
     family_alpha_negative,
     family_alpha_zero,
     family_implicit_tan,
@@ -293,9 +292,7 @@ class TestImplicitSolve:
 class TestEinsteinVerdict:
     def test_alpha0_einstein(self, built):
         be = built("warped_alpha0")
-        entry = be.entry
-        rep = einstein_verdict(be.chain, -3.0, be.grid, ode=ke_ode_residual(entry.family, be.data.constants.alpha), fiber=entry.fiber,
-                               fiber_grid=[()], C=0.0)
+        rep = be.einstein(-3.0)
         assert rep.passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["einstein_residual"].residual <= 1e-7
@@ -303,16 +300,14 @@ class TestEinsteinVerdict:
 
     def test_alphaneg_flat(self, built):
         be = built("warped_alphaneg")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
-                               fiber=be.entry.fiber, fiber_grid=[()])
+        rep = be.einstein(0.0)
         assert rep.passed
         assert be.curv_k.max_component(be.grid) <= 1e-7
         assert be.curv_k.max_ricci(be.grid) <= 1e-7
 
     def test_implicit_family_ricci_flat_not_flat(self, built):
         be = built("warped_alpha_minus2")
-        rep = einstein_verdict(be.chain, 0.0, be.grid, ode=ke_ode_residual(be.entry.family, be.data.constants.alpha),
-                               fiber=be.entry.fiber, fiber_grid=[()])
+        rep = be.einstein(0.0)
         assert rep.passed
         assert be.curv_k.max_ricci(be.grid) <= 1e-7
         K_xy = sectional_curvature(be.kahler.structure, be.curv_k, 2, 3)
@@ -320,14 +315,15 @@ class TestEinsteinVerdict:
 
     def test_wrong_lambda_fails(self, built):
         be = built("warped_alpha0")
-        rep = einstein_verdict(be.chain, -1.0, be.grid)
+        rep = be.einstein(-1.0)
+        assert not {c.check_id: c for c in rep.checks}["einstein_residual"].passed
         assert not rep.passed
 
     def test_log_derivative_identity(self, built):
         # c'/c = (fw)''/(fw)' - w'/w as fields
         for eid in ("warped_alpha0", "warped_alphaneg", "warped_alpha_minus2"):
             be = built(eid)
-            rep = einstein_verdict(be.chain, be.entry.family.lam, be.grid)
+            rep = be.einstein(be.entry.family.lam)
             by_id = {c.check_id: c for c in rep.checks}
             assert by_id["log_derivative_identity"].residual <= 1e-10
             assert by_id["twist_substitution"].residual <= 1e-10
@@ -447,6 +443,6 @@ class TestSectionalValues:
 
     def test_c_profile_constant(self, built):
         be = built("warped_complete")
-        c_field = be.entry.family.c_field()
+        c_field = be.entry.family.c_field
         tau_grid = sorted({(p[0],) for p in be.grid})
         assert max_abs_on_grid(c_field - 1.0, tau_grid) <= 1e-9
