@@ -123,12 +123,11 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     }
 
 
-def laplacian_self_test(chain: KahlerChain, grid, e_minus_tau: ScalarField) -> VerificationReport:
+def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
     """Internal Laplacian checks on the central structure.
 
     The two Laplacian routes must agree, and Lap_K tau must equal the
-    closed-form value e^{-tau} (1 + b^2/a^2); ``e_minus_tau`` is the field
-    e^{-tau}."""
+    closed-form value e^{-tau} (1 + b^2/a^2)."""
     report = VerificationReport(suite="laplacian-self-test")
     A, S = chain.data, chain.kahler.structure
     tau = variable(A.kset, A.kset.names[0])
@@ -140,7 +139,7 @@ def laplacian_self_test(chain: KahlerChain, grid, e_minus_tau: ScalarField) -> V
         TOL_FRAME,
     )
     a, b = A.constants.a, A.constants.b
-    closed = e_minus_tau * (1.0 + (b * b) / (a * a))
+    closed = exp(-tau) * (1.0 + (b * b) / (a * a))
     report.add(
         "laplacian_tau_closed_form",
         max_abs_on_grid(lap_tau - closed, grid),
@@ -179,7 +178,7 @@ class CentralReport:
         }
 
 
-def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField, iota_constant: bool) -> CentralReport:
+def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField) -> CentralReport:
     """Constant-scalar-curvature verdict for the conformal metric.
 
     Decides CSC two independent ways: constancy of the computed conformal
@@ -187,8 +186,7 @@ def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField, iota_constant: boo
     twist equation  Lap_H log|iota| = c iota  (``lap_h`` is the left side,
     ``plane_laplacian_log_abs`` of the twist; a constant twist fits c = 0);
     the verdicts must agree, and they do not when either route saw a
-    non-finite value. ``iota_constant`` says whether the twist is constant
-    on the grid, where the horizontal eigenvalue scale q applies.
+    non-finite value.
     """
     A = chain.data
     if A.case != CASE_CENTRAL:
@@ -202,6 +200,8 @@ def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField, iota_constant: boo
 
     c_fit, pde_res = fit_constant(lap_h, A.iota, grid)
     pde_holds = pde_res <= TOL_CROSS
+
+    iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
     q = expected_q(A.constants) if iota_constant else None
 
     return CentralReport(
@@ -219,27 +219,26 @@ def csc_verdict(chain: KahlerChain, grid, lap_h: ScalarField, iota_constant: boo
     )
 
 
-def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid, iota_constant: bool,
-                          e_minus_tau: ScalarField):
+def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     """For constant twist: the conformal metric is locally a left-invariant
     metric; checked through constancy of the bracket coefficients, constancy
-    of the e^{-tau}-rescaled metric values on the frame (``e_minus_tau`` is
-    the field e^{-tau}), and the Jacobi identity of the resulting structure
-    constants.
+    of the e^{-tau}-rescaled metric values on the frame, and the Jacobi
+    identity of the resulting structure constants.
 
     Returns (report, structure_constant_table); the table is None when the
-    twist is not constant (``iota_constant`` is False: the check does not
-    apply)."""
+    twist is not constant (the check does not apply)."""
     report = VerificationReport(suite="left-invariance")
     S = A.structure
-    if not iota_constant:
+    if not constancy_on_grid(A.iota, grid, 1e-10)[0]:
         report.add("applicable", 0.0, 0.0, note="not applicable: twist is not constant on the grid")
         return report, None
 
     worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
     report.add("brackets_constant", worst, TOL_FRAME)
 
-    worst = max(spread_on_grid(e_minus_tau * f, grid)[0] for row in kahler.g for f in row)
+    tau = variable(A.kset, A.kset.names[0])
+    scale = exp(-tau)
+    worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, TOL_FRAME)
 
     cvals = values_on_grid(S.C, [grid[len(grid) // 2]])[..., 0].tolist()
@@ -333,8 +332,7 @@ def central_suite(entry, grid):
 
     # the CSC verdict carries the central curvature and the conformal scalar
     # curvature for the checks below
-    iota_constant = constancy_on_grid(A.iota, grid, 1e-10)[0]
-    verdict = csc_verdict(chain, grid, lap_h, iota_constant)
+    verdict = csc_verdict(chain, grid, lap_h)
 
     # Ricci endomorphism: vertical kernel and central curvature
     worst = max_abs_on_grid([curv_k.ricci[u][v] for u in (K, T) for v in range(4)], grid)
@@ -345,10 +343,9 @@ def central_suite(entry, grid):
     report.add("csc_verdicts_agree", 0.0 if verdict.verdicts_agree else 1.0, 0.0, note=note)
     report.add("central_summary", 0.0, 0.0, note=json.dumps(verdict.to_dict(), sort_keys=True))
 
-    e_minus_tau = exp(-variable(A.kset, A.kset.names[0]))
     q = verdict.q
     if q is not None:
-        qe = q * e_minus_tau
+        qe = q * exp(-variable(A.kset, A.kset.names[0]))
         worst = max_abs_on_grid([curv_k.ricci[u][u] - qe * kahler.g[u][u] for u in (X, Y)], grid)
         report.add("ricci_horizontal_eigenvalue", worst, TOL_CROSS, source="derived", note="q = %.6g" % q)
         report.add("scalar_curvature_2q", max_abs_on_grid(curv_k.scalar - 2.0 * qe, grid), TOL_FRAME,
@@ -364,10 +361,10 @@ def central_suite(entry, grid):
         report.add("conformal_scalar_two_laplacians",
                    max_abs_on_grid(verdict.s_tilde - verdict.s_tilde_alt, grid), TOL_CROSS)
 
-        li_report, _ = left_invariance_check(A, kahler, grid, iota_constant, e_minus_tau)
+        li_report, _ = left_invariance_check(A, kahler, grid)
         report.extend(li_report, prefix="left_invariance.")
 
-    report.extend(laplacian_self_test(chain, grid, e_minus_tau))
+    report.extend(laplacian_self_test(chain, grid))
 
     # expectations recorded on the entry
     expected = entry.expected

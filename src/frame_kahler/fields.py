@@ -20,7 +20,7 @@ memoized in its ``_cache`` under the grid's key, so shared subexpressions
 ``values_on_grid`` is the one evaluation function: it converts the points
 unless it is given a converted grid, which it takes as it is. A run
 converts each of its grids once and passes the converted grid on, so all
-its nodes share one key object; ``at(point)`` is ``values_on_grid`` on a
+its nodes share one key object; ``at(point)`` computes one field on a
 one-point grid, a convenience for tests and prompts.
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
 Python floats overflow silently to inf or NaN; elementary functions and
@@ -212,8 +212,9 @@ class ScalarField:
     # evaluation ----------------------------------------------------------
 
     def at(self, point) -> float:
-        """The value at one point, through ``values_on_grid``."""
-        return values_on_grid(self, [point]).item()
+        """The value at one point, on a one-point grid."""
+        with np.errstate(all="ignore"):
+            return self._values(_Grid.of([point])).item()
 
     def _values(self, grid):
         got = self._cache.get(grid.key)
@@ -535,7 +536,7 @@ class _Guarded(ScalarField):
         self.f, self.pred, self.description = f, pred, description
 
     def _compute(self, grid):
-        bad = ~self.pred(grid.cols)
+        bad = ~np.asarray(self.pred(grid.cols), dtype=bool)
         if bad.any():
             raise DomainError("point %r violates domain guard: %s" % (grid[int(bad.argmax())], self.description))
         return self.f._values(grid)
@@ -678,8 +679,8 @@ exp, log, log_abs, sin, cos, tan, sinh, cosh, tanh, sech, sqrt = (
 
 def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
     """f restricted to the points where ``pred`` holds; ``pred`` takes the
-    grid's columns (``cols[i]`` is variable i at every point), as in
-    ``lambda cols: cols[0] > 0.0``."""
+    grid's columns (``cols[i]`` is variable i at every point) and returns a
+    boolean array over the points, as ``lambda cols: cols[0] > 0.0`` does."""
     return _Guarded(f, pred, description)
 
 
@@ -859,8 +860,9 @@ class CScalarField:
         return self.re.kset
 
     def at(self, point) -> complex:
-        """The value at one point, through ``values_on_grid``."""
-        return values_on_grid(self, [point]).item()
+        """The value at one point, on a one-point grid."""
+        with np.errstate(all="ignore"):
+            return self._values(_Grid.of([point])).item()
 
     def _values(self, grid):
         out = np.empty(grid.n, dtype=complex)

@@ -9,7 +9,7 @@ import pytest
 
 from frame_kahler import catalog
 from frame_kahler.central import csc_verdict
-from frame_kahler.frames import constancy_on_grid, max_abs_on_grid, plane_laplacian_log_abs
+from frame_kahler.frames import max_abs_on_grid, plane_laplacian_log_abs
 from frame_kahler.kahler import X, Y, build_chain
 from frame_kahler.warped import einstein_verdict, ke_ode_residual
 
@@ -66,19 +66,17 @@ class BuiltEntry:
 
     def csc(self):
         """``csc_verdict`` of a central entry, with the twist's plane
-        Laplacian and constancy test built as ``central_suite`` builds them."""
+        Laplacian built as ``central_suite`` builds it."""
         A = self.data
-        lap_h = plane_laplacian_log_abs(A.structure, A.iota, X, Y)
-        return csc_verdict(self.chain, self.grid, lap_h, constancy_on_grid(A.iota, self.grid, 1e-10)[0])
+        return csc_verdict(self.chain, self.grid, plane_laplacian_log_abs(A.structure, A.iota, X, Y))
 
     def einstein(self, lam):
         """``einstein_verdict`` of a warped entry with Einstein constant
         ``lam`` and the entry's own ODE residual, fiber (on the one-point
         fiber grid of a constant twist) and C."""
         fam = self.entry.family
-        tau_grid = sorted({(p[0],) for p in self.grid})
         ode = ke_ode_residual(fam, self.data.constants.alpha)
-        return einstein_verdict(self.chain, lam, self.grid, tau_grid, ode, self.entry.fiber, [()], fam.C)
+        return einstein_verdict(self.chain, lam, self.grid, ode, self.entry.fiber, [()], fam.C)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ from frame_kahler.central import (
     left_invariance_check,
     ricci_endomorphism_eigenvalues,
 )
-from frame_kahler.fields import KSet, exp, variable
-from frame_kahler.frames import constancy_on_grid, fit_constant, grid_points, max_abs_on_grid, plane_laplacian_log_abs
+from frame_kahler.fields import KSet, variable
+from frame_kahler.frames import fit_constant, grid_points, max_abs_on_grid, plane_laplacian_log_abs
 from frame_kahler.kahler import X, Y
 from frame_kahler.warped import make_fiber
 
@@ -30,17 +30,6 @@ PLANE_GRID = grid_points(KS2, {"x": (-0.6, 0.6, 5), "y": (-0.6, 0.6, 5)})
 
 def ppwave_built(iota_expr):
     return BuiltEntry(catalog.load("ppwave", iota=iota_expr))
-
-
-def e_minus_tau(be):
-    return exp(-variable(be.data.kset, be.data.kset.names[0]))
-
-
-def left_invariance(be):
-    """``left_invariance_check`` with the twist-constancy test and e^{-tau}
-    built as ``central_suite`` builds them."""
-    iota_constant = constancy_on_grid(be.data.iota, be.grid, 1e-10)[0]
-    return left_invariance_check(be.data, be.kahler, be.grid, iota_constant, e_minus_tau(be))
 
 
 def plane_twist(expr):
@@ -103,7 +92,7 @@ class TestConformalScalar:
     def test_laplacian_self_test(self, built):
         for eid in ("planewave", "s3xr"):
             be = built(eid)
-            rep = laplacian_self_test(be.chain, be.grid, e_minus_tau(be))
+            rep = laplacian_self_test(be.chain, be.grid)
             assert rep.passed
 
     def test_scalar_curvature_2q(self, built):
@@ -270,19 +259,19 @@ class TestSyntheticFamilyProperties:
 class TestLeftInvariance:
     def test_planewave_passes_with_table(self, built):
         be = built("planewave")
-        rep, table = left_invariance(be)
+        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
         assert rep.passed
         assert table[("x", "y")] == pytest.approx([0.0, 2.0, 0.0, 0.0])
         assert table[("k", "x")][3] == pytest.approx(-1.0)
 
     def test_s3xr_passes(self, built):
         be = built("s3xr")
-        rep, table = left_invariance(be)
+        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
         assert rep.passed
         assert table is not None
 
     def test_nonconstant_twist_not_applicable(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        rep, table = left_invariance(be)
+        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
         assert table is None
         assert any("not applicable" in c.note for c in rep.checks)

@@ -276,13 +276,16 @@ class TestDomains:
             sqrt(variable(KS1, "tau")).at((-1.0,))
 
     def test_guard(self):
-        f = guarded(variable(KS1, "tau"), lambda p: p[0] > 0.0, "tau > 0")
+        f = guarded(variable(KS1, "tau"), lambda cols: cols[0] > 0.0, "tau > 0")
         assert f.at((2.0,)) == 2.0
         with pytest.raises(DomainError):
             f.at((-2.0,))
         # the guard survives differentiation
         with pytest.raises(DomainError):
             f.partial(0).at((-2.0,))
+        # a predicate returning a Python bool is read as one for every point
+        with pytest.raises(DomainError):
+            guarded(variable(KS1, "tau"), lambda cols: False, "never").at((1.0,))
 
     def test_guard_walks_each_grid_once(self):
         # each guarded node calls the predicate once per grid, on the grid's
@@ -425,7 +428,7 @@ class TestGridErrors:
          DomainError, "zero base raised to negative power -2.0 at (0.0,)"),
         (lambda: make_closed_form("tau^0.5", KS1), [(1.0,), (0.0,), (-1.0,)],
          DomainError, "negative base -1.0 raised to fractional power 0.5 at (-1.0,)"),
-        (lambda: guarded(variable(KS1, "tau"), lambda p: p[0] > 0.0, "tau > 0"),
+        (lambda: guarded(variable(KS1, "tau"), lambda cols: cols[0] > 0.0, "tau > 0"),
          [(1.0,), (0.5,), (0.0,)], DomainError, "point (0.0,) violates domain guard: tau > 0"),
         (lambda: remap(make_closed_form("log(tau)", KS1), TestGridErrors.KS3),
          [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (-1.0, 0.5, 0.5)],
