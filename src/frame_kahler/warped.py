@@ -294,66 +294,75 @@ def ke_pde_residual(F: FiberData, lam: float, C: float) -> ScalarField:
 # implicit-tan solution branch -------------------------------------------------
 
 
-def solve_implicit_w(tau: float, seed: float, halfwidth: float = 0.5, max_iter: int = 100) -> float:
-    """Solve x = tau + tan(x) near the seed by safeguarded Newton.
+def solve_implicit_w(tau, seed: float, halfwidth: float = 0.5, max_iter: int = 100):
+    """Solve x = tau + tan(x) near the seed by safeguarded Newton, for one
+    tau (returning a float) or an array of them at once.
 
     The bracket (seed - halfwidth, seed + halfwidth) confines the iteration
     to one branch of tan; outside it the step falls back to bisection when
-    a sign change is available, and errors out otherwise. Each step
-    evaluates tan once, for both the residual and the slope tan(x) ** 2."""
-    lo, hi = seed - halfwidth, seed + halfwidth
-    hlo, hhi = tau + math.tan(lo) - lo, tau + math.tan(hi) - hi
-    if hlo == 0.0:
-        return lo
-    if hhi == 0.0:
-        return hi
-    lo_negative = hlo < 0.0  # the residual keeps this sign at every new lo
-    have_bracket = lo_negative != (hhi < 0.0)
-    x = seed
-    for _ in range(max_iter):
-        t = math.tan(x)
-        hx = tau + t - x
-        if abs(hx) <= 1e-12:
-            return x
-        if have_bracket:
-            if (hx < 0.0) == lo_negative:
-                lo = x
-            else:
-                hi = x
-        slope = t ** 2  # not t * t, which differs in the last bit
-        step = x - hx / slope if slope > 1e-300 else math.inf
-        if not lo < step < hi:  # also rejects an infinite or NaN step
-            if not have_bracket:
-                raise ArithmeticError(
-                    "Newton left the branch bracket (%g, %g) at tau=%g" % (lo, hi, tau)
-                )
-            step = 0.5 * (lo + hi)
-        x = step
-    raise ArithmeticError("implicit solve did not converge in %d iterations (tau=%g)" % (max_iter, tau))
+    a sign change is available, and errors out otherwise, naming the first
+    failing tau in order. A root does not depend on the other taus of the
+    call. tan is ``np.sin(x) / np.cos(x)`` (``np.tan``'s bits depend on the
+    host's SIMD dispatch), and the slope is ``t * t``."""
+    taus = np.asarray(tau, dtype=float).reshape(-1)
+    lo, hi = ends = seed - halfwidth, seed + halfwidth
+    tlo, thi = np.sin(ends) / np.cos(ends)
+    hlo, hhi = taus + tlo - lo, taus + thi - hi
+    roots = np.where(hlo == 0.0, lo, hi)
+    failed = np.zeros(taus.size, dtype=np.int8)  # 1: left the bracket, 2: did not converge
+    idx = np.flatnonzero((hlo != 0.0) & (hhi != 0.0))
+    # +1 where the residual is negative at lo, -1 where at hi, 0 without a bracket
+    orient = (hlo[idx] < 0.0) * 1.0 - (hhi[idx] < 0.0)
+    tau_a, lo, hi, x = taus[idx], np.full(idx.size, lo), np.full(idx.size, hi), np.full(idx.size, float(seed))
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not idx.size:
+                break
+            t = np.sin(x) / np.cos(x)
+            hx = tau_a + t - x
+            done = np.abs(hx) <= 1e-12
+            if np.count_nonzero(done):
+                roots[idx[done]] = x[done]
+                keep = ~done
+                idx, tau_a, lo, hi, orient, x, t, hx = (a[keep] for a in (idx, tau_a, lo, hi, orient, x, t, hx))
+            side = hx * orient  # x is the new lo where < 0, the new hi where > 0
+            np.copyto(lo, x, where=side < 0.0)
+            np.copyto(hi, x, where=side > 0.0)
+            slope = t * t
+            step = x - hx / slope
+            inside = (slope > 1e-300) & (lo < step) & (step < hi)  # False for an infinite or NaN step
+            if np.count_nonzero(inside) < idx.size:
+                step = np.where(inside, step, 0.5 * (lo + hi))
+                lost = ~inside & (orient == 0.0)
+                if np.count_nonzero(lost):
+                    failed[idx[lost]] = 1
+                    keep = ~lost
+                    idx, tau_a, lo, hi, orient, step = (a[keep] for a in (idx, tau_a, lo, hi, orient, step))
+            x = step
+    failed[idx] = 2
+    if np.count_nonzero(failed):
+        first = np.flatnonzero(failed)[0]
+        if failed[first] == 1:
+            raise ArithmeticError("Newton left the branch bracket (%g, %g) at tau=%g" % (ends + (taus[first],)))
+        raise ArithmeticError("implicit solve did not converge in %d iterations (tau=%g)" % (max_iter, taus[first]))
+    return float(roots[0]) if np.ndim(tau) == 0 else roots
 
 
 class _ImplicitTanField(ScalarField):
     """x(tau) on the branch of x = tau + tan(x) through the seed.
 
     The tau-derivative is the closed form -cot^2(x), so derivative fields of
-    every order are exact. Roots are memoized per tau value, so each distinct
-    tau costs one ``solve_implicit_w`` call per run: the curve grid, the
-    flatness sample and the quadrature points of one run share many values."""
+    every order are exact. ``_compute`` solves all roots of a grid in one
+    ``solve_implicit_w`` call; the node cache keeps them per grid."""
 
-    __slots__ = ("seed", "_roots")
+    __slots__ = ("seed",)
 
     def __init__(self, seed):
         super().__init__(TAU_KSET)
         self.seed = seed
-        self._roots = {}  # tau -> root
 
     def _compute(self, grid):
-        roots = self._roots
-        taus = grid.cols[0].tolist()
-        for t in taus:
-            if t not in roots:
-                roots[t] = solve_implicit_w(t, self.seed)
-        return np.array([roots[t] for t in taus], dtype=float)
+        return solve_implicit_w(grid.cols[0], self.seed)
 
     def _derive(self, i):
         cot = _div(cos(self), sin(self), label="cot of implicit branch")

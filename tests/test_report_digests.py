@@ -8,7 +8,9 @@ report bytes on purpose regenerates the digests with
 
     PYTHONPATH=src python3 tools/write_reports.py --digests tests/report_digests.json
 
-and explains each moved file.
+and explains each moved file. A failure prints the numpy version, machine
+and numpy's enabled SIMD dispatch targets recorded with the digests beside
+those of this run, since a ufunc's last bits may depend on all three.
 """
 
 import json
@@ -30,13 +32,14 @@ def test_reports_match_committed_digests(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     subprocess.run([sys.executable, os.path.join(ROOT, "tools", "write_reports.py"), "--digests", str(out)],
                    env=env, check=True, capture_output=True)
-    found = json.loads(out.read_text(encoding="utf-8"))["sha256"]
-    want = recorded["sha256"]
+    current = json.loads(out.read_text(encoding="utf-8"))
+    found, want = current["sha256"], recorded["sha256"]
     moved = sorted(name for name in want.keys() & found.keys() if want[name] != found[name])
     missing = sorted(want.keys() - found.keys())
     extra = sorted(found.keys() - want.keys())
     assert not (moved or missing or extra), (
         "report bytes differ from tests/report_digests.json\n"
         "moved: %s\nmissing: %s\nnew: %s\n"
-        "digests recorded on numpy %s, %s; this run: numpy %s, %s" % (
-            moved, missing, extra, recorded["numpy"], recorded["machine"], np.__version__, platform.machine()))
+        "digests recorded on numpy %s, %s, SIMD targets %s; this run: numpy %s, %s, SIMD targets %s" % (
+            moved, missing, extra, recorded["numpy"], recorded["machine"], recorded["simd"],
+            np.__version__, platform.machine(), current["simd"]))

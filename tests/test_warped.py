@@ -1,6 +1,9 @@
 """Warped products: fiber data, lifts, the Einstein system, completeness."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,8 +210,8 @@ class TestFiberEquationProperties:
 
 
 def _two_tan_newton(tau, seed, halfwidth=0.5, max_iter=100):
-    """Reference copy of the earlier ``solve_implicit_w``: tan through a
-    closure, twice per step, and both bracket residuals kept."""
+    """Reference copy of an earlier scalar ``solve_implicit_w``: ``math.tan``
+    through a closure, twice per step, and both bracket residuals kept."""
 
     def h(x):
         return tau + math.tan(x) - x
@@ -273,20 +276,61 @@ class TestImplicitSolve:
     @staticmethod
     def _outcome(solve, tau):
         try:
-            return solve(tau, -math.pi / 4.0).hex()
+            return solve(tau, -math.pi / 4.0)
         except ArithmeticError as exc:
             return str(exc)
 
-    @pytest.mark.parametrize("taus", [
+    TAU_LISTS = [
         np.linspace(0.05, 1.0, 2000).tolist() + [TAU0],
         # 289 of these leave the branch bracket; others bisect before converging
         np.linspace(-2.0, 3.0, 500).tolist(),
-    ])
-    def test_equals_two_tan_newton(self, taus):
-        # the same roots, bit for bit, and the same errors as a solver that
-        # calls tan twice per step through a residual closure
-        assert [self._outcome(solve_implicit_w, t) for t in taus] == \
-            [self._outcome(_two_tan_newton, t) for t in taus]
+    ]
+
+    @pytest.mark.parametrize("taus", TAU_LISTS)
+    def test_within_32_ulps_of_two_tan_newton(self, taus):
+        # the same errors, and roots within 32 ulps of a solver that calls
+        # math.tan twice per step (tan as sin/cos moves the last bits)
+        for t in taus:
+            got, want = self._outcome(solve_implicit_w, t), self._outcome(_two_tan_newton, t)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, float)
+                assert abs(int(np.float64(got).view(np.int64)) - int(np.float64(want).view(np.int64))) <= 32, t
+
+    @pytest.mark.parametrize("taus", TAU_LISTS)
+    def test_array_call_equals_per_tau_calls(self, taus):
+        # a root does not depend on the other taus of its call
+        ok = [t for t in taus if isinstance(self._outcome(solve_implicit_w, t), float)]
+        roots = solve_implicit_w(np.array(ok), -math.pi / 4.0)
+        assert roots.tobytes() == np.array([solve_implicit_w(t, -math.pi / 4.0) for t in ok]).tobytes()
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_array_call_raises_first_failing_tau(self, order):
+        taus = self.TAU_LISTS[1][::order]
+        first = next(err for err in (self._outcome(solve_implicit_w, t) for t in taus) if isinstance(err, str))
+        with pytest.raises(ArithmeticError) as exc:
+            solve_implicit_w(np.array(taus), -math.pi / 4.0)
+        assert str(exc.value) == first
+
+    def test_roots_do_not_depend_on_simd_dispatch(self):
+        # np.tan's last bits change with AVX-512 dispatch; sin and cos do not
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        code = ("import math, sys, numpy as np\n"
+                "from frame_kahler.warped import solve_implicit_w\n"
+                "taus = np.linspace(0.05, 1.0, 2000).tolist() + [%r]\n"
+                "sys.stdout.write(solve_implicit_w(np.array(taus), -math.pi / 4).tobytes().hex())\n" % TAU0)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        disabled = [t for t in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if t in __cpu_dispatch__]
+        outputs = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}):
+            env = dict(os.environ, PYTHONPATH=src, **extra)
+            env.pop("NPY_ENABLE_CPU_FEATURES", None)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            outputs.append(bytes.fromhex(proc.stdout))
+        assert len(outputs[0]) == 8 * 2001
+        assert outputs[0] == outputs[1]
 
 
 class TestEinsteinVerdict:

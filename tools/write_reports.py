@@ -42,7 +42,8 @@ OUT_DIR receives:
 
 ``--digests FILE`` also writes FILE, a JSON object with the sha256 of every
 file written (``docs/`` included), keyed by its path under OUT_DIR, and the
-numpy version and ``platform.machine()`` of the run; without OUT_DIR the
+numpy version, ``platform.machine()`` and numpy's enabled SIMD dispatch
+targets of the run; without OUT_DIR the
 reports go to a temporary directory. ``tests/report_digests.json`` holds
 the digests that the test suite compares against.
 """
@@ -121,6 +122,16 @@ def runs(out_dir: str):
     yield "planewave_tol_1e-30", ["verify", "--example", "planewave", "--tol", "1e-30"]
 
 
+def simd_targets() -> list:
+    """numpy's SIMD dispatch targets that this CPU enables: an ufunc may pick
+    a different kernel, with different last bits, under another list."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
 def digests(out_dir: str) -> dict:
     """The sha256 of every file under ``out_dir``, keyed by its relative path
     with ``/`` separators, and the environment that wrote the files."""
@@ -130,7 +141,8 @@ def digests(out_dir: str) -> dict:
             path = os.path.join(base, name)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, out_dir).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
-    return {"numpy": np.__version__, "machine": platform.machine(), "sha256": dict(sorted(files.items()))}
+    return {"numpy": np.__version__, "machine": platform.machine(), "simd": simd_targets(),
+            "sha256": dict(sorted(files.items()))}
 
 
 def main(argv=None) -> int:
