@@ -19,9 +19,9 @@ by a bounded amount and holds everything else fixed. It requires:
 
 The ulp distance of two doubles is the number of representable doubles
 between them (0 for equal values, and for two NaNs). The tool prints, per
-file, the largest ulp distance over the values outside the floor and the
-number of value pairs the floor covered; then every violation, naming the
-file and the field. Exit status: 0 when the trees agree, 1 when they do
+file, ``identical`` or the largest ulp distance over the values outside
+the floor and how many moved values the floor accepted; then every
+violation, naming the file and the field. Exit status: 0 when the trees agree, 1 when they do
 not, 2 on a usage error.
 """
 
@@ -72,20 +72,22 @@ def _floor(report: dict) -> float:
 class FileComparison:
     """Differences between the two versions of one file."""
 
-    def __init__(self, name: str, ulps: int, floor: float = 0.0):
-        self.name, self.ulps, self.floor = name, ulps, floor
+    def __init__(self, name: str, ulps: int):
+        self.name, self.ulps = name, ulps
+        self.floor = 0.0  # both values at or below it: accepted at any distance
+        self.identical = False
         self.max_ulps = 0
-        self.floored = 0  # value pairs at or below the floor
+        self.floored = 0  # unequal value pairs that the floor accepted
         self.problems = []
 
     def fail(self, field: str, message: str):
         self.problems.append("%s: %s: %s" % (self.name, field, message))
 
     def number(self, field: str, a: float, b: float):
-        if abs(a) <= self.floor and abs(b) <= self.floor:
+        d = ulp_distance(a, b)
+        if d and abs(a) <= self.floor and abs(b) <= self.floor:
             self.floored += 1
             return
-        d = ulp_distance(a, b)
         self.max_ulps = max(self.max_ulps, d)
         if d > self.ulps:
             self.fail(field, "%r vs %r (%s ulps)" % (a, b, d))
@@ -154,9 +156,13 @@ def compare_csv(cmp: FileComparison, rows_a: list, rows_b: list):
                 cmp.number(field, fx, fy)
 
 
-def _read(root: str, name: str, mode: str = "r"):
-    with open(os.path.join(root, name), mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+def _read(root: str, name: str) -> bytes:
+    with open(os.path.join(root, name), "rb") as fh:
         return fh.read()
+
+
+def _rows(raw: bytes) -> list:
+    return list(csv.reader(raw.decode("utf-8").splitlines()))
 
 
 def _is_report(doc) -> bool:
@@ -175,10 +181,15 @@ def compare_trees(a: str, b: str, ulps: int) -> list:
     out = [sets]
     for name in sorted(set(names_a) & set(names_b)):
         stem, ext = os.path.splitext(name)
+        raw_a, raw_b = _read(a, name), _read(b, name)
         cmp = FileComparison(name, ulps)
+        out.append(cmp)
         doc_a = doc_b = None
+        if raw_a == raw_b:
+            cmp.identical = True
+            continue
         if ext == ".json":
-            doc_a, doc_b = json.loads(_read(a, name)), json.loads(_read(b, name))
+            doc_a, doc_b = json.loads(raw_a), json.loads(raw_b)
         if _is_report(doc_a) and _is_report(doc_b):
             cmp.floor = _floor(doc_a)
             compare_report(cmp, doc_a, doc_b)
@@ -186,11 +197,9 @@ def compare_trees(a: str, b: str, ulps: int) -> list:
             pair = stem + ".json"
             if os.path.isfile(os.path.join(a, pair)):
                 cmp.floor = _floor(json.loads(_read(a, pair)))
-            compare_csv(cmp, list(csv.reader(_read(a, name).splitlines())),
-                        list(csv.reader(_read(b, name).splitlines())))
-        elif _read(a, name, "rb") != _read(b, name, "rb"):
+            compare_csv(cmp, _rows(raw_a), _rows(raw_b))
+        else:
             cmp.fail("bytes", "the files differ")
-        out.append(cmp)
     return out
 
 
@@ -207,7 +216,8 @@ def main(argv=None) -> int:
             parser.error("not a directory: %s" % root)
     results = compare_trees(args.a, args.b, args.ulps)
     for cmp in results[1:]:
-        print("%-40s max %s ulps, %d pairs at or below the floor" % (cmp.name, cmp.max_ulps, cmp.floored))
+        print("%-40s %s" % (cmp.name, "identical" if cmp.identical else
+                            "max %s ulps, %d moves below the floor" % (cmp.max_ulps, cmp.floored)))
     problems = [p for cmp in results for p in cmp.problems]
     for p in problems:
         print(p)
