@@ -29,7 +29,6 @@ from .kahler import (
     AdmissibleConstants,
     AdmissibleData,
     K,
-    T,
     X,
     Y,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "entry_from_document",
     "grid_axis",
     "capped_grid_box",
-    "ppwave_from_shift",
     "planewave_chart",
     "coordinate_crosscheck",
 ]
@@ -100,10 +98,33 @@ class CatalogEntry:
 # document parsing
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise SchemaError("%s.%s" % (path, key) if path else key, "missing")
-    return doc[key]
+_MISSING = object()
+_EXPR = (str, int, float)  # an expression string, or a number
+_KIND_NAMES = {dict: "an object", list: "a list", _EXPR: "an expression string or a number"}
+
+
+def _where(path: str, key: str) -> str:
+    return "%s.%s" % (path, key) if path else key
+
+
+def _require(doc: dict, key: str, path: str, kind, default=_MISSING):
+    """``doc[key]``, or ``default`` when the key is absent: as a float when
+    ``kind`` is ``float`` (a number or numeric string), otherwise as given
+    when it is an instance of ``kind`` (``dict``, ``list``, ``_EXPR``, or
+    ``object`` for any value). A missing key without a default, or a value
+    of another kind, is a SchemaError at ``path.key``."""
+    where = _where(path, key)
+    value = doc.get(key, default)
+    if value is _MISSING:
+        raise SchemaError(where, "missing")
+    if kind is float:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(where, "expected a number, got %r" % (value,)) from None
+    if not isinstance(value, kind):
+        raise SchemaError(where, "expected %s, got %r" % (_KIND_NAMES[kind], value))
+    return value
 
 
 def _parse_pair_key(key: str, frames: tuple, path: str):
@@ -116,88 +137,87 @@ def _parse_pair_key(key: str, frames: tuple, path: str):
     return frames.index(parts[0]), frames.index(parts[1])
 
 
-def _parse_expr(text, kset: KSet, path: str) -> ScalarField:
-    if isinstance(text, (int, float)):
-        return Const(kset, float(text))
+def _parse_expr(doc: dict, key: str, path: str, kset: KSet) -> ScalarField:
+    """The field of the expression ``doc[key]`` over ``kset``."""
+    text = _require(doc, key, path, _EXPR)
     if not isinstance(text, str):
-        raise SchemaError(path, "expected an expression string")
+        return Const(kset, float(text))
     try:
         return make_closed_form(text, kset)
     except Exception as exc:
-        raise SchemaError(path, "bad expression %r: %s" % (text, exc)) from None
+        raise SchemaError(_where(path, key), "bad expression %r: %s" % (text, exc)) from None
 
 
 def _central_from_document(doc: dict) -> AdmissibleData:
-    kset = KSet(tuple(_require(doc, "kset", "")))
-    frames = tuple(_require(doc, "frames", ""))
-    if len(frames) != 4 or len(set(frames)) != 4:
+    names = tuple(_require(doc, "kset", "", list))
+    try:
+        kset = KSet(names)
+    except (TypeError, ValueError) as exc:  # names that are not distinct strings, or more than 3
+        raise SchemaError("kset", str(exc)) from None
+    frames = tuple(_require(doc, "frames", "", list))
+    if len(frames) != 4 or not all(isinstance(n, str) for n in frames) or len(set(frames)) != 4:
         raise SchemaError("frames", "need 4 distinct frame names, got %r" % (frames,))
 
     zero = Const(kset, 0.0)
     g = [[zero] * 4 for _ in range(4)]
-    raw_g = _require(doc, "g", "")
+    raw_g = _require(doc, "g", "", dict)
     seen = {}
     for key, expr in raw_g.items():
         a, b = _parse_pair_key(key, frames, "g")
         if (b, a) in seen and seen[(b, a)] != expr:
             raise SchemaError("g.%s" % key, "conflicts with the symmetric entry %r" % seen[(b, a)])
         seen[(a, b)] = expr
-        fld = _parse_expr(expr, kset, "g.%s" % key)
+        fld = _parse_expr(raw_g, key, "g", kset)
         g[a][b] = fld
         g[b][a] = fld
 
     C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-    raw_br = _require(doc, "brackets", "")
-    seen = {}
-    for key, coeffs in raw_br.items():
+    raw_br = _require(doc, "brackets", "", dict)
+    seen = set()
+    for key in raw_br:
         a, b = _parse_pair_key(key, frames, "brackets")
         if a == b:
             raise SchemaError("brackets.%s" % key, "bracket of a frame with itself")
         if (b, a) in seen:
             raise SchemaError("brackets.%s" % key, "both orders of the pair given")
-        seen[(a, b)] = coeffs
-        if not isinstance(coeffs, dict):
-            raise SchemaError("brackets.%s" % key, "expected {frame: expression}")
-        for cname, expr in coeffs.items():
+        seen.add((a, b))
+        coeffs = _require(raw_br, key, "brackets", dict)
+        for cname in coeffs:
             if cname not in frames:
                 raise SchemaError("brackets.%s.%s" % (key, cname), "unknown frame name")
             c = frames.index(cname)
-            fld = _parse_expr(expr, kset, "brackets.%s.%s" % (key, cname))
+            fld = _parse_expr(coeffs, cname, "brackets.%s" % key, kset)
             C[a][b][c] = fld
             C[b][a][c] = -fld
 
-    raw_D = _require(doc, "D", "")
+    raw_D = _require(doc, "D", "", dict)
     D = [[zero] * kset.size for _ in range(4)]
     for name in frames:
         if name not in raw_D:
             raise SchemaError("D.%s" % name, "missing derivative-table row")
-    for name, row in raw_D.items():
+    for name in raw_D:
         if name not in frames:
             raise SchemaError("D.%s" % name, "unknown frame name")
         a = frames.index(name)
-        if not isinstance(row, dict):
-            raise SchemaError("D.%s" % name, "expected {variable: expression}")
-        for vname, expr in row.items():
+        row = _require(raw_D, name, "D", dict)
+        for vname in row:
             if vname not in kset.names:
                 raise SchemaError("D.%s.%s" % (name, vname), "unknown variable name")
-            D[a][kset.index(vname)] = _parse_expr(expr, kset, "D.%s.%s" % (name, vname))
+            D[a][kset.index(vname)] = _parse_expr(row, vname, "D.%s" % name, kset)
 
-    raw_const = _require(doc, "constants", "")
-    for key in ("a", "b", "alpha", "beta"):
-        if key not in raw_const:
-            raise SchemaError("constants.%s" % key, "missing")
+    raw_const = _require(doc, "constants", "", dict)
     constants = AdmissibleConstants(
-        a=float(raw_const["a"]),
-        b=float(raw_const["b"]),
-        alpha=float(raw_const["alpha"]),
-        beta=float(raw_const["beta"]),
-        ell_gradient=float(raw_const.get("ell", 1.0)),
+        a=_require(raw_const, "a", "constants", float),
+        b=_require(raw_const, "b", "constants", float),
+        alpha=_require(raw_const, "alpha", "constants", float),
+        beta=_require(raw_const, "beta", "constants", float),
+        ell_gradient=_require(raw_const, "ell", "constants", float, 1.0),
     )
 
-    f = _parse_expr(_require(doc, "f", ""), kset, "f")
+    f = _parse_expr(doc, "f", "", kset)
     structure = FrameStructure(kset, frames, g, C, D)
     if "iota" in doc:
-        iota = _parse_expr(doc["iota"], kset, "iota")
+        iota = _parse_expr(doc, "iota", "", kset)
     else:
         iota = structure.g_of_bracket(K, X, Y)
     return AdmissibleData(
@@ -210,16 +230,13 @@ def _central_from_document(doc: dict) -> AdmissibleData:
 
 
 def _fiber_from_document(doc: dict) -> FiberData:
-    plane_vars = tuple(doc.get("kset", ()))
-    if "alpha" not in doc:
-        raise SchemaError("fiber.alpha", "missing")
-    if "iota" not in doc:
-        raise SchemaError("fiber.iota", "missing")
-    iota = doc["iota"]
-    if isinstance(iota, (int, float)):
+    plane_vars = tuple(_require(doc, "kset", "fiber", list, []))
+    alpha = _require(doc, "alpha", "fiber", float)
+    iota = _require(doc, "iota", "fiber", _EXPR)
+    if not isinstance(iota, str):
         iota = repr(float(iota))
     try:
-        return make_fiber(float(doc["alpha"]), iota, plane_vars)
+        return make_fiber(alpha, iota, plane_vars)
     except Exception as exc:
         raise SchemaError("fiber", str(exc)) from None
 
@@ -239,21 +256,17 @@ def interval_bounds(spec, path: str) -> tuple:
 
 
 def _family_from_document(doc: dict) -> WarpedFamily:
-    fam = _require(doc, "family", "")
-    f = _parse_expr(_require(fam, "f", "family"), TAU_KSET, "family.f")
-    raw_w = _require(fam, "w", "family")
-    if isinstance(raw_w, dict):
-        if "implicit_tan_seed" not in raw_w:
-            raise SchemaError("family.w", "expected an expression or {'implicit_tan_seed': number}")
-        x = implicit_tan_field(float(raw_w["implicit_tan_seed"]))
-        w = -tan(x)
+    fam = _require(doc, "family", "", dict)
+    f = _parse_expr(fam, "f", "family", TAU_KSET)
+    if isinstance(fam.get("w"), dict):
+        w = -tan(implicit_tan_field(_require(fam["w"], "implicit_tan_seed", "family.w", float)))
     else:
-        w = _parse_expr(raw_w, TAU_KSET, "family.w")
+        w = _parse_expr(fam, "w", "family", TAU_KSET)
     return WarpedFamily(
         f=f,
         w=w,
-        lam=float(fam.get("lambda", 0.0)),
-        C=float(fam.get("C", 0.0)),
+        lam=_require(fam, "lambda", "family", float, 0.0),
+        C=_require(fam, "C", "family", float, 0.0),
         interval=interval_bounds(fam.get("interval", [-1.0, 1.0]), "family.interval"),
     )
 
@@ -265,11 +278,11 @@ def parse_document(doc: dict):
     central documents."""
     if not isinstance(doc, dict):
         raise SchemaError("", "document must be a JSON object")
-    case = _require(doc, "case", "")
+    case = _require(doc, "case", "", object)
     if case == CASE_CENTRAL:
         return _central_from_document(doc), None, None
     if case == CASE_WARPED:
-        fiber = _fiber_from_document(_require(doc, "fiber", ""))
+        fiber = _fiber_from_document(_require(doc, "fiber", "", dict))
         family = _family_from_document(doc)
         data = lift_fiber(fiber, family.w, family.f)
         return data, fiber, family
@@ -307,9 +320,7 @@ def capped_grid_box(box: dict, path: str) -> dict:
 
 
 def default_grid_box(doc: dict, data: AdmissibleData) -> dict:
-    grid = doc.get("grid", {})
-    if not isinstance(grid, dict):
-        raise SchemaError("grid", "expected an object {variable: [lo, hi, n]}")
+    grid = _require(doc, "grid", "", dict, {})
     box = {}
     for name, spec in grid.items():
         if name not in data.kset.names:
@@ -571,40 +582,6 @@ def load(entry_id: str, **params) -> CatalogEntry:
     return builder()
 
 
-def ppwave_from_shift(k_expr: str, h_expr: str) -> CatalogEntry:
-    """pp-wave entry built from the two shift functions of the fiber frame:
-    the twist is d_x(h) - d_y(k) on the plane slice."""
-    kset = KSet(("tau", "x", "y"))
-    k_field = make_closed_form(k_expr, kset)
-    h_field = make_closed_form(h_expr, kset)
-    iota = h_field.partial(1) - k_field.partial(2)
-
-    base = _entry_ppwave("-2")
-    template, _, _ = parse_document(_doc_ppwave("0"))
-    S = template.structure
-    zero = Const(kset, 0.0)
-    C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-    C[X][Y][K] = C[X][Y][T] = iota
-    C[Y][X][K] = C[Y][X][T] = -iota
-    structure = FrameStructure(kset, S.frame_names, S.g, C, S.D)
-    data = AdmissibleData(
-        structure=structure,
-        constants=template.constants,
-        f=template.f,
-        iota=iota,
-        case=CASE_CENTRAL,
-    )
-    return CatalogEntry(
-        entry_id="ppwave",
-        description=base.description,
-        case=CASE_CENTRAL,
-        document={"shift_k": k_expr, "shift_h": h_expr},
-        data=data,
-        grid_box=base.grid_box,
-        expected={},
-    )
-
-
 # ---------------------------------------------------------------------------
 # coordinate oracle for the plane wave
 
@@ -620,18 +597,14 @@ class CoordinateChart:
     kset_point: Callable
 
 
-def planewave_chart(include_potential: bool = True) -> CoordinateChart:
+def planewave_chart() -> CoordinateChart:
     """Chart (u, v, x, y) with metric
-    -(x^2+y^2) du^2 + du dv + dv du + dx^2 + dy^2 and the rotating frame.
-
-    ``include_potential=False`` drops the du^2 term (a deliberately broken
-    variant for mutation tests: k stops being null)."""
+    -(x^2+y^2) du^2 + du dv + dv du + dx^2 + dy^2 and the rotating frame."""
 
     def metric(p):
         u, v, x, y = p
         m = np.zeros((4, 4))
-        if include_potential:
-            m[0, 0] = -(x * x + y * y)
+        m[0, 0] = -(x * x + y * y)
         m[0, 1] = m[1, 0] = 1.0
         m[2, 2] = m[3, 3] = 1.0
         return m
@@ -668,13 +641,13 @@ def _fd_bracket(chart: CoordinateChart, a: int, b: int, p: np.ndarray, h: float)
     return out
 
 
-def coordinate_crosscheck(entry: CatalogEntry, chart: Optional[CoordinateChart] = None) -> VerificationReport:
-    """Compare a coordinate chart against the abstract frame data.
+def coordinate_crosscheck(entry: CatalogEntry) -> VerificationReport:
+    """Compare the entry's coordinate chart against its abstract frame data.
 
     Metric values, bracket coefficients (finite-differenced and re-expanded
     in the frame), the nullity of k and the twist are all matched at a
     sample of coordinate points."""
-    chart = chart or entry.chart
+    chart = entry.chart
     if chart is None:
         raise ValueError("entry %r has no coordinate chart" % entry.entry_id)
     report = VerificationReport(suite="coordinate-crosscheck")

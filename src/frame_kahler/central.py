@@ -223,15 +223,12 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     """For constant twist: the conformal metric is locally a left-invariant
     metric; checked through constancy of the bracket coefficients, constancy
     of the e^{-tau}-rescaled metric values on the frame, and the Jacobi
-    identity of the resulting structure constants.
-
-    Returns (report, structure_constant_table); the table is None when the
-    twist is not constant (the check does not apply)."""
+    identity of the resulting structure constants."""
     report = VerificationReport(suite="left-invariance")
     S = A.structure
     if not constancy_on_grid(A.iota, grid, 1e-10)[0]:
         report.add("applicable", 0.0, 0.0, note="not applicable: twist is not constant on the grid")
-        return report, None
+        return report
 
     worst = max(spread_on_grid(f, grid)[0] for row in S.C for col in row for f in col)
     report.add("brackets_constant", worst, TOL_FRAME)
@@ -242,7 +239,6 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     report.add("conformal_metric_constant", worst, TOL_FRAME)
 
     cvals = values_on_grid(S.C, [grid[len(grid) // 2]])[..., 0].tolist()
-    table = {(S.frame_names[a], S.frame_names[b]): cvals[a][b] for a in range(4) for b in range(a + 1, 4)}
 
     def jacobi(a, b, c, e):
         total = 0.0
@@ -256,7 +252,7 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
 
     worst = worst_abs([jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4)])
     report.add("structure_constants_jacobi", worst, TOL_FRAME)
-    return report, table
+    return report
 
 
 def _gamma_displays(A: AdmissibleData) -> dict:
@@ -361,8 +357,7 @@ def central_suite(entry, grid):
         report.add("conformal_scalar_two_laplacians",
                    max_abs_on_grid(verdict.s_tilde - verdict.s_tilde_alt, grid), TOL_CROSS)
 
-        li_report, _ = left_invariance_check(A, kahler, grid)
-        report.extend(li_report, prefix="left_invariance.")
+        report.extend(left_invariance_check(A, kahler, grid), prefix="left_invariance.")
 
     report.extend(laplacian_self_test(chain, grid))
 

@@ -12,8 +12,8 @@ the summation order and never builds a term with a constant-zero factor:
 the tables are mostly structural zeros.
 
 Every check reads field values over a grid through ``values_on_grid``
-(defined in ``fields``, which ``ScalarField.at`` calls on a one-point grid,
-and re-exported here): the grid becomes columns once per run (the suites'
+(defined in ``fields`` and re-exported here; ``ScalarField.at`` evaluates
+a one-point grid): the grid becomes columns once per run (the suites'
 entry points convert it and pass the converted grid on), and each field node
 computes one array over the whole grid. Checks reduce the values with
 ``worst_abs`` or a reduction built on the two; a NaN or infinite value at

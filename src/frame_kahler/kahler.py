@@ -48,7 +48,6 @@ __all__ = [
     "KahlerMetric",
     "KahlerChain",
     "GammaForms",
-    "FrameOneForm",
     "FrameTwoForm",
     "J_IMAGE",
     "check_admissible",
@@ -60,7 +59,6 @@ __all__ = [
     "ricci_form",
     "ricci_from_form",
     "kahler_form",
-    "kahler_form_closed",
     "shared_checks",
 ]
 
@@ -282,16 +280,6 @@ def build_kahler(A: AdmissibleData) -> KahlerMetric:
 # frame-indexed exterior algebra ----------------------------------------------
 
 
-class FrameOneForm:
-    """A 1-form through its values on the frame fields."""
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    def __call__(self, a):
-        return self.coeffs[a]
-
-
 class FrameTwoForm:
     """An antisymmetric 2-form through its values on frame pairs a < b."""
 
@@ -311,15 +299,16 @@ class FrameTwoForm:
         return sorted(self.vals)
 
 
-def exterior_d(S: FrameStructure, xi: FrameOneForm) -> FrameTwoForm:
-    """d xi on frame pairs: d xi(u,v) = d_u xi(v) - d_v xi(u) - xi([u,v])."""
+def exterior_d(S: FrameStructure, xi: list) -> FrameTwoForm:
+    """d xi on frame pairs, for the 1-form xi given by its frame values
+    xi[a]: d xi(u,v) = d_u xi(v) - d_v xi(u) - xi([u,v])."""
     n = S.n
     vals = {}
     for a in range(n):
         for b in range(a + 1, n):
-            vals[(a, b)] = contract(directional_derivative(S, a, xi(b)) - directional_derivative(S, b, xi(a)),
-                                    ((-1, xi(c), S.C[a][b][c]) for c in range(n)))
-    zero = _zero_like(xi(0), S.kset)
+            vals[(a, b)] = contract(directional_derivative(S, a, xi[b]) - directional_derivative(S, b, xi[a]),
+                                    ((-1, xi[c], S.C[a][b][c]) for c in range(n)))
+    zero = _zero_like(xi[0], S.kset)
     return FrameTwoForm(n, vals, zero)
 
 
@@ -360,7 +349,7 @@ class GammaForms:
     their grid residual is the reconstruction check.
     """
 
-    forms: list  # 2x2 of FrameOneForm with CScalarField coefficients
+    forms: list  # 2x2 of 1-forms, each the list of its CScalarField frame values
     antiholomorphic: list  # flat list of CScalarField
 
     def reconstruction_residual(self, grid) -> float:
@@ -370,7 +359,7 @@ class GammaForms:
         """Largest deviation of Gamma_i^j(e_u) from ``expected[(i, j)][u]``,
         a case's closed-form display of the forms."""
         return max_abs_on_grid(
-            (self.forms[i][j](u) - coeffs[u] for (i, j), coeffs in expected.items() for u in range(4)), grid
+            (self.forms[i][j][u] - coeffs[u] for (i, j), coeffs in expected.items() for u in range(4)), grid
         )
 
 
@@ -380,9 +369,9 @@ def gamma_forms(A: AdmissibleData, kahler: KahlerMetric, conn_k: ConnectionTable
         raise FrameError("gamma_forms needs the connection of the induced Kahler metric")
     gamma = conn_k.gamma
     pair_indices = ((K, T), (X, Y))
-    forms = [[None, None], [None, None]]
+    forms = []
     residuals = []
-    for i, (p, q) in enumerate(pair_indices):
+    for p, q in pair_indices:
         coeffs_1 = []
         coeffs_2 = []
         for u in range(4):
@@ -395,8 +384,7 @@ def gamma_forms(A: AdmissibleData, kahler: KahlerMetric, conn_k: ConnectionTable
             coeffs_1.append(holo_1)
             coeffs_2.append(holo_2)
             residuals.extend([anti_1, anti_2])
-        forms[i][0] = FrameOneForm(coeffs_1)
-        forms[i][1] = FrameOneForm(coeffs_2)
+        forms.append([coeffs_1, coeffs_2])
     return GammaForms(forms=forms, antiholomorphic=residuals)
 
 
@@ -445,15 +433,6 @@ def kahler_form(kahler: KahlerMetric) -> FrameTwoForm:
             ja, sign = J_IMAGE[a]
             vals[(a, b)] = gk[ja][b] * sign
     return FrameTwoForm(4, vals, kahler.structure.zero())
-
-
-def kahler_form_closed(A: AdmissibleData, kahler: KahlerMetric, grid) -> VerificationReport:
-    """d omega = 0 on all frame triples: the testable shadow of Kahlerness."""
-    report = VerificationReport(suite="kahler-form-closed")
-    omega = kahler_form(kahler)
-    d_omega = exterior_d_two_form(A.structure, omega)
-    report.add("d_omega", max_abs_on_grid(d_omega.values(), grid), TOL_FRAME)
-    return report
 
 
 @dataclass
@@ -524,7 +503,9 @@ def shared_checks(A: AdmissibleData, grid, report: VerificationReport) -> Option
     report.add("curvature_first_bianchi", curv_k.first_bianchi_residual(grid), TOL_CROSS)
     report.add("ricci_symmetric", curv_k.ricci_symmetry_residual(grid), TOL_CROSS)
 
-    report.extend(kahler_form_closed(A, kahler, grid))
+    # d omega = 0 on all frame triples: the testable shadow of Kahlerness
+    report.add("d_omega", max_abs_on_grid(exterior_d_two_form(A.structure, kahler_form(kahler)).values(), grid),
+               TOL_FRAME)
     report.add("d_rho", max_abs_on_grid(exterior_d_two_form(A.structure, rho).values(), grid), TOL_CROSS)
 
     def j_defect(u, v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +47,6 @@ class VerificationReport:
     suite: str
     checks: list = field(default_factory=list)
     grid_spec: str = ""
-    duration_s: float | None = None  # console-only; excluded from serialization
 
     def add(self, check_id: str, residual: float, tol: float, note: str = "", source: str = ""):
         result = CheckResult(check_id, float(residual), float(tol), note, source)
@@ -55,16 +54,11 @@ class VerificationReport:
         return result
 
     def extend(self, other: "VerificationReport", prefix: str = ""):
-        for c in other.checks:
-            cid = (prefix + c.check_id) if prefix else c.check_id
-            self.checks.append(CheckResult(cid, c.residual, c.tol, c.note, c.source))
+        self.checks.extend(replace(c, check_id=prefix + c.check_id) for c in other.checks)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failed_checks(self):
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

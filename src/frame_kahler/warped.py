@@ -295,8 +295,8 @@ def ke_pde_residual(F: FiberData, lam: float, C: float) -> ScalarField:
 
 
 def solve_implicit_w(tau, seed: float, halfwidth: float = 0.5, max_iter: int = 100):
-    """Solve x = tau + tan(x) near the seed by safeguarded Newton, for one
-    tau (returning a float) or an array of them at once.
+    """Solve x = tau + tan(x) near the seed by safeguarded Newton for an
+    array of taus at once; returns the array of roots.
 
     The bracket (seed - halfwidth, seed + halfwidth) confines the iteration
     to one branch of tan; outside it the step falls back to bisection when
@@ -345,7 +345,7 @@ def solve_implicit_w(tau, seed: float, halfwidth: float = 0.5, max_iter: int = 1
         if failed[first] == 1:
             raise ArithmeticError("Newton left the branch bracket (%g, %g) at tau=%g" % (ends + (taus[first],)))
         raise ArithmeticError("implicit solve did not converge in %d iterations (tau=%g)" % (max_iter, taus[first]))
-    return float(roots[0]) if np.ndim(tau) == 0 else roots
+    return roots
 
 
 class _ImplicitTanField(ScalarField):
@@ -481,33 +481,25 @@ def einstein_verdict(chain: KahlerChain, lam: float, grid, ode: ScalarField, fib
 # completeness -----------------------------------------------------------------
 
 
-def adaptive_simpson(fn, a, b, rel_tol: float = 1e-9, fa=None, fb=None):
-    """Adaptive Simpson quadrature with a relative tolerance, refining each
-    interval at most 40 levels deep.
+def adaptive_simpson(fn, a, b, fa, fb):
+    """Adaptive Simpson quadrature to a relative tolerance of 1e-9, refining
+    each interval at most 40 levels deep.
 
-    ``a`` and ``b`` are the ends of one interval, or equal-length arrays of
-    the ends of several; ``fa`` and ``fb``, when given, are the integrand's
-    values there. ``fn`` maps an array of abscissae to the array of the
-    integrand's values, and is called once per level for every interval
-    still refining. Returns the integral over each interval (a float for
-    one scalar interval). The arithmetic and the summation order are those
-    of the depth-first recursion (each interval's value is the sum of its
-    halves' values), so the result does not depend on how many intervals
-    share a call. An interval whose error estimate is not finite stops
-    refining: it cannot converge."""
-    scalar = np.ndim(a) == 0
-    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
-    k = a.size
-    if not k:
+    ``a`` and ``b`` are equal-length arrays of the ends of the intervals,
+    and ``fa`` and ``fb`` the integrand's values there. ``fn`` maps an array
+    of abscissae to the array of the integrand's values, and is called once
+    per level for every interval still refining. Returns the array of the
+    integrals over the intervals. The arithmetic and the summation order
+    are those of the depth-first recursion (each interval's value is the
+    sum of its halves' values), so the result does not depend on how many
+    intervals share a call. An interval whose error estimate is not finite
+    stops refining: it cannot converge."""
+    if not a.size:
         return np.empty(0)
     m = 0.5 * (a + b)
-    if fa is None:
-        ends = fn(np.concatenate([a, b, m]))
-        fa, fb, fm = ends[:k], ends[k:2 * k], ends[2 * k:]
-    else:
-        fa, fb, fm = np.array(fa, dtype=float, ndmin=1), np.array(fb, dtype=float, ndmin=1), fn(m)
+    fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    eps = rel_tol * (1.0 + np.abs(whole))
+    eps = 1e-9 * (1.0 + np.abs(whole))
 
     levels = []  # per level: which intervals stop there, and their values
     depth = 0
@@ -533,7 +525,7 @@ def adaptive_simpson(fn, a, b, rel_tol: float = 1e-9, fa=None, fb=None):
     for done, value in reversed(levels):
         value[~done] = total[0::2] + total[1::2]
         total = value
-    return float(total[0]) if scalar else total
+    return total
 
 
 def _halves(split, lower, upper):
@@ -591,7 +583,7 @@ def _integrate_toward(fn, anchor: float, f_anchor, end: float) -> Tuple[float, b
     for lo, hi in _segments_toward(anchor, end, 60):
         f_outer = fn(np.array([hi if up else lo]))
         fa, fb = (f_inner, f_outer) if up else (f_outer, f_inner)
-        inc = adaptive_simpson(fn, lo, hi, fa=fa, fb=fb)
+        inc = adaptive_simpson(fn, np.array([lo]), np.array([hi]), fa, fb)[0]
         f_inner = f_outer
         total += inc
         increments.append(inc)
@@ -772,7 +764,7 @@ def warped_suite(entry, grid):
         report.add("expected_flat", curv_k.max_component(grid), TOL_CROSS, source=expected["flat"].source)
     if "x_at_tau0" in expected:
         e = expected["x_at_tau0"]
-        x0 = solve_implicit_w(expected["tau0"].value, e.value)
+        x0 = solve_implicit_w(expected["tau0"].value, e.value)[0]
         report.add("implicit_root_at_tau0", abs(x0 - e.value), 1e-12, source=e.source)
     if "sectional_xy_nonzero" in expected:
         e = expected["sectional_xy_nonzero"]

@@ -18,7 +18,7 @@ from frame_kahler.central import (
     ricci_endomorphism_eigenvalues,
 )
 from frame_kahler.fields import KSet, variable
-from frame_kahler.frames import fit_constant, grid_points, max_abs_on_grid, plane_laplacian_log_abs
+from frame_kahler.frames import fit_constant, grid_points, max_abs_on_grid, plane_laplacian_log_abs, values_on_grid
 from frame_kahler.kahler import X, Y
 from frame_kahler.warped import make_fiber
 
@@ -259,19 +259,20 @@ class TestSyntheticFamilyProperties:
 class TestLeftInvariance:
     def test_planewave_passes_with_table(self, built):
         be = built("planewave")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
-        assert rep.passed
-        assert table[("x", "y")] == pytest.approx([0.0, 2.0, 0.0, 0.0])
-        assert table[("k", "x")][3] == pytest.approx(-1.0)
+        assert left_invariance_check(be.data, be.kahler, be.grid).passed
+        # the structure constants at the middle grid point, the ones the Jacobi check reads
+        table = values_on_grid(be.data.structure.C, [be.grid[len(be.grid) // 2]])[..., 0]
+        assert table[2][3] == pytest.approx([0.0, 2.0, 0.0, 0.0])
+        assert table[0][2][3] == pytest.approx(-1.0)
 
     def test_s3xr_passes(self, built):
         be = built("s3xr")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
+        rep = left_invariance_check(be.data, be.kahler, be.grid)
         assert rep.passed
-        assert table is not None
+        assert "structure_constants_jacobi" in [c.check_id for c in rep.checks]
 
     def test_nonconstant_twist_not_applicable(self):
         be = ppwave_built("-sech(x + 2*y)^2")
-        rep, table = left_invariance_check(be.data, be.kahler, be.grid)
-        assert table is None
-        assert any("not applicable" in c.note for c in rep.checks)
+        rep = left_invariance_check(be.data, be.kahler, be.grid)
+        assert [c.check_id for c in rep.checks] == ["applicable"]
+        assert "not applicable" in rep.checks[0].note

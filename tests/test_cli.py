@@ -125,6 +125,29 @@ class TestVerify:
         assert err.startswith("error: family.interval: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry_id,section,key,value,path", [
+        ("s3xr", None, "g", [["k,T", "1"]], "g"),
+        ("s3xr", None, "brackets", [], "brackets"),
+        ("s3xr", None, "D", [], "D"),
+        ("s3xr", None, "constants", [1, -1, -2, 0], "constants"),
+        ("s3xr", None, "kset", 5, "kset"),
+        ("s3xr", "constants", "a", "one", "constants.a"),
+        ("warped_alpha0", "family", "lambda", "x", "family.lambda"),
+        ("warped_alpha0", "family", "w", {"implicit_tan_seed": "abc"}, "family.w.implicit_tan_seed"),
+        ("warped_alpha0", None, "fiber", [], "fiber"),
+    ])
+    def test_wrong_typed_document_value_is_usage_error(self, tmp_path, capsys, entry_id, section, key, value,
+                                                        path):
+        # well-formed JSON whose sections or numbers have the wrong type
+        doc = copy.deepcopy(load(entry_id).document)
+        (doc[section] if section else doc)[key] = value
+        config, out = tmp_path / "doc.json", tmp_path / "r.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % path) and "Traceback" not in err
+        assert not out.exists()
+
     def test_too_deep_expression_is_usage_error(self, tmp_path):
         # evaluating a 600-term sum recurses past Python's recursion limit
         doc = copy.deepcopy(load("s3xr").document)
@@ -627,6 +650,25 @@ class TestSuiteRunners:
         )
         assert proc.returncode == 0
         assert "planewave" in proc.stdout
+
+
+class TestBenchmarkSpans:
+    def test_every_named_span_resolves(self):
+        # bench/spans.py names program functions, and Tracer.install raises
+        # when one of them no longer exists
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = ("import sys\n"
+                "sys.path.insert(0, %r)\n"
+                "import spans\n"
+                "tracer = spans.Tracer()\n"
+                "try:\n"
+                "    tracer.install()\n"
+                "finally:\n"
+                "    tracer.uninstall()\n" % os.path.join(root, "bench"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReportHarness:

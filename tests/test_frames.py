@@ -238,11 +238,10 @@ class TestTwist:
         assert entries["planewave"].data.structure.g_of_bracket(0, 2, 3).at((0.0,)) == pytest.approx(-2.0)
 
     def test_ppwave_shift_twist(self):
-        entry = catalog.ppwave_from_shift("x*y", "-2*x + x^2")
+        entry = catalog.load("ppwave", iota="-2 + x")
         S = entry.data.structure
         grid = grid_points(S.kset, {"x": (-0.5, 0.5, 3), "y": (-0.5, 0.5, 3)})
         t = S.g_of_bracket(0, 2, 3)
-        # iota = d_x(h) - d_y(k) = (-2 + 2x) - x
         for p in grid:
             assert t.at(p) == pytest.approx(-2.0 + p[1], abs=1e-12)
 
@@ -251,7 +250,7 @@ class TestConsistencySuite:
     def test_catalog_structures_pass(self, entries):
         for eid, entry in entries.items():
             rep = consistency_suite(koszul_connection(entry.data.structure), entry.grid())
-            assert rep.passed, "%s: %s" % (eid, [c.check_id for c in rep.failed_checks()])
+            assert rep.passed, "%s: %s" % (eid, [c.check_id for c in rep.checks if not c.passed])
             worst = max(c.residual for c in rep.checks)
             assert worst <= 1e-8
 
@@ -265,7 +264,7 @@ class TestConsistencySuite:
         S2 = FrameStructure(S.kset, S.frame_names, S.g, C, S.D)
         rep = consistency_suite(koszul_connection(S2), entry.grid())
         assert not rep.passed
-        failed = {c.check_id for c in rep.failed_checks()}
+        failed = {c.check_id for c in rep.checks if not c.passed}
         assert failed & {"jacobi_identity", "frame_derivative_consistency"}
 
     def test_flat_frame_passes(self):
