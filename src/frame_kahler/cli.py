@@ -120,11 +120,13 @@ def _entry_from_args(args) -> CatalogEntry:
         except KeyError as exc:
             raise SchemaError("--example", str(exc)) from None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(args.config, "invalid JSON: %s" % exc) from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError(args.config, "invalid JSON: %s" % exc) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(args.config, "cannot read the document: %s" % exc) from None
         return entry_from_document(os.path.splitext(os.path.basename(args.config))[0],
                                    "user structure from %s" % args.config, doc, {})
     raise SchemaError("verify", "need --example or --config")
@@ -144,8 +146,9 @@ def _write_report(report: VerificationReport, curves, args):
                     header, rows = curves
                     fh.write(",".join(header) + "\n")
                     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-                    # row by row: a whole-file string or whole-array .tolist() raises peak memory
-                    fh.writelines(line % tuple(row.tolist()) for row in rows)
+                    # blocks of 1,024 rows: a whole-file string or whole-array .tolist() raises peak memory
+                    fh.writelines((line * len(block)) % tuple(block.ravel().tolist())
+                                  for block in (rows[i:i + 1024] for i in range(0, len(rows), 1024)))
                 else:
                     fh.write(report.to_csv())
 

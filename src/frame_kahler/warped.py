@@ -25,6 +25,7 @@ from .fields import (
     Const,
     CScalarField,
     DomainError,
+    FieldError,
     KSet,
     ScalarField,
     cos,
@@ -383,9 +384,10 @@ def family_alpha_zero(lam: float, a1: float, a2: float,
     p = e^{-lam tau} / (-lam) for lam != 0 and p = tau for lam = 0."""
     kset = TAU_KSET
     tau = variable(kset, "tau")
-    if lam != 0.0 and a2 == 0.0 and a1 > 0.0:
+    if lam < 0.0 and a2 == 0.0 and a1 > 0.0:
         # same function in exponential-product form; keeps c = (fw)'/w a
         # constant node so completeness can integrate over unbounded tau
+        # (for lam > 0 the prefactor's base is negative: no real cube root)
         w = (3.0 * a1 / (-lam)) ** (1.0 / 3.0) * exp(tau * (-lam / 3.0))
     elif lam != 0.0:
         p = exp(tau * (-lam)) * (1.0 / (-lam))
@@ -571,20 +573,50 @@ def _segments_toward(anchor: float, end: float, count: int):
         cursor = nxt
 
 
+def _segment_integrals(fn, segments, up: bool, f_inner):
+    """Integrals of fn over consecutive segments leading away from a point
+    where fn is ``f_inner`` (in the direction ``up``), with fn at the last
+    segment's outer end. All outer ends share one fn call and all segments
+    one ``adaptive_simpson`` call."""
+    lo, hi = np.array(segments).T
+    f_outer = fn(hi if up else lo)
+    f_in = np.concatenate([f_inner, f_outer[:-1]])
+    fa, fb = (f_in, f_outer) if up else (f_outer, f_in)
+    return adaptive_simpson(fn, lo, hi, fa, fb), f_outer[-1:]
+
+
+def _increments_toward(fn, segments, up: bool, f_anchor):
+    """The segments' integrals in segment order. All segments are evaluated
+    together; the batch reaches points the divergence stop may never get to,
+    so when it raises, the segments are replayed one at a time, which
+    raises the error that segment order meets first, or none before the
+    caller stops."""
+    try:
+        increments, _ = _segment_integrals(fn, segments, up, f_anchor)
+    except (FieldError, ArithmeticError, ValueError):
+        pass
+    else:
+        yield from increments
+        return
+    f_inner = f_anchor
+    for segment in segments:
+        increment, f_inner = _segment_integrals(fn, [segment], up, f_inner)
+        yield increment[0]
+
+
 def _integrate_toward(fn, anchor: float, f_anchor, end: float) -> Tuple[float, bool]:
     """Accumulate integral of fn from the anchor, where fn is ``f_anchor``,
-    toward an (possibly infinite) end over at most 60 segments, each
-    evaluating fn once at its outer end; diverged when the total passes 1e6
-    with the last three segment increments nondecreasing."""
+    toward an (possibly infinite) end over at most 60 segments; diverged
+    when the total passes 1e6 with the last three segment increments
+    nondecreasing. The segments of the direction are evaluated in one batch
+    per Simpson level, replayed one segment at a time if the batch raises
+    (``_increments_toward``)."""
     total = 0.0
     increments = []
-    up = end > anchor
-    f_inner = f_anchor
-    for lo, hi in _segments_toward(anchor, end, 60):
-        f_outer = fn(np.array([hi if up else lo]))
-        fa, fb = (f_inner, f_outer) if up else (f_outer, f_inner)
-        inc = adaptive_simpson(fn, np.array([lo]), np.array([hi]), fa, fb)[0]
-        f_inner = f_outer
+    segments = list(_segments_toward(anchor, end, 60))
+    if not segments:
+        return total, False
+    for inc in _increments_toward(fn, segments, end > anchor, f_anchor):
         total += inc
         increments.append(inc)
         if total > 1e6 and len(increments) >= 3 and (

@@ -148,6 +148,19 @@ class TestVerify:
         assert err.startswith("error: %s: " % path) and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, kind):
+        # a directory raised IsADirectoryError, bytes ff fe UnicodeDecodeError, each with exit 1
+        config, out = tmp_path / "doc.json", tmp_path / "r.json"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"\xff\xfe{}")
+        assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % config) and "Traceback" not in err
+        assert not out.exists()
+
     def test_too_deep_expression_is_usage_error(self, tmp_path):
         # evaluating a 600-term sum recurses past Python's recursion limit
         doc = copy.deepcopy(load("s3xr").document)
@@ -293,7 +306,7 @@ class TestVerify:
 
 
 class TestCsvWriter:
-    """Curves are written one row at a time through one line format, in the
+    """Curves are written in blocks of rows through one line format, in the
     bytes that formatting each value with "%.17g" on its own gave."""
 
     VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1.0, math.inf, -math.inf, math.nan]
@@ -309,6 +322,7 @@ class TestCsvWriter:
         np.array([VALUES, VALUES[::-1]]),
         np.array(VALUES)[:, None],
         np.column_stack([np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 1e-310, 7), np.full(7, 1e308)]),
+        np.column_stack([np.linspace(-3.0, 3.0, 2500), np.sin(np.arange(2500.0))]),  # three blocks
     ])
     def test_bytes_equal_per_value_format(self, tmp_path, rows):
         header = ["c%d" % i for i in range(rows.shape[1])]
@@ -368,6 +382,12 @@ class TestKeCommand:
         if n == 2:
             # c = (fw)'/w = 1, so s grows by sqrt(1/2) per unit of tau
             assert float(rows[1][-1]) == pytest.approx(2.0 * math.sqrt(0.5), rel=1e-12)
+
+    def test_alpha0_positive_lambda_is_domain_error(self, capsys):
+        # lam > 0 took the exponential-product form, whose complex prefactor died with a TypeError
+        assert run_cli("ke", "--family", "alpha0", "--lam", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: negative base") and "Traceback" not in err
 
     def test_alphaneg_requires_negative_alpha(self):
         assert run_cli("ke", "--family", "alphaneg", "--alpha", "1",

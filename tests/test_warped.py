@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from frame_kahler import warped
+from frame_kahler.catalog import load
 from frame_kahler.fields import DomainError, constant, make_closed_form
 from frame_kahler.frames import (
     FrameError,
@@ -405,6 +407,65 @@ class TestCompleteness:
         fam = WarpedFamily(constant(TAU_KSET, 1.0), w, 0.0, 0.0, (0.5, 2.0))
         with pytest.raises(DomainError):
             completeness(fam)
+
+    @staticmethod
+    def _segment_order(fn, anchor, f_anchor, end):
+        """Reference for ``_integrate_toward``: each segment's outer end, then
+        its Simpson integral, one segment at a time, stopping at divergence."""
+        total, increments, up, f_inner = 0.0, [], end > anchor, f_anchor
+        for lo, hi in warped._segments_toward(anchor, end, 60):
+            f_outer = fn(np.array([hi if up else lo]))
+            fa, fb = (f_inner, f_outer) if up else (f_outer, f_inner)
+            inc = adaptive_simpson(fn, np.array([lo]), np.array([hi]), fa, fb)[0]
+            f_inner = f_outer
+            total += inc
+            increments.append(inc)
+            if total > 1e6 and len(increments) >= 3 and increments[-1] >= increments[-2] >= increments[-3] > 0.0:
+                return total, True
+        return total, False
+
+    FAMILIES = {
+        "alpha_minus2": lambda: family_implicit_tan((0.05, 1.0)),
+        "alpha0_unbounded": lambda: family_alpha_zero(-1.0, 1.0, 0.0, (-math.inf, math.inf)),
+        "alphaneg": lambda: family_alpha_negative(-1.0, (0.0, 1.4)),
+        "exp_unbounded": lambda: WarpedFamily(constant(TAU_KSET, 1.0), make_closed_form("exp(tau)", TAU_KSET),
+                                              -3.0, 0.0, (-math.inf, math.inf)),
+        "exp_bounded": lambda: WarpedFamily(constant(TAU_KSET, 1.0), make_closed_form("exp(tau)", TAU_KSET),
+                                            -3.0, 0.0, (0.0, 1.0)),
+        "warped_complete": lambda: load("warped_complete").family,
+        # c = 1 - 2e-15 tau turns negative at tau = 5e14, far past the divergence stop
+        "far_end_domain": lambda: WarpedFamily(make_closed_form("tau - 1e-15*tau^2", TAU_KSET),
+                                               constant(TAU_KSET, 1.0), 0.0, 0.0, (-math.inf, math.inf)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_batched_equals_segment_order(self, monkeypatch, name):
+        batched = completeness(self.FAMILIES[name]())
+        monkeypatch.setattr(warped, "_integrate_toward", self._segment_order)
+        reference = completeness(self.FAMILIES[name]())
+        assert batched.verdict == reference.verdict
+        assert (batched.lower_diverged, batched.upper_diverged) == (reference.lower_diverged,
+                                                                    reference.upper_diverged)
+        assert float(batched.s_lower) == float(reference.s_lower)
+        assert float(batched.s_upper) == float(reference.s_upper)
+
+    def test_far_end_domain_error_is_not_reached(self):
+        # the batch meets c <= 0 at tau ~ 5.6e14; segment order stops long before
+        cv = completeness(self.FAMILIES["far_end_domain"]())
+        assert cv.verdict == "complete"
+        assert cv.s_range[0] < -1e6 and cv.s_range[1] > 1e6
+
+    def test_one_root_batch_per_simpson_level(self, monkeypatch):
+        # one segment at a time made 336 solve_implicit_w calls here
+        calls = []
+
+        def counted(tau, seed):
+            calls.append(np.size(tau))
+            return solve_implicit_w(tau, seed)
+
+        monkeypatch.setattr(warped, "solve_implicit_w", counted)
+        completeness(family_implicit_tan((0.05, 1.0)))
+        assert 0 < len(calls) <= 20
 
     @staticmethod
     def _simpson(fn, lo, hi):
