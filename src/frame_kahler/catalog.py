@@ -81,7 +81,6 @@ class Expectation:
 class CatalogEntry:
     entry_id: str
     description: str
-    case: str
     document: dict
     data: AdmissibleData
     grid_box: dict
@@ -338,7 +337,6 @@ def entry_from_document(entry_id: str, description: str, doc: dict, expected: di
     return CatalogEntry(
         entry_id=entry_id,
         description=description,
-        case=data.case,
         document=doc,
         data=data,
         grid_box=default_grid_box(doc, data),

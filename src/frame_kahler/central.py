@@ -12,7 +12,6 @@ constant c; both sides of that equivalence are checked numerically here.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .frames import (
     fit_constant,
     gradient,
     grid_spec_string,
+    jacobi_residual_fields,
     laplacian,
     laplacian_orthonormal,
     max_abs_on_grid,
@@ -238,19 +238,7 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, TOL_FRAME)
 
-    cvals = values_on_grid(S.C, [grid[len(grid) // 2]])[..., 0].tolist()
-
-    def jacobi(a, b, c, e):
-        total = 0.0
-        for d in range(4):
-            total += (
-                cvals[a][b][d] * cvals[d][c][e]
-                + cvals[b][c][d] * cvals[d][a][e]
-                + cvals[c][a][d] * cvals[d][b][e]
-            )
-        return total
-
-    worst = worst_abs([jacobi(a, b, c, e) for a, b, c, e in itertools.product(range(4), repeat=4)])
+    worst = max_abs_on_grid(jacobi_residual_fields(S), [grid[len(grid) // 2]])
     report.add("structure_constants_jacobi", worst, TOL_FRAME)
     return report
 

@@ -54,10 +54,10 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
     (default: the entry's box); returns (report, curves), curves None when
     the structural gates failed. A suite that does not fit the entry's case
     is a SchemaError."""
-    if {"central": CASE_CENTRAL, "ke": CASE_WARPED, "all": entry.case}.get(suite) != entry.case:
-        raise SchemaError("--suite", "entry %r is a %s-case structure" % (entry.entry_id, entry.case))
+    if {"central": CASE_CENTRAL, "ke": CASE_WARPED, "all": entry.data.case}.get(suite) != entry.data.case:
+        raise SchemaError("--suite", "entry %r is a %s-case structure" % (entry.entry_id, entry.data.case))
     grid = _Grid.of(grid if grid is not None else entry.grid())
-    central = entry.case == CASE_CENTRAL
+    central = entry.data.case == CASE_CENTRAL
     report, found = (central_suite if central else warped_suite)(entry, grid)
     if found is None:
         return report, None
@@ -230,7 +230,7 @@ def cmd_catalog(args) -> int:
     entry = load(args.id)
     print("id:          %s" % entry.entry_id)
     print("description: %s" % entry.description)
-    print("case:        %s" % entry.case)
+    print("case:        %s" % entry.data.case)
     cs = entry.data.constants
     print("constants:   a=%g b=%g alpha=%g beta=%g ell=%g" % (cs.a, cs.b, cs.alpha, cs.beta, cs.ell_gradient))
     if entry.family is not None:

@@ -7,11 +7,19 @@ the field of any first partial derivative *exactly*.  Derivative fields are
 built structurally (sum/product/chain/quotient rules), so repeated frame
 differentiation -- connection coefficients, curvature tensors, Ricci forms
 and their exterior derivatives -- stays free of finite-difference noise.
-Finite differences appear only in the test suite, as an independent oracle.
+No field is finite-differenced. Finite differences appear only as
+independent oracles: in the test suite, and in
+``catalog.coordinate_crosscheck``, which differences a coordinate chart.
 
-Elementary functions (exp, log, sin, ...) come from one table,
-``_ELEMENTARY``: each row holds the value, the domain test and the
-derivative rule of one function, applied by a single node class.
+Per-element ``math`` goes through one node class, ``_Elementary``, and one
+row type, ``_Fn``: each row holds the value, the domain tests and the
+derivative rule of one function. ``_ELEMENTARY`` holds the elementary
+functions (exp, log, sin, ...) by name; ``_power(p)`` builds the row of
+``f ** p`` for a numeric exponent. ``_evaluate`` applies a row, and is the
+one failure path: a domain test that fails, or a ``math`` function that
+raises (``math.exp`` overflowing, say), raises ``DomainError`` naming the
+first grid point where it does. A constant argument folds through the same
+path, except that a named function with a domain test keeps its node.
 
 Evaluation is whole-grid: a grid of points becomes one column per variable
 (``_Grid``), and each node computes one array of values over the grid,
@@ -247,16 +255,12 @@ class ScalarField:
     # operator sugar -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, complex) and not isinstance(other, (int, float)):
-            return CScalarField(self) + other
         o = _coerce(other, self.kset)
         return NotImplemented if o is None else _add(self, o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, complex) and not isinstance(other, (int, float)):
-            return CScalarField(self) - other
         o = _coerce(other, self.kset)
         return NotImplemented if o is None else _sub(self, o)
 
@@ -411,66 +415,75 @@ class _Div(ScalarField):
         return _Div(num, _mul(self.g, self.g), self.eps, self.label)
 
 
-class _PowC(ScalarField):
-    """f ** p for a numeric exponent p."""
-
-    __slots__ = ("f", "p")
-
-    def __init__(self, f, p):
-        super().__init__(f.kset)
-        self.f, self.p = f, float(p)
-
-    def _compute(self, grid):
-        bases = self.f._values(grid).tolist()
-        return np.array([_safe_pow(b, self.p, grid, i) for i, b in enumerate(bases)], dtype=float)
-
-    def _derive(self, i):
-        return _mul(Const(self.kset, self.p), _mul(_pow(self.f, self.p - 1.0), self.f.partial(i)))
-
-
-def _safe_pow(base, p, grid, i):
-    """base ** p for the value at the i-th point of the grid."""
-    if base == 0.0 and p < 0.0:
-        raise DomainError("zero base raised to negative power %r at %r" % (p, grid[i]))
-    if base < 0.0 and p != int(p):
-        raise DomainError("negative base %r raised to fractional power %r at %r" % (base, p, grid[i]))
-    try:
-        return math.pow(base, p)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError("power %r**%r failed at %r: %s" % (base, p, grid[i], exc)) from None
-
-
 class _Fn(NamedTuple):
     """One row of the elementary-function table."""
 
-    value: Callable  # value of the function at the argument's value
+    call: str  # the call's text in a DomainError; %(x)r is the argument
+    value: Callable  # value of the function at the argument's value (a ``math`` function)
     derive: Callable  # (node, argument, argument's partial) -> partial of node
-    outside: Callable | None = None  # argument value -> outside the domain?
-    message: str = ""  # DomainError text; %(x)r is the argument, %(p)r the point
+    # (test, DomainError text) pairs: a test maps the argument's values to a
+    # boolean array, True outside the domain; %(x)r is the argument, %(at)r the point
+    domain: tuple = ()
+
+
+def _evaluate(fn, x, grid):
+    """The row ``fn`` at the argument's values ``x`` over the grid. The one
+    failure path of per-element math: a DomainError names the first point
+    outside the row's domain, or else the first point where its ``math``
+    function raises."""
+    if fn.domain:
+        bad = [test(x) for test, _ in fn.domain]
+        hit = np.logical_or.reduce(bad)
+        if hit.any():
+            i = int(hit.argmax())
+            text = next(text for b, (_, text) in zip(bad, fn.domain) if b[i])
+            raise DomainError(text % {"x": x[i].item(), "at": grid[i]})
+    xs = x.tolist()
+    try:
+        return np.fromiter(map(fn.value, xs), float, len(xs))
+    except (ValueError, OverflowError):
+        for i, v in enumerate(xs):
+            try:
+                fn.value(v)
+            except (ValueError, OverflowError) as exc:
+                raise DomainError("%s failed at %r: %s" % (fn.call % {"x": v}, grid[i], exc)) from None
+        raise
+
+
+def _fold(fn, c):
+    """The row ``fn`` at a constant argument, through ``_evaluate`` on the
+    one-point grid of no variables, so an error names the point ()."""
+    return _evaluate(fn, np.array([c]), _Grid.of([()])).item()
 
 
 class _Elementary(ScalarField):
-    """An elementary function of a field; ``name`` keys ``_ELEMENTARY``."""
+    """An elementary function or a numeric power of a field; ``fn`` is its
+    ``_Fn`` row."""
 
-    __slots__ = ("name", "f", "_fn")
+    __slots__ = ("fn", "f")
 
-    def __init__(self, name, f):
+    def __init__(self, fn, f):
         super().__init__(f.kset)
-        self.name, self.f = name, f
-        self._fn = _ELEMENTARY[name]
+        self.fn, self.f = fn, f
 
     def _compute(self, grid):
-        x = self.f._values(grid)
-        fn = self._fn
-        if fn.outside is not None:
-            bad = fn.outside(x)
-            if bad.any():
-                i = int(bad.argmax())
-                raise DomainError(fn.message % {"x": x[i].item(), "p": grid[i]})
-        return np.fromiter(map(fn.value, x.tolist()), float, x.size)
+        return _evaluate(self.fn, self.f._values(grid), grid)
 
     def _derive(self, i):
-        return self._fn.derive(self, self.f, self.f.partial(i))
+        return self.fn.derive(self, self.f, self.f.partial(i))
+
+
+def _power(p):
+    """The row of f ** p for a numeric exponent p: outside the domain at a
+    zero base when p < 0 and at a negative base when p is not integral."""
+    e = repr(p)
+    domain = ()
+    if p < 0.0:
+        domain += ((lambda x: x == 0.0, "zero base raised to negative power " + e + " at %(at)r"),)
+    if not p.is_integer():
+        domain += ((lambda x: x < 0.0, "negative base %(x)r raised to fractional power " + e + " at %(at)r"),)
+    return _Fn("power %(x)r**" + e, lambda x: math.pow(x, p),
+               lambda n, f, df: _mul(Const(n.kset, p), _mul(_pow(f, p - 1.0), df)), domain)
 
 
 def _over_square(df, g):
@@ -481,19 +494,19 @@ def _over_square(df, g):
 # folds a constant argument at construction; the others keep their node, so
 # that a constant outside the domain fails at evaluation, naming the point.
 _ELEMENTARY = {
-    "exp": _Fn(math.exp, lambda n, f, df: _mul(n, df)),
-    "log": _Fn(math.log, lambda n, f, df: _div(df, f),
-               lambda x: x <= 0.0, "log of nonpositive value %(x)r at %(p)r"),
-    "logabs": _Fn(lambda x: math.log(abs(x)), lambda n, f, df: _div(df, f),
-                  lambda x: x == 0.0, "log|.| of zero at %(p)r"),
-    "sin": _Fn(math.sin, lambda n, f, df: _mul(_Elementary("cos", f), df)),
-    "cos": _Fn(math.cos, lambda n, f, df: _mul(Const(n.kset, -1.0), _mul(_Elementary("sin", f), df))),
-    "tan": _Fn(math.tan, lambda n, f, df: _over_square(df, _Elementary("cos", f))),
-    "sinh": _Fn(math.sinh, lambda n, f, df: _mul(_Elementary("cosh", f), df)),
-    "cosh": _Fn(math.cosh, lambda n, f, df: _mul(_Elementary("sinh", f), df)),
-    "tanh": _Fn(math.tanh, lambda n, f, df: _over_square(df, _Elementary("cosh", f))),
-    "sqrt": _Fn(math.sqrt, lambda n, f, df: _div(df, _mul(Const(n.kset, 2.0), n)),
-                lambda x: x < 0.0, "sqrt of negative value %(x)r at %(p)r"),
+    "exp": _Fn("exp(%(x)r)", math.exp, lambda n, f, df: _mul(n, df)),
+    "log": _Fn("log(%(x)r)", math.log, lambda n, f, df: _div(df, f),
+               ((lambda x: x <= 0.0, "log of nonpositive value %(x)r at %(at)r"),)),
+    "logabs": _Fn("logabs(%(x)r)", lambda x: math.log(abs(x)), lambda n, f, df: _div(df, f),
+                  ((lambda x: x == 0.0, "log|.| of zero at %(at)r"),)),
+    "sin": _Fn("sin(%(x)r)", math.sin, lambda n, f, df: _mul(_apply("cos", f), df)),
+    "cos": _Fn("cos(%(x)r)", math.cos, lambda n, f, df: _mul(Const(n.kset, -1.0), _mul(_apply("sin", f), df))),
+    "tan": _Fn("tan(%(x)r)", math.tan, lambda n, f, df: _over_square(df, _apply("cos", f))),
+    "sinh": _Fn("sinh(%(x)r)", math.sinh, lambda n, f, df: _mul(_apply("cosh", f), df)),
+    "cosh": _Fn("cosh(%(x)r)", math.cosh, lambda n, f, df: _mul(_apply("sinh", f), df)),
+    "tanh": _Fn("tanh(%(x)r)", math.tanh, lambda n, f, df: _over_square(df, _apply("cosh", f))),
+    "sqrt": _Fn("sqrt(%(x)r)", math.sqrt, lambda n, f, df: _div(df, _mul(Const(n.kset, 2.0), n)),
+                ((lambda x: x < 0.0, "sqrt of negative value %(x)r at %(at)r"),)),
 }
 
 
@@ -615,9 +628,10 @@ def _pow(f, p):
         return Const(f.kset, 1.0)
     if p == 1.0:
         return f
+    fn = _power(p)
     if f.is_constant:
-        return Const(f.kset, _safe_pow(f.c, p, _Grid.of([()]), 0))
-    return _PowC(f, p)
+        return Const(f.kset, _fold(fn, f.c))
+    return _Elementary(fn, f)
 
 
 def _constant_zero(f):
@@ -658,9 +672,9 @@ def _apply(name, f):
     if name == "sech":
         return _div(Const(f.kset, 1.0), _apply("cosh", f))
     fn = _ELEMENTARY[name]
-    if fn.outside is None and f.is_constant:
-        return Const(f.kset, fn.value(f.c))
-    return _Elementary(name, f)
+    if not fn.domain and f.is_constant:
+        return Const(f.kset, _fold(fn, f.c))
+    return _Elementary(fn, f)
 
 
 def _constructor(name, grammar_name):
@@ -870,16 +884,6 @@ class CScalarField:
         out.imag = self.im._values(grid)
         return out
 
-    def partial(self, i) -> "CScalarField":
-        return CScalarField(self.re.partial(i), self.im.partial(i))
-
-    def conj(self) -> "CScalarField":
-        return CScalarField(self.re, -self.im)
-
-    @property
-    def is_constant(self):
-        return self.re.is_constant and self.im.is_constant
-
     def _coerce(self, other):
         if isinstance(other, CScalarField):
             return other
@@ -918,20 +922,6 @@ class CScalarField:
         return CScalarField(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = o.re * o.re + o.im * o.im
-        num = self * o.conj()
-        return CScalarField(_div(num.re, den), _div(num.im, den))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return CScalarField(-self.re, -self.im)

@@ -16,8 +16,9 @@ Every check reads field values over a grid through ``values_on_grid``
 a one-point grid): the grid becomes columns once per run (the suites'
 entry points convert it and pass the converted grid on), and each field node
 computes one array over the whole grid. Checks reduce the values with
-``worst_abs`` or a reduction built on the two; a NaN or infinite value at
-any grid point fails the check.
+``worst_abs`` (``max_abs_on_grid`` is ``worst_abs`` of ``values_on_grid``),
+``min_on_grid`` or ``spread_on_grid``; a NaN or infinite value at any grid
+point fails the check.
 """
 
 from __future__ import annotations

@@ -201,8 +201,8 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
     """
     fiber_names = F.structure.kset.names
     kset = KSet(("tau",) + fiber_names)
-    tau_w = remap(w, kset) if w.kset.names != kset.names else w
-    tau_f = remap(f, kset) if f.kset.names != kset.names else f
+    tau_w = remap(w, kset)
+    tau_f = remap(f, kset)
     iota_bar = remap(F.iota_bar, kset)
     zero = Const(kset, 0.0)
     one = Const(kset, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -407,6 +408,16 @@ class TestCompleteness:
         fam = WarpedFamily(constant(TAU_KSET, 1.0), w, 0.0, 0.0, (0.5, 2.0))
         with pytest.raises(DomainError):
             completeness(fam)
+
+    def test_overflow_is_a_domain_error(self):
+        # f = tau, w = exp(tau): c = (fw)'/w evaluates exp(tau), which overflows
+        # past tau ~ 709.8; the error names the argument and the point
+        tau = make_closed_form("tau", TAU_KSET)
+        fam = WarpedFamily(tau, make_closed_form("exp(tau)", TAU_KSET), 0.0, 0.0, (0.0, math.inf))
+        with pytest.raises(DomainError) as exc:
+            completeness(fam)
+        got = re.fullmatch(r"exp\((\S+)\) failed at \((\S+),\): math range error", str(exc.value))
+        assert got and got[1] == got[2] and float(got[1]) > 709.8
 
     @staticmethod
     def _segment_order(fn, anchor, f_anchor, end):
