@@ -422,11 +422,6 @@ class TestGridErrors:
          DomainError, "zero base raised to negative power -2.0 at (0.0,)"),
         (lambda: make_closed_form("tau^0.5", KS1), [(1.0,), (0.0,), (-1.0,)],
          DomainError, "negative base -1.0 raised to fractional power 0.5 at (-1.0,)"),
-        # math.exp and math.pow overflow through the same path as the domain tests
-        (lambda: make_closed_form("exp(tau)", KS1), [(1.0,), (700.0,), (800.0,)],
-         DomainError, "exp(800.0) failed at (800.0,): math range error"),
-        (lambda: make_closed_form("tau^400", KS1), [(2.0,), (1e-3,), (10.0,)],
-         DomainError, "power 10.0**400.0 failed at (10.0,): math range error"),
         (lambda: guarded(variable(KS1, "tau"), lambda cols: cols[0] > 0.0, "tau > 0"),
          [(1.0,), (0.5,), (0.0,)], DomainError, "point (0.0,) violates domain guard: tau > 0"),
         (lambda: remap(make_closed_form("log(tau)", KS1), TestGridErrors.KS3),
@@ -435,6 +430,11 @@ class TestGridErrors:
         (lambda: LinearFieldSystem([[variable(KS1, "tau") - 1.0]], [constant(KS1, 1.0)]).components()[0],
          [(0.0,), (2.0,), (1.0,)], SingularMatrixError,
          "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (1.0,)"),
+        # math.exp and math.pow overflow through the same path as the domain tests
+        (lambda: make_closed_form("exp(tau)", KS1), [(1.0,), (700.0,), (800.0,)],
+         DomainError, "exp(800.0) failed at (800.0,): math range error"),
+        (lambda: make_closed_form("tau^400", KS1), [(2.0,), (1e-3,), (10.0,)],
+         DomainError, "power 10.0**400.0 failed at (10.0,): math range error"),
     ]
 
     @pytest.mark.parametrize("make,grid,error,text", CASES)
