@@ -26,7 +26,6 @@ from .frames import (
     fit_constant,
     gradient,
     grid_spec_string,
-    jacobi_residual_fields,
     laplacian,
     laplacian_orthonormal,
     max_abs_on_grid,
@@ -238,7 +237,7 @@ def left_invariance_check(A: AdmissibleData, kahler: KahlerMetric, grid):
     worst = max(spread_on_grid(scale * f, grid)[0] for row in kahler.g for f in row)
     report.add("conformal_metric_constant", worst, TOL_FRAME)
 
-    worst = max_abs_on_grid(jacobi_residual_fields(S), [grid[len(grid) // 2]])
+    worst = max_abs_on_grid(S.jacobi_residuals, [grid[len(grid) // 2]])
     report.add("structure_constants_jacobi", worst, TOL_FRAME)
     return report
 

@@ -205,6 +205,19 @@ class FrameStructure:
         """g as the one matrix that every pointwise solve against it reads."""
         return _PointwiseMatrix(self.g)
 
+    @cached_property
+    def jacobi_residuals(self) -> list:
+        """Jacobi identity for the bracket table, including the derivative
+        terms: sum over cyclic (a,b,c) of  C_ab^d C_dc^e - d_c C_ab^e  must
+        vanish. Built once, for every check that reads it."""
+        C = self.C
+
+        def term(u, v, w, e):
+            return contract(-self.dd(w, C[u][v][e]), ((1, C[u][v][d], C[d][w][e]) for d in range(self.n)))
+
+        return [sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), self.zero())
+                for a, b, c in itertools.combinations(range(self.n), 3) for e in range(self.n)]
+
     def dd(self, a: int, field: ScalarField) -> ScalarField:
         """Directional derivative d_{e_a} of a field, via the D table."""
         if field.is_constant:
@@ -436,23 +449,6 @@ def shear_fields(S: FrameStructure, v: int, x: int, y: int):
     return off, diag
 
 
-def jacobi_residual_fields(S: FrameStructure):
-    """Jacobi identity for the bracket table, including the derivative terms:
-    sum over cyclic (a,b,c) of  C_ab^d C_dc^e - d_c C_ab^e  must vanish."""
-    n = S.n
-
-    def term(u, v, w, e):
-        return contract(-S.dd(w, S.C[u][v][e]), ((1, S.C[u][v][d], S.C[d][w][e]) for d in range(n)))
-
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for e in range(n):
-                    out.append(sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), S.zero()))
-    return out
-
-
 def frame_derivative_consistency_fields(S: FrameStructure):
     """d_a d_b u_i - d_b d_a u_i - d_[a,b] u_i for all pairs and variables."""
     n = S.n
@@ -491,7 +487,7 @@ def consistency_suite(conn: ConnectionTable, grid):
         note="min |det g| = %.3e" % min_det,
     )
 
-    report.add("jacobi_identity", max_abs_on_grid(jacobi_residual_fields(S), grid), TOL_FRAME)
+    report.add("jacobi_identity", max_abs_on_grid(S.jacobi_residuals, grid), TOL_FRAME)
     worst = max_abs_on_grid(frame_derivative_consistency_fields(S), grid)
     report.add("frame_derivative_consistency", worst, TOL_FRAME)
     report.add("torsion_free", conn.torsion_residual(grid), TOL_FRAME)

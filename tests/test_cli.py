@@ -471,10 +471,12 @@ class TestBuildCounts:
 class TestBuiltOnce:
     """One run_suite builds each object that several checks read once: the
     plane Laplacian of log|twist| (central) or of log|iota_bar| (the fiber),
-    the forms-route Ricci, log|.| of the twist over each k-set, (fw)' and
-    c = (fw)'/w. At the time each was shared, ppwave-sech built the plane
-    Laplacian twice, and warped_complete built the plane Laplacian, the
-    forms-route Ricci and each log|iota_bar| twice and c three times."""
+    the forms-route Ricci, log|.| of the twist over each k-set, (fw)',
+    c = (fw)'/w and the Jacobi residuals of the base structure. At the time
+    each was shared, ppwave-sech built the plane Laplacian twice,
+    warped_complete built the plane Laplacian, the forms-route Ricci and each
+    log|iota_bar| twice and c three times, and a central entry with a
+    constant twist built the Jacobi residuals twice."""
 
     def built(self, monkeypatch, entry):
         # builder -> what one call builds (None: not counted)
@@ -498,9 +500,10 @@ class TestBuiltOnce:
             for builder, key in keys.items():
                 if hasattr(mod, builder):
                     monkeypatch.setattr(mod, builder, counting(getattr(mod, builder), key))
-        for prop in ("fw_prime", "c_field"):
-            cached = WarpedFamily.__dict__[prop]
-            monkeypatch.setattr(cached, "func", counting(cached.func, lambda fam, _prop=prop: _prop))
+        for owner, prop in ((WarpedFamily, "fw_prime"), (WarpedFamily, "c_field"),
+                            (frames_mod.FrameStructure, "jacobi_residuals")):
+            cached = owner.__dict__[prop]
+            monkeypatch.setattr(cached, "func", counting(cached.func, lambda obj, _prop=prop: _prop))
         report, _ = run_suite(entry, "all")
         assert report.passed
         return dict(counts)
@@ -510,7 +513,13 @@ class TestBuiltOnce:
             "plane_laplacian_log_abs": 1,
             "log_abs over ('tau', 'x', 'y')": 1,
             "ricci_from_form": 1,
+            "jacobi_residuals": 1,
         }
+
+    @pytest.mark.parametrize("entry_id", ["planewave", "ppwave"])
+    def test_central_constant_twist(self, monkeypatch, entry_id):
+        # left_invariance reads the Jacobi residuals that consistency_suite built
+        assert self.built(monkeypatch, load(entry_id))["jacobi_residuals"] == 1
 
     def test_warped(self, monkeypatch):
         assert self.built(monkeypatch, load("warped_complete")) == {
@@ -520,16 +529,21 @@ class TestBuiltOnce:
             "ricci_from_form": 1,
             "fw_prime": 1,
             "c_field": 1,
+            "jacobi_residuals": 1,
         }
 
 
 class TestSolveCounts:
     """Each distinct pointwise matrix is assembled and det-checked once per
-    grid, and each distinct right-hand side is solved once against it."""
+    grid, and each distinct right-hand side is solved once against it. A
+    grid here is a projection of the run's grid onto the variables that a
+    request reads, so one matrix may meet two of them."""
 
     @pytest.mark.parametrize("entry,box,calls", [
+        # base structure and induced metric; the induced metric on two projections
+        # (det 2, solve 46 when every request was evaluated on the whole grid)
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)},
-         {"det": 2, "solve": 46}),  # base structure and induced metric
+         {"det": 3, "solve": 47}),
         (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 53}),  # and the fiber
     ])
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
@@ -545,6 +559,24 @@ class TestSolveCounts:
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
         assert dict(counts) == calls
+
+    def test_solves_run_on_projected_grids(self, monkeypatch):
+        # no field of ppwave-sech reads y, so each solve runs on at most the 3 x 8
+        # distinct (tau, x) of the 3 x 8 x 8 grid (192 rows when it ran on every point)
+        entry = load("ppwave", iota=SECH)
+        grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
+        assert len(grid) == 192
+        rows = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            rows.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        report, _ = run_suite(entry, "all", grid)
+        assert report.passed
+        assert rows and max(rows) <= 24
 
     @pytest.mark.parametrize("entry,box,nodes", [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12870),
@@ -572,7 +604,9 @@ class TestSolveCounts:
 class TestGridConversions:
     """A run converts its grid to columns once and passes the converted grid
     to every evaluation on it (50 and 60 conversions when each evaluation
-    converted the points again)."""
+    converted the points again). The grids that ``_Grid.projection`` builds
+    from a converted grid are not conversions of points, and are left out of
+    the count."""
 
     @pytest.mark.parametrize("entry,box,conversions", [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 1),
@@ -587,16 +621,25 @@ class TestGridConversions:
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []
+        projected = []
         init = _Grid.__init__
+        projection = _Grid.projection
 
         def counted(self, *args):
             built.append(1)
             init(self, *args)
 
+        def counted_projection(self, mask):
+            before = len(built)
+            got = projection(self, mask)
+            projected.append(len(built) - before)
+            return got
+
         monkeypatch.setattr(_Grid, "__init__", counted)
+        monkeypatch.setattr(_Grid, "projection", counted_projection)
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
-        assert len(built) == conversions
+        assert len(built) - sum(projected) == conversions
 
 
 class TestCheckConsistency:

@@ -554,6 +554,85 @@ class TestArrayGrid:
         assert from_array.tobytes() == values_on_grid(fields(), [(v,) for v in taus.tolist()]).tobytes()
 
 
+class TestProjection:
+    """A request is evaluated on the grid projected onto the variables its
+    fields read, and its values are expanded back to every point: they equal
+    per-point evaluation bit for bit, and an error names the point that a
+    scan in grid order meets first."""
+
+    KS3 = KSet(("tau", "x", "y"))
+
+    @classmethod
+    def fields(cls):
+        tau, x, y = (variable(cls.KS3, nm) for nm in cls.KS3.names)
+        solved = LinearFieldSystem([[2.0 + x * x, tau], [tau, 3.0 + 0.0 * x]],
+                                   [exp(tau) * x, constant(cls.KS3, 1.0)]).components()
+        return [
+            exp(tau) * fields_mod.sin(x),  # skips y
+            log(1.0 + x * x),  # reads x only
+            tau * y + fields_mod.cos(y),  # skips x
+            constant(cls.KS3, 0.5),  # reads nothing
+            solved[0], solved[1].partial(1),  # a pointwise solve over (tau, x)
+            remap(make_closed_form("sinh(tau)", KS1), cls.KS3),
+            CScalarField(tau * x, y),
+        ]
+
+    GRID = [(t, x, y) for t in (0.0, 0.5, -0.25) for x in (-1.0, 0.25, 0.0, 1.5) for y in (0.75, -0.5, 0.0)]
+
+    def test_values_equal_per_point_evaluation(self):
+        def hexes(values):
+            return [complex(v).real.hex() + complex(v).imag.hex() for v in np.ravel(values).tolist()]
+
+        # every field alone (its own mask), and all of them in one request (their union)
+        for field in self.fields():
+            assert hexes(values_on_grid(field, self.GRID)) == hexes([field.at(p) for p in self.GRID])
+        fields = self.fields()
+        assert hexes(values_on_grid(fields, self.GRID)) == hexes([[f.at(p) for p in self.GRID] for f in fields])
+
+    def test_masks(self):
+        # bit i: variable i of (tau, x, y)
+        assert [f._mask for f in self.fields()[:-1]] == [0b011, 0b010, 0b101, 0, 0b011, 0b011, 0b001]
+        assert guarded(variable(self.KS3, "x"), lambda cols: cols[1] > 0.0, "x > 0")._mask == 0b111
+
+    def test_projection_keeps_first_occurrences(self):
+        grid = fields_mod._Grid.of(self.GRID)
+        projected, inverse = grid.projection(0b011)
+        assert list(projected) == [p for p in self.GRID if p[2] == 0.75]
+        assert projected.cols[:2, inverse].tobytes() == grid.cols[:2].tobytes()
+        assert grid.projection(0b011)[0] is projected  # memoized
+        assert grid.projection(0b111) == (grid, None)
+        assert len(grid.projection(0)[0]) == 1
+
+    def test_signed_zeros_stay_apart(self):
+        # 0.0 and -0.0 compare equal as floats, but not bit for bit
+        grid = [(x, y) for y in (1.0, 2.0, 3.0) for x in (0.0, -0.0, 0.5)]
+        values = values_on_grid(fields_mod.sin(variable(KS2, "x")), grid)
+        assert [v.hex() for v in values.tolist()] == [math.sin(x).hex() for x, _ in grid]
+        assert [math.copysign(1.0, v) for v in values.tolist()[:2]] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("make,error,text", [
+        (lambda ks: log(variable(ks, "x")) + variable(ks, "tau"), DomainError,
+         "log of nonpositive value -1.0 at (1.0, -1.0, 0.5)"),
+        (lambda ks: LinearFieldSystem([[variable(ks, "x") + 1.0]], [variable(ks, "tau")]).components()[0],
+         SingularMatrixError, "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (1.0, -1.0, 0.5)"),
+    ])
+    def test_error_names_the_first_point_in_grid_order(self, make, error, text):
+        # both read (tau, x); (0.0, -1.0) sorts before (1.0, -1.0), which comes first in
+        # grid order, and the point named is the whole point, y included
+        grid = [(1.0, 1.0, 0.5), (1.0, -1.0, 0.5), (0.0, -1.0, 0.5), (1.0, -1.0, 0.25), (0.0, -1.0, 0.25)]
+        with pytest.raises(error) as exc:
+            values_on_grid(make(self.KS3), grid)
+        assert str(exc.value) == text
+        for p in grid:  # the scan in grid order
+            try:
+                make(self.KS3).at(p)
+            except error as first:
+                assert str(first) == text
+                break
+        else:
+            pytest.fail("no point of the grid fails")
+
+
 class _Table(ScalarField):
     """A field over KS1 that reads fixed values (one per grid point) on every
     grid, so a test controls the exact bytes of a right-hand side."""
