@@ -182,6 +182,9 @@ def cmd_ke(args) -> int:
         raise SchemaError("--family", "unknown family %r" % args.family)
     if args.n < 1:
         raise SchemaError("--n", "need at least 1 curve sample, got %d" % args.n)
+    cap = catalog_mod.MAX_GRID_POINTS  # the tau grid is a grid: refused before it is built
+    if args.n > cap:
+        raise SchemaError("--n", "%d curve samples exceed the grid cap of %d" % (args.n, cap))
     args.interval = interval_bounds(args.interval.split(":"), "--interval")
     try:
         fam = _FAMILY_BUILDERS[args.family](args)

@@ -11,15 +11,17 @@ No field is finite-differenced. Finite differences appear only as
 independent oracles: in the test suite, and in
 ``catalog.coordinate_crosscheck``, which differences a coordinate chart.
 
-Per-element ``math`` goes through one node class, ``_Elementary``, and one
-row type, ``_Fn``: each row holds the value, the domain tests and the
-derivative rule of one function. ``_ELEMENTARY`` holds the elementary
-functions (exp, log, sin, ...) by name; ``_power(p)`` builds the row of
-``f ** p`` for a numeric exponent. ``_evaluate`` applies a row, and is the
-one failure path: a domain test that fails, or a ``math`` function that
-raises (``math.exp`` overflowing, say), raises ``DomainError`` naming the
-first grid point where it does. A constant argument folds through the same
-path, except that a named function with a domain test keeps its node.
+Elementary functions and numeric powers go through one node class,
+``_Elementary``, and one row type, ``_Fn``: each row holds the value, the
+domain tests and the derivative rule of one function, and for sin, cos and
+sqrt its whole-array ufunc. ``_ELEMENTARY`` holds the elementary functions
+(exp, log, sin, ...) by name, and ``_apply`` builds one node per function
+and argument node; ``_power(p)`` builds the row of ``f ** p`` for a numeric
+exponent. ``_evaluate`` applies a row, and is the one failure path: a
+domain test that fails, or a ``math`` function that raises (``math.exp``
+overflowing, ``math.sin`` of inf), raises ``DomainError`` naming the first
+grid point where it does. A constant argument folds through the same path,
+except that a named function with a domain test keeps its node.
 
 Evaluation is whole-grid: a grid of points becomes one column per variable
 (``_Grid``), and each node computes one array of values over the grid,
@@ -40,9 +42,12 @@ their first occurrence, so that an error names the point a scan in grid
 order meets first. It then expands the values back to every point. With a
 twist in x alone, ppwave on 3x16x16 points evaluates 48 (tau, x) pairs.
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
-Python floats overflow silently to inf or NaN; elementary functions and
-powers apply ``math`` per element, which numpy's ufuncs do not match in the
-last bit; a pointwise solve is one stacked ``np.linalg.solve``. Each
+Python floats overflow silently to inf or NaN; sin, cos and sqrt apply
+numpy's ufunc to the whole array, which gives ``math``'s bits with and
+without SIMD dispatch; the other elementary functions and powers apply
+``math`` per element, as their ufuncs differ from it in the last bit on a
+share of inputs (with SIMD dispatch; ``np.power`` also without); a
+pointwise solve is one stacked ``np.linalg.solve``. Each
 distinct pointwise matrix is assembled and det-checked once per grid, in
 one holder shared by every solve against it (derivative systems included);
 each distinct right-hand side is solved once (the holder finds it by its
@@ -275,18 +280,20 @@ class ScalarField:
 
     Subclasses implement ``_compute`` (the array of values over a ``_Grid``)
     and ``_derive`` (construct the field of the i-th first partial).
-    ``partial`` memoizes the derivative fields, ``_values`` the arrays.
-    ``_mask`` has bit i set when the values may depend on variable i: every
-    variable, unless a subclass sets a smaller mask after this constructor.
+    ``_derived`` memoizes the fields derived from this one: ``partial`` keys
+    its derivatives by index, ``_apply`` its elementary functions by name.
+    ``_values`` memoizes the arrays. ``_mask`` has bit i set when the values
+    may depend on variable i: every variable, unless a subclass sets a
+    smaller mask after this constructor.
     """
 
-    __slots__ = ("kset", "_partials", "_cache", "_mask")
+    __slots__ = ("kset", "_derived", "_cache", "_mask")
 
     is_constant = False
 
     def __init__(self, kset: KSet):
         self.kset = kset
-        self._partials = {}
+        self._derived = {}
         self._cache = {}
         self._mask = kset.mask
 
@@ -312,10 +319,10 @@ class ScalarField:
     def partial(self, i: int) -> "ScalarField":
         if not 0 <= i < max(self.kset.size, 1):
             raise IndexError("partial index %d out of range for k-set %r" % (i, self.kset.names))
-        got = self._partials.get(i)
+        got = self._derived.get(i)
         if got is None:
             got = self._derive(i)
-            self._partials[i] = got
+            self._derived[i] = got
         return got
 
     def _derive(self, i):  # pragma: no cover - abstract
@@ -492,18 +499,25 @@ class _Fn(NamedTuple):
     """One row of the elementary-function table."""
 
     call: str  # the call's text in a DomainError; %(x)r is the argument
-    value: Callable  # value of the function at the argument's value (a ``math`` function)
+    value: Callable  # the function at one argument value (a ``math`` function)
     derive: Callable  # (node, argument, argument's partial) -> partial of node
     # (test, DomainError text) pairs: a test maps the argument's values to a
     # boolean array, True outside the domain; %(x)r is the argument, %(at)r the point
     domain: tuple = ()
+    # the function on a whole array, or None to apply ``value`` per element. Set
+    # only for sin, cos and sqrt, whose numpy ufuncs give ``value``'s bits with and
+    # without SIMD dispatch; numpy's tan, exp, log and hyperbolic functions differ from
+    # ``math`` in the last bit on a share of inputs with it, and ``np.power`` without
+    ufunc: Callable = None
 
 
 def _evaluate(fn, x, grid):
     """The row ``fn`` at the argument's values ``x`` over the grid. The one
-    failure path of per-element math: a DomainError names the first point
-    outside the row's domain, or else the first point where its ``math``
-    function raises."""
+    failure path of elementary functions: a DomainError names the first
+    point outside the row's domain, or else the first point where its
+    ``math`` function raises. A row with a ufunc applies it to the whole
+    array; where it gives NaN from an argument that is not NaN (sin of inf),
+    the ``math`` function is applied per element instead, and raises."""
     if fn.domain:
         bad = [test(x) for test, _ in fn.domain]
         hit = np.logical_or.reduce(bad)
@@ -511,6 +525,12 @@ def _evaluate(fn, x, grid):
             i = int(hit.argmax())
             text = next(text for b, (_, text) in zip(bad, fn.domain) if b[i])
             raise DomainError(text % {"x": x[i].item(), "at": grid[i]})
+    if fn.ufunc is not None:
+        with np.errstate(invalid="ignore"):
+            y = fn.ufunc(x)
+        nan = np.isnan(y)
+        if not nan.any() or np.array_equal(nan, np.isnan(x)):
+            return y
     xs = x.tolist()
     try:
         return np.fromiter(map(fn.value, xs), float, len(xs))
@@ -573,14 +593,15 @@ _ELEMENTARY = {
                ((lambda x: x <= 0.0, "log of nonpositive value %(x)r at %(at)r"),)),
     "logabs": _Fn("logabs(%(x)r)", lambda x: math.log(abs(x)), lambda n, f, df: _div(df, f),
                   ((lambda x: x == 0.0, "log|.| of zero at %(at)r"),)),
-    "sin": _Fn("sin(%(x)r)", math.sin, lambda n, f, df: _mul(_apply("cos", f), df)),
-    "cos": _Fn("cos(%(x)r)", math.cos, lambda n, f, df: _mul(Const(n.kset, -1.0), _mul(_apply("sin", f), df))),
+    "sin": _Fn("sin(%(x)r)", math.sin, lambda n, f, df: _mul(_apply("cos", f), df), ufunc=np.sin),
+    "cos": _Fn("cos(%(x)r)", math.cos, lambda n, f, df: _mul(Const(n.kset, -1.0), _mul(_apply("sin", f), df)),
+               ufunc=np.cos),
     "tan": _Fn("tan(%(x)r)", math.tan, lambda n, f, df: _over_square(df, _apply("cos", f))),
     "sinh": _Fn("sinh(%(x)r)", math.sinh, lambda n, f, df: _mul(_apply("cosh", f), df)),
     "cosh": _Fn("cosh(%(x)r)", math.cosh, lambda n, f, df: _mul(_apply("sinh", f), df)),
     "tanh": _Fn("tanh(%(x)r)", math.tanh, lambda n, f, df: _over_square(df, _apply("cosh", f))),
     "sqrt": _Fn("sqrt(%(x)r)", math.sqrt, lambda n, f, df: _div(df, _mul(Const(n.kset, 2.0), n)),
-                ((lambda x: x < 0.0, "sqrt of negative value %(x)r at %(at)r"),)),
+                ((lambda x: x < 0.0, "sqrt of negative value %(x)r at %(at)r"),), ufunc=np.sqrt),
 }
 
 
@@ -743,13 +764,20 @@ def variable(kset: KSet, name: str) -> ScalarField:
 
 
 def _apply(name, f):
-    """The elementary function ``name`` of f; ``sech`` is the quotient 1/cosh."""
+    """The elementary function ``name`` of f; ``sech`` is the quotient
+    1/cosh. Memoized on f, so that the derivative rules (sin's cos, cos's
+    sin, tan's cos) share one node per function of f."""
     if name == "sech":
         return _div(Const(f.kset, 1.0), _apply("cosh", f))
-    fn = _ELEMENTARY[name]
-    if not fn.domain and f.is_constant:
-        return Const(f.kset, _fold(fn, f.c))
-    return _Elementary(fn, f)
+    got = f._derived.get(name)
+    if got is None:
+        fn = _ELEMENTARY[name]
+        if not fn.domain and f.is_constant:
+            got = Const(f.kset, _fold(fn, f.c))
+        else:
+            got = _Elementary(fn, f)
+        f._derived[name] = got
+    return got
 
 
 def _constructor(name, grammar_name):

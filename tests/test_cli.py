@@ -18,7 +18,7 @@ from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load
 from frame_kahler.cli import _write_report, main, run_suite
-from frame_kahler.fields import ScalarField, _Grid, constant, variable
+from frame_kahler.fields import ScalarField, _Elementary, _Grid, constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
 from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
@@ -355,6 +355,25 @@ class TestKeCommand:
     def test_alpha_minus2(self):
         assert run_cli("ke", "--family", "alpha_minus2", "--interval=0.05:1.0") == 0
 
+    def test_each_elementary_function_computes_once_per_argument_and_grid(self, tmp_path, monkeypatch):
+        # the sin, cos and tan derivative rules share one node per function of an
+        # argument node (at 20,000 samples, 29 of 89 computes repeated one when
+        # each rule built its own)
+        computes = collections.Counter()
+        arguments = []  # held, so that no argument's id is reused
+        compute = _Elementary._compute
+
+        def counted(self, grid):
+            arguments.append(self.f)
+            computes[(self.fn.call, id(self.f), grid.key)] += 1
+            return compute(self, grid)
+
+        monkeypatch.setattr(_Elementary, "_compute", counted)
+        assert run_cli("ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--n", "50", "--complete",
+                       "--out", str(tmp_path / "fam.csv")) == 0
+        assert computes
+        assert [call for (call, _, _), n in computes.items() if n > 1] == []
+
     def test_invalid_interval(self):
         assert run_cli("ke", "--family", "alpha0", "--interval", "oops") == 2
 
@@ -370,6 +389,20 @@ class TestKeCommand:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_no_samples_is_usage_error(self, n):
         assert run_cli("ke", "--family", "alpha0", "--n", n) == 2
+
+    def test_samples_over_the_point_cap_are_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the tau grid holds --n points, so the grid cap holds, before any array is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(np, "linspace", unbuilt)
+        monkeypatch.setattr(_Grid, "__init__", unbuilt)
+        out = tmp_path / "fam.csv"
+        n = catalog_mod.MAX_GRID_POINTS + 1
+        assert run_cli("ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--n", str(n),
+                       "--complete", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --n: 50001 curve samples exceed the grid cap of 50000\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_samples(self, tmp_path, n):
@@ -579,14 +612,16 @@ class TestSolveCounts:
         assert rows and max(rows) <= 24
 
     @pytest.mark.parametrize("entry,box,nodes", [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12870),
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12834),
         (lambda: load("warped_alpha0"), {}, 9280),
     ], ids=["ppwave_sech", "warped_alpha0"])
     def test_nodes_built(self, monkeypatch, entry, box, nodes):
         # frame contractions build no term with a constant-zero factor
-        # (26,003 and 16,973 nodes when every term was built), and each
+        # (26,003 and 16,973 nodes when every term was built), each
         # shared object is built once (12,888 and 9,337 when some were
-        # built two or three times)
+        # built two or three times), and each elementary function of one
+        # argument node is one node (12,870 for ppwave_sech when each call
+        # built its own: 20 more cosh, sinh and sqrt nodes)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []

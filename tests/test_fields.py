@@ -3,6 +3,7 @@
 import functools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,10 @@ class TestGridErrors:
          DomainError, "exp(800.0) failed at (800.0,): math range error"),
         (lambda: make_closed_form("tau^400", KS1), [(2.0,), (1e-3,), (10.0,)],
          DomainError, "power 10.0**400.0 failed at (10.0,): math range error"),
+        # the argument folds to inf*tau: NaN at the zeros, where sin is NaN too, and inf
+        # at 1.0, where np.sin gives NaN and the math loop is replayed to name the point
+        (lambda: make_closed_form("sin(tau*1e308*10)", KS1), [(0.0,), (-0.0,), (1.0,)],
+         DomainError, "sin(inf) failed at (1.0,): math domain error"),
     ]
 
     @pytest.mark.parametrize("make,grid,error,text", CASES)
@@ -519,6 +524,53 @@ class TestGridErrors:
                               [constant(KS1, 2.0)]).components()[0]
         values = values_on_grid(x, [(0.0,), (0.5,)])
         assert values[0] == -2.0 and math.isnan(values[1])
+
+
+class TestWholeArrayRows:
+    """sin, cos and sqrt apply numpy's ufunc to the whole array; it must give
+    ``math``'s bits, also with numpy's SIMD dispatch switched off (a CI step
+    runs this class again with every dispatch target off)."""
+
+    ROWS = ["sin", "cos", "sqrt"]
+
+    @staticmethod
+    def sample():
+        # ~10^6 finite inputs, derandomized: half on [-10, 10], half of log-uniform
+        # magnitude from below the subnormal floor to 2e308, and the edge values
+        rng = np.random.default_rng(20261019)
+        n = 500_000
+        magnitude = 10.0 ** rng.uniform(-330.0, 308.25, n)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308, 1e300, -1e300]
+        return np.concatenate([rng.uniform(-10.0, 10.0, n), np.where(rng.random(n) < 0.5, -magnitude, magnitude),
+                               edges])
+
+    def test_rows_with_a_ufunc(self):
+        assert [name for name, fn in fields_mod._ELEMENTARY.items() if fn.ufunc is not None] == self.ROWS
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_values_equal_math(self, name):
+        x = self.sample()
+        if name == "sqrt":
+            x = np.append(np.abs(x), -0.0)  # sqrt(-0.0) is -0.0
+        assert np.isfinite(x).all() and (x == 0.0).any() and (np.abs(x) < 2.2250738585072014e-308).sum() > 1000
+        got = values_on_grid(fields_mod._apply(name, variable(KS1, "tau")), x[:, None])
+        want = np.fromiter(map(getattr(math, name), x.tolist()), float, len(x))
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert [(float.hex(x[i]), float.hex(got[i]), float.hex(want[i])) for i in bad[:5].tolist()] == []
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_nan_gives_nan(self, name):
+        values = values_on_grid(fields_mod._apply(name, variable(KS1, "tau")), [(1.0,), (math.nan,), (4.0,)])
+        assert math.isnan(values[1]) and values[[0, 2]].tolist() == [getattr(math, name)(v) for v in (1.0, 4.0)]
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_infinite_constant_folds_to_the_domain_error(self, name):
+        # the fold runs the ufunc too, and no RuntimeWarning escapes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                getattr(fields_mod, name)(constant(KS1, math.inf))
+        assert str(exc.value) == "%s(inf) failed at (): math domain error" % name
 
 
 class TestArrayGrid:
@@ -908,6 +960,6 @@ class TestContract:
         D = [[zero, zero], [one, zero], [zero, one]]
         S = FrameStructure(KS2, ("e0", "e1", "e2"), g, C, D)
         f = _X * _Y + _Y
-        assert S.dd(0, f).is_constant and f._partials == {}
+        assert S.dd(0, f).is_constant and f._derived == {}
         S.dd(1, f)
-        assert list(f._partials) == [0]
+        assert list(f._derived) == [0]
