@@ -118,7 +118,7 @@ def _entry_from_args(args) -> CatalogEntry:
         try:
             return load(args.example)
         except KeyError as exc:
-            raise SchemaError("--example", str(exc)) from None
+            raise SchemaError("--example", exc.args[0]) from None
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -127,6 +127,8 @@ def _entry_from_args(args) -> CatalogEntry:
             raise SchemaError(args.config, "invalid JSON: %s" % exc) from None
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(args.config, "cannot read the document: %s" % exc) from None
+        if not isinstance(doc, dict):
+            raise SchemaError(args.config, "document must be a JSON object")
         return entry_from_document(os.path.splitext(os.path.basename(args.config))[0],
                                    "user structure from %s" % args.config, doc, {})
     raise SchemaError("verify", "need --example or --config")
@@ -297,7 +299,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SchemaError, FieldError, ArithmeticError, FileNotFoundError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % (exc.args[0] if isinstance(exc, KeyError) else exc), file=sys.stderr)
         return 2
     except RecursionError:
         print("error: expression too deep for Python's recursion limit", file=sys.stderr)

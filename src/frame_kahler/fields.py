@@ -60,6 +60,12 @@ grid's columns, tested once per grid by each guarded node. Fields are
 immutable after construction. Every sum of products over a frame index
 goes through ``contract``, which never builds a term that is zero by
 construction.
+
+Each node calls ``ScalarField.__init__`` by name, once (on CPython 3.11 a
+zero-argument ``super()`` nearly doubles a small node's cost); ``_add``,
+``_sub`` and ``_mul`` fill in ``_Add``, ``_Sub`` and ``_Mul``, which have no
+constructor. ``bench/spans.py`` counts nodes by wrapping that constructor,
+so every node must run it until ROADMAP item 1 replaces ``spans.py``.
 """
 
 from __future__ import annotations
@@ -283,8 +289,8 @@ class ScalarField:
     ``_derived`` memoizes the fields derived from this one: ``partial`` keys
     its derivatives by index, ``_apply`` its elementary functions by name.
     ``_values`` memoizes the arrays. ``_mask`` has bit i set when the values
-    may depend on variable i: every variable, unless a subclass sets a
-    smaller mask after this constructor.
+    may depend on variable i: every variable, unless the node's constructor
+    (or ``_add``, ``_sub``, ``_mul``) sets a smaller mask after this one.
     """
 
     __slots__ = ("kset", "_derived", "_cache", "_mask")
@@ -317,10 +323,10 @@ class ScalarField:
     # derivatives ---------------------------------------------------------
 
     def partial(self, i: int) -> "ScalarField":
-        if not 0 <= i < max(self.kset.size, 1):
-            raise IndexError("partial index %d out of range for k-set %r" % (i, self.kset.names))
         got = self._derived.get(i)
         if got is None:
+            if not 0 <= i < max(len(self.kset.names), 1):
+                raise IndexError("partial index %d out of range for k-set %r" % (i, self.kset.names))
             got = self._derive(i)
             self._derived[i] = got
         return got
@@ -345,6 +351,8 @@ class ScalarField:
         return NotImplemented if o is None else _sub(o, self)
 
     def __mul__(self, other):
+        if isinstance(other, ScalarField) and other.kset is self.kset:
+            return _mul(self, other)
         if isinstance(other, complex) and not isinstance(other, (int, float)):
             return CScalarField(_mul(self, constant(self.kset, other.real)),
                                 _mul(self, constant(self.kset, other.imag)))
@@ -377,7 +385,7 @@ class ScalarField:
 
 def _coerce(x, kset: KSet):
     if isinstance(x, ScalarField):
-        if x.kset.names != kset.names:
+        if x.kset is not kset and x.kset.names != kset.names:
             raise FieldError("fields over different k-sets: %r vs %r" % (x.kset.names, kset.names))
         return x
     if isinstance(x, (int, float)):
@@ -394,9 +402,8 @@ class Const(ScalarField):
     is_constant = True
 
     def __init__(self, kset, c):
-        super().__init__(kset)
-        self._mask = 0
-        self.c = float(c)
+        ScalarField.__init__(self, kset)
+        self._mask, self.c = 0, float(c)
 
     def _values(self, grid):
         return np.full(grid.n, self.c)
@@ -412,9 +419,8 @@ class Var(ScalarField):
     __slots__ = ("i",)
 
     def __init__(self, kset, i):
-        super().__init__(kset)
-        self._mask = 1 << i
-        self.i = i
+        ScalarField.__init__(self, kset)
+        self._mask, self.i = 1 << i, i
 
     def _values(self, grid):
         return grid.cols[self.i]
@@ -429,11 +435,6 @@ class Var(ScalarField):
 class _Add(ScalarField):
     __slots__ = ("f", "g")
 
-    def __init__(self, f, g):
-        super().__init__(f.kset)
-        self._mask = f._mask | g._mask
-        self.f, self.g = f, g
-
     def _compute(self, grid):
         return self.f._values(grid) + self.g._values(grid)
 
@@ -443,11 +444,6 @@ class _Add(ScalarField):
 
 class _Sub(ScalarField):
     __slots__ = ("f", "g")
-
-    def __init__(self, f, g):
-        super().__init__(f.kset)
-        self._mask = f._mask | g._mask
-        self.f, self.g = f, g
 
     def _compute(self, grid):
         return self.f._values(grid) - self.g._values(grid)
@@ -459,13 +455,9 @@ class _Sub(ScalarField):
 class _Mul(ScalarField):
     __slots__ = ("f", "g")
 
-    def __init__(self, f, g):
-        super().__init__(f.kset)
-        self._mask = f._mask | g._mask
-        self.f, self.g = f, g
-
-    def _compute(self, grid):
-        return self.f._values(grid) * self.g._values(grid)
+    def _compute(self, grid):  # a constant factor gives np.full's bits without the array
+        f = self.f
+        return f.c * self.g._values(grid) if f.is_constant else f._values(grid) * self.g._values(grid)
 
     def _derive(self, i):
         return _add(_mul(self.f.partial(i), self.g), _mul(self.f, self.g.partial(i)))
@@ -475,11 +467,9 @@ class _Div(ScalarField):
     __slots__ = ("f", "g", "eps", "label")
 
     def __init__(self, f, g, eps=0.0, label=""):
-        super().__init__(f.kset)
+        ScalarField.__init__(self, f.kset)
         self._mask = f._mask | g._mask
-        self.f, self.g = f, g
-        self.eps = eps
-        self.label = label
+        self.f, self.g, self.eps, self.label = f, g, eps, label
 
     def _compute(self, grid):
         den = self.g._values(grid)
@@ -556,7 +546,7 @@ class _Elementary(ScalarField):
     __slots__ = ("fn", "f")
 
     def __init__(self, fn, f):
-        super().__init__(f.kset)
+        ScalarField.__init__(self, f.kset)
         self._mask = f._mask
         self.fn, self.f = fn, f
 
@@ -615,7 +605,7 @@ class _Remap(ScalarField):
     __slots__ = ("f", "mapping")
 
     def __init__(self, f, kset, mapping):
-        super().__init__(kset)
+        ScalarField.__init__(self, kset)
         self._mask = sum(1 << m for i, m in enumerate(mapping) if f._mask >> i & 1)
         self.f = f
         self.mapping = tuple(mapping)
@@ -641,7 +631,7 @@ class _Guarded(ScalarField):
     __slots__ = ("f", "pred", "description")
 
     def __init__(self, f, pred, description):
-        super().__init__(f.kset)
+        ScalarField.__init__(self, f.kset)
         self.f, self.pred, self.description = f, pred, description
 
     def _compute(self, grid):
@@ -664,7 +654,9 @@ def _add(f, g):
         return g
     if g.is_constant and g.c == 0.0:
         return f
-    return _Add(f, g)
+    node = _Add(f.kset)
+    node._mask, node.f, node.g = f._mask | g._mask, f, g
+    return node
 
 
 def _sub(f, g):
@@ -674,7 +666,9 @@ def _sub(f, g):
         return f
     if f.is_constant and f.c == 0.0:
         return _mul(Const(f.kset, -1.0), g)
-    return _Sub(f, g)
+    node = _Sub(f.kset)
+    node._mask, node.f, node.g = f._mask | g._mask, f, g
+    return node
 
 
 def _mul(f, g):
@@ -688,8 +682,10 @@ def _mul(f, g):
         if f.c == 1.0:
             return g
         if isinstance(g, _Mul) and g.f.is_constant:
-            return _Mul(Const(f.kset, f.c * g.f.c), g.g)
-    return _Mul(f, g)
+            f, g = Const(f.kset, f.c * g.f.c), g.g
+    node = _Mul(f.kset)
+    node._mask, node.f, node.g = f._mask | g._mask, f, g
+    return node
 
 
 def _split_const_factor(f):
@@ -732,7 +728,7 @@ def _pow(f, p):
 
 def _constant_zero(f):
     """Whether f is a constant 0.0 or -0.0 (complex: both parts are)."""
-    if isinstance(f, CScalarField):
+    if f.__class__ is CScalarField:
         return _constant_zero(f.re) and _constant_zero(f.im)
     return f.is_constant and f.c == 0.0
 
@@ -925,10 +921,8 @@ class _SolveComponent(ScalarField):
     __slots__ = ("sys", "j")
 
     def __init__(self, sys, j):
-        super().__init__(sys.kset)
-        self._mask = sys.mask
-        self.sys = sys
-        self.j = j
+        ScalarField.__init__(self, sys.kset)
+        self._mask, self.sys, self.j = sys.mask, sys, j
 
     def _compute(self, grid):
         return self.sys.value_at(grid)[self.j]

@@ -359,7 +359,7 @@ class _ImplicitTanField(ScalarField):
     __slots__ = ("seed",)
 
     def __init__(self, seed):
-        super().__init__(TAU_KSET)
+        ScalarField.__init__(self, TAU_KSET)
         self.seed = seed
 
     def _compute(self, grid):

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import copy
+import gc
 import importlib.util
 import json
 import math
@@ -52,6 +53,21 @@ class TestVerify:
 
     def test_unknown_example_is_usage_error(self):
         assert run_cli("verify", "--example", "nope") == 2
+
+    def test_unknown_example_prints_the_message(self, capsys):
+        # the message itself, not the repr of the KeyError that carried it
+        assert run_cli("verify", "--example", "nope") == 2
+        have = ", ".join(catalog_ids())
+        assert capsys.readouterr().err == "error: --example: unknown catalog id 'nope' (have %s)\n" % have
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "text", 3, None],
+                             ids=["empty_array", "array", "string", "number", "null"])
+    def test_document_that_is_not_an_object_names_the_file(self, tmp_path, capsys, doc):
+        config, out = tmp_path / "doc.json", tmp_path / "r.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("verify", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: %s: document must be a JSON object\n" % config
+        assert not out.exists()
 
     def test_grid_override(self, tmp_path):
         out = tmp_path / "r.json"
@@ -446,6 +462,11 @@ class TestCatalogCommand:
     def test_show_unknown(self):
         assert run_cli("catalog", "show", "nope") == 2
 
+    def test_show_unknown_prints_the_message(self, capsys):
+        assert run_cli("catalog", "show", "nope") == 2
+        have = ", ".join(catalog_ids())
+        assert capsys.readouterr().err == "error: unknown catalog id 'nope' (have %s)\n" % have
+
 
 BUILDERS = {
     "frames": ("koszul_connection", "curvature", "inverse_metric"),
@@ -611,10 +632,12 @@ class TestSolveCounts:
         assert report.passed
         assert rows and max(rows) <= 24
 
-    @pytest.mark.parametrize("entry,box,nodes", [
+    NODES_BUILT = [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12834),
         (lambda: load("warped_alpha0"), {}, 9280),
-    ], ids=["ppwave_sech", "warped_alpha0"])
+    ]
+
+    @pytest.mark.parametrize("entry,box,nodes", NODES_BUILT, ids=["ppwave_sech", "warped_alpha0"])
     def test_nodes_built(self, monkeypatch, entry, box, nodes):
         # frame contractions build no term with a constant-zero factor
         # (26,003 and 16,973 nodes when every term was built), each
@@ -634,6 +657,28 @@ class TestSolveCounts:
         monkeypatch.setattr(ScalarField, "__init__", counted)
         run_suite(entry, "all", grid)
         assert len(built) == nodes
+
+    def test_every_node_runs_the_counted_constructor(self, monkeypatch):
+        # bench/spans.py counts nodes by wrapping ScalarField.__init__ and
+        # __del__: a node class that skipped the constructor would die unbuilt
+        entry, box, nodes = self.NODES_BUILT[0]
+        built, died = [], []
+        init = ScalarField.__init__
+
+        def counted(self, kset):
+            init(self, kset)
+            built.append(1)
+
+        gc.collect()  # the nodes of earlier tests die uncounted
+        monkeypatch.setattr(ScalarField, "__init__", counted)
+        monkeypatch.setattr(ScalarField, "__del__", lambda self: died.append(1), raising=False)
+        entry = entry()
+        loaded = len(built)
+        run_suite(entry, "all", grid_points(entry.data.kset, dict(entry.grid_box, **box)))
+        del entry
+        gc.collect()
+        assert len(built) - loaded == nodes
+        assert len(died) == len(built)
 
 
 class TestGridConversions:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 import types
 import warnings
 
@@ -249,9 +250,17 @@ class TestLiftPartial:
         assert f.partial(0).at((1.0,)) == 0.0
 
     def test_out_of_range(self):
+        # partial reads its memo first: an index out of range raises also after a
+        # partial in range was memoized, and a constant checks its index too
         f = make_closed_form("tau", KS1)
-        with pytest.raises(IndexError):
-            f.partial(3)
+        for i in (3, -1):
+            with pytest.raises(IndexError):
+                f.partial(i)
+        assert f.partial(0).at((2.0,)) == 1.0
+        for field in (f, constant(KS1, 7.0)):
+            for i in (1, -1):
+                with pytest.raises(IndexError):
+                    field.partial(i)
 
 
 class TestDomains:
@@ -335,9 +344,42 @@ class TestRingAxioms:
         rhs = (fa * fb + fa * fc).at(pt)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
+    OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
     def test_mixed_kset_rejected(self):
-        with pytest.raises(FieldError):
-            variable(KS1, "tau") + variable(KS2, "x")
+        for op in self.OPS:
+            for f, g in ((variable(KS1, "tau"), variable(KS2, "x")), (variable(KS2, "x"), variable(KS1, "tau"))):
+                with pytest.raises(FieldError, match="different k-sets"):
+                    op(f, g)
+
+    def test_equal_ksets_combine(self):
+        # the operators compare k-sets by identity first, then by names
+        other = KSet(("x", "y"))
+        assert other == KS2 and other is not KS2
+        for op in self.OPS:
+            for f, g in ((variable(KS2, "x"), variable(other, "y")), (variable(other, "x"), variable(KS2, "y"))):
+                assert op(f, g).at((3.0, 2.0)) == op(3.0, 2.0)
+
+
+class TestConstantFactor:
+    """A product with a constant factor multiplies by the constant as a float,
+    which gives the bits of the product with the constant's full array."""
+
+    VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+              -2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0, 0.1, -3.0]
+
+    def test_product_has_the_full_array_bits(self):
+        tau = variable(KS1, "tau")
+        x = np.array(self.VALUES)
+        for c in self.VALUES:
+            if c == 0.0 or c == 1.0:
+                continue  # the product folds to a constant or to tau, with no node
+            node = c * tau
+            assert isinstance(node, fields_mod._Mul) and node.f.is_constant
+            got = values_on_grid(node, x[:, None])
+            with np.errstate(all="ignore"):
+                want = np.full(len(x), c) * x
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), c
 
 
 class TestComplexFields:
