@@ -302,10 +302,11 @@ def grid_axis(spec, path: str) -> tuple:
     return lo, hi, int(n)
 
 
-# Most points one evaluation grid may hold. A verify run of ppwave with twist
-# -2*sech(x)^2 peaks at ~48 KB per point (43 MB at 192 points, 367 MB at
-# 6,912), so the cap stands for ~2.4 GB.
-MAX_GRID_POINTS = 50_000
+# Most points one evaluation grid may hold. The steepest verify runs grow by
+# ~15 KB per point: warped_alpha0 (61 MB at 2,000 tau samples, 330 MB at
+# 20,000) and ppwave with a twist in x and y (42 MB at 3x16x16 points, 127 MB
+# at 3x48x48), so the cap stands for ~2.4 GB.
+MAX_GRID_POINTS = 150_000
 
 
 def capped_grid_box(box: dict, path: str) -> dict:

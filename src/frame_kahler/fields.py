@@ -24,9 +24,15 @@ grid point where it does. A constant argument folds through the same path,
 except that a named function with a domain test keeps its node.
 
 Evaluation is whole-grid: a grid of points becomes one column per variable
-(``_Grid``), and each node computes one array of values over the grid,
-memoized in its ``_cache`` under the grid's key, so shared subexpressions
-(the pointwise connection solves in particular) are computed once per grid.
+(``_Grid``), and each node computes one array of values over the grid.
+``_readers`` counts the nodes, matrices and systems built to read a node (a
+product reads a constant factor by value and does not count it). A node
+keeps its array in ``_cache`` under the grid's key unless it has exactly one
+reader, which reads it once per grid; so shared subexpressions (the
+pointwise solves in particular) are computed once per grid, and
+``contract`` adds a reader to its result, which callers keep in tables. A
+node that gains a reader after it dropped an array is computed again, by
+the same operations on the same inputs, with the same bits.
 ``values_on_grid`` is the one evaluation function: it converts the points
 unless it is given a converted grid, which it takes as it is. A run
 converts each of its grids once and passes the converted grid on, so all
@@ -286,22 +292,23 @@ class ScalarField:
 
     Subclasses implement ``_compute`` (the array of values over a ``_Grid``)
     and ``_derive`` (construct the field of the i-th first partial).
-    ``_derived`` memoizes the fields derived from this one: ``partial`` keys
-    its derivatives by index, ``_apply`` its elementary functions by name.
-    ``_values`` memoizes the arrays. ``_mask`` has bit i set when the values
-    may depend on variable i: every variable, unless the node's constructor
-    (or ``_add``, ``_sub``, ``_mul``) sets a smaller mask after this one.
+    ``_cache`` is the one memo: ``partial`` keys its derivatives by index,
+    ``_apply`` its elementary functions by ``_Fn`` row, and ``_values`` its
+    arrays by grid key, unless ``_readers`` (see the module docstring) is 1.
+    ``_mask`` has bit i set when the values may depend on variable i: every
+    variable, unless the node's constructor (or ``_add``, ``_sub``,
+    ``_mul``) sets a smaller mask after this one.
     """
 
-    __slots__ = ("kset", "_derived", "_cache", "_mask")
+    __slots__ = ("kset", "_cache", "_mask", "_readers")
 
     is_constant = False
 
     def __init__(self, kset: KSet):
         self.kset = kset
-        self._derived = {}
         self._cache = {}
         self._mask = kset.mask
+        self._readers = 0
 
     # evaluation ----------------------------------------------------------
 
@@ -314,7 +321,8 @@ class ScalarField:
         got = self._cache.get(grid.key)
         if got is None:
             got = self._compute(grid)
-            self._cache[grid.key] = got
+            if self._readers != 1:
+                self._cache[grid.key] = got
         return got
 
     def _compute(self, grid):  # pragma: no cover - abstract
@@ -323,12 +331,12 @@ class ScalarField:
     # derivatives ---------------------------------------------------------
 
     def partial(self, i: int) -> "ScalarField":
-        got = self._derived.get(i)
+        got = self._cache.get(i)
         if got is None:
             if not 0 <= i < max(len(self.kset.names), 1):
                 raise IndexError("partial index %d out of range for k-set %r" % (i, self.kset.names))
             got = self._derive(i)
-            self._derived[i] = got
+            self._cache[i] = got
         return got
 
     def _derive(self, i):  # pragma: no cover - abstract
@@ -470,6 +478,8 @@ class _Div(ScalarField):
         ScalarField.__init__(self, f.kset)
         self._mask = f._mask | g._mask
         self.f, self.g, self.eps, self.label = f, g, eps, label
+        f._readers += 1
+        g._readers += 1
 
     def _compute(self, grid):
         den = self.g._values(grid)
@@ -549,6 +559,7 @@ class _Elementary(ScalarField):
         ScalarField.__init__(self, f.kset)
         self._mask = f._mask
         self.fn, self.f = fn, f
+        f._readers += 1
 
     def _compute(self, grid):
         return _evaluate(self.fn, self.f._values(grid), grid)
@@ -609,6 +620,7 @@ class _Remap(ScalarField):
         self._mask = sum(1 << m for i, m in enumerate(mapping) if f._mask >> i & 1)
         self.f = f
         self.mapping = tuple(mapping)
+        f._readers += 1
 
     def _compute(self, grid):
         return self.f._values(grid.remapped(self.mapping))
@@ -633,6 +645,7 @@ class _Guarded(ScalarField):
     def __init__(self, f, pred, description):
         ScalarField.__init__(self, f.kset)
         self.f, self.pred, self.description = f, pred, description
+        f._readers += 1
 
     def _compute(self, grid):
         bad = ~np.asarray(self.pred(grid.cols), dtype=bool)
@@ -656,6 +669,8 @@ def _add(f, g):
         return f
     node = _Add(f.kset)
     node._mask, node.f, node.g = f._mask | g._mask, f, g
+    f._readers += 1
+    g._readers += 1
     return node
 
 
@@ -668,6 +683,8 @@ def _sub(f, g):
         return _mul(Const(f.kset, -1.0), g)
     node = _Sub(f.kset)
     node._mask, node.f, node.g = f._mask | g._mask, f, g
+    f._readers += 1
+    g._readers += 1
     return node
 
 
@@ -683,8 +700,11 @@ def _mul(f, g):
             return g
         if isinstance(g, _Mul) and g.f.is_constant:
             f, g = Const(f.kset, f.c * g.f.c), g.g
+    else:  # a constant factor is read by value, and keeps no array
+        f._readers += 1
     node = _Mul(f.kset)
     node._mask, node.f, node.g = f._mask | g._mask, f, g
+    g._readers += 1
     return node
 
 
@@ -748,6 +768,8 @@ def contract(acc, terms):
         if _constant_zero(x):
             continue
         acc = acc + x * y if sign > 0 else acc - x * y
+    for f in (acc.re, acc.im) if acc.__class__ is CScalarField else (acc,):
+        f._readers += 1  # callers keep the result in tables: keep its arrays
     return acc
 
 
@@ -761,18 +783,19 @@ def variable(kset: KSet, name: str) -> ScalarField:
 
 def _apply(name, f):
     """The elementary function ``name`` of f; ``sech`` is the quotient
-    1/cosh. Memoized on f, so that the derivative rules (sin's cos, cos's
-    sin, tan's cos) share one node per function of f."""
+    1/cosh. Memoized in f's ``_cache`` under the function's ``_Fn`` row, so
+    that the derivative rules (sin's cos, cos's sin, tan's cos) share one
+    node per function of f, and ``partial`` of a name finds no node."""
     if name == "sech":
         return _div(Const(f.kset, 1.0), _apply("cosh", f))
-    got = f._derived.get(name)
+    fn = _ELEMENTARY[name]
+    got = f._cache.get(fn)
     if got is None:
-        fn = _ELEMENTARY[name]
         if not fn.domain and f.is_constant:
             got = Const(f.kset, _fold(fn, f.c))
         else:
             got = _Elementary(fn, f)
-        f._derived[name] = got
+        f._cache[fn] = got
     return got
 
 
@@ -819,13 +842,12 @@ class _PointwiseMatrix:
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
     points), so the matrix is assembled and det-checked once per grid.
     ``solutions`` maps (grid key, CRC-32 of a stacked right-hand side) to
-    the right-hand side arrays of the first system that solved it (its
-    nodes' cached arrays, not a copy) and the solution, so each distinct
-    right-hand side is solved once per grid. A hit is reused only when the
-    right-hand side equals the stored one bit for bit, so -0.0 and NaN
-    payloads stay distinct and a collision costs one more solve, never a
-    wrong one. (zlib is loaded with numpy; hashlib would map OpenSSL,
-    3.5 MB of RSS.)"""
+    the stacked right-hand side of the first system that solved it and the
+    solution, so each distinct right-hand side is solved once per grid. A
+    hit is reused only when the right-hand side equals the stored one bit
+    for bit, so -0.0 and NaN payloads stay distinct and a collision costs
+    one more solve, never a wrong one. (zlib is loaded with numpy; hashlib
+    would map OpenSSL, 3.5 MB of RSS.)"""
 
     __slots__ = ("rows", "mask", "_cache", "solutions")
 
@@ -834,6 +856,8 @@ class _PointwiseMatrix:
         self.mask = _listed(self.rows)[1]
         self._cache = {}
         self.solutions = {}
+        for f in itertools.chain.from_iterable(self.rows):
+            f._readers += 1
 
     def on(self, grid):
         got = self._cache.get(grid.key)
@@ -864,6 +888,8 @@ class LinearFieldSystem:
         self._matrix = A if isinstance(A, _PointwiseMatrix) else _PointwiseMatrix(A)
         self.A = self._matrix.rows
         self.b = list(b)
+        for f in self.b:
+            f._readers += 1
         self.mask = self._matrix.mask | _listed(self.b)[1]
         self.n = len(self.b)
         self.kset = self.b[0].kset
@@ -890,14 +916,13 @@ class LinearFieldSystem:
                 )
             key = (grid.key, zlib.crc32(stack))
             first = self._matrix.solutions.get(key)
-            if first is not None and all(np.array_equal(b.view(np.int64), row.view(np.int64))
-                                         for b, row in zip(first[0], stack)):
+            if first is not None and np.array_equal(first[0].view(np.int64), stack.view(np.int64)):
                 got = first[1]
             else:
                 x = np.full((grid.n, self.n), math.nan)
                 x[rows] = np.linalg.solve(M[rows], stack.T[rows, :, None])[..., 0]
                 got = np.ascontiguousarray(x.T)
-                self._matrix.solutions.setdefault(key, ([f._values(grid) for f in self.b], got))
+                self._matrix.solutions.setdefault(key, (stack, got))
             self._cache[grid.key] = got
         return got
 
@@ -924,8 +949,11 @@ class _SolveComponent(ScalarField):
         ScalarField.__init__(self, sys.kset)
         self._mask, self.sys, self.j = sys.mask, sys, j
 
-    def _compute(self, grid):
-        return self.sys.value_at(grid)[self.j]
+    def _values(self, grid):  # always keeps its row: a view of the system's solution, not a copy
+        got = self._cache.get(grid.key)
+        if got is None:
+            got = self._cache[grid.key] = self.sys.value_at(grid)[self.j]
+        return got
 
     def _derive(self, i):
         return self.sys.derivative_system(i).components()[self.j]

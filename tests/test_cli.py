@@ -101,14 +101,14 @@ class TestVerify:
             argv = ["--config", str(config)]
         assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
         err = capsys.readouterr().err
-        assert err == "error: %s: 48000000 grid points exceed the cap of 50000\n" % where.replace("document", "grid")
+        assert err == "error: %s: 48000000 grid points exceed the cap of 150000\n" % where.replace("document", "grid")
         assert not (tmp_path / "r.json").exists()
 
     def test_point_cap_counts_the_product_of_the_axes(self):
-        box = {"tau": (-1.0, 1.0, 2), "x": (0.0, 1.0, 125), "y": (0.0, 1.0, 200)}
+        box = {"tau": (-1.0, 1.0, 2), "x": (0.0, 1.0, 125), "y": (0.0, 1.0, 600)}
         assert capped_grid_box(box, "grid") is box
-        with pytest.raises(SchemaError, match="50250 grid points exceed the cap of 50000"):
-            capped_grid_box(dict(box, y=(0.0, 1.0, 201)), "grid")
+        with pytest.raises(SchemaError, match="150250 grid points exceed the cap of 150000"):
+            capped_grid_box(dict(box, y=(0.0, 1.0, 601)), "grid")
 
     @pytest.mark.parametrize("grid,path", [
         ({"tau": [-0.5, 0.5, 0]}, "grid.tau"),
@@ -417,7 +417,7 @@ class TestKeCommand:
         n = catalog_mod.MAX_GRID_POINTS + 1
         assert run_cli("ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--n", str(n),
                        "--complete", "--out", str(out)) == 2
-        assert capsys.readouterr().err == "error: --n: 50001 curve samples exceed the grid cap of 50000\n"
+        assert capsys.readouterr().err == "error: --n: 150001 curve samples exceed the grid cap of 150000\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [1, 2])
