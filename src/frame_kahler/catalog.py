@@ -303,9 +303,9 @@ def grid_axis(spec, path: str) -> tuple:
 
 
 # Most points one evaluation grid may hold. The steepest verify runs grow by
-# ~15 KB per point: warped_alpha0 (61 MB at 2,000 tau samples, 330 MB at
-# 20,000) and ppwave with a twist in x and y (42 MB at 3x16x16 points, 127 MB
-# at 3x48x48), so the cap stands for ~2.4 GB.
+# ~14 KB per point: warped_alpha0 (59 MB at 2,000 tau samples, 300 MB at
+# 20,000) and ppwave with a twist in x and y (41 MB at 3x16x16 points, 117 MB
+# at 3x48x48), so the cap stands for ~2.1 GB.
 MAX_GRID_POINTS = 150_000
 
 

@@ -45,8 +45,11 @@ guarded field, say). ``values_on_grid`` evaluates a request on the grid's
 ``projection`` onto the union of its fields' masks: the points that are
 distinct in those variables, bit for bit, kept whole and in the order of
 their first occurrence, so that an error names the point a scan in grid
-order meets first. It then expands the values back to every point. With a
-twist in x alone, ppwave on 3x16x16 points evaluates 48 (tau, x) pairs.
+order meets first. It then expands the values back to every point; a
+maximum or minimum over the grid (``frames.max_abs_on_grid``,
+``min_on_grid``) reduces the projected values (``_projected_values``)
+instead, which hold the same set of values. With a twist in x alone,
+ppwave on 3x16x16 points evaluates 48 (tau, x) pairs.
 ``+ - * /`` run as numpy operations with floating-point errors ignored, as
 Python floats overflow silently to inf or NaN; sin, cos and sqrt apply
 numpy's ufunc to the whole array, which gives ``math``'s bits with and
@@ -270,6 +273,18 @@ def _values_of(fields, grid):
     return fields
 
 
+def _projected_values(fields, grid):
+    """(values, inverse): the values of ``values_on_grid`` on the grid's
+    projection onto the variables the fields read, and the index of each
+    grid point in that projection (None when the projection is the grid).
+    A reduction that does not count points (a maximum, a minimum) can take
+    the values as they are."""
+    fields, mask = _listed(fields)
+    grid, inverse = _Grid.of(grid).projection(mask)
+    with np.errstate(all="ignore"):
+        return np.array(_values_of(fields, grid)), inverse
+
+
 def values_on_grid(fields, grid) -> np.ndarray:
     """Values over the grid (a list of k-tuples, an (N, k) float array, or a
     grid converted once by ``_Grid.of``, which passes through) of one real
@@ -279,10 +294,7 @@ def values_on_grid(fields, grid) -> np.ndarray:
     with Python floats. The fields are evaluated on the grid's projection
     onto the variables they read, and the values are expanded back to every
     point."""
-    fields, mask = _listed(fields)
-    grid, inverse = _Grid.of(grid).projection(mask)
-    with np.errstate(all="ignore"):
-        out = np.array(_values_of(fields, grid))
+    out, inverse = _projected_values(fields, grid)
     # np.take, not out[..., inverse]: a strided result changes the bits of a later np.dot
     return out if inverse is None else np.take(out, inverse, axis=-1)
 

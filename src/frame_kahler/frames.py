@@ -18,7 +18,9 @@ entry points convert it and pass the converted grid on), and each field node
 computes one array over the whole grid. Checks reduce the values with
 ``worst_abs`` (``max_abs_on_grid`` is ``worst_abs`` of ``values_on_grid``),
 ``min_on_grid`` or ``spread_on_grid``; a NaN or infinite value at any grid
-point fails the check.
+point fails the check. ``max_abs_on_grid`` and ``min_on_grid`` reduce the
+values on the request's projected grid (see ``fields``), which holds the
+same set of values as the whole grid, with the same first minimum.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .fields import (
     ScalarField,
     _PointwiseMatrix,
     _div,
+    _projected_values,
     contract,
     determinant,
     log_abs,
@@ -121,15 +124,15 @@ def worst_abs(values) -> float:
 
 
 def max_abs_on_grid(fields, grid) -> float:
-    """``worst_abs`` of ``values_on_grid``."""
-    return worst_abs(values_on_grid(fields, grid))
+    """``worst_abs`` of ``values_on_grid``, taken on the projected grid."""
+    return worst_abs(_projected_values(fields, grid)[0])
 
 
 def min_on_grid(field, grid, key=None) -> float:
     """Smallest value of a real field over the grid, after the elementwise
     array function ``key`` (such as ``abs``) when one is given; -inf when a
     value is non-finite, so a check that the minimum is large enough fails."""
-    values = values_on_grid(field, grid)
+    values = _projected_values(field, grid)[0]
     if key is not None:
         values = key(values)
     if not np.isfinite(values).all():
@@ -334,20 +337,36 @@ class CurvatureTensor:
             grid,
         )
 
-    def pair_symmetry_residual(self, grid) -> float:
+    def _lowered_rows(self, grid):
+        """R_abcd for every a < b and (c, d), in that order, on the grid's
+        projection: the rows that ``_identity_gathers`` indexes."""
         n = self.structure.n
-        return max_abs_on_grid(
-            (self.lowered(a, b, c, d) - self.lowered(c, d, a, b)
-             for a in range(n) for b in range(a + 1, n) for c in range(n) for d in range(c + 1, n)),
-            grid,
-        )
+        return _projected_values([self.lowered(a, b, c, d) for a, b in itertools.combinations(range(n), 2)
+                                  for c in range(n) for d in range(n)], grid)[0]
+
+    def pair_symmetry_residual(self, grid) -> float:
+        """max |R_abcd - R_cdab| over a < b, c < d and the grid."""
+        left, right = _identity_gathers(self.structure.n)[2]
+        rows = self._lowered_rows(grid)
+        with np.errstate(all="ignore"):  # inf - inf is NaN, which worst_abs reads as inf
+            return worst_abs(rows[left] - rows[right])
 
     def first_bianchi_residual(self, grid) -> float:
-        return max_abs_on_grid(
-            (self.lowered(a, b, c, d) + self.lowered(b, c, a, d) + self.lowered(c, a, b, d)
-             for a, b, c, d in itertools.product(range(self.structure.n), repeat=4)),
-            grid,
-        )
+        """max |R_abcd + R_bcad + R_cabd| over every (a, b, c, d) and the grid.
+
+        Only triples of distinct a, b, c are summed, from the rows with
+        a < b and R_bacd = -R_abcd, an exact sign flip. The other triples
+        sum to exactly 0 when the rows are finite, and a non-finite row
+        makes one of them non-finite: it gives inf, as such a sum would."""
+        (r0, r1, r2), (s0, s1, s2), _ = _identity_gathers(self.structure.n)
+        rows = self._lowered_rows(grid)
+        if not np.isfinite(rows).all():
+            return math.inf
+        with np.errstate(all="ignore"):  # finite rows may still sum past the float range
+            sums = rows[r0] * s0
+            sums += rows[r1] * s1
+            sums += rows[r2] * s2
+        return worst_abs(sums)
 
     def ricci_symmetry_residual(self, grid) -> float:
         n = self.structure.n
@@ -357,6 +376,23 @@ class CurvatureTensor:
 
     def max_ricci(self, grid) -> float:
         return max_abs_on_grid((f for row in self.ricci for f in row), grid)
+
+
+@functools.cache
+def _identity_gathers(n):
+    """Index arrays over ``CurvatureTensor._lowered_rows`` for n frame
+    fields: the rows (3, M) and signs (3, M, 1) of R_abcd, R_bcad and R_cabd
+    for each ordered triple of distinct (a, b, c) and each d, and the rows
+    (2, M') of R_abcd and R_cdab for a < b and c < d."""
+    pairs = {ab: p for p, ab in enumerate(itertools.combinations(range(n), 2))}
+
+    def at(a, b, c, d):  # (row, sign) of R_abcd for a != b
+        return ((pairs[a, b] * n + c) * n + d, 1.0) if a < b else ((pairs[b, a] * n + c) * n + d, -1.0)
+
+    bianchi = np.array([[at(a, b, c, d), at(b, c, a, d), at(c, a, b, d)]
+                        for a, b, c in itertools.permutations(range(n), 3) for d in range(n)]).T
+    symmetry = np.array([[at(a, b, c, d)[0], at(c, d, a, b)[0]] for a, b in pairs for c, d in pairs]).T
+    return bianchi[0].astype(np.intp), bianchi[1][..., None], symmetry
 
 
 def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:

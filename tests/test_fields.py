@@ -393,6 +393,13 @@ class TestConstantFactor:
                 want = np.full(len(x), c) * x
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), c
 
+    def test_a_parsed_product_merges_its_constant_factors(self):
+        # c1 * (c2 * g) is evaluated as (c1 * c2) * g, so a parsed product is
+        # not always evaluated left to right (README, "Expression grammar")
+        assert make_closed_form("tau*1e308*10", KS1).at((0.1,)) == math.inf  # 0.1*1e308*10 is 1e308
+        got = make_closed_form("tau*0.1*3", KS1).at((0.7,))
+        assert got.hex() == (0.21000000000000002).hex() != (0.7 * 0.1 * 3).hex()
+
 
 class TestComplexFields:
     @settings(max_examples=40, deadline=None)

@@ -1,12 +1,15 @@
 """Frame engine: Koszul connection, curvature, twist, consistency checks."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from frame_kahler.fields import Const, KSet, variable
+from frame_kahler.fields import Const, KSet, _Grid, variable
 from frame_kahler.frames import (
+    CurvatureTensor,
     FrameStructure,
     consistency_suite,
     constancy_on_grid,
@@ -22,6 +25,7 @@ from frame_kahler.frames import (
     values_on_grid,
     worst_abs,
 )
+from frame_kahler.kahler import build_chain
 from frame_kahler.reporting import VerificationReport
 
 from frame_kahler import catalog
@@ -74,6 +78,55 @@ class TestGrid:
         report = VerificationReport(suite="nan")
         report.add("residual", max_abs_on_grid(bad, grid), 1e-8)
         assert not report.passed
+
+
+class TestProjectedReductions:
+    """``max_abs_on_grid`` and ``min_on_grid`` reduce a request's values on
+    the grid projected onto the variables it reads; the whole grid repeats
+    those values, so the reductions give the bits of reducing the expanded
+    ``values_on_grid`` output."""
+
+    KS = KSet(("x", "y"))
+    VALUES = [
+        [0.0, -0.0, 2.0, 0.0],
+        [-0.0, 0.0, 2.0, -3.5],
+        [-0.0, 0.5, 0.0],
+        [1.0, math.inf, -2.0],
+        [-0.0, -math.inf, 1.0],
+        [0.25, math.nan, -0.0, math.inf],
+    ]
+
+    @staticmethod
+    def expanded_min(field, grid, key=None):
+        """``min_on_grid`` on the expanded values."""
+        values = values_on_grid(field, grid)
+        if key is not None:
+            values = key(values)
+        return -math.inf if not np.isfinite(values).all() else min(values.tolist())
+
+    @pytest.mark.parametrize("xs", VALUES)
+    def test_reductions_equal_the_expanded_reductions(self, xs):
+        grid = [(x, y) for y in (0.5, -0.5, 0.75) for x in xs]
+        x, y = variable(self.KS, "x"), variable(self.KS, "y")
+        requests = [x, x * -1.0, [x, 3.0 * x], [x, Const(self.KS, -0.0)]]
+        projected, inverse = _Grid.of(grid).projection(x._mask)  # each request reads x alone
+        assert inverse is not None and len(projected) == len({v.hex() for v in xs}) < len(grid)
+        for request in requests:
+            expanded = values_on_grid(request, grid)
+            assert expanded.shape[-1] == len(grid)
+            assert max_abs_on_grid(request, grid).hex() == worst_abs(expanded).hex()
+        for field in requests[:2]:
+            for key in (None, abs, np.negative):
+                assert min_on_grid(field, grid, key=key).hex() == self.expanded_min(field, grid, key).hex()
+        # a field that reads every variable is reduced on the whole grid
+        assert max_abs_on_grid(x * y, grid).hex() == worst_abs(values_on_grid(x * y, grid)).hex()
+
+    def test_min_keeps_the_first_zero(self):
+        # min() returns the first of equal values: 0.0 before -0.0 and the reverse
+        x = variable(self.KS, "x")
+        for xs, want in (([0.0, -0.0, 1.0], "0x0.0p+0"), ([-0.0, 0.0, 1.0], "-0x0.0p+0")):
+            grid = [(v, y) for y in (1.0, 2.0) for v in xs]
+            assert min_on_grid(x, grid).hex() == want
 
 
 class TestWholeGridEvaluation:
@@ -196,6 +249,102 @@ class TestCurvature:
             assert be.curv_k.pair_symmetry_residual(be.grid) <= 1e-7
             assert be.curv_k.first_bianchi_residual(be.grid) <= 1e-7
             assert be.curv_k.ricci_symmetry_residual(be.grid) <= 1e-7
+
+
+def field_route_residuals(curv, grid):
+    """The first Bianchi and pair-symmetry residuals as one field node per
+    index combination, reduced on the expanded grid: the route that
+    ``CurvatureTensor`` took before it gathered the rows R_abcd, a < b."""
+    n = curv.structure.n
+    L = curv.lowered
+    bianchi = [L(a, b, c, d) + L(b, c, a, d) + L(c, a, b, d) for a, b, c, d in itertools.product(range(n), repeat=4)]
+    pairs = list(itertools.combinations(range(n), 2))
+    symmetry = [L(a, b, c, d) - L(c, d, a, b) for a, b in pairs for c, d in pairs]
+    return worst_abs(values_on_grid(bianchi, grid)).hex(), worst_abs(values_on_grid(symmetry, grid)).hex()
+
+
+def gathered_residuals(curv, grid):
+    """The residuals as ``CurvatureTensor`` computes them; a RuntimeWarning
+    (inf - inf, an overflowing sum) is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return curv.first_bianchi_residual(grid).hex(), curv.pair_symmetry_residual(grid).hex()
+
+
+class TestCurvatureIdentityGathers:
+    """The curvature identities sum the 96 rows R_abcd with a < b as arrays,
+    and give the bits of the field sums over all 256 index combinations.
+    The three facts that make this exact:
+    - R_bacd = -R_abcd is an exact sign flip;
+    - a triple with a repeated index sums to exactly 0 when its rows are finite;
+    - any non-finite row makes some combination non-finite, so both give inf.
+    """
+
+    @pytest.mark.parametrize("eid", catalog.catalog_ids())
+    def test_catalog_kahler_chains(self, built, eid):
+        be = built(eid)
+        new = gathered_residuals(be.curv_k, be.grid)
+        assert new == field_route_residuals(be.curv_k, be.grid)
+
+    def test_ppwave_sech_3x8x8(self):
+        entry = catalog.load("ppwave", iota="-2*sech(x)^2")
+        grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
+        assert len(grid) == 192
+        curv = build_chain(entry.data).curv
+        new = gathered_residuals(curv, grid)
+        assert float.fromhex(new[0]) > 0.0
+        assert new == field_route_residuals(curv, grid)
+
+    KS = KSet(("x",))
+    ZERO = Const(KS, 0.0)
+
+    @classmethod
+    def unit_frame(cls, C=None, D=None):
+        """A 4-frame over (x,) with the identity metric, brackets C and
+        derivative table D (zero by default)."""
+        zero, one = cls.ZERO, Const(cls.KS, 1.0)
+        C = C or [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+        return FrameStructure(cls.KS, ("k", "T", "x", "y"),
+                              [[one if i == j else zero for j in range(4)] for i in range(4)], C, D or [[zero]] * 4)
+
+    def test_non_finite_coefficient(self):
+        # a bracket coefficient inf * x: -inf, NaN and inf along the grid
+        zero = self.ZERO
+        bad = variable(self.KS, "x") * 1e308 * 1e308
+        C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+        C[0][1][2], C[1][0][2] = bad, -bad
+        S = self.unit_frame(C, [[Const(self.KS, 1.0)], [zero], [zero], [zero]])
+        curv = curvature(S, koszul_connection(S))
+        grid = grid_points(self.KS, {"x": (-1.0, 1.0, 3)})
+        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(),) * 2
+
+    @classmethod
+    def hand_built(cls, row):
+        """A curvature tensor with R_abcd = row(a, b, c, d) * x for a < b
+        (and R_bacd = -R_abcd) under the identity metric, and its grid."""
+        S, zero, x = cls.unit_frame(), cls.ZERO, variable(cls.KS, "x")
+        R = [[[[zero] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+        for a, b in itertools.combinations(range(4), 2):
+            for c in range(4):
+                for d in range(4):
+                    f = x * row(a, b, c, d)
+                    R[a][b][c][d], R[b][a][c][d] = f, -f
+        return CurvatureTensor(S, R, None, None, None), grid_points(cls.KS, {"x": (0.5, 1.0, 3)})
+
+    def test_finite_rows_whose_sums_overflow(self):
+        # every row is finite, near 1e308; R_abcd + R_bcad overflows, and so
+        # does R_abcd - R_cdab where the two rows have opposite signs
+        curv, grid = self.hand_built(lambda a, b, c, d: 1e308 if (a, b) <= (c, d) else -0.9e308)
+        rows = [curv.lowered(a, b, c, d) for a, b in itertools.combinations(range(4), 2)
+                for c in range(4) for d in range(4)]
+        assert np.isfinite(values_on_grid(rows, grid)).all()
+        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(),) * 2
+
+    def test_non_finite_row_that_only_a_repeated_index_reads(self):
+        # R_0100 is inf and every other row finite: no triple of distinct
+        # indices reads R_0100, but R_0100 + R_1000 + R_0010 is inf - inf
+        curv, grid = self.hand_built(lambda a, b, c, d: math.inf if (a, b, c, d) == (0, 1, 0, 0) else a - c + 0.5 * d)
+        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(), (4.0).hex())
 
 
 class TestSectional:
