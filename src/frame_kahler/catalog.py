@@ -51,6 +51,7 @@ __all__ = [
     "load",
     "parse_document",
     "entry_from_document",
+    "family_document",
     "grid_axis",
     "capped_grid_box",
     "planewave_chart",
@@ -423,6 +424,43 @@ def _doc_warped(alpha, iota_expr, f_expr, w_spec, lam, C, interval, tau_box, fib
     }
 
 
+def family_document(family: str, interval, alpha: float = -1.0, lam: float = 0.0, C: float = 0.0,
+                    a1: float = 1.0, a2: float = 0.0) -> dict:
+    """The warped document of the closed-form family ``family`` of ``ke``
+    over the reference fiber (twist -2), each option written into the
+    expressions as a ``%r`` literal. Its grid is 5 samples of the interval
+    with an infinite end moved to -8 or 8, the finite window of ``ke``'s
+    curve.
+
+    - ``alpha0``: fiber alpha 0, f = 1 and w = (3 (a1 p + a2))^(1/3) with
+      p = e^(-lam tau) / (-lam) for lam != 0 and p = tau for lam = 0. For
+      lam < 0, a2 = 0 and a1 > 0, w is written in the exponential-product
+      form, whose c = (fw)'/w is a constant node: completeness then
+      integrates over unbounded tau.
+    - ``alphaneg``: fiber ``alpha`` < 0, f = tau^(-(1 + alpha/2)) and
+      w = tau, on tau > 0.
+    - ``alpha_minus2``: fiber alpha -2, f = 1 and w = -tan(x(tau)) with
+      x = tau + tan(x), on the branch through x = -pi/4.
+    """
+    if family == "alpha0":
+        alpha, f = 0.0, "1"
+        if lam < 0.0 and a2 == 0.0 and a1 > 0.0:
+            w = "%r * exp(tau * %r)" % ((3.0 * a1 / (-lam)) ** (1.0 / 3.0), -lam / 3.0)
+        elif lam != 0.0:
+            w = "(3.0 * (%r * (exp(tau * %r) * %r) + %r))^%r" % (a1, -lam, 1.0 / (-lam), a2, 1.0 / 3.0)
+        else:
+            w = "(3.0 * (%r * tau + %r))^%r" % (a1, a2, 1.0 / 3.0)
+    elif family == "alphaneg":
+        f, w = "tau^(%r)" % (-(1.0 + alpha / 2.0)), "tau"
+    elif family == "alpha_minus2":
+        alpha, f, w = -2.0, "1", {"implicit_tan_seed": -math.pi / 4.0}
+    else:
+        raise ValueError("unknown family %r" % family)
+    lo, hi = interval
+    window = (lo if math.isfinite(lo) else -8.0, hi if math.isfinite(hi) else 8.0, 5)
+    return _doc_warped(alpha, "-2", f, w, lam, C, interval, window)
+
+
 def _entry_s3xr() -> CatalogEntry:
     doc = _doc_s3xr()
     expected = {
@@ -487,16 +525,7 @@ def _entry_warped_alpha0() -> CatalogEntry:
 
 
 def _entry_warped_alphaneg() -> CatalogEntry:
-    doc = _doc_warped(
-        alpha=-1.0,
-        iota_expr="-2",
-        f_expr="tau^(-0.5)",
-        w_spec="tau",
-        lam=0.0,
-        C=0.0,
-        interval=(0.2, 1.4),
-        tau_box=(0.2, 1.4, 5),
-    )
+    doc = family_document("alphaneg", (0.2, 1.4), alpha=-1.0)
     expected = {
         "ricci_flat": Expectation(True, "derived"),
         "flat": Expectation(True, "reported"),
@@ -509,16 +538,7 @@ def _entry_warped_alphaneg() -> CatalogEntry:
 
 def _entry_warped_alpha_minus2() -> CatalogEntry:
     tau0 = 1.0 - math.pi / 4.0
-    doc = _doc_warped(
-        alpha=-2.0,
-        iota_expr="-2",
-        f_expr="1",
-        w_spec={"implicit_tan_seed": -math.pi / 4.0},
-        lam=0.0,
-        C=0.0,
-        interval=(0.05, 1.0),
-        tau_box=(0.05, 1.0, 5),
-    )
+    doc = family_document("alpha_minus2", (0.05, 1.0))
     expected = {
         "ricci_flat": Expectation(True, "reported"),
         "x_at_tau0": Expectation(-math.pi / 4.0, "reported", "root of x = tau + tan(x) at tau0 = 1 - pi/4"),

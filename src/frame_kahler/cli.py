@@ -7,7 +7,9 @@ verify   Run the central or warped verification suite on a catalog entry or
          curve data).  Exit 0 when every check passes, 1 on a verification
          failure, 2 on usage or document errors.
 ke       Evaluate an Einstein family (ODE residual, region inequalities,
-         completeness) and emit the (tau, w, f, c, residual, s) curve.
+         completeness) and emit the (tau, w, f, c, residual, s) curve. The
+         family is its warped document (``catalog.family_document``),
+         parsed as ``verify --config`` parses a document.
 catalog  List the built-in structures or show one entry.
 
 The checks live with the part of the construction they verify:
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .catalog import (CatalogEntry, SchemaError, capped_grid_box, coordinate_crosscheck, entry_from_document,
-                      grid_axis, interval_bounds, load)
+                      family_document, grid_axis, interval_bounds, load)
 from .central import central_suite
 from .fields import FieldError, _Grid
 from .frames import curvature, koszul_connection, max_abs_on_grid, values_on_grid
@@ -38,12 +40,7 @@ from .warped import (
     WarpedFamily,
     adaptive_simpson,
     completeness,
-    family_alpha_negative,
-    family_alpha_zero,
-    family_implicit_tan,
     ke_ode_residual,
-    lift_fiber,
-    make_fiber,
     region_checks,
     warped_suite,
 )
@@ -172,38 +169,33 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_FAMILY_BUILDERS = {
-    "alpha0": lambda args: family_alpha_zero(args.lam, args.a1, args.a2, args.interval),
-    "alphaneg": lambda args: family_alpha_negative(args.alpha, args.interval),
-    "alpha_minus2": lambda args: family_implicit_tan(args.interval),
-}
-
-
 def cmd_ke(args) -> int:
-    if args.family not in _FAMILY_BUILDERS:
-        raise SchemaError("--family", "unknown family %r" % args.family)
     if args.n < 1:
         raise SchemaError("--n", "need at least 1 curve sample, got %d" % args.n)
     cap = catalog_mod.MAX_GRID_POINTS  # the tau grid is a grid: refused before it is built
     if args.n > cap:
         raise SchemaError("--n", "%d curve samples exceed the grid cap of %d" % (args.n, cap))
-    args.interval = interval_bounds(args.interval.split(":"), "--interval")
-    try:
-        fam = _FAMILY_BUILDERS[args.family](args)
-    except ValueError as exc:
-        raise SchemaError("--family", str(exc)) from None
-    fam.lam = args.lam
-    fam.C = args.C
-    alpha = {"alpha0": 0.0, "alphaneg": args.alpha, "alpha_minus2": -2.0}[args.family]
+    for name in ("lam", "C", "a1", "a2", "alpha"):  # a document cannot hold nan or inf
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise SchemaError("--" + name, "need a finite number, got %r" % value)
+    interval = interval_bounds(args.interval.split(":"), "--interval")
+    if args.family == "alphaneg":
+        if args.alpha >= 0.0:
+            raise SchemaError("--alpha", "family alphaneg needs alpha < 0, got %r" % args.alpha)
+        if interval[0] <= 0.0:
+            raise SchemaError("--interval", "family alphaneg lives on tau > 0, got lo = %r" % interval[0])
+    doc = family_document(args.family, interval, args.alpha, args.lam, args.C, args.a1, args.a2)
+    entry = entry_from_document(args.family, "ke family %s" % args.family, doc, {})
+    fam = entry.family
 
     report = VerificationReport(suite="ke-family:%s" % args.family,
-                                grid_spec="tau=%g:%g:%d" % (args.interval + (args.n,)))
-    # curve sampling stays on a finite window even when the admissible
-    # interval is unbounded (completeness integrates over the true interval)
-    lo = args.interval[0] if math.isfinite(args.interval[0]) else -8.0
-    hi = args.interval[1] if math.isfinite(args.interval[1]) else 8.0
+                                grid_spec="tau=%g:%g:%d" % (interval + (args.n,)))
+    # the document's grid is the finite window of the interval: completeness
+    # integrates over the interval itself
+    lo, hi, _ = entry.grid_box["tau"]
     tau_grid = _Grid.of(np.linspace(lo, hi, args.n)[:, None])
-    ode = ke_ode_residual(fam, alpha)
+    ode = ke_ode_residual(fam, entry.data.constants.alpha)
     report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
     region_checks(report, fam, tau_grid)
     if args.complete:
@@ -211,10 +203,9 @@ def cmd_ke(args) -> int:
         report.add("completeness", 0.0, 0.0,
                    note="verdict %s; s extends to (%.4g, %.4g)" % ((cv.verdict,) + cv.s_range))
 
-    # flatness flag of the induced metric over a reference fiber
-    lifted = lift_fiber(make_fiber(alpha, "-2"), fam.w, fam.f)
+    # flatness flag of the induced metric over the reference fiber
     sub = [(t,) for t in np.linspace(lo, hi, 9)]
-    km = build_kahler(lifted)
+    km = build_kahler(entry.data)
     curv = curvature(km.structure, koszul_connection(km.structure))
     max_R = curv.max_component(sub)
     report.add("flatness_flag", 0.0, 0.0,

@@ -7,8 +7,9 @@ structure; the induced metric gK is Einstein with constant lambda exactly
 when the fiber twist satisfies a Liouville-type equation with a constant C
 and the (f, w) pair satisfies a companion ODE in tau.  This module builds
 the lifts, evaluates both residuals, verifies the Einstein property through
-the Ricci form, analyzes completeness through the arclength integral of
-sqrt(c/2) with c = (fw)'/w, and exposes the closed-form solution families.
+the Ricci form, and analyzes completeness through the arclength integral of
+sqrt(c/2) with c = (fw)'/w.  The closed-form solution families are warped
+documents (``catalog.family_document``), parsed like any other.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ from .fields import (
     KSet,
     ScalarField,
     cos,
-    exp,
-    guarded,
     log_abs,
     make_closed_form,
     remap,
     sin,
-    tan,
-    variable,
     _div,
     _Grid,
 )
@@ -83,9 +80,6 @@ __all__ = [
     "einstein_verdict",
     "solve_implicit_w",
     "implicit_tan_field",
-    "family_alpha_zero",
-    "family_alpha_negative",
-    "family_implicit_tan",
     "adaptive_simpson",
     "completeness",
     "quotient_gauss_check",
@@ -373,48 +367,6 @@ class _ImplicitTanField(ScalarField):
 def implicit_tan_field(seed: float) -> ScalarField:
     """x(tau) over ``TAU_KSET`` on the branch of x = tau + tan(x) through the seed."""
     return _ImplicitTanField(seed)
-
-
-# closed-form families ---------------------------------------------------------
-
-
-def family_alpha_zero(lam: float, a1: float, a2: float,
-                      interval: Tuple[float, float]) -> WarpedFamily:
-    """alpha = 0: f = 1 and w = (3 (a1 p + a2))^{1/3} with
-    p = e^{-lam tau} / (-lam) for lam != 0 and p = tau for lam = 0."""
-    kset = TAU_KSET
-    tau = variable(kset, "tau")
-    if lam < 0.0 and a2 == 0.0 and a1 > 0.0:
-        # same function in exponential-product form; keeps c = (fw)'/w a
-        # constant node so completeness can integrate over unbounded tau
-        # (for lam > 0 the prefactor's base is negative: no real cube root)
-        w = (3.0 * a1 / (-lam)) ** (1.0 / 3.0) * exp(tau * (-lam / 3.0))
-    elif lam != 0.0:
-        p = exp(tau * (-lam)) * (1.0 / (-lam))
-        w = (3.0 * (a1 * p + a2)) ** (1.0 / 3.0)
-    else:
-        w = (3.0 * (a1 * tau + a2)) ** (1.0 / 3.0)
-    f = Const(kset, 1.0)
-    return WarpedFamily(f=f, w=w, lam=lam, C=0.0, interval=interval)
-
-
-def family_alpha_negative(alpha: float, interval: Tuple[float, float]) -> WarpedFamily:
-    """alpha < 0, lam = 0: f = tau^{-(1 + alpha/2)} and w = tau on tau > 0."""
-    if alpha >= 0.0:
-        raise ValueError("family requires alpha < 0")
-    kset = TAU_KSET
-    tau = variable(kset, "tau")
-    pos = lambda cols: cols[0] > 0.0
-    f = guarded(tau ** (-(1.0 + alpha / 2.0)), pos, "tau > 0")
-    w = guarded(tau, pos, "tau > 0")
-    return WarpedFamily(f=f, w=w, lam=0.0, C=0.0, interval=interval)
-
-
-def family_implicit_tan(interval: Tuple[float, float]) -> WarpedFamily:
-    """alpha = -2, lam = 0: f = 1 and w = -tan(x(tau)) with x = tau + tan(x),
-    on the branch through x = -pi/4."""
-    w = -tan(implicit_tan_field(-math.pi / 4))
-    return WarpedFamily(f=Const(TAU_KSET, 1.0), w=w, lam=0.0, C=0.0, interval=interval)
 
 
 # Einstein verification --------------------------------------------------------

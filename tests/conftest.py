@@ -38,6 +38,13 @@ def fd_plane_laplacian(fn, point, ix, iy, h=1e-4):
     return second_diff(fn, point, ix, ix, h) + second_diff(fn, point, iy, iy, h)
 
 
+def ke_family(family, interval, **options):
+    """The ``WarpedFamily`` of the ``ke`` family ``family`` with the options
+    of ``catalog.family_document``, parsed from its warped document."""
+    doc = catalog.family_document(family, interval, **options)
+    return catalog.entry_from_document(family, "ke family %s" % family, doc, {}).family
+
+
 def ricci_route_gap(chain, grid):
     """Forms-route Ricci (``chain.ric``) against the tensor-route Ricci, all
     frame pairs."""

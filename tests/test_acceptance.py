@@ -29,15 +29,12 @@ from frame_kahler.warped import (
     TAU_KSET,
     WarpedFamily,
     completeness,
-    family_alpha_negative,
-    family_alpha_zero,
-    family_implicit_tan,
     ke_ode_residual,
     make_fiber,
     solve_implicit_w,
 )
 
-from conftest import BuiltEntry, ricci_route_gap
+from conftest import BuiltEntry, ke_family, ricci_route_gap
 
 TAU0 = 1.0 - math.pi / 4.0
 
@@ -133,19 +130,19 @@ def test_criterion_06_csc_equivalence():
 def test_criterion_07_ke_ode_families():
     with criterion(7, "tau-ODE residual <= 1e-9 for all three families; implicit root to 1e-12"):
         # alpha = 0, both branches of p
-        fam = family_alpha_zero(-3.0, 1.0, 0.0, (-1.0, 1.0))
+        fam = ke_family("alpha0", lam=-3.0, a1=1.0, a2=0.0, interval=(-1.0, 1.0))
         grid = grid_points(TAU_KSET, {"tau": (-1.0, 1.0, 5)})
         assert max_abs_on_grid(ke_ode_residual(fam, 0.0), grid) <= 1e-9
-        fam = family_alpha_zero(0.0, 1.0, 1.0, (0.0, 2.0))
+        fam = ke_family("alpha0", lam=0.0, a1=1.0, a2=1.0, interval=(0.0, 2.0))
         grid = grid_points(TAU_KSET, {"tau": (0.0, 2.0, 5)})
         assert max_abs_on_grid(ke_ode_residual(fam, 0.0), grid) <= 1e-9
         # alpha < 0, lambda = 0
         grid = grid_points(TAU_KSET, {"tau": (0.2, 1.4, 5)})
         for alpha in (-0.5, -1.0, -3.0):
-            fam = family_alpha_negative(alpha, (0.2, 1.4))
+            fam = ke_family("alphaneg", alpha=alpha, interval=(0.2, 1.4))
             assert max_abs_on_grid(ke_ode_residual(fam, alpha), grid) <= 1e-9
         # alpha = -2 implicit family near tau0
-        fam = family_implicit_tan((0.05, 1.0))
+        fam = ke_family("alpha_minus2", interval=(0.05, 1.0))
         grid = grid_points(TAU_KSET, {"tau": (0.05, 1.0, 7)})
         assert max_abs_on_grid(ke_ode_residual(fam, -2.0), grid) <= 1e-9
         x0 = solve_implicit_w(TAU0, -math.pi / 4.0)[0]

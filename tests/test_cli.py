@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -17,8 +18,9 @@ import pytest
 
 from frame_kahler import catalog as catalog_mod
 from frame_kahler import frames as frames_mod
-from frame_kahler.catalog import SchemaError, capped_grid_box, catalog_ids, load
-from frame_kahler.cli import _write_report, main, run_suite
+from frame_kahler.catalog import (SchemaError, capped_grid_box, catalog_ids, entry_from_document, family_document,
+                                  interval_bounds, load)
+from frame_kahler.cli import _write_report, build_parser, main, run_suite
 from frame_kahler.fields import ScalarField, _Elementary, _Grid, constant, variable
 from frame_kahler.frames import grid_points
 from frame_kahler.reporting import VerificationReport
@@ -441,6 +443,86 @@ class TestKeCommand:
     def test_alphaneg_requires_negative_alpha(self):
         assert run_cli("ke", "--family", "alphaneg", "--alpha", "1",
                        "--interval=0.2:1.0") == 2
+
+    @pytest.mark.parametrize("option, argv", [
+        ("--lam", ["--family", "alpha0", "--lam", "nan"]),
+        ("--a1", ["--family", "alpha0", "--a1", "inf", "--lam", "-3"]),
+        ("--a2", ["--family", "alpha0", "--a2=-inf", "--lam", "-3"]),
+        ("--C", ["--family", "alpha_minus2", "--C", "nan", "--interval=0.05:1.0"]),
+        ("--alpha", ["--family", "alphaneg", "--alpha", "nan", "--interval=0.2:1.4"]),
+    ])
+    def test_non_finite_option_is_usage_error(self, tmp_path, capsys, option, argv):
+        # a document cannot hold nan or inf: %r writes a name the parser does not know
+        out = tmp_path / "fam.csv"
+        assert run_cli("ke", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: %s: need a finite number, got " % option)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval", ["-1:1", "0:1", "-inf:1"])
+    def test_alphaneg_interval_must_lie_in_positive_tau(self, tmp_path, capsys, interval):
+        # f = tau^(-(1 + alpha/2)) and w = tau live on tau > 0
+        out = tmp_path / "fam.csv"
+        assert run_cli("ke", "--family", "alphaneg", "--interval=" + interval, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: --interval: family alphaneg lives on tau > 0")
+        assert not out.exists()
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+with open(README, "r", encoding="utf-8") as _fh:
+    README_KE_LINES = [line for line in _fh.read().splitlines() if line.startswith("frame-kahler ke ")]
+
+
+@pytest.mark.parametrize("line", README_KE_LINES)
+def test_readme_ke_example_passes(tmp_path, monkeypatch, line):
+    # run from tmp_path, so that an --out of the example lands there
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+
+
+def test_readme_has_the_three_ke_examples():
+    assert sorted(shlex.split(line)[3] for line in README_KE_LINES) == ["alpha0", "alpha_minus2", "alphaneg"]
+
+
+def _ke_runs():
+    """``tools/write_reports.py``'s ``KE_RUNS``: the argv after ``ke`` of each harness run."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools", "write_reports.py")
+    spec = importlib.util.spec_from_file_location("write_reports", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness.KE_RUNS
+
+
+KE_OPTION_SETS = dict(_ke_runs(), alphaneg_alpha_m3=["--family", "alphaneg", "--alpha", "-3", "--interval=0.2:1.4"])
+
+
+def ke_document_entry(argv, **family_edits):
+    """The entry of the warped document that ``ke`` writes for ``argv``,
+    with ``family_edits`` applied to its family, and a 9-sample grid of the
+    document's tau window."""
+    args = build_parser().parse_args(["ke"] + argv)
+    doc = family_document(args.family, interval_bounds(args.interval.split(":"), "--interval"),
+                          args.alpha, args.lam, args.C, args.a1, args.a2)
+    doc["family"].update(family_edits)
+    entry = entry_from_document(args.family, "ke family %s" % args.family, doc, {})
+    lo, hi, _ = entry.grid_box["tau"]
+    return entry, grid_points(TAU_KSET, {"tau": (lo, hi, 9)})
+
+
+class TestKeFamilyDocuments:
+    @pytest.mark.parametrize("name", sorted(KE_OPTION_SETS))
+    def test_document_passes_the_warped_suite(self, name):
+        entry, grid = ke_document_entry(KE_OPTION_SETS[name])
+        report, curves = run_suite(entry, "all", grid)
+        assert [c.check_id for c in report.checks if not c.passed] == []
+        assert len(report.checks) == 55
+        assert curves is not None
+
+    def test_detuned_lambda_fails_the_einstein_checks(self):
+        # w of lambda = -1, declared with lambda = -1.1
+        entry, grid = ke_document_entry(KE_OPTION_SETS["ke_alpha0"], **{"lambda": -1.1})
+        report, _ = run_suite(entry, "all", grid)
+        assert [c.check_id for c in report.checks if not c.passed] == [
+            "einstein.einstein_residual", "einstein.ke_ode_residual"]
 
 
 class TestCatalogCommand:

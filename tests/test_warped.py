@@ -23,9 +23,6 @@ from frame_kahler.warped import (
     WarpedFamily,
     adaptive_simpson,
     completeness,
-    family_alpha_negative,
-    family_alpha_zero,
-    family_implicit_tan,
     fiber_consistency,
     implicit_tan_field,
     ke_ode_residual,
@@ -36,7 +33,7 @@ from frame_kahler.warped import (
     solve_implicit_w,
 )
 
-from conftest import central_diff, fd_plane_laplacian
+from conftest import central_diff, fd_plane_laplacian, ke_family
 
 TAU0 = 1.0 - math.pi / 4.0
 
@@ -137,25 +134,25 @@ class TestKeOdeResidual:
     def test_alpha_zero_both_branches(self, lam):
         interval = (-1.0, 1.0) if lam != 0.0 else (0.0, 2.0)
         a2 = 0.0 if lam != 0.0 else 1.0
-        fam = family_alpha_zero(lam, 1.0, a2, interval)
+        fam = ke_family("alpha0", lam=lam, a1=1.0, a2=a2, interval=interval)
         grid = grid_points(TAU_KSET, {"tau": interval + (5,)})
         assert max_abs_on_grid(ke_ode_residual(fam, 0.0), grid) <= 1e-9
 
     def test_alpha_zero_general_constants(self):
-        fam = family_alpha_zero(-3.0, 1.0, 1.5, (-1.0, 1.0))
+        fam = ke_family("alpha0", lam=-3.0, a1=1.0, a2=1.5, interval=(-1.0, 1.0))
         assert max_abs_on_grid(ke_ode_residual(fam, 0.0), TAU_GRID_SYM) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [-0.5, -1.0, -3.0])
     def test_alpha_negative_family(self, alpha):
-        fam = family_alpha_negative(alpha, (0.2, 1.4))
+        fam = ke_family("alphaneg", alpha=alpha, interval=(0.2, 1.4))
         assert max_abs_on_grid(ke_ode_residual(fam, alpha), TAU_GRID_POS) <= 1e-9
 
     def test_implicit_family(self):
-        fam = family_implicit_tan((0.05, 1.0))
+        fam = ke_family("alpha_minus2", interval=(0.05, 1.0))
         assert max_abs_on_grid(ke_ode_residual(fam, -2.0), TAU_GRID_T0) <= 1e-9
 
     def test_wrong_alpha_leaves_residual(self):
-        fam = family_alpha_negative(-1.0, (0.2, 1.4))
+        fam = ke_family("alphaneg", alpha=-1.0, interval=(0.2, 1.4))
         assert max_abs_on_grid(ke_ode_residual(fam, -2.0), TAU_GRID_POS) > 0.1
 
 
@@ -267,7 +264,7 @@ class TestImplicitSolve:
         assert x.partial(0).at((TAU0,)) == pytest.approx(oracle, abs=1e-6)
 
     def test_warping_values_at_tau0(self):
-        fam = family_implicit_tan((0.05, 1.0))
+        fam = ke_family("alpha_minus2", interval=(0.05, 1.0))
         assert fam.w.at((TAU0,)) == pytest.approx(1.0, abs=1e-12)
         assert fam.w.partial(0).at((TAU0,)) == pytest.approx(2.0, abs=1e-10)
 
@@ -398,7 +395,7 @@ class TestCompleteness:
         assert cv.s_range[1] - cv.s_range[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
     def test_lambda_zero_family_inconclusive(self):
-        fam = family_alpha_negative(-1.0, (0.0, 1.4))
+        fam = ke_family("alphaneg", alpha=-1.0, interval=(0.0, 1.4))
         cv = completeness(fam)
         assert cv.verdict == "inconclusive"
 
@@ -436,9 +433,9 @@ class TestCompleteness:
         return total, False
 
     FAMILIES = {
-        "alpha_minus2": lambda: family_implicit_tan((0.05, 1.0)),
-        "alpha0_unbounded": lambda: family_alpha_zero(-1.0, 1.0, 0.0, (-math.inf, math.inf)),
-        "alphaneg": lambda: family_alpha_negative(-1.0, (0.0, 1.4)),
+        "alpha_minus2": lambda: ke_family("alpha_minus2", interval=(0.05, 1.0)),
+        "alpha0_unbounded": lambda: ke_family("alpha0", lam=-1.0, a1=1.0, a2=0.0, interval=(-math.inf, math.inf)),
+        "alphaneg": lambda: ke_family("alphaneg", alpha=-1.0, interval=(0.0, 1.4)),
         "exp_unbounded": lambda: WarpedFamily(constant(TAU_KSET, 1.0), make_closed_form("exp(tau)", TAU_KSET),
                                               -3.0, 0.0, (-math.inf, math.inf)),
         "exp_bounded": lambda: WarpedFamily(constant(TAU_KSET, 1.0), make_closed_form("exp(tau)", TAU_KSET),
@@ -475,7 +472,7 @@ class TestCompleteness:
             return solve_implicit_w(tau, seed)
 
         monkeypatch.setattr(warped, "solve_implicit_w", counted)
-        completeness(family_implicit_tan((0.05, 1.0)))
+        completeness(ke_family("alpha_minus2", interval=(0.05, 1.0)))
         assert 0 < len(calls) <= 20
 
     @staticmethod
