@@ -158,7 +158,7 @@ def _central_from_document(doc: dict) -> AdmissibleData:
     if len(frames) != 4 or not all(isinstance(n, str) for n in frames) or len(set(frames)) != 4:
         raise SchemaError("frames", "need 4 distinct frame names, got %r" % (frames,))
 
-    zero = Const(kset, 0.0)
+    zero = kset.zero
     g = [[zero] * 4 for _ in range(4)]
     raw_g = _require(doc, "g", "", dict)
     seen = {}
@@ -424,6 +424,12 @@ def _doc_warped(alpha, iota_expr, f_expr, w_spec, lam, C, interval, tau_box, fib
     }
 
 
+def _finite_literal(value: float, text: str, option: str) -> float:
+    if not math.isfinite(value):
+        raise SchemaError(option, "the family's literal %s is %r, which a document cannot hold" % (text, value))
+    return value
+
+
 def family_document(family: str, interval, alpha: float = -1.0, lam: float = 0.0, C: float = 0.0,
                     a1: float = 1.0, a2: float = 0.0) -> dict:
     """The warped document of the closed-form family ``family`` of ``ke``
@@ -441,13 +447,19 @@ def family_document(family: str, interval, alpha: float = -1.0, lam: float = 0.0
       w = tau, on tau > 0.
     - ``alpha_minus2``: fiber alpha -2, f = 1 and w = -tan(x(tau)) with
       x = tau + tan(x), on the branch through x = -pi/4.
+
+    A derived literal that overflows is a ``SchemaError`` naming ``--lam``
+    or ``--a1``: a document cannot hold inf.
     """
     if family == "alpha0":
         alpha, f = 0.0, "1"
         if lam < 0.0 and a2 == 0.0 and a1 > 0.0:
-            w = "%r * exp(tau * %r)" % ((3.0 * a1 / (-lam)) ** (1.0 / 3.0), -lam / 3.0)
+            blame = "--lam" if math.isinf(3.0 / (-lam)) else "--a1"
+            scale = _finite_literal((3.0 * a1 / (-lam)) ** (1.0 / 3.0), "(3 a1 / -lam)^(1/3)", blame)
+            w = "%r * exp(tau * %r)" % (scale, -lam / 3.0)
         elif lam != 0.0:
-            w = "(3.0 * (%r * (exp(tau * %r) * %r) + %r))^%r" % (a1, -lam, 1.0 / (-lam), a2, 1.0 / 3.0)
+            inverse = _finite_literal(1.0 / (-lam), "1 / -lam", "--lam")
+            w = "(3.0 * (%r * (exp(tau * %r) * %r) + %r))^%r" % (a1, -lam, inverse, a2, 1.0 / 3.0)
         else:
             w = "(3.0 * (%r * tau + %r))^%r" % (a1, a2, 1.0 / 3.0)
     elif family == "alphaneg":

@@ -115,7 +115,7 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     lap_u = laplacian(S, conn_k, u, curv_k.invg)
     lap_u_frame = laplacian_orthonormal(S, conn_k, u)
     grad_u = gradient(S, u, curv_k.invg)
-    grad_sq = contract(S.zero(), ((1, grad_u[a], S.dd(a, u)) for a in range(4)))
+    grad_sq = contract(S.kset.zero, ((1, grad_u[a], S.dd(a, u)) for a in range(4)))
     return {
         "s_tilde": curv_k.scalar * u * u + 6.0 * u * lap_u - 12.0 * grad_sq,
         "s_tilde_alt": curv_k.scalar * u * u + 6.0 * u * lap_u_frame - 12.0 * grad_sq,
@@ -253,7 +253,7 @@ def _gamma_displays(A: AdmissibleData) -> dict:
     fpp = fp.partial(0)
     h1 = fpp / (2.0 * fp)  # f''/2f'
     h2 = fp / (2.0 * A.f)  # f'/2f
-    zero = S.zero()
+    zero = S.kset.zero
     czero = CScalarField(zero, zero)
     i_a = A.iota / (2.0 * a * a)
     dxi = S.dd(X, A.iota)

@@ -218,26 +218,26 @@ class FrameStructure:
         def term(u, v, w, e):
             return contract(-self.dd(w, C[u][v][e]), ((1, C[u][v][d], C[d][w][e]) for d in range(self.n)))
 
-        return [sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), self.zero())
+        return [sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), self.kset.zero)
                 for a, b, c in itertools.combinations(range(self.n), 3) for e in range(self.n)]
 
     def dd(self, a: int, field: ScalarField) -> ScalarField:
-        """Directional derivative d_{e_a} of a field, via the D table."""
+        """Directional derivative d_{e_a} of a field, via the D table. A
+        partial is derived only where the table's entry is not a constant
+        zero."""
+        zero = self.kset.zero
         if field.is_constant:
-            return Const(self.kset, 0.0)
-        return contract(Const(self.kset, 0.0),
-                        ((1, functools.partial(field.partial, i), self.D[a][i]) for i in range(self.kset.size)))
+            return zero
+        return contract(zero, ((1, field.partial(i), d) for i, d in enumerate(self.D[a])
+                               if not (d.is_constant and d.c == 0.0)))
 
     def g_of_bracket(self, u: int, v: int, w: int) -> ScalarField:
         """g(e_u, [e_v, e_w])."""
-        return contract(Const(self.kset, 0.0), ((1, self.C[v][w][e], self.g[u][e]) for e in range(self.n)))
+        return contract(self.kset.zero, ((1, self.C[v][w][e], self.g[u][e]) for e in range(self.n)))
 
     def with_metric(self, new_g) -> "FrameStructure":
         """Same frame, brackets and derivatives under a different metric."""
         return FrameStructure(self.kset, self.frame_names, new_g, self.C, self.D)
-
-    def zero(self) -> ScalarField:
-        return Const(self.kset, 0.0)
 
 
 def directional_derivative(S: FrameStructure, a: int, field):
@@ -326,7 +326,7 @@ class CurvatureTensor:
         f = self._lowered.get(key)
         if f is None:
             S = self.structure
-            f = self._lowered[key] = contract(S.zero(), ((1, self.R[a][b][c][e], S.g[e][d]) for e in range(S.n)))
+            f = self._lowered[key] = contract(S.kset.zero, ((1, self.R[a][b][c][e], S.g[e][d]) for e in range(S.n)))
         return f
 
     def max_component(self, grid) -> float:
@@ -398,7 +398,7 @@ def _identity_gathers(n):
 def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
     """Full curvature tensor of a connection table, with contractions."""
     n = S.n
-    zero = S.zero()
+    zero = S.kset.zero
     gamma = conn.gamma
     R = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -422,7 +422,7 @@ def inverse_metric(S: FrameStructure):
     n = S.n
     cols = []
     for j in range(n):
-        e_j = [Const(S.kset, 1.0 if i == j else 0.0) for i in range(n)]
+        e_j = [Const(S.kset, 1.0) if i == j else S.kset.zero for i in range(n)]
         cols.append(LinearFieldSystem(S._g_matrix, e_j).components())
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
@@ -437,7 +437,7 @@ def sectional_curvature(S: FrameStructure, curv: CurvatureTensor, a: int, b: int
 def gradient(S: FrameStructure, F: ScalarField, invg):
     """Frame components of the metric gradient of F: grad F = (g^{ab} d_b F) e_a."""
     n = S.n
-    return [contract(S.zero(), ((1, invg[a][b], S.dd(b, F)) for b in range(n))) for a in range(n)]
+    return [contract(S.kset.zero, ((1, invg[a][b], S.dd(b, F)) for b in range(n))) for a in range(n)]
 
 
 def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) -> ScalarField:
@@ -448,7 +448,7 @@ def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) ->
     def hess(a, b):
         return contract(S.dd(a, dF[b]), ((-1, conn.gamma[a][b][c], dF[c]) for c in range(n)))
 
-    return contract(S.zero(), ((1, invg[a][b], hess(a, b)) for a in range(n) for b in range(n)))
+    return contract(S.kset.zero, ((1, invg[a][b], hess(a, b)) for a in range(n) for b in range(n)))
 
 
 def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarField) -> ScalarField:
@@ -460,7 +460,7 @@ def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarFie
       dF(nabla_e e)  = (1/s) d_a(1/s) d_a F + (1/s^2) Gamma_aa^c d_c F
     """
     n = S.n
-    out = S.zero()
+    out = S.kset.zero
     for a in range(n):
         s = sqrt(S.g[a][a])
         inv_s = _div(Const(S.kset, 1.0), s, label="frame norm")

@@ -257,7 +257,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
 def build_kahler(A: AdmissibleData) -> KahlerMetric:
     """Assemble the induced Kahler metric from its closed-form components."""
     S = A.structure
-    zero = S.zero()
+    zero = S.kset.zero
     fp = A.f_prime()
     vertical = fp * A.vertical_det() * (1.0 / A.constants.ell_gradient) - A.f * A.dk_flat_kT()
     g_vv = -vertical
@@ -330,7 +330,7 @@ def exterior_d_two_form(S: FrameStructure, eta: FrameTwoForm) -> dict:
 
 
 def _zero_like(sample, kset):
-    zero = Const(kset, 0.0)
+    zero = kset.zero
     if isinstance(sample, CScalarField):
         return CScalarField(zero, zero)
     return zero
@@ -432,7 +432,7 @@ def kahler_form(kahler: KahlerMetric) -> FrameTwoForm:
         for b in range(a + 1, 4):
             ja, sign = J_IMAGE[a]
             vals[(a, b)] = gk[ja][b] * sign
-    return FrameTwoForm(4, vals, kahler.structure.zero())
+    return FrameTwoForm(4, vals, kahler.structure.kset.zero)
 
 
 @dataclass

@@ -131,7 +131,7 @@ def make_fiber(alpha: float, iota_bar_expr: str, plane_vars: Tuple[str, ...] = (
     iota_bar = make_closed_form(iota_bar_expr, kset)
     if plane_vars and alpha != 0.0:
         raise FrameError("a fiber with plane variables requires alpha = 0")
-    zero = Const(kset, 0.0)
+    zero = kset.zero
     one = Const(kset, 1.0)
     g = [[one if i == j else zero for j in range(3)] for i in range(3)]
     C = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
@@ -198,7 +198,7 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
     tau_w = remap(w, kset)
     tau_f = remap(f, kset)
     iota_bar = remap(F.iota_bar, kset)
-    zero = Const(kset, 0.0)
+    zero = kset.zero
     one = Const(kset, 1.0)
 
     wp = tau_w.partial(0)
@@ -208,7 +208,7 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
 
     g = [[zero] * 4 for _ in range(4)]
     g[K][T] = g[T][K] = one
-    g[T][T] = Const(kset, -1.0)
+    g[T][T] = kset.minus_one
     g[X][X] = g[Y][Y] = one
 
     C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
@@ -221,7 +221,7 @@ def lift_fiber(F: FiberData, w: ScalarField, f: ScalarField) -> AdmissibleData:
 
     D = [[zero] * kset.size for _ in range(4)]
     D[K][0] = one
-    D[T][0] = Const(kset, -1.0)
+    D[T][0] = kset.minus_one
     fD = F.structure.D
     for i in range(len(fiber_names)):
         D[K][1 + i] = remap(fD[KBAR][i], kset) * inv_w
@@ -680,7 +680,7 @@ def _gamma_displays(A: AdmissibleData, c: ScalarField) -> dict:
     halfc = cp / (2.0 * c)
     wow = wp / w
     h = fp / (2.0 * f) + wp / (2.0 * w)
-    zero = S.zero()
+    zero = S.kset.zero
     czero = CScalarField(zero, zero)
     logi = log_abs(A.iota_bar)
     dx_log = S.dd(X, logi)

@@ -458,6 +458,20 @@ class TestKeCommand:
         assert capsys.readouterr().err.startswith("error: %s: need a finite number, got " % option)
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, argv", [
+        ("--lam", ["--lam=-1e-320"]),  # the exponential-product scale (3 a1 / -lam)^(1/3)
+        ("--lam", ["--lam=-1e-320", "--a2", "1"]),  # the reciprocal 1 / -lam
+        ("--a1", ["--a1", "1e308", "--lam", "-1"]),
+    ])
+    def test_overflowing_derived_literal_is_usage_error(self, tmp_path, capsys, option, argv):
+        # each option is finite, but a literal that the family derives from them is inf
+        # (it exited 2 with "family.w: ... unknown variable name 'inf'")
+        out = tmp_path / "fam.csv"
+        assert run_cli("ke", "--family", "alpha0", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: the family's literal " % option) and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("interval", ["-1:1", "0:1", "-inf:1"])
     def test_alphaneg_interval_must_lie_in_positive_tau(self, tmp_path, capsys, interval):
         # f = tau^(-(1 + alpha/2)) and w = tau live on tau > 0
@@ -715,8 +729,8 @@ class TestSolveCounts:
         assert rows and max(rows) <= 24
 
     NODES_BUILT = [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 12174),
-        (lambda: load("warped_alpha0"), {}, 8620),
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 7418),
+        (lambda: load("warped_alpha0"), {}, 5214),
     ]
 
     @pytest.mark.parametrize("entry,box,nodes", NODES_BUILT, ids=["ppwave_sech", "warped_alpha0"])
@@ -728,7 +742,9 @@ class TestSolveCounts:
         # argument node is one node (12,870 for ppwave_sech when each call
         # built its own: 20 more cosh, sinh and sqrt nodes), and the
         # curvature identities sum the rows R_abcd with a < b as arrays
-        # (12,834 and 9,280 with a node per sum and per row with a > b)
+        # (12,834 and 9,280 with a node per sum and per row with a > b), and
+        # folds and derivatives read their k-set's shared +0.0 and -1.0
+        # (12,174 and 8,620 when each built its own)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []

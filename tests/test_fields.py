@@ -1,6 +1,5 @@
 """Scalar-field algebra: parser, exact partials, solves, complex fields."""
 
-import functools
 import gc
 import math
 import operator
@@ -38,8 +37,9 @@ from frame_kahler.fields import (
 )
 
 from frame_kahler.catalog import load
-from frame_kahler.cli import run_suite
+from frame_kahler.cli import main, run_suite
 from frame_kahler.frames import FrameStructure, grid_points, values_on_grid
+from frame_kahler.warped import TAU_KSET
 
 from conftest import central_diff, fd_plane_laplacian, second_diff
 
@@ -949,7 +949,6 @@ class TestRemapAndFolds:
 def _loop(acc, terms):
     """The accumulate loop that ``contract`` replaced: builds every term."""
     for sign, x, y in terms:
-        x = x() if callable(x) else x
         acc = acc + x * y if sign > 0 else acc - x * y
     return acc
 
@@ -976,7 +975,7 @@ def _hexes(field):
 @st.composite
 def _tables(draw, pool):
     """An accumulator and (sign, x, y) terms; a drawn zero mask replaces
-    factors by constant zeros, and some x factors come as builders."""
+    factors by constant zeros."""
     zeros = st.sampled_from([0.0, -0.0]).map(lambda c: constant(KS2, c))
     zero_rows = draw(st.booleans())  # every x factor a constant zero
     terms = []
@@ -986,8 +985,6 @@ def _tables(draw, pool):
             x = draw(zeros)
         if draw(st.booleans()):
             y = draw(zeros)
-        if draw(st.booleans()):
-            x = functools.partial(lambda f: f, x)
         terms.append((draw(st.sampled_from([1, -1])), x, y))
     return draw(st.sampled_from(_ACC if pool is _COMPLEX else _ACC[:3])), terms
 
@@ -1011,12 +1008,11 @@ class TestContract:
         assert _hexes(negated) == _hexes(_loop(zero, [(-1, _X, _Y)])) == _hexes(-(_X * _Y))
         assert contract(zero, [(1, zero, _X), (-1, _Y, constant(KS2, -0.0))]) is zero
 
-    def test_skipped_term_builds_nothing(self):
-        def unbuilt():
-            raise AssertionError("a skipped factor was built")
-
+    def test_skipped_term_builds_nothing(self, monkeypatch):
         zero = constant(KS2, 0.0)
-        assert contract(_X, [(1, unbuilt, zero), (-1, unbuilt, CScalarField(zero, constant(KS2, -0.0)))]) is _X
+        terms = [(1, _Y, zero), (-1, _X * _Y, CScalarField(zero, constant(KS2, -0.0))), (1, zero, _Y)]
+        monkeypatch.setattr(fields_mod, "_mul", lambda f, g: pytest.fail("a skipped term built its product"))
+        assert contract(_X, terms) is _X
 
     def test_dd_derives_no_partial_where_the_derivative_table_is_zero(self):
         zero, one = constant(KS2, 0.0), constant(KS2, 1.0)
@@ -1119,3 +1115,45 @@ class TestReaders:
         finally:
             gc.enable()
             gc.collect()
+
+
+class TestSharedConstants:
+    """Each k-set holds one +0.0 and one -1.0 node; a constant fold that
+    gives +0.0 returns the shared zero instead of a new node."""
+
+    def test_positive_zero_fold_is_the_shared_zero(self):
+        two, x = constant(KS2, 2.0), variable(KS2, "x")
+        assert (two - two) is KS2.zero
+        assert (two * constant(KS2, 0.0)) is KS2.zero
+        assert (0.0 * x) is KS2.zero and (x * -0.0) is KS2.zero
+        assert x.partial(1) is KS2.zero and constant(KS2, 3.0).partial(0) is KS2.zero
+
+    @pytest.mark.parametrize("fold", [
+        lambda: constant(KS2, -1.0) * constant(KS2, 0.0),
+        lambda: constant(KS2, -0.0) + constant(KS2, -0.0),
+        lambda: constant(KS2, -0.0) - constant(KS2, 0.0),
+        lambda: make_closed_form("-0", KS2),
+    ])
+    def test_negative_zero_fold_keeps_its_own_node(self, fold):
+        f = fold()
+        assert f.is_constant and f is not KS2.zero
+        assert f.c == 0.0 and math.copysign(1.0, f.c) == -1.0
+        assert math.copysign(1.0, f.at((0.0, 0.0))) == -1.0
+
+    def test_negation_reads_the_shared_minus_one(self):
+        x = variable(KS2, "x")
+        assert (-x).f is KS2.minus_one and (0.0 - x).f is KS2.minus_one
+
+    def test_tau_kset_constants_keep_nothing_across_runs(self, tmp_path):
+        # warped families live over the module-level TAU_KSET, whose shared constants
+        # outlive every run: they must not memoize a run's node or array
+        entry = load("warped_alpha0")
+        assert run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))[0].passed
+        assert main(["ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--n", "50",
+                     "--out", str(tmp_path / "fam.csv")]) == 0
+        # the literal 0 is the shared zero, and sqrt, which has a domain test, keeps its node
+        assert values_on_grid(make_closed_form("1 + sqrt(0) * tau", TAU_KSET), [(0.5,)]).tolist() == [1.0]
+        for shared in (TAU_KSET.zero, TAU_KSET.minus_one):
+            kept = list(shared._cache.values())
+            assert not any(type(v).__name__ == "_Elementary" or isinstance(v, np.ndarray) for v in kept)
+            assert all(v is TAU_KSET.zero for v in kept)  # only its partials
