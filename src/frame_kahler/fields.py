@@ -39,10 +39,10 @@ converts each of its grids once and passes the converted grid on, so all
 its nodes share one key object; ``at(point)`` computes one field on a
 one-point grid, a convenience for tests and prompts. Each node's ``_mask``
 has a bit for each variable it reads: none for a constant, its own for a
-variable, the union of the operands' for an operation, the matrix's and
-right-hand side's for a solve, and every variable for any other node (a
-guarded field, say). ``values_on_grid`` evaluates a request on the grid's
-``projection`` onto the union of its fields' masks: the points that are
+variable, the union of the operands' for an operation, its holder's for a
+row (``_Row``: a solve's component, a curvature entry), and every variable
+for ``warped._ImplicitTanField``. ``values_on_grid`` evaluates a request on
+the grid's ``projection`` onto the union of its fields' masks: the points that are
 distinct in those variables, bit for bit, kept whole and in the order of
 their first occurrence, so that an error names the point a scan in grid
 order meets first. It then expands the values back to every point; a
@@ -64,18 +64,17 @@ CRC-32 and reuses it only on a bit-for-bit match), but on its own,
 because one solve with many right-hand sides differs from separate solves
 in the last bits. A
 domain violation raises ``DomainError`` naming the first grid point where
-that node fails; a domain guard (``guarded``) is a predicate over the
-grid's columns, tested once per grid by each guarded node. Fields are
-immutable after construction. Every sum of products over a frame index
-goes through ``contract``, which never builds a term that is zero by
-construction.
+that node fails. Fields are immutable after construction. Every sum of
+products over a frame index goes through ``contract``, which never builds
+a term that is zero by construction, or its array twin
+``_contract_arrays`` (the curvature tensor, which nothing differentiates).
 
 Each k-set holds one +0.0 and one -1.0 node (``zero``, ``minus_one``),
 which derivatives, negation and zero folds read; every constant fold goes
 through ``_folded``, which returns the shared zero for +0.0 only (-0.0
 keeps its own node). As ``warped.TAU_KSET`` is module-level, nothing
 memoizes a node or array on a constant. A ppwave-sech run on 3x8x8 points
-builds 7,418 nodes, 804 of them constants.
+builds 5,393 nodes, 677 of them constants.
 
 Each node calls ``ScalarField.__init__`` by name, once (on CPython 3.11 a
 zero-argument ``super()`` nearly doubles a small node's cost); ``_add``,
@@ -121,7 +120,6 @@ __all__ = [
     "sech",
     "sqrt",
     "remap",
-    "guarded",
     "determinant",
     "values_on_grid",
 ]
@@ -136,8 +134,8 @@ class FieldError(Exception):
 
 class DomainError(FieldError):
     """Evaluation was requested outside a field's domain (log of a
-    nonpositive value, fractional power of a negative base, a guarded
-    region, a degenerate denominator)."""
+    nonpositive value, fractional power of a negative base, a degenerate
+    denominator)."""
 
 
 class SingularMatrixError(FieldError):
@@ -320,7 +318,8 @@ class ScalarField:
     arrays by grid key, unless ``_readers`` (see the module docstring) is 1.
     ``_mask`` has bit i set when the values may depend on variable i: every
     variable, unless the node's constructor (or ``_add``, ``_sub``,
-    ``_mul``) sets a smaller mask after this one.
+    ``_mul``) sets a smaller mask after this one (all but
+    ``warped._ImplicitTanField`` do).
     """
 
     __slots__ = ("kset", "_cache", "_mask", "_readers")
@@ -658,28 +657,6 @@ class _Remap(ScalarField):
         return self.kset.zero
 
 
-class _Guarded(ScalarField):
-    """Field with an explicit domain predicate: ``pred`` maps the grid's
-    columns to a boolean array that is False at the points outside the
-    domain. A guarded field's partials carry the same predicate."""
-
-    __slots__ = ("f", "pred", "description")
-
-    def __init__(self, f, pred, description):
-        ScalarField.__init__(self, f.kset)
-        self.f, self.pred, self.description = f, pred, description
-        f._readers += 1
-
-    def _compute(self, grid):
-        bad = ~np.asarray(self.pred(grid.cols), dtype=bool)
-        if bad.any():
-            raise DomainError("point %r violates domain guard: %s" % (grid[int(bad.argmax())], self.description))
-        return self.f._values(grid)
-
-    def _derive(self, i):
-        return _Guarded(self.f.partial(i), self.pred, self.description)
-
-
 # smart constructors ---------------------------------------------------------
 
 
@@ -729,7 +706,10 @@ def _mul(f, g):
         if f.c == 1.0:
             return g
         if isinstance(g, _Mul) and g.f.is_constant:
-            f, g = _folded(f.kset, f.c * g.f.c), g.g
+            c, g = f.c * g.f.c, g.g
+            if c == 1.0:  # 1.0 * x is x, bit for bit
+                return g
+            f = _folded(f.kset, c)
     else:  # a constant factor is read by value, and keeps no array
         f._readers += 1
     node = _Mul(f.kset)
@@ -798,6 +778,31 @@ def contract(acc, terms):
     return acc
 
 
+def _factors(fields, grid):
+    """A nested list of fields as factors of ``_contract_arrays``: None for a
+    constant zero, a constant's value, or else the field's values."""
+    if isinstance(fields, list):
+        return [_factors(f, grid) for f in fields]
+    return None if _constant_zero(fields) else fields.c if fields.is_constant else fields._values(grid)
+
+
+def _contract_arrays(acc, terms):
+    """``contract`` over arrays, with its bits, for sums that nothing
+    differentiates (``frames.CurvatureTensor``). A factor is an array or a
+    ``_factors`` value: None skips the term, a constant multiplies from the
+    left and 1.0 gives the other factor, as in ``_mul``. acc None is the
+    shared zero: a sum starts from its first term, and zero minus t is
+    -1.0 * t (0.0 - t would lose a -0.0)."""
+    for sign, x, y in terms:
+        if x is None or y is None:
+            continue
+        if isinstance(y, float):
+            x, y = y, x
+        t = y if isinstance(x, float) and x == 1.0 else x * y
+        acc = (t if sign > 0 else -1.0 * t) if acc is None else acc + t if sign > 0 else acc - t
+    return acc
+
+
 def constant(kset: KSet, c: float) -> ScalarField:
     return _folded(kset, float(c))
 
@@ -836,13 +841,6 @@ def _constructor(name, grammar_name):
 exp, log, log_abs, sin, cos, tan, sinh, cosh, tanh, sech, sqrt = (
     _constructor(name, name.replace("_", "")) for name in
     ("exp", "log", "log_abs", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sech", "sqrt"))
-
-
-def guarded(f: ScalarField, pred: Callable, description: str) -> ScalarField:
-    """f restricted to the points where ``pred`` holds; ``pred`` takes the
-    grid's columns (``cols[i]`` is variable i at every point) and returns a
-    boolean array over the points, as ``lambda cols: cols[0] > 0.0`` does."""
-    return _Guarded(f, pred, description)
 
 
 def remap(f: ScalarField, kset: KSet) -> ScalarField:
@@ -953,35 +951,39 @@ class LinearFieldSystem:
 
     def components(self):
         if self._components is None:
-            self._components = [_SolveComponent(self, j) for j in range(self.n)]
+            self._components = [_Row(self, j) for j in range(self.n)]
         return self._components
 
-    def derivative_system(self, i):
+    def _row_partial(self, j, i):
+        """Component j of the derivative system along variable i, built once per i."""
         sys_i = self._dsys.get(i)
         if sys_i is None:
             x = self.components()
             rhs = [contract(self.b[c].partial(i), ((-1, self.A[c][d].partial(i), x[d]) for d in range(self.n)))
                    for c in range(self.n)]
-            sys_i = LinearFieldSystem(self._matrix, rhs)
-            self._dsys[i] = sys_i
-        return sys_i
+            sys_i = self._dsys[i] = LinearFieldSystem(self._matrix, rhs)
+        return sys_i.components()[j]
 
 
-class _SolveComponent(ScalarField):
-    __slots__ = ("sys", "j")
+class _Row(ScalarField):
+    """Row j of ``holder.value_at(grid)``, the per-grid array of a pointwise
+    solve (``LinearFieldSystem``) or a curvature tensor
+    (``frames.CurvatureTensor``); its partials are ``holder._row_partial``."""
 
-    def __init__(self, sys, j):
-        ScalarField.__init__(self, sys.kset)
-        self._mask, self.sys, self.j = sys.mask, sys, j
+    __slots__ = ("holder", "j")
 
-    def _values(self, grid):  # always keeps its row: a view of the system's solution, not a copy
+    def __init__(self, holder, j):
+        ScalarField.__init__(self, holder.kset)
+        self._mask, self.holder, self.j = holder.mask, holder, j
+
+    def _values(self, grid):  # always keeps its row: a view of the holder's array, not a copy
         got = self._cache.get(grid.key)
         if got is None:
-            got = self._cache[grid.key] = self.sys.value_at(grid)[self.j]
+            got = self._cache[grid.key] = self.holder.value_at(grid)[self.j]
         return got
 
     def _derive(self, i):
-        return self.sys.derivative_system(i).components()[self.j]
+        return self.holder._row_partial(self.j, i)
 
 
 def _perm_sign(perm):

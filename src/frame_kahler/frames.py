@@ -7,9 +7,11 @@ frame derivatives of the independent variables.  Directional derivatives,
 the Levi-Civita connection (via the Koszul formula, solved pointwise as an
 n-by-n linear system against g), the curvature tensor, Ricci, scalar and
 sectional curvatures all follow from this data alone. Every sum of
-products over a frame index goes through ``fields.contract``, which keeps
-the summation order and never builds a term with a constant-zero factor:
-the tables are mostly structural zeros.
+products over a frame index that builds fields goes through
+``fields.contract``, which keeps the summation order and never builds a
+term with a constant-zero factor: the tables are mostly structural zeros.
+Nothing differentiates the curvature tensor, so ``CurvatureTensor`` sums
+arrays instead, in the same order and with the same skips.
 
 Every check reads field values over a grid through ``values_on_grid``
 (defined in ``fields`` and re-exported here; ``ScalarField.at`` evaluates
@@ -25,7 +27,6 @@ same set of values as the whole grid, with the same first minimum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,8 +42,14 @@ from .fields import (
     KSet,
     LinearFieldSystem,
     ScalarField,
+    _Grid,
     _PointwiseMatrix,
+    _Row,
+    _constant_zero,
+    _contract_arrays,
     _div,
+    _factors,
+    _listed,
     _projected_values,
     contract,
     determinant,
@@ -228,8 +235,7 @@ class FrameStructure:
         zero = self.kset.zero
         if field.is_constant:
             return zero
-        return contract(zero, ((1, field.partial(i), d) for i, d in enumerate(self.D[a])
-                               if not (d.is_constant and d.c == 0.0)))
+        return contract(zero, ((1, field.partial(i), d) for i, d in enumerate(self.D[a]) if not _constant_zero(d)))
 
     def g_of_bracket(self, u: int, v: int, w: int) -> ScalarField:
         """g(e_u, [e_v, e_w])."""
@@ -283,25 +289,13 @@ def koszul_connection(S: FrameStructure) -> ConnectionTable:
     system  g_dc Gamma_ab^d = g(nabla_a e_b, e_c), with the right-hand side
     assembled from metric derivatives and bracket terms.
     """
+    def rhs(a, b, c):
+        return (S.dd(a, S.g[b][c]) + S.dd(b, S.g[a][c]) - S.dd(c, S.g[a][b])
+                - S.g_of_bracket(a, b, c) - S.g_of_bracket(b, a, c) + S.g_of_bracket(c, a, b)) * 0.5
+
     n = S.n
-    gamma = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            rhs = []
-            for c in range(n):
-                expr = (
-                    S.dd(a, S.g[b][c])
-                    + S.dd(b, S.g[a][c])
-                    - S.dd(c, S.g[a][b])
-                    - S.g_of_bracket(a, b, c)
-                    - S.g_of_bracket(b, a, c)
-                    + S.g_of_bracket(c, a, b)
-                ) * 0.5
-                rhs.append(expr)
-            row.append(LinearFieldSystem(S._g_matrix, rhs).components())
-        gamma.append(row)
-    return ConnectionTable(S, gamma)
+    return ConnectionTable(S, [[LinearFieldSystem(S._g_matrix, [rhs(a, b, c) for c in range(n)]).components()
+                                for b in range(n)] for a in range(n)])
 
 
 class CurvatureTensor:
@@ -309,122 +303,124 @@ class CurvatureTensor:
 
     Convention: R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
     nabla_[X,Y] Z and Ric(X, Y) = trace of Z -> R(Z, X) Y, so the round
-    sphere has positive Ricci.
+    sphere has positive Ricci. The tensor is one array of rows per grid,
+    summed from the values of Gamma, its partials, D, C, g and ``invg``;
+    ``R``, ``ricci``, ``scalar`` and ``lowered`` are row nodes without
+    partials (``fields._Row``), and ``R[a][a]`` is the zero.
     """
 
-    def __init__(self, structure: FrameStructure, R, ricci, scalar, invg):
-        self.structure = structure
-        self.R = R
-        self.ricci = ricci
-        self.scalar = scalar
-        self.invg = invg  # inverse metric g^{ab}, used for the scalar contraction
-        self._lowered = {}
+    def __init__(self, structure: FrameStructure, gamma, invg):
+        S = self.structure = structure
+        n = S.n
+        self.kset, self.invg, self._gamma, self._cache = S.kset, invg, gamma, {}
+        # d_{e_a} Gamma_b reads Gamma_b's partials along each variable i with D[a][i] not a constant zero
+        self._partials = {(b, i): [[f.partial(i) for f in row] for row in gamma[b]]
+                          for a, b in itertools.permutations(range(n), 2)
+                          for i, d in enumerate(S.D[a]) if not _constant_zero(d)}
+        read = [*S.D, *(S.C[a][b] for a, b in itertools.combinations(range(n), 2)), *S.g, *invg]
+        self.mask = _listed([gamma, list(self._partials.values()), read])[1]
+        for f in itertools.chain.from_iterable(read):
+            f._readers += 1
+        n4, zero = n ** 4, S.kset.zero
+        self.R = [[[[zero if a == b else _Row(self, ((a * n + b) * n + c) * n + e) for e in range(n)]
+                    for c in range(n)] for b in range(n)] for a in range(n)]
+        self.ricci = [[_Row(self, 2 * n4 + a * n + b) for b in range(n)] for a in range(n)]
+        self.scalar = _Row(self, 2 * n4 + n * n)
+
+    def value_at(self, grid):
+        """The rows over a ``_Grid``, computed once per grid: R_abc^e at row
+        ((a n + b) n + c) n + e, R_abcd at n^4 plus that row (zero for
+        a = b), Ric_ab at 2 n^4 + a n + b, and s last. Each sum is the
+        ``fields.contract`` it stands for, over arrays."""
+        got = self._cache.get(grid.key)
+        if got is not None:
+            return got
+        S, n = self.structure, self.structure.n
+        out = np.zeros((2 * n ** 4 + n * n + 1, grid.n))
+        R, L, ric = _blocks(out, n)
+        G, invg = (np.array(_factors(x, grid)) for x in (self._gamma, self.invg))  # G[a, b, c] = Gamma_ab^c
+        dG = {key: np.array(_factors(rows, grid)) for key, rows in self._partials.items()}
+        D, g = _factors(S.D, grid), _factors(S.g, grid)
+
+        def dd(a, b):  # d_{e_a} Gamma_bc^e over (c, e), as FrameStructure.dd sums it
+            return _contract_arrays(None, ((1, dG.get((b, i)), D[a][i]) for i in range(S.kset.size)))
+
+        for a, b in itertools.combinations(range(n), 2):
+            C = _factors(S.C[a][b], grid)
+            # d_a Gamma_bc^e - d_b Gamma_ac^e + Gamma_bc^d Gamma_ad^e - Gamma_ac^d Gamma_bd^e - C_ab^d Gamma_dc^e
+            R[a, b] = _contract_arrays(dd(a, b), itertools.chain([(-1, dd(b, a), 1.0)], (t for d in range(n) for t in (
+                (1, G[b, :, d, None], G[a, d]), (-1, G[a, :, d, None], G[b, d]), (-1, C[d], G[d])))))
+            R[b, a] = -1.0 * R[a, b]
+        for (a, b), d in itertools.product(itertools.permutations(range(n), 2), range(n)):
+            L[a, b, :, d] = _contract_arrays(None, ((1, R[a, b, :, e], g[e][d]) for e in range(n)))
+        for a in range(n):
+            ric[a] = _contract_arrays(None, ((1, R[c, a, :, c], 1.0) for c in range(n) if c != a))
+        out[-1] = _contract_arrays(None, ((1, invg[a, b], ric[a, b]) for a, b in itertools.product(range(n), repeat=2)))
+        self._cache[grid.key] = out
+        return out
+
+    def _row_partial(self, j, i):
+        raise FieldError("curvature rows have no partial derivatives")
+
+    def _arrays(self, grid):  # R, L and Ric on the grid's projection onto the variables the tensor reads
+        with np.errstate(all="ignore"):
+            return _blocks(self.value_at(_Grid.of(grid).projection(self.mask)[0]), self.structure.n)
 
     def lowered(self, a, b, c, d) -> ScalarField:
         """R_abcd = g(R(e_a, e_b) e_c, e_d)."""
-        key = (a, b, c, d)
-        f = self._lowered.get(key)
-        if f is None:
-            S = self.structure
-            f = self._lowered[key] = contract(S.kset.zero, ((1, self.R[a][b][c][e], S.g[e][d]) for e in range(S.n)))
-        return f
+        n = self.structure.n
+        return self.kset.zero if a == b else _Row(self, n ** 4 + ((a * n + b) * n + c) * n + d)
 
     def max_component(self, grid) -> float:
-        n = self.structure.n
-        return max_abs_on_grid(
-            (self.R[a][b][c][d] for a in range(n) for b in range(a + 1, n)
-             for c in range(n) for d in range(n)),
-            grid,
-        )
-
-    def _lowered_rows(self, grid):
-        """R_abcd for every a < b and (c, d), in that order, on the grid's
-        projection: the rows that ``_identity_gathers`` indexes."""
-        n = self.structure.n
-        return _projected_values([self.lowered(a, b, c, d) for a, b in itertools.combinations(range(n), 2)
-                                  for c in range(n) for d in range(n)], grid)[0]
+        R = self._arrays(grid)[0]
+        return worst_abs(R[np.triu_indices(len(R), 1)])
 
     def pair_symmetry_residual(self, grid) -> float:
         """max |R_abcd - R_cdab| over a < b, c < d and the grid."""
-        left, right = _identity_gathers(self.structure.n)[2]
-        rows = self._lowered_rows(grid)
+        L = self._arrays(grid)[1]
+        a, b = np.triu_indices(len(L), 1)
+        pairs = L[a, b][:, a, b]  # pairs[p, q] = R_{a_p b_p a_q b_q}
         with np.errstate(all="ignore"):  # inf - inf is NaN, which worst_abs reads as inf
-            return worst_abs(rows[left] - rows[right])
+            return worst_abs(pairs - pairs.swapaxes(0, 1))
 
     def first_bianchi_residual(self, grid) -> float:
-        """max |R_abcd + R_bcad + R_cabd| over every (a, b, c, d) and the grid.
-
-        Only triples of distinct a, b, c are summed, from the rows with
-        a < b and R_bacd = -R_abcd, an exact sign flip. The other triples
-        sum to exactly 0 when the rows are finite, and a non-finite row
-        makes one of them non-finite: it gives inf, as such a sum would."""
-        (r0, r1, r2), (s0, s1, s2), _ = _identity_gathers(self.structure.n)
-        rows = self._lowered_rows(grid)
-        if not np.isfinite(rows).all():
+        """max |R_abcd + R_bcad + R_cabd| over every (a, b, c, d) and the grid,
+        summed over distinct a, b, c: the other sums are exactly 0 when every
+        R_abcd is finite, and inf, as this gives, when one is not."""
+        L = self._arrays(grid)[1]
+        if not np.isfinite(L).all():
             return math.inf
-        with np.errstate(all="ignore"):  # finite rows may still sum past the float range
-            sums = rows[r0] * s0
-            sums += rows[r1] * s1
-            sums += rows[r2] * s2
-        return worst_abs(sums)
+        a, b, c = np.array(list(itertools.permutations(range(len(L)), 3))).T
+        with np.errstate(all="ignore"):  # finite values may still sum past the float range
+            return worst_abs(L[a, b, c] + L[b, c, a] + L[c, a, b])
 
     def ricci_symmetry_residual(self, grid) -> float:
-        n = self.structure.n
-        return max_abs_on_grid(
-            (self.ricci[a][b] - self.ricci[b][a] for a in range(n) for b in range(a + 1, n)), grid
-        )
+        ric = self._arrays(grid)[2]
+        a, b = np.triu_indices(len(ric), 1)
+        with np.errstate(all="ignore"):
+            return worst_abs(ric[a, b] - ric[b, a])
 
     def max_ricci(self, grid) -> float:
-        return max_abs_on_grid((f for row in self.ricci for f in row), grid)
+        return worst_abs(self._arrays(grid)[2])
 
 
-@functools.cache
-def _identity_gathers(n):
-    """Index arrays over ``CurvatureTensor._lowered_rows`` for n frame
-    fields: the rows (3, M) and signs (3, M, 1) of R_abcd, R_bcad and R_cabd
-    for each ordered triple of distinct (a, b, c) and each d, and the rows
-    (2, M') of R_abcd and R_cdab for a < b and c < d."""
-    pairs = {ab: p for p, ab in enumerate(itertools.combinations(range(n), 2))}
-
-    def at(a, b, c, d):  # (row, sign) of R_abcd for a != b
-        return ((pairs[a, b] * n + c) * n + d, 1.0) if a < b else ((pairs[b, a] * n + c) * n + d, -1.0)
-
-    bianchi = np.array([[at(a, b, c, d), at(b, c, a, d), at(c, a, b, d)]
-                        for a, b, c in itertools.permutations(range(n), 3) for d in range(n)]).T
-    symmetry = np.array([[at(a, b, c, d)[0], at(c, d, a, b)[0]] for a, b in pairs for c, d in pairs]).T
-    return bianchi[0].astype(np.intp), bianchi[1][..., None], symmetry
+def _blocks(rows, n):
+    """The views R and L, each (n, n, n, n, P), and Ric, (n, n, P), of a curvature tensor's rows."""
+    R, L = rows[:2 * n ** 4].reshape(2, n, n, n, n, rows.shape[-1])
+    return R, L, rows[2 * n ** 4:-1].reshape(n, n, rows.shape[-1])
 
 
 def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
     """Full curvature tensor of a connection table, with contractions."""
-    n = S.n
-    zero = S.kset.zero
-    gamma = conn.gamma
-    R = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                for e in range(n):
-                    f = contract(S.dd(a, gamma[b][c][e]) - S.dd(b, gamma[a][c][e]), (t for d in range(n) for t in (
-                        (1, gamma[b][c][d], gamma[a][d][e]),
-                        (-1, gamma[a][c][d], gamma[b][d][e]),
-                        (-1, S.C[a][b][d], gamma[d][c][e]))))
-                    R[a][b][c][e] = f
-                    R[b][a][c][e] = -f
-    ricci = [[sum((R[c][a][b][c] for c in range(n)), zero) for b in range(n)] for a in range(n)]
-    invg = inverse_metric(S)
-    scalar = contract(zero, ((1, invg[a][b], ricci[a][b]) for a in range(n) for b in range(n)))
-    return CurvatureTensor(S, R, ricci, scalar, invg)
+    return CurvatureTensor(S, conn.gamma, inverse_metric(S))
 
 
 def inverse_metric(S: FrameStructure):
     """Inverse metric components g^{ab} as fields (pointwise solves)."""
-    n = S.n
-    cols = []
-    for j in range(n):
-        e_j = [Const(S.kset, 1.0) if i == j else S.kset.zero for i in range(n)]
-        cols.append(LinearFieldSystem(S._g_matrix, e_j).components())
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    n, zero = S.n, S.kset.zero
+    cols = [LinearFieldSystem(S._g_matrix, [Const(S.kset, 1.0) if i == j else zero for i in range(n)]).components()
+            for j in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def sectional_curvature(S: FrameStructure, curv: CurvatureTensor, a: int, b: int) -> ScalarField:

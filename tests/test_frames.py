@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from frame_kahler.fields import Const, KSet, _Grid, variable
+from frame_kahler.fields import Const, FieldError, KSet, _Grid, contract, variable
 from frame_kahler.frames import (
     CurvatureTensor,
     FrameStructure,
@@ -251,100 +252,160 @@ class TestCurvature:
             assert be.curv_k.ricci_symmetry_residual(be.grid) <= 1e-7
 
 
-def field_route_residuals(curv, grid):
-    """The first Bianchi and pair-symmetry residuals as one field node per
-    index combination, reduced on the expanded grid: the route that
-    ``CurvatureTensor`` took before it gathered the rows R_abcd, a < b."""
-    n = curv.structure.n
-    L = curv.lowered
-    bianchi = [L(a, b, c, d) + L(b, c, a, d) + L(c, a, b, d) for a, b, c, d in itertools.product(range(n), repeat=4)]
+def reference_curvature(S, conn, invg):
+    """The curvature tensor as a field DAG built through ``contract``, the
+    route that ``frames.curvature`` took before it computed arrays: R (with
+    R[a][a] the k-set's zero), Ric, s and the lowered R_abcd, as fields."""
+    n, zero, gamma = S.n, S.kset.zero, conn.gamma
+    R = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        for c in range(n):
+            for e in range(n):
+                f = contract(S.dd(a, gamma[b][c][e]) - S.dd(b, gamma[a][c][e]), (t for d in range(n) for t in (
+                    (1, gamma[b][c][d], gamma[a][d][e]),
+                    (-1, gamma[a][c][d], gamma[b][d][e]),
+                    (-1, S.C[a][b][d], gamma[d][c][e]))))
+                R[a][b][c][e] = f
+                R[b][a][c][e] = -f
+    ricci = [[sum((R[c][a][b][c] for c in range(n)), zero) for b in range(n)] for a in range(n)]
+    scalar = contract(zero, ((1, invg[a][b], ricci[a][b]) for a in range(n) for b in range(n)))
+    lowered = [[[[contract(zero, ((1, R[a][b][c][e], S.g[e][d]) for e in range(n))) for d in range(n)]
+                 for c in range(n)] for b in range(n)] for a in range(n)]
+    return R, ricci, scalar, lowered
+
+
+def reference_residuals(L):
+    """The first Bianchi and pair-symmetry residuals of lowered values
+    L[a, b, c, d] (each an array over the grid), summed over all 256 index
+    combinations and all pairs a < b, c < d."""
+    n = len(L)
     pairs = list(itertools.combinations(range(n), 2))
-    symmetry = [L(a, b, c, d) - L(c, d, a, b) for a, b in pairs for c, d in pairs]
-    return worst_abs(values_on_grid(bianchi, grid)).hex(), worst_abs(values_on_grid(symmetry, grid)).hex()
+    with np.errstate(all="ignore"):
+        bianchi = [L[a, b, c, d] + L[b, c, a, d] + L[c, a, b, d] for a, b, c, d in itertools.product(range(n), repeat=4)]
+        symmetry = [L[a, b, c, d] - L[c, d, a, b] for a, b in pairs for c, d in pairs]
+    return worst_abs(np.array(bianchi)).hex(), worst_abs(np.array(symmetry)).hex()
 
 
-def gathered_residuals(curv, grid):
-    """The residuals as ``CurvatureTensor`` computes them; a RuntimeWarning
-    (inf - inf, an overflowing sum) is an error."""
+def checked_residuals(curv, grid):
+    """The first Bianchi and pair-symmetry residuals as ``CurvatureTensor``
+    computes them; a RuntimeWarning (inf - inf, an overflowing sum) is an
+    error. ``curv`` is a tensor, or a stand-in whose ``_arrays`` gives
+    hand-made arrays."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return curv.first_bianchi_residual(grid).hex(), curv.pair_symmetry_residual(grid).hex()
+        return (CurvatureTensor.first_bianchi_residual(curv, grid).hex(),
+                CurvatureTensor.pair_symmetry_residual(curv, grid).hex())
+
+
+def assert_reference_bits(curv, conn, grid):
+    """Every R, R_abcd, Ric and s value of ``curv`` has the bits of the
+    reference DAG, and the identity residuals equal the reference sums;
+    returns the residuals."""
+    S = curv.structure
+    n = S.n
+    R, ricci, scalar, lowered = reference_curvature(S, conn, curv.invg)
+    pairs = list(itertools.permutations(range(n), 2))
+    for new, old in (
+        ([curv.R[a][b] for a, b in pairs], [R[a][b] for a, b in pairs]),
+        ([[curv.lowered(a, b, c, d) for c in range(n) for d in range(n)] for a, b in pairs],
+         [[lowered[a][b][c][d] for c in range(n) for d in range(n)] for a, b in pairs]),
+        (curv.ricci, ricci),
+        (curv.scalar, scalar),
+    ):
+        assert values_on_grid(new, grid).tobytes() == values_on_grid(old, grid).tobytes()
+    assert all(f is S.kset.zero for a in range(n) for row in curv.R[a][a] for f in row)
+    got = checked_residuals(curv, grid)
+    assert got == reference_residuals(values_on_grid(lowered, grid))
+    return got
 
 
 class TestCurvatureIdentityGathers:
-    """The curvature identities sum the 96 rows R_abcd with a < b as arrays,
-    and give the bits of the field sums over all 256 index combinations.
-    The three facts that make this exact:
-    - R_bacd = -R_abcd is an exact sign flip;
-    - a triple with a repeated index sums to exactly 0 when its rows are finite;
-    - any non-finite row makes some combination non-finite, so both give inf.
+    """The curvature tensor is computed as arrays, and every value has the
+    bits of the field DAG that computed it before (``reference_curvature``).
+    The identity residuals sum only the triples of distinct indices and the
+    pairs a < b, c < d, and give the bits of the sums over all 256 index
+    combinations. The three facts that make this exact:
+    - R_bacd and -R_abcd differ at most in the sign of a zero;
+    - a triple with a repeated index sums to exactly 0 when its values are finite;
+    - any non-finite value makes some combination non-finite, so both give inf.
     """
 
     @pytest.mark.parametrize("eid", catalog.catalog_ids())
     def test_catalog_kahler_chains(self, built, eid):
         be = built(eid)
-        new = gathered_residuals(be.curv_k, be.grid)
-        assert new == field_route_residuals(be.curv_k, be.grid)
+        assert_reference_bits(be.curv_k, be.conn_k, be.grid)
 
     def test_ppwave_sech_3x8x8(self):
         entry = catalog.load("ppwave", iota="-2*sech(x)^2")
         grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
         assert len(grid) == 192
-        curv = build_chain(entry.data).curv
-        new = gathered_residuals(curv, grid)
-        assert float.fromhex(new[0]) > 0.0
-        assert new == field_route_residuals(curv, grid)
+        chain = build_chain(entry.data)
+        bianchi, _ = assert_reference_bits(chain.curv, chain.conn, grid)
+        assert float.fromhex(bianchi) > 0.0
 
     KS = KSet(("x",))
     ZERO = Const(KS, 0.0)
 
-    @classmethod
-    def unit_frame(cls, C=None, D=None):
-        """A 4-frame over (x,) with the identity metric, brackets C and
-        derivative table D (zero by default)."""
-        zero, one = cls.ZERO, Const(cls.KS, 1.0)
-        C = C or [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-        return FrameStructure(cls.KS, ("k", "T", "x", "y"),
-                              [[one if i == j else zero for j in range(4)] for i in range(4)], C, D or [[zero]] * 4)
-
     def test_non_finite_coefficient(self):
         # a bracket coefficient inf * x: -inf, NaN and inf along the grid
-        zero = self.ZERO
+        zero, one = self.ZERO, Const(self.KS, 1.0)
         bad = variable(self.KS, "x") * 1e308 * 1e308
         C = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
         C[0][1][2], C[1][0][2] = bad, -bad
-        S = self.unit_frame(C, [[Const(self.KS, 1.0)], [zero], [zero], [zero]])
-        curv = curvature(S, koszul_connection(S))
+        S = FrameStructure(self.KS, ("k", "T", "x", "y"), [[one if i == j else zero for j in range(4)] for i in range(4)],
+                           C, [[one], [zero], [zero], [zero]])
+        conn = koszul_connection(S)
         grid = grid_points(self.KS, {"x": (-1.0, 1.0, 3)})
-        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(),) * 2
+        assert assert_reference_bits(curvature(S, conn), conn, grid) == (math.inf.hex(),) * 2
 
-    @classmethod
-    def hand_built(cls, row):
-        """A curvature tensor with R_abcd = row(a, b, c, d) * x for a < b
-        (and R_bacd = -R_abcd) under the identity metric, and its grid."""
-        S, zero, x = cls.unit_frame(), cls.ZERO, variable(cls.KS, "x")
-        R = [[[[zero] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    def test_non_diagonal_metric_and_constant_factors(self):
+        # the catalog metrics read each lowered sum's terms one at a time, and their
+        # brackets have few constant factors: a 3-frame with a non-diagonal metric,
+        # brackets 1.0, -1.0, 2.0 and x, and a derivative table with a zero row
+        x, zero, one = variable(self.KS, "x"), self.ZERO, Const(self.KS, 1.0)
+        g = [[one + x * x, x, zero], [x, Const(self.KS, 2.0), Const(self.KS, 0.5)], [zero, Const(self.KS, 0.5), one]]
+        C = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+        C[0][1][2], C[1][0][2] = x, -x
+        C[0][2][1], C[2][0][1] = one, Const(self.KS, -1.0)
+        C[1][2][0], C[2][1][0] = Const(self.KS, 2.0), Const(self.KS, -2.0)
+        S = FrameStructure(self.KS, ("a", "b", "c"), g, C, [[zero], [Const(self.KS, 2.0)], [x]])
+        conn = koszul_connection(S)
+        assert_reference_bits(curvature(S, conn), conn, grid_points(self.KS, {"x": (-1.0, 1.0, 5)}))
+
+    @staticmethod
+    def hand_made(row):
+        """Lowered values R_abcd = row(a, b, c, d) * x for a < b, with
+        R_bacd = -1.0 * R_abcd and R_aacd = 0, at x = 0.5, 0.75, 1, and a
+        stand-in tensor that gives them to the residuals."""
+        x = np.linspace(0.5, 1.0, 3)
+        L = np.zeros((4, 4, 4, 4, 3))
         for a, b in itertools.combinations(range(4), 2):
             for c in range(4):
                 for d in range(4):
-                    f = x * row(a, b, c, d)
-                    R[a][b][c][d], R[b][a][c][d] = f, -f
-        return CurvatureTensor(S, R, None, None, None), grid_points(cls.KS, {"x": (0.5, 1.0, 3)})
+                    L[a, b, c, d] = x * row(a, b, c, d)
+                    L[b, a, c, d] = -1.0 * L[a, b, c, d]
+        return L, types.SimpleNamespace(_arrays=lambda grid: (None, L, None))
 
     def test_finite_rows_whose_sums_overflow(self):
-        # every row is finite, near 1e308; R_abcd + R_bcad overflows, and so
-        # does R_abcd - R_cdab where the two rows have opposite signs
-        curv, grid = self.hand_built(lambda a, b, c, d: 1e308 if (a, b) <= (c, d) else -0.9e308)
-        rows = [curv.lowered(a, b, c, d) for a, b in itertools.combinations(range(4), 2)
-                for c in range(4) for d in range(4)]
-        assert np.isfinite(values_on_grid(rows, grid)).all()
-        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(),) * 2
+        # every value is finite, near 1e308; R_abcd + R_bcad overflows, and so
+        # does R_abcd - R_cdab where the two values have opposite signs
+        L, curv = self.hand_made(lambda a, b, c, d: 1e308 if (a, b) <= (c, d) else -0.9e308)
+        assert np.isfinite(L).all()
+        got = checked_residuals(curv, None)
+        assert got == reference_residuals(L) == (math.inf.hex(),) * 2
 
     def test_non_finite_row_that_only_a_repeated_index_reads(self):
-        # R_0100 is inf and every other row finite: no triple of distinct
+        # R_0100 is inf and every other value finite: no triple of distinct
         # indices reads R_0100, but R_0100 + R_1000 + R_0010 is inf - inf
-        curv, grid = self.hand_built(lambda a, b, c, d: math.inf if (a, b, c, d) == (0, 1, 0, 0) else a - c + 0.5 * d)
-        assert gathered_residuals(curv, grid) == field_route_residuals(curv, grid) == (math.inf.hex(), (4.0).hex())
+        L, curv = self.hand_made(lambda a, b, c, d: math.inf if (a, b, c, d) == (0, 1, 0, 0) else a - c + 0.5 * d)
+        got = checked_residuals(curv, None)
+        assert got == reference_residuals(L) == (math.inf.hex(), (4.0).hex())
+
+    def test_rows_have_no_partials(self, built):
+        curv = built("ppwave").curv_k
+        for f in (curv.R[0][1][2][3], curv.R[1][0][2][3], curv.ricci[2][2], curv.scalar, curv.lowered(0, 1, 1, 0)):
+            with pytest.raises(FieldError, match="curvature rows have no partial derivatives"):
+                f.partial(0)
 
 
 class TestSectional:
