@@ -304,9 +304,12 @@ class CurvatureTensor:
     Convention: R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
     nabla_[X,Y] Z and Ric(X, Y) = trace of Z -> R(Z, X) Y, so the round
     sphere has positive Ricci. The tensor is one array of rows per grid,
-    summed from the values of Gamma, its partials, D, C, g and ``invg``;
-    ``R``, ``ricci``, ``scalar`` and ``lowered`` are row nodes without
-    partials (``fields._Row``), and ``R[a][a]`` is the zero.
+    summed from the values of Gamma, its partials, D, C and g; ``R``,
+    ``ricci`` and ``lowered`` are its row nodes (``fields._Row``), and
+    ``R[a][a]`` is the zero. ``scalar`` is the row of a holder of its own,
+    which reads Ric and ``invg``, so that a grid where nothing reads s
+    solves no inverse-metric column. A row's partial along a variable it
+    reads raises.
     """
 
     def __init__(self, structure: FrameStructure, gamma, invg):
@@ -317,7 +320,7 @@ class CurvatureTensor:
         self._partials = {(b, i): [[f.partial(i) for f in row] for row in gamma[b]]
                           for a, b in itertools.permutations(range(n), 2)
                           for i, d in enumerate(S.D[a]) if not _constant_zero(d)}
-        read = [*S.D, *(S.C[a][b] for a, b in itertools.combinations(range(n), 2)), *S.g, *invg]
+        read = [*S.D, *(S.C[a][b] for a, b in itertools.combinations(range(n), 2)), *S.g]
         self.mask = _listed([gamma, list(self._partials.values()), read])[1]
         for f in itertools.chain.from_iterable(read):
             f._readers += 1
@@ -325,21 +328,29 @@ class CurvatureTensor:
         self.R = [[[[zero if a == b else _Row(self, ((a * n + b) * n + c) * n + e) for e in range(n)]
                     for c in range(n)] for b in range(n)] for a in range(n)]
         self.ricci = [[_Row(self, 2 * n4 + a * n + b) for b in range(n)] for a in range(n)]
-        self.scalar = _Row(self, 2 * n4 + n * n)
+        self.scalar = _Row(_ScalarCurvature(self), 0)
 
     def value_at(self, grid):
         """The rows over a ``_Grid``, computed once per grid: R_abc^e at row
         ((a n + b) n + c) n + e, R_abcd at n^4 plus that row (zero for
-        a = b), Ric_ab at 2 n^4 + a n + b, and s last. Each sum is the
+        a = b) and Ric_ab at 2 n^4 + a n + b. Each sum is the
         ``fields.contract`` it stands for, over arrays."""
         got = self._cache.get(grid.key)
         if got is not None:
             return got
         S, n = self.structure, self.structure.n
-        out = np.zeros((2 * n ** 4 + n * n + 1, grid.n))
+        out = np.zeros((2 * n ** 4 + n * n, grid.n))
         R, L, ric = _blocks(out, n)
-        G, invg = (np.array(_factors(x, grid)) for x in (self._gamma, self.invg))  # G[a, b, c] = Gamma_ab^c
-        dG = {key: np.array(_factors(rows, grid)) for key, rows in self._partials.items()}
+        G = np.array(_factors(self._gamma, grid))  # G[a, b, c] = Gamma_ab^c
+
+        def table(rows):  # a partial that is the shared zero (None) reads as a row of +0.0
+            rows = _factors(rows, grid)
+            if any(v is None for row in rows for v in row):
+                zeros = np.zeros(grid.n)
+                rows = [[zeros if v is None else v for v in row] for row in rows]
+            return np.array(rows)
+
+        dG = {key: table(rows) for key, rows in self._partials.items()}
         D, g = _factors(S.D, grid), _factors(S.g, grid)
 
         def dd(a, b):  # d_{e_a} Gamma_bc^e over (c, e), as FrameStructure.dd sums it
@@ -355,7 +366,6 @@ class CurvatureTensor:
             L[a, b, :, d] = _contract_arrays(None, ((1, R[a, b, :, e], g[e][d]) for e in range(n)))
         for a in range(n):
             ric[a] = _contract_arrays(None, ((1, R[c, a, :, c], 1.0) for c in range(n) if c != a))
-        out[-1] = _contract_arrays(None, ((1, invg[a, b], ric[a, b]) for a, b in itertools.product(range(n), repeat=2)))
         self._cache[grid.key] = out
         return out
 
@@ -407,7 +417,24 @@ class CurvatureTensor:
 def _blocks(rows, n):
     """The views R and L, each (n, n, n, n, P), and Ric, (n, n, P), of a curvature tensor's rows."""
     R, L = rows[:2 * n ** 4].reshape(2, n, n, n, n, rows.shape[-1])
-    return R, L, rows[2 * n ** 4:-1].reshape(n, n, rows.shape[-1])
+    return R, L, rows[2 * n ** 4:].reshape(n, n, rows.shape[-1])
+
+
+class _ScalarCurvature:
+    """The one-row holder of s = g^ab Ric_ab over a curvature tensor."""
+
+    def __init__(self, tensor):
+        self.kset, self._tensor, self._row_partial = tensor.kset, tensor, tensor._row_partial
+        self.mask = tensor.mask | _listed(tensor.invg)[1]
+        for f in itertools.chain.from_iterable(tensor.invg):
+            f._readers += 1
+
+    def value_at(self, grid):  # read once per grid: its row node keeps the row
+        n = self._tensor.structure.n
+        ric = _blocks(self._tensor.value_at(grid), n)[2]
+        invg = np.array(_factors(self._tensor.invg, grid))
+        pairs = itertools.product(range(n), repeat=2)
+        return _contract_arrays(None, ((1, invg[a, b], ric[a, b]) for a, b in pairs))[None]
 
 
 def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:

@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import types
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -272,6 +273,135 @@ class TestLiftPartial:
         with pytest.raises(TypeError):
             tau.partial("sin")
         assert tau.partial(0).at((2.0,)) == 1.0
+
+
+KS3 = KSet(("tau", "x", "y"))
+
+
+def _curvature_3(g00):
+    """The curvature tensor of the coordinate frame of (tau, x, y) with metric
+    diag(g00, 1, 1): e_x and e_y derive along x and y, which g00 need not read."""
+    zero, one = KS3.zero, constant(KS3, 1.0)
+    S = FrameStructure(KS3, ("e", "ex", "ey"), [[g00, zero, zero], [zero, one, zero], [zero, zero, one]],
+                       [[[zero] * 3] * 3] * 3, [[one if a == i else zero for i in range(3)] for a in range(3)])
+    return curvature(S, koszul_connection(S))
+
+
+def _dag(f):
+    """Every node of a parsed field's DAG, once each."""
+    seen, todo = {}, [f]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(c for c in (getattr(node, "f", None), getattr(node, "g", None)) if c is not None)
+    return list(seen.values())
+
+
+def _derived_by_rules(f, i):
+    """f's partial along variable i as ``partial`` built it before a partial
+    along an unread variable became the shared zero: each node derives by its
+    own rule, a constant and any other variable by the zero."""
+    memo = {}  # (id, index) -> (node, partial); holding the node keeps its id unique
+
+    def partial(self, j):
+        got = memo.get((id(self), j))
+        if got is None:
+            other = self.is_constant or (isinstance(self, fields_mod.Var) and self.i != j)
+            got = memo[id(self), j] = (self, self.kset.zero if other else self._derive(j))
+        return got[1]
+
+    with unittest.mock.patch.object(ScalarField, "partial", partial):
+        return partial(f, i)
+
+
+@st.composite
+def _unread_expressions(draw):
+    """A parsed expression in a drawn subset of (tau, x, y)."""
+    names = sorted(draw(st.sets(st.sampled_from(KS3.names), min_size=1, max_size=2)))
+    unary = st.sampled_from(sorted(fields_mod._ELEMENTARY) + ["sech"])
+    return draw(st.recursive(st.sampled_from(names + ["0.5", "2", "3"]), lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/"), e).map("(%s %s %s)".__mod__),
+        st.tuples(unary, e).map("%s(%s)".__mod__),
+        st.tuples(e, st.sampled_from(["2", "0.5", "(-1)"])).map("(%s)^%s".__mod__)), max_leaves=6))
+
+
+class TestUnreadPartials:
+    """A partial along a variable that a node does not read is the shared
+    zero, built by no derive rule."""
+
+    CASES = [
+        lambda: variable(KS3, "x"),
+        lambda: constant(KS3, 2.5),
+        lambda: variable(KS3, "x") + variable(KS3, "tau"),
+        lambda: variable(KS3, "x") - variable(KS3, "tau"),
+        lambda: variable(KS3, "x") * variable(KS3, "tau"),
+        lambda: variable(KS3, "x") / (variable(KS3, "tau") + 2.0),
+        *(lambda name=name: fields_mod._apply(name, variable(KS3, "x")) for name in sorted(fields_mod._ELEMENTARY)),
+        lambda: variable(KS3, "x") ** 1.5,
+        lambda: remap(make_closed_form("log(tau)", KS1), KS3),
+        lambda: LinearFieldSystem([[variable(KS3, "x") + 2.0]], [variable(KS3, "tau")]).components()[0],
+        lambda: _curvature_3(2.0 + variable(KS3, "tau") ** 2).R[0][1][0][1],
+        lambda: _curvature_3(2.0 + variable(KS3, "tau") ** 2).scalar,
+    ]
+
+    @pytest.mark.parametrize("make", CASES)
+    def test_partial_along_an_unread_variable_is_the_zero(self, make):
+        f = make()
+        assert f._mask >> 2 & 1 == 0
+        assert f.partial(2) is KS3.zero and f._cache[2] is KS3.zero
+        assert values_on_grid(f.partial(2), [(0.5, 0.25, 1.0)]).tolist() == [0.0]
+
+    def test_curvature_row_raises_along_a_variable_it_reads(self):
+        curv = _curvature_3(2.0 + variable(KS3, "tau") ** 2)
+        for f in (curv.R[0][1][0][1], curv.ricci[0][0], curv.scalar, curv.lowered(0, 1, 1, 0)):
+            assert f._mask == 1 and f.partial(1) is KS3.zero
+            with pytest.raises(FieldError, match="curvature rows have no partial derivatives"):
+                f.partial(0)
+        # e_x derives along x, which no Gamma reads: its partials read as rows of +0.0
+        assert curv.max_component([(0.5, 0.0, 0.0), (1.5, 0.0, 0.0)]) == 0.0
+
+    def test_quotient_partial_needs_no_denominator(self):
+        # the rule builds no _Div(0, g*g): g*g underflows to 0.0 at x = 1e-170, where the
+        # partial raised "quotient has degenerate denominator 0.0" although 1/x is 1e170
+        f = make_closed_form("1/x", KS3)
+        point = (0.0, 1e-170, 0.0)
+        assert f.at(point) == 1e170
+        assert f.partial(0) is KS3.zero and f.partial(0).at(point) == 0.0
+
+    def test_solve_still_raises_where_its_unread_partial_is_zero(self):
+        # no derivative system is built along y; the solve names the same point as before
+        sol = LinearFieldSystem([[variable(KS2, "x")]], [constant(KS2, 1.0)]).components()[0]
+        grid = [(1.0, 0.0), (0.0, 0.0)]
+        with pytest.raises(SingularMatrixError) as exc:
+            values_on_grid([sol, sol.partial(1)], grid)
+        assert str(exc.value) == "near-singular matrix (|det| = 0.000e+00) in pointwise solve at (0.0, 0.0)"
+        assert sol.partial(1) is KS2.zero  # its derivative system raised at (0.0, 0.0)
+        assert values_on_grid(sol.partial(1), grid).tolist() == [0.0, 0.0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_unread_expressions())
+    def test_derive_rules_give_only_zeros_where_the_rule_applies(self, expr):
+        # each node's own derive rule, applied all the way down, evaluates only to
+        # +-0.0 or NaN along a variable the node does not read, or fails at a point
+        # (a quotient whose squared denominator underflows, a power's lowered exponent)
+        try:
+            f = make_closed_form(expr, KS3)
+        except DomainError:
+            return  # a constant folded outside its domain
+        points = [(0.3, 0.7, 1.9), (-0.4, 1.3, 0.2), (2.5, -1.1, 0.0)]
+        for node in _dag(f):
+            for i in range(3):
+                if node._mask >> i & 1:
+                    continue
+                assert node.partial(i) is KS3.zero
+                d = _derived_by_rules(node, i)
+                for p in points:
+                    try:
+                        v = d.at(p)
+                    except DomainError:
+                        continue
+                    assert v == 0.0 or math.isnan(v), (expr, node, i, p, v)
 
 
 class TestDomains:
@@ -1115,8 +1245,9 @@ class TestReaders:
 
 
 class TestSharedConstants:
-    """Each k-set holds one +0.0 and one -1.0 node; a constant fold that
-    gives +0.0 returns the shared zero instead of a new node."""
+    """Each k-set holds one +0.0, one -0.0 and one -1.0 node; a constant
+    fold that gives a zero returns the shared node of its sign instead of a
+    new node."""
 
     def test_positive_zero_fold_is_the_shared_zero(self):
         two, x = constant(KS2, 2.0), variable(KS2, "x")
@@ -1132,8 +1263,10 @@ class TestSharedConstants:
         lambda: make_closed_form("-0", KS2),
     ])
     def test_negative_zero_fold_keeps_its_own_node(self, fold):
+        # its own node apart from the +0.0 zero: the k-set's shared -0.0 (a new node each
+        # fold before, 158 of them in a ppwave-sech 3x8x8 run)
         f = fold()
-        assert f.is_constant and f is not KS2.zero
+        assert f.is_constant and f is KS2.minus_zero and f is not KS2.zero
         assert f.c == 0.0 and math.copysign(1.0, f.c) == -1.0
         assert math.copysign(1.0, f.at((0.0, 0.0))) == -1.0
 
@@ -1150,7 +1283,7 @@ class TestSharedConstants:
                      "--out", str(tmp_path / "fam.csv")]) == 0
         # the literal 0 is the shared zero, and sqrt, which has a domain test, keeps its node
         assert values_on_grid(make_closed_form("1 + sqrt(0) * tau", TAU_KSET), [(0.5,)]).tolist() == [1.0]
-        for shared in (TAU_KSET.zero, TAU_KSET.minus_one):
+        for shared in (TAU_KSET.zero, TAU_KSET.minus_zero, TAU_KSET.minus_one):
             kept = list(shared._cache.values())
             assert not any(type(v).__name__ == "_Elementary" or isinstance(v, np.ndarray) for v in kept)
             assert all(v is TAU_KSET.zero for v in kept)  # only its partials
