@@ -56,7 +56,10 @@ numpy's ufunc to the whole array, which gives ``math``'s bits with and
 without SIMD dispatch; the other elementary functions and powers apply
 ``math`` per element, as their ufuncs differ from it in the last bit on a
 share of inputs (with SIMD dispatch; ``np.power`` also without); a
-pointwise solve is one stacked ``np.linalg.solve``. Each
+pointwise solve is one stacked ``np.linalg.solve``, or, against a matrix
+whose off-diagonal entries are all the shared +0.0 node (the catalog's
+induced Kahler metrics and fiber frame metrics), ``_diagonal_solve``, which
+gives LAPACK's bits in a fraction of its time. Each
 distinct pointwise matrix is assembled and det-checked once per grid, in
 one holder shared by every solve against it (derivative systems included);
 each distinct right-hand side is solved once (the holder finds it by its
@@ -79,7 +82,8 @@ quantity that does not depend on a variable has the zero derivative along
 it (activity analysis, Griewank & Walther, *Evaluating Derivatives*, 2008),
 so no solve builds a derivative system along a variable it does not read.
 A ppwave-sech run on 3x8x8 points builds 3,438 nodes, 493 of them
-constants, and makes 40 ``np.linalg.solve`` calls.
+constants, and solves 40 right-hand sides: 8 by ``np.linalg.solve``
+against the frame metric, and 32 by ``_diagonal_solve``.
 
 Each node calls ``ScalarField.__init__`` by name, once (on CPython 3.11 a
 zero-argument ``super()`` nearly doubles a small node's cost); ``_add``,
@@ -861,11 +865,43 @@ def remap(f: ScalarField, kset: KSet) -> ScalarField:
 # pointwise linear solves ----------------------------------------------------
 
 
+_TINY = np.finfo(float).tiny  # dgetrf's safe minimum: it scales by 1/pivot only at or above it
+
+
+def _diagonal_solve(d, b):
+    """``np.linalg.solve`` of the diagonal matrices with diagonals ``d``
+    against the right-hand sides ``b``, both (n, points) and finite, with
+    its bits. The matrices' off-diagonal entries are +0.0, and dgetrf leaves
+    signed zeros below the diagonal (+0.0 times 1/pivot, or the +0.0 itself
+    at a pivot below ``_TINY``), which dgetrs adds in: a product of zeros
+    can only flip the sign of a zero, and zero times an infinite component
+    spreads NaN. So this is ``b / d``, unless ``b`` holds a -0.0 or a
+    quotient overflows; then it replays the substitutions in LAPACK's order
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 8-9)."""
+    q = b / d
+    if np.isfinite(q).all() and not ((b == 0.0) & np.signbit(b)).any():
+        return q
+    y, lz = b.copy(), np.where(np.abs(d) >= _TINY, np.copysign(0.0, d), 0.0)
+    n = len(y)
+    for i in range(n - 1):
+        y[i + 1:] += -y[i] * lz[i]
+    for i in range(n - 1, -1, -1):
+        y[i] /= d[i]
+        y[:i] += -y[i] * 0.0
+    return y
+
+
 class _PointwiseMatrix:
     """An n-by-n matrix of fields shared by every pointwise solve against
     it. For each grid it keeps the stacked values ``M`` (points first), the
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
     points), so the matrix is assembled and det-checked once per grid.
+    ``diagonal`` is whether every off-diagonal entry is the k-set's shared
+    +0.0 node (so every 1-by-1 matrix is): such a matrix is solved by
+    ``_diagonal_solve``, and any other by LAPACK. A -0.0 off-diagonal is not
+    diagonal here, as it changes the signs of LAPACK's zeros; and a full
+    matrix stays on LAPACK, because OpenBLAS's substitution rounds
+    ``b - x * a`` once (a fused multiply-add), which numpy cannot.
     ``solutions`` maps (grid key, CRC-32 of a stacked right-hand side) to
     the stacked right-hand side of the first system that solved it and the
     solution, so each distinct right-hand side is solved once per grid. A
@@ -874,11 +910,12 @@ class _PointwiseMatrix:
     one more solve, never a wrong one. (zlib is loaded with numpy; hashlib
     would map OpenSSL, 3.5 MB of RSS.)"""
 
-    __slots__ = ("rows", "mask", "_cache", "solutions")
+    __slots__ = ("rows", "mask", "diagonal", "_cache", "solutions")
 
     def __init__(self, rows):
         self.rows = [list(row) for row in rows]
         self.mask = _listed(self.rows)[1]
+        self.diagonal = all(f is f.kset.zero for i, row in enumerate(self.rows) for j, f in enumerate(row) if i != j)
         self._cache = {}
         self.solutions = {}
         for f in itertools.chain.from_iterable(self.rows):
@@ -896,7 +933,8 @@ class _PointwiseMatrix:
 
 
 class LinearFieldSystem:
-    """Shared n-by-n pointwise solve A(point) x = b(point).
+    """Shared n-by-n pointwise solve A(point) x = b(point), by LAPACK or,
+    when the holder of A is diagonal, by ``_diagonal_solve`` (same bits).
 
     Solution components are fields; their partials are obtained from the
     identity dx = A^{-1} (db - dA x), so derivatives of any order propagate
@@ -944,9 +982,11 @@ class LinearFieldSystem:
             if first is not None and np.array_equal(first[0].view(np.int64), stack.view(np.int64)):
                 got = first[1]
             else:
-                x = np.full((grid.n, self.n), math.nan)
-                x[rows] = np.linalg.solve(M[rows], stack.T[rows, :, None])[..., 0]
-                got = np.ascontiguousarray(x.T)
+                got = np.full((self.n, grid.n), math.nan)
+                if self._matrix.diagonal:
+                    got[:, rows] = _diagonal_solve(M.diagonal(0, 1, 2)[rows].T, stack[:, rows])
+                else:
+                    got.T[rows] = np.linalg.solve(M[rows], stack.T[rows, :, None])[..., 0]
                 self._matrix.solutions.setdefault(key, (stack, got))
             self._cache[grid.key] = got
         return got

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from frame_kahler import catalog as catalog_mod
+from frame_kahler import fields as fields_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import (SchemaError, capped_grid_box, catalog_ids, entry_from_document, family_document,
                                   interval_bounds, load)
@@ -685,53 +686,70 @@ class TestBuiltOnce:
 
 class TestSolveCounts:
     """Each distinct pointwise matrix is assembled and det-checked once per
-    grid, and each distinct right-hand side is solved once against it. A
-    grid here is a projection of the run's grid onto the variables that a
+    grid, and each distinct right-hand side is solved once against it, by
+    LAPACK or, for a diagonal matrix, by ``fields._diagonal_solve``. A grid
+    here is a projection of the run's grid onto the variables that a
     request reads, so one matrix may meet two of them."""
+
+    @staticmethod
+    def count(monkeypatch, calls):
+        """Count the LAPACK calls and diagonal solves named in ``calls``."""
+        counts = collections.Counter()
+        for name in calls:
+            owner = fields_mod if name == "_diagonal_solve" else np.linalg
+
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
 
     @pytest.mark.parametrize("entry,box,calls", [
         # base structure and induced metric; the induced metric on two projections
         # (det 2, solve 46 when every request was evaluated on the whole grid; solve 47
         # when each solve also built and solved its derivative systems along y, which no
-        # field reads, with all-zero right-hand sides)
+        # field reads, with all-zero right-hand sides; solve 40 when the diagonal induced
+        # metric was solved by LAPACK too)
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)},
-         {"det": 3, "solve": 40}),
+         {"det": 3, "solve": 8, "_diagonal_solve": 32}),
         # and the fiber; s is summed only on a grid where it is read, and no warped check
         # reads it, so the four inverse-metric columns are not solved (solve 57 when the
-        # curvature tensor summed s on every grid)
-        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 53}),
+        # curvature tensor summed s on every grid; solve 53 when the diagonal induced
+        # metric and the fiber's orthonormal frame metric were solved by LAPACK too)
+        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 15, "_diagonal_solve": 38}),
     ])
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
-        counts = collections.Counter()
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(np.linalg, name)):
-                counts[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        counts = self.count(monkeypatch, calls)
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
         assert dict(counts) == calls
 
     def test_solves_run_on_projected_grids(self, monkeypatch):
         # no field of ppwave-sech reads y, so each solve runs on at most the 3 x 8
-        # distinct (tau, x) of the 3 x 8 x 8 grid (192 rows when it ran on every point)
+        # distinct (tau, x) of the 3 x 8 x 8 grid (192 rows when it ran on every point);
+        # the diagonal induced-metric systems take (n, points) stacks
         entry = load("ppwave", iota=SECH)
         grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
         assert len(grid) == 192
-        rows = []
-        solve = np.linalg.solve
+        rows = {"lapack": [], "diagonal": []}
+        solve, diagonal_solve = np.linalg.solve, fields_mod._diagonal_solve
 
         def counted(a, b):
-            rows.append(len(a))
+            rows["lapack"].append(len(a))
             return solve(a, b)
 
+        def counted_diagonal(d, b):
+            rows["diagonal"].append(d.shape[1])
+            return diagonal_solve(d, b)
+
         monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(fields_mod, "_diagonal_solve", counted_diagonal)
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
-        assert rows and max(rows) <= 24
+        assert all(rows.values()) and max(rows["lapack"] + rows["diagonal"]) <= 24
 
     NODES_BUILT = [
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3438),

@@ -1,6 +1,7 @@
 """Scalar-field algebra: parser, exact partials, solves, complex fields."""
 
 import gc
+import itertools
 import math
 import operator
 import types
@@ -875,7 +876,9 @@ class _Table(ScalarField):
 
 class TestSharedMatrix:
     """Every solve against one matrix reads one assembled and det-checked
-    stack per grid, and each distinct right-hand side is solved once."""
+    stack per grid, and each distinct right-hand side is solved once, by
+    LAPACK or, for a diagonal matrix (every 1-by-1 one), by
+    ``fields._diagonal_solve``. The memo tests run on both paths."""
 
     @pytest.fixture
     def det_calls(self, monkeypatch):
@@ -891,15 +894,32 @@ class TestSharedMatrix:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
+        """(path, rows) of each LAPACK call and each diagonal solve."""
         calls = []
-        solve = np.linalg.solve
+        solve, diagonal_solve = np.linalg.solve, fields_mod._diagonal_solve
 
         def counted(a, b):
-            calls.append(len(a))
+            calls.append(("lapack", len(a)))
             return solve(a, b)
 
+        def counted_diagonal(d, b):
+            calls.append(("diagonal", d.shape[1]))
+            return diagonal_solve(d, b)
+
         monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(fields_mod, "_diagonal_solve", counted_diagonal)
         return calls
+
+    @staticmethod
+    def on_both_paths(solve_calls):
+        """(path, holder) of a fresh 1-by-1 matrix tau + 2, solved as built
+        (diagonal) and then forced onto LAPACK, with the calls cleared."""
+        for path in ("diagonal", "lapack"):
+            holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
+            assert holder.diagonal
+            holder.diagonal = path == "diagonal"
+            solve_calls.clear()
+            yield path, holder
 
     @staticmethod
     def hexes(values):
@@ -917,23 +937,24 @@ class TestSharedMatrix:
         assert b1[0] is not b2[0] and b1[1] is not b2[1]
         grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5), (0.0, 0.0)]
         holder = _PointwiseMatrix(A())
+        assert not holder.diagonal
         shared = values_on_grid([LinearFieldSystem(holder, b1).components(),
                                  LinearFieldSystem(holder, b2).components()], grid)
-        assert solve_calls == [4]
+        assert solve_calls == [("lapack", 4)]
         alone = values_on_grid([LinearFieldSystem(A(), b1).components(),
                                 LinearFieldSystem(A(), b2).components()], grid)
-        assert solve_calls == [4, 4, 4]
+        assert solve_calls == [("lapack", 4)] * 3
         assert self.hexes(shared[0]) == self.hexes(alone[0]) == self.hexes(alone[1])
         assert self.hexes(shared[1]) == self.hexes(alone[1])
 
     def test_signed_zeros_solve_apart(self, solve_calls):
-        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
-        plus = LinearFieldSystem(holder, [_Table([0.0, 1.0])]).components()[0]
-        minus = LinearFieldSystem(holder, [_Table([-0.0, 1.0])]).components()[0]
-        values = values_on_grid([plus, minus], [(0.0,), (2.0,)])
-        assert solve_calls == [2, 2]
-        assert self.hexes(values) == [["0x0.0p+0", "0x1.0000000000000p-2"],
-                                      ["-0x0.0p+0", "0x1.0000000000000p-2"]]
+        for path, holder in self.on_both_paths(solve_calls):
+            plus = LinearFieldSystem(holder, [_Table([0.0, 1.0])]).components()[0]
+            minus = LinearFieldSystem(holder, [_Table([-0.0, 1.0])]).components()[0]
+            values = values_on_grid([plus, minus], [(0.0,), (2.0,)])
+            assert solve_calls == [(path, 2), (path, 2)]
+            assert self.hexes(values) == [["0x0.0p+0", "0x1.0000000000000p-2"],
+                                          ["-0x0.0p+0", "0x1.0000000000000p-2"]]
 
     @pytest.mark.parametrize("first,second", [
         (0.5, math.nan),
@@ -943,17 +964,17 @@ class TestSharedMatrix:
     def test_nan_differences_solve_apart(self, solve_calls, first, second):
         b1, b2 = np.array([1.0, first]), np.array([1.0, second])
         assert b1.tobytes() != b2.tobytes()
-        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
-        x1 = LinearFieldSystem(holder, [_Table(b1)]).components()[0]
-        x2 = LinearFieldSystem(holder, [_Table(b2)]).components()[0]
-        values = values_on_grid([x1, x2], [(0.0,), (2.0,)])
-        assert solve_calls == [2 - math.isnan(first), 1]
-        assert values[0, 0] == values[1, 0] == 0.5
-        assert math.isnan(values[1, 1])
-        if math.isnan(first):
-            assert math.isnan(values[0, 1])
-        else:
-            assert values[0, 1] == 0.125
+        for path, holder in self.on_both_paths(solve_calls):
+            x1 = LinearFieldSystem(holder, [_Table(b1)]).components()[0]
+            x2 = LinearFieldSystem(holder, [_Table(b2)]).components()[0]
+            values = values_on_grid([x1, x2], [(0.0,), (2.0,)])
+            assert solve_calls == [(path, 2 - math.isnan(first)), (path, 1)]
+            assert values[0, 0] == values[1, 0] == 0.5
+            assert math.isnan(values[1, 1])
+            if math.isnan(first):
+                assert math.isnan(values[0, 1])
+            else:
+                assert values[0, 1] == 0.125
 
     def test_singular_point_raises_for_every_system_sharing_a_right_hand_side(self, solve_calls):
         tau = variable(KS1, "tau")
@@ -1008,17 +1029,113 @@ class TestSharedMatrix:
         # every right-hand side gets the same digest; only the bitwise
         # comparison keeps distinct ones apart
         monkeypatch.setattr(fields_mod, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
-        holder = _PointwiseMatrix([[variable(KS1, "tau") + 2.0]])
-        xs = [LinearFieldSystem(holder, [_Table(b)]).components()[0] for b in ([1.0, 2.0], [1.0, 4.0], [1.0, 2.0])]
-        values = values_on_grid(xs, [(0.0,), (2.0,)])
-        assert solve_calls == [2, 2]
-        assert values.tolist() == [[0.5, 0.5], [0.5, 1.0], [0.5, 0.5]]
+        for path, holder in self.on_both_paths(solve_calls):
+            xs = [LinearFieldSystem(holder, [_Table(b)]).components()[0] for b in ([1.0, 2.0], [1.0, 4.0], [1.0, 2.0])]
+            values = values_on_grid(xs, [(0.0,), (2.0,)])
+            assert solve_calls == [(path, 2), (path, 2)]
+            assert values.tolist() == [[0.5, 0.5], [0.5, 1.0], [0.5, 0.5]]
 
     def test_each_grid_assembles_its_own_stack(self, det_calls):
         x = LinearFieldSystem([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)]).components()[0]
         assert values_on_grid([x, x.partial(0)], [(0.0,), (2.0,)]).tolist() == [[0.5, 0.25], [-0.25, -0.0625]]
         assert values_on_grid([x, x.partial(0)], [(-1.0,)]).tolist() == [[1.0], [-1.0]]
         assert det_calls == [2, 1]
+
+
+class TestDiagonalSolve:
+    """``fields._diagonal_solve`` gives ``np.linalg.solve``'s bits for a
+    diagonal matrix whose off-diagonal entries are +0.0, NaN payloads aside
+    (no report prints one). A CI step runs this class again with every SIMD
+    dispatch target off."""
+
+    TINY = 2.2250738585072014e-308  # dgetrf scales by 1/pivot at or above it, and not below
+    PIVOTS = [TINY, -TINY, 1e-308, -1e-308, 5e-324, -5e-324, 1e-300, -1e300, 1.7e308]
+    RHS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7e308, math.inf, -math.inf]
+    ENTRY = st.tuples(st.one_of(st.sampled_from(PIVOTS), st.floats(allow_nan=False, allow_infinity=False).filter(bool)),
+                      st.one_of(st.sampled_from(RHS), st.floats(allow_nan=False)))
+
+    @staticmethod
+    def lapack(d, b, off=0.0):
+        """``np.linalg.solve`` of each column: diagonal d, off-diagonals ``off``."""
+        n, points = d.shape
+        M = np.full((points, n, n), off)
+        M[:, range(n), range(n)] = d.T
+        return np.linalg.solve(M, b.T[:, :, None])[..., 0].T
+
+    @staticmethod
+    def mismatches(x, y):
+        """The number of columns where x and y differ in a bit or in being NaN."""
+        nan = np.isnan(x)
+        differ = (nan != np.isnan(y)) | (~nan & (x.view(np.int64) != y.view(np.int64)))
+        return int(differ.any(axis=0).sum())
+
+    @staticmethod
+    def every_combination(n, rhs, pivots):
+        """(d, b): every diagonal of n pivots against every column of n right-hand sides."""
+        B = np.array(list(itertools.product(rhs, repeat=n)), dtype=float).T
+        D = np.array(list(itertools.product(pivots, repeat=n)), dtype=float).T
+        return np.repeat(D, B.shape[1], axis=1), np.tile(B, (1, D.shape[1]))
+
+    @pytest.mark.parametrize("n,combinations", [(1, 21), (3, 9261), (4, 194481)])
+    def test_sign_grid_equals_lapack(self, n, combinations):
+        # +-0 right-hand sides, an infinite one, quotients that overflow (1e308 / 1e-308)
+        # and underflow (5e-324 / 2), and a pivot below the safe minimum
+        d, b = self.every_combination(n, [0.0, -0.0, 1.5, -1.5, math.inf, 1e308, 5e-324], [2.0, -2.0, 1e-308])
+        assert d.shape[1] == combinations
+        with np.errstate(all="ignore"):
+            assert self.mismatches(fields_mod._diagonal_solve(d, b), self.lapack(d, b)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pivots_below_the_safe_minimum_of_either_sign(self, n):
+        # below 2.2e-308 dgetrf leaves the +0.0 under the pivot as it is, so a negative
+        # subnormal pivot gives +0.0 there where a normal one gives -0.0
+        d, b = self.every_combination(n, [0.0, -0.0, 1.5, 1e308, -5e-324], [2.0, -2.0] + self.PIVOTS[:6])
+        with np.errstate(all="ignore"):
+            assert self.mismatches(fields_mod._diagonal_solve(d, b), self.lapack(d, b)) == 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 3, 4]).flatmap(
+        lambda n, entry=ENTRY: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_equals_lapack(self, columns):
+        # columns[k][i] is (pivot, right-hand side) of row i in column k
+        d, b = np.array(columns, dtype=float).transpose(2, 1, 0)
+        with np.errstate(all="ignore"):
+            got, want = fields_mod._diagonal_solve(d, b), self.lapack(d, b)
+        assert self.mismatches(got, want) == 0, (d.tolist(), b.tolist())
+
+    def test_minus_zero_off_diagonals_stay_on_lapack(self):
+        tau = variable(KS1, "tau")
+
+        def matrix(off):
+            return [[tau + (i + 1.0) if i == j else off for j in range(4)] for i in range(4)]
+
+        assert _PointwiseMatrix(matrix(KS1.zero)).diagonal
+        assert not _PointwiseMatrix(matrix(KS1.minus_zero)).diagonal
+        d, b = self.every_combination(4, [0.0, -0.0, 1.5, -1.5], [2.0, -2.0])
+        assert d.shape[1] == 4096
+        want = self.lapack(d, b)
+        assert self.mismatches(fields_mod._diagonal_solve(d, b), want) == 0
+        # -0.0 off-diagonals change the signs of LAPACK's zeros
+        assert self.mismatches(fields_mod._diagonal_solve(d, b), self.lapack(d, b, -0.0)) == 860
+        # plain division, measured and rejected: it loses the signed zeros LAPACK adds in
+        assert self.mismatches(b / d, want) == 2517
+
+    def test_a_system_gives_lapack_bits_on_both_paths(self):
+        tau = variable(KS1, "tau")
+        zero = KS1.zero
+        rows = [[tau - 0.5, zero, zero], [zero, constant(KS1, -2.0), zero], [zero, zero, tau + 1e-3]]
+        # 1e308 / 1e-3 overflows in the last row, and its inf times a zero below the
+        # diagonal spreads NaN up the column
+        b = [_Table([-0.0, -0.0, 3.0]), _Table([0.0, 0.0, 1.5]), _Table([1e308, 7.0, -0.0])]
+        grid = [(0.0,), (1.0,), (2.0,)]
+        values = {}
+        for diagonal in (True, False):
+            holder = _PointwiseMatrix(rows)
+            assert holder.diagonal
+            holder.diagonal = diagonal
+            values[diagonal] = values_on_grid(LinearFieldSystem(holder, b).components(), grid)
+        assert TestSharedMatrix.hexes(values[True]) == TestSharedMatrix.hexes(values[False])
+        assert np.isnan(values[True][:, 0]).any() and (np.signbit(values[True]) & (values[True] == 0.0)).any()
 
 
 class TestRemapAndFolds:
