@@ -691,20 +691,6 @@ class TestSolveCounts:
     here is a projection of the run's grid onto the variables that a
     request reads, so one matrix may meet two of them."""
 
-    @staticmethod
-    def count(monkeypatch, calls):
-        """Count the LAPACK calls and diagonal solves named in ``calls``."""
-        counts = collections.Counter()
-        for name in calls:
-            owner = fields_mod if name == "_diagonal_solve" else np.linalg
-
-            def counted(*args, _name=name, _original=getattr(owner, name)):
-                counts[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(owner, name, counted)
-        return counts
-
     @pytest.mark.parametrize("entry,box,calls", [
         # base structure and induced metric; the induced metric on two projections
         # (det 2, solve 46 when every request was evaluated on the whole grid; solve 47
@@ -722,7 +708,15 @@ class TestSolveCounts:
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
-        counts = self.count(monkeypatch, calls)
+        counts = collections.Counter()
+        for name in calls:
+            owner = fields_mod if name == "_diagonal_solve" else np.linalg
+
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
         assert dict(counts) == calls
