@@ -12,6 +12,11 @@ products over a frame index that builds fields goes through
 term with a constant-zero factor: the tables are mostly structural zeros.
 Nothing differentiates the curvature tensor, so ``CurvatureTensor`` sums
 arrays instead, in the same order and with the same skips.
+The Koszul formula reads each d_a g_bc and each g(e_u, [e_v, e_w]) three
+times, and the compatibility, Killing and twist checks read them again:
+``FrameStructure`` builds each as one table per structure on first read,
+as it builds ``jacobi_residuals`` (``dg``, and the table that
+``g_of_bracket`` indexes), and every reader indexes the tables.
 
 Every check reads field values over a grid through ``values_on_grid``
 (defined in ``fields`` and re-exported here; ``ScalarField.at`` evaluates
@@ -228,6 +233,22 @@ class FrameStructure:
         return [sum((term(u, v, w, e) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))), self.kset.zero)
                 for a, b, c in itertools.combinations(range(self.n), 3) for e in range(self.n)]
 
+    @cached_property
+    def dg(self) -> list:
+        """dg[a][b][c] = d_{e_a} g_bc; where g_cb is the node g_bc,
+        dg[a][c][b] is the same entry."""
+        n, g = self.n, self.g
+        dg = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for a, b, c in itertools.product(range(n), repeat=3):
+            dg[a][b][c] = dg[a][c][b] if c < b and g[c][b] is g[b][c] else self.dd(a, g[b][c])
+        return dg
+
+    @cached_property
+    def _g_of_brackets(self) -> list:
+        zero, C, g, n = self.kset.zero, self.C, self.g, self.n
+        return [[[contract(zero, ((1, C[v][w][e], g[u][e]) for e in range(n))) for w in range(n)]
+                 for v in range(n)] for u in range(n)]
+
     def dd(self, a: int, field: ScalarField) -> ScalarField:
         """Directional derivative d_{e_a} of a field, via the D table. A
         partial is derived only where the table's entry is not a constant
@@ -238,8 +259,8 @@ class FrameStructure:
         return contract(zero, ((1, field.partial(i), d) for i, d in enumerate(self.D[a]) if not _constant_zero(d)))
 
     def g_of_bracket(self, u: int, v: int, w: int) -> ScalarField:
-        """g(e_u, [e_v, e_w])."""
-        return contract(self.kset.zero, ((1, self.C[v][w][e], self.g[u][e]) for e in range(self.n)))
+        """g(e_u, [e_v, e_w]), an entry of a table built once."""
+        return self._g_of_brackets[u][v][w]
 
     def with_metric(self, new_g) -> "FrameStructure":
         """Same frame, brackets and derivatives under a different metric."""
@@ -274,7 +295,7 @@ class ConnectionTable:
         S = self.structure
 
         def residual(a, b, c):
-            return contract(S.dd(a, S.g[b][c]), (t for d in range(S.n) for t in (
+            return contract(S.dg[a][b][c], (t for d in range(S.n) for t in (
                 (-1, self.gamma[a][b][d], S.g[d][c]), (-1, self.gamma[a][c][d], S.g[b][d]))))
 
         return max_abs_on_grid(
@@ -290,7 +311,7 @@ def koszul_connection(S: FrameStructure) -> ConnectionTable:
     assembled from metric derivatives and bracket terms.
     """
     def rhs(a, b, c):
-        return (S.dd(a, S.g[b][c]) + S.dd(b, S.g[a][c]) - S.dd(c, S.g[a][b])
+        return (S.dg[a][b][c] + S.dg[b][a][c] - S.dg[c][a][b]
                 - S.g_of_bracket(a, b, c) - S.g_of_bracket(b, a, c) + S.g_of_bracket(c, a, b)) * 0.5
 
     n = S.n
@@ -304,12 +325,11 @@ class CurvatureTensor:
     Convention: R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
     nabla_[X,Y] Z and Ric(X, Y) = trace of Z -> R(Z, X) Y, so the round
     sphere has positive Ricci. The tensor is one array of rows per grid,
-    summed from the values of Gamma, its partials, D, C and g; ``R``,
-    ``ricci`` and ``lowered`` are its row nodes (``fields._Row``), and
-    ``R[a][a]`` is the zero. ``scalar`` is the row of a holder of its own,
-    which reads Ric and ``invg``, so that a grid where nothing reads s
-    solves no inverse-metric column. A row's partial along a variable it
-    reads raises.
+    summed from the values of Gamma, its partials, D, C and g; ``ricci``
+    and ``lowered`` are its row nodes (``fields._Row``), and R_abc^e is read
+    only as arrays. ``scalar`` is the row of a holder of its own, which
+    reads Ric and ``invg``, so that a grid where nothing reads s solves no
+    inverse-metric column. A row's partial along a variable it reads raises.
     """
 
     def __init__(self, structure: FrameStructure, gamma, invg):
@@ -324,10 +344,7 @@ class CurvatureTensor:
         self.mask = _listed([gamma, list(self._partials.values()), read])[1]
         for f in itertools.chain.from_iterable(read):
             f._readers += 1
-        n4, zero = n ** 4, S.kset.zero
-        self.R = [[[[zero if a == b else _Row(self, ((a * n + b) * n + c) * n + e) for e in range(n)]
-                    for c in range(n)] for b in range(n)] for a in range(n)]
-        self.ricci = [[_Row(self, 2 * n4 + a * n + b) for b in range(n)] for a in range(n)]
+        self.ricci = [[_Row(self, 2 * n ** 4 + a * n + b) for b in range(n)] for a in range(n)]
         self.scalar = _Row(_ScalarCurvature(self), 0)
 
     def value_at(self, grid):

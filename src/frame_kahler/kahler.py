@@ -127,8 +127,7 @@ class AdmissibleData:
     def dk_flat_kT(self) -> ScalarField:
         """d(k^flat)(k, T) for the 1-form k^flat = g(k, .)."""
         S = self.structure
-        kflat = [S.g[K][c] for c in range(4)]
-        return contract(S.dd(K, kflat[T]) - S.dd(T, kflat[K]), ((-1, S.C[K][T][c], kflat[c]) for c in range(4)))
+        return contract(S.dg[K][K][T] - S.dg[T][K][K], ((-1, S.C[K][T][c], S.g[K][c]) for c in range(4)))
 
 
 @dataclass
@@ -187,7 +186,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
     if A.case == CASE_CENTRAL:
         fields.append(S.g[T][T] - cs.b)
     report.add("vertical_metric_constants", max_abs_on_grid(fields, grid), TOL_FRAME)
-    worst = max_abs_on_grid((S.dd(h, S.g[K][c]) for h in (X, Y) for c in (T, K)), grid)
+    worst = max_abs_on_grid((S.dg[h][K][c] for h in (X, Y) for c in (T, K)), grid)
     report.add("vertical_metric_constant_along_H", worst, TOL_FRAME)
 
     report.add("k_null", max_abs_on_grid(S.g[K][K], grid), TOL_FRAME)
@@ -197,7 +196,7 @@ def check_admissible(A: AdmissibleData, conn: ConnectionTable, grid) -> Verifica
         # pre-geodesic once the warping is nonconstant, so only here)
         geo = max_abs_on_grid([conn.gamma[K][K][c] for c in range(4)], grid)
         kill = max_abs_on_grid(
-            (S.dd(K, S.g[u][v]) - S.g_of_bracket(v, K, u) - S.g_of_bracket(u, K, v)
+            (S.dg[K][u][v] - S.g_of_bracket(v, K, u) - S.g_of_bracket(u, K, v)
              for u in range(4) for v in range(u, 4)),
             grid,
         )
@@ -281,22 +280,23 @@ def build_kahler(A: AdmissibleData) -> KahlerMetric:
 
 
 class FrameTwoForm:
-    """An antisymmetric 2-form through its values on frame pairs a < b."""
+    """An antisymmetric 2-form through its values on frame pairs a < b; each negation is built once."""
 
     def __init__(self, n, vals, zero):
         self.n = n
         self.vals = dict(vals)  # (a, b) with a < b -> field
         self.zero = zero
+        self._negated = {}
 
     def __call__(self, a, b):
         if a == b:
             return self.zero
         if a < b:
             return self.vals[(a, b)]
-        return -self.vals[(b, a)]
-
-    def pairs(self):
-        return sorted(self.vals)
+        got = self._negated.get((b, a))
+        if got is None:
+            got = self._negated[(b, a)] = -self.vals[(b, a)]
+        return got
 
 
 def exterior_d(S: FrameStructure, xi: list) -> FrameTwoForm:
@@ -397,17 +397,11 @@ def ricci_form(A: AdmissibleData, gforms: GammaForms) -> FrameTwoForm:
     S = A.structure
     d11 = exterior_d(S, gforms.forms[0][0])
     d22 = exterior_d(S, gforms.forms[1][1])
-    vals = {}
-    for ab in d11.pairs():
-        total = d11.vals[ab] + d22.vals[ab]
-        vals[ab] = total * 1j
-    return FrameTwoForm(4, vals, d11.zero)
+    return FrameTwoForm(4, {ab: (f + d22.vals[ab]) * 1j for ab, f in d11.vals.items()}, d11.zero)
 
 
 def ricci_form_real(rho: FrameTwoForm) -> FrameTwoForm:
-    vals = {ab: f.re for ab, f in rho.vals.items()}
-    zero = rho.zero.re if isinstance(rho.zero, CScalarField) else rho.zero
-    return FrameTwoForm(rho.n, vals, zero)
+    return FrameTwoForm(rho.n, {ab: f.re for ab, f in rho.vals.items()}, rho.zero.re)
 
 
 def ricci_form_imag_residual(rho: FrameTwoForm, grid) -> float:

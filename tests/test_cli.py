@@ -746,9 +746,9 @@ class TestSolveCounts:
         assert all(rows.values()) and max(rows["lapack"] + rows["diagonal"]) <= 24
 
     NODES_BUILT = [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3438),
-        (lambda: load("warped_alpha0"), {}, 2995),
-        (lambda: load("ppwave"), {}, 2601),
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3121),
+        (lambda: load("warped_alpha0"), {}, 2486),
+        (lambda: load("ppwave"), {}, 2260),
     ]
 
     @pytest.mark.parametrize("entry,box,nodes", NODES_BUILT, ids=["ppwave_sech", "warped_alpha0", "ppwave"])
@@ -770,7 +770,11 @@ class TestSolveCounts:
         # does not read is the shared zero (5,393 and 3,105, and 3,776 for the
         # catalog ppwave, when each node derived it by its rule), and a -0.0
         # fold is the k-set's shared -0.0 (3,568, 3,105 and 2,734 when each
-        # fold built its own)
+        # fold built its own), each d_a g_bc, g(e_u, [e_v, e_w]) and negative
+        # 2-form pair is built once per structure and no row node stands for
+        # R_abc^e (3,438, 2,995 and 2,601 when each read built its own and
+        # each tensor built its R rows), and a -1.0 fold is the k-set's shared
+        # -1.0 (3,190, 2,536 and 2,351 when each fold built its own)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []

@@ -8,7 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
-from frame_kahler.fields import Const, FieldError, KSet, _Grid, contract, variable
+from frame_kahler.fields import (
+    Const,
+    FieldError,
+    KSet,
+    LinearFieldSystem,
+    _folded,
+    _Grid,
+    constant,
+    contract,
+    make_closed_form,
+    variable,
+)
 from frame_kahler.frames import (
     CurvatureTensor,
     FrameStructure,
@@ -30,6 +41,7 @@ from frame_kahler.kahler import build_chain
 from frame_kahler.reporting import VerificationReport
 
 from frame_kahler import catalog
+from frame_kahler import frames as frames_mod
 
 
 def flat_frame(n=4):
@@ -228,6 +240,63 @@ class TestKoszul:
         assert worst <= 1e-12
 
 
+def _reachable(fields):
+    """The ids of every node that ``fields`` read through their operands."""
+    seen, todo = set(), list(fields)
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            todo.extend(getattr(f, name) for name in ("f", "g") if hasattr(f, name))
+    return seen
+
+
+class TestBuiltOnce:
+    """Each d_a g_bc and each g(e_u, [e_v, e_w]) is an entry of a table built
+    once per structure, each negative pair of a 2-form is built once, and a
+    -1.0 fold is the k-set's shared -1.0."""
+
+    KS = KSet(("x",))
+
+    def test_koszul_and_compatibility_read_one_dg(self, monkeypatch):
+        # a 3-frame whose metric entries g_01 and g_10 are one node
+        x, zero, one = variable(self.KS, "x"), self.KS.zero, Const(self.KS, 1.0)
+        g = [[one + x * x, x, zero], [x, Const(self.KS, 2.0), zero], [zero, zero, one]]
+        C = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+        C[0][1][2], C[1][0][2] = x, -x
+        S = FrameStructure(self.KS, ("a", "b", "c"), g, C, [[one], [zero], [x]])
+        dg, triples = S.dg, list(itertools.product(range(3), repeat=3))
+        assert all(dg[a][b][c] is dg[a][c][b] for a, b, c in triples if g[b][c] is g[c][b])
+        assert dg[2][0][1] is dg[2][1][0] and not dg[2][0][1].is_constant
+        assert S.g_of_bracket(2, 0, 1) is S.g_of_bracket(2, 0, 1)
+
+        # once the table is built, no reader derives a metric entry again
+        monkeypatch.setattr(FrameStructure, "dd", lambda *args: pytest.fail("a reader derived d_a g_bc again"))
+        systems, accs = [], []
+        monkeypatch.setattr(frames_mod, "LinearFieldSystem",
+                            lambda matrix, rhs: systems.append(rhs) or LinearFieldSystem(matrix, rhs))
+        conn = koszul_connection(S)
+        monkeypatch.setattr(frames_mod, "contract", lambda acc, terms: accs.append(acc) or contract(acc, terms))
+        assert conn.compatibility_residual(grid_points(self.KS, {"x": (-1.0, 1.0, 5)})) <= 1e-12
+        read = _reachable(f for rhs in systems for f in rhs)
+        assert all(id(dg[a][b][c]) in read for a, b, c in triples if not dg[a][b][c].is_constant)
+        want = [dg[a][b][c] for a, b, c in triples if c >= b]
+        assert len(accs) == len(want) and all(got is f for got, f in zip(accs, want))
+
+    def test_negative_pairs(self, built):
+        be = built("ppwave")
+        for rho in (be.chain.rho, be.chain.rho_complex):
+            assert rho(1, 0) is rho(1, 0) and rho(3, 2) is rho(3, 2) and rho(1, 0) is not rho(0, 1)
+        rho = be.chain.rho
+        assert values_on_grid(rho(1, 0), be.grid).tobytes() == values_on_grid(-1.0 * rho(0, 1), be.grid).tobytes()
+
+    def test_minus_one_fold(self):
+        K, x = self.KS, variable(self.KS, "x")
+        assert _folded(K, -1.0) is K.minus_one and constant(K, -1.0) is K.minus_one
+        assert make_closed_form("-1", K) is K.minus_one
+        assert (-(2.0 * x) * 0.5).f is K.minus_one  # a merged constant factor
+
+
 class TestCurvature:
     def test_flat_frame_curvature_vanishes(self):
         S = flat_frame()
@@ -298,22 +367,26 @@ def checked_residuals(curv, grid):
 
 
 def assert_reference_bits(curv, conn, grid):
-    """Every R, R_abcd, Ric and s value of ``curv`` has the bits of the
-    reference DAG, and the identity residuals equal the reference sums;
-    returns the residuals."""
+    """Every R_abc^e value of ``curv``'s arrays and every R_abcd, Ric and s
+    row has the bits of the reference DAG, and the identity residuals equal
+    the reference sums; returns the residuals."""
     S = curv.structure
     n = S.n
     R, ricci, scalar, lowered = reference_curvature(S, conn, curv.invg)
     pairs = list(itertools.permutations(range(n), 2))
+    # the arrays R[a, b, c, e] that the checks reduce, on the grid they reduce them on
+    G = _Grid.of(grid)
+    arrays, projected = curv._arrays(G)[0], G.projection(curv.mask)[0]
+    assert np.array([arrays[a, b] for a, b in pairs]).tobytes() == values_on_grid([R[a][b] for a, b in pairs], projected).tobytes()
+    assert all(arrays[a, a].tobytes() == bytes(arrays[a, a].nbytes) for a in range(n))  # every bit +0.0
     for new, old in (
-        ([curv.R[a][b] for a, b in pairs], [R[a][b] for a, b in pairs]),
         ([[curv.lowered(a, b, c, d) for c in range(n) for d in range(n)] for a, b in pairs],
          [[lowered[a][b][c][d] for c in range(n) for d in range(n)] for a, b in pairs]),
         (curv.ricci, ricci),
         (curv.scalar, scalar),
     ):
         assert values_on_grid(new, grid).tobytes() == values_on_grid(old, grid).tobytes()
-    assert all(f is S.kset.zero for a in range(n) for row in curv.R[a][a] for f in row)
+    assert all(curv.lowered(a, a, c, d) is S.kset.zero for a in range(n) for c in range(n) for d in range(n))
     got = checked_residuals(curv, grid)
     assert got == reference_residuals(values_on_grid(lowered, grid))
     return got
@@ -403,7 +476,7 @@ class TestCurvatureIdentityGathers:
 
     def test_rows_have_no_partials(self, built):
         curv = built("ppwave").curv_k
-        for f in (curv.R[0][1][2][3], curv.R[1][0][2][3], curv.ricci[2][2], curv.scalar, curv.lowered(0, 1, 1, 0)):
+        for f in (curv.lowered(0, 1, 2, 3), curv.lowered(1, 0, 2, 3), curv.ricci[2][2], curv.scalar):
             with pytest.raises(FieldError, match="curvature rows have no partial derivatives"):
                 f.partial(0)
 
