@@ -112,10 +112,11 @@ def conformal_scalar(chain: KahlerChain) -> dict:
     A, S, conn_k, curv_k = chain.data, chain.kahler.structure, chain.conn, chain.curv
     tau = variable(A.kset, A.kset.names[0])
     u = exp(tau * 0.5)
-    lap_u = laplacian(S, conn_k, u, curv_k.invg)
-    lap_u_frame = laplacian_orthonormal(S, conn_k, u)
-    grad_u = gradient(S, u, curv_k.invg)
-    grad_sq = contract(S.kset.zero, ((1, grad_u[a], S.dd(a, u)) for a in range(4)))
+    du = [S.dd(a, u) for a in range(4)]
+    lap_u = laplacian(S, conn_k, du, curv_k.invg)
+    lap_u_frame = laplacian_orthonormal(S, conn_k, du)
+    grad_u = gradient(S, du, curv_k.invg)
+    grad_sq = contract(S.kset.zero, ((1, grad_u[a], du[a]) for a in range(4)))
     return {
         "s_tilde": curv_k.scalar * u * u + 6.0 * u * lap_u - 12.0 * grad_sq,
         "s_tilde_alt": curv_k.scalar * u * u + 6.0 * u * lap_u_frame - 12.0 * grad_sq,
@@ -130,8 +131,9 @@ def laplacian_self_test(chain: KahlerChain, grid) -> VerificationReport:
     report = VerificationReport(suite="laplacian-self-test")
     A, S = chain.data, chain.kahler.structure
     tau = variable(A.kset, A.kset.names[0])
-    lap_tau = laplacian(S, chain.conn, tau, chain.curv.invg)
-    lap_tau_frame = laplacian_orthonormal(S, chain.conn, tau)
+    dtau = [S.dd(a, tau) for a in range(4)]
+    lap_tau = laplacian(S, chain.conn, dtau, chain.curv.invg)
+    lap_tau_frame = laplacian_orthonormal(S, chain.conn, dtau)
     report.add(
         "laplacian_routes_agree",
         max_abs_on_grid(lap_tau - lap_tau_frame, grid),

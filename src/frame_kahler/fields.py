@@ -56,16 +56,18 @@ numpy's ufunc to the whole array, which gives ``math``'s bits with and
 without SIMD dispatch; the other elementary functions and powers apply
 ``math`` per element, as their ufuncs differ from it in the last bit on a
 share of inputs (with SIMD dispatch; ``np.power`` also without); a
-pointwise solve is one stacked ``np.linalg.solve``, or, against a matrix
-whose off-diagonal entries are all the shared +0.0 node (the catalog's
-induced Kahler metrics and fiber frame metrics), ``_diagonal_solve``, which
-gives LAPACK's bits in a fraction of its time. Each
-distinct pointwise matrix is assembled and det-checked once per grid, in
-one holder shared by every solve against it (derivative systems included);
-each distinct right-hand side is solved once (the holder finds it by its
-CRC-32 and reuses it only on a bit-for-bit match), but on its own,
-because one solve with many right-hand sides differs from separate solves
-in the last bits. A
+pointwise solve runs ``np.linalg.solve``, or, against a matrix whose
+off-diagonal entries are all the shared +0.0 node (the catalog's induced
+Kahler metrics and fiber frame metrics), ``_diagonal_solve``, which gives
+LAPACK's bits in a fraction of its time. Each distinct pointwise matrix is
+assembled and det-checked once per grid, in one holder shared by every
+solve against it (derivative systems included). The systems that one
+builder call makes against a holder form a group (a connection's n^2
+Koszul systems, the n inverse-metric columns, and the derivative systems of
+one group along one variable), which is solved in one call per grid: k
+single-column systems against the broadcast matrix, or the k diagonal
+blocks side by side, which give the bits of k separate solves (one solve
+with k right-hand sides does not). A
 domain violation raises ``DomainError`` naming the first grid point where
 that node fails. Fields are immutable after construction. Every sum of
 products over a frame index goes through ``contract``, which never builds
@@ -81,9 +83,8 @@ node's ``_mask`` does not read is the shared zero, derived by no rule: a
 quantity that does not depend on a variable has the zero derivative along
 it (activity analysis, Griewank & Walther, *Evaluating Derivatives*, 2008),
 so no solve builds a derivative system along a variable it does not read.
-A ppwave-sech run on 3x8x8 points builds 3,121 nodes, 420 of them
-constants, and solves 40 right-hand sides: 8 by ``np.linalg.solve``
-against the frame metric, and 32 by ``_diagonal_solve``.
+``tests/test_cli.py::TestSolveCounts`` pins the nodes a run builds and the
+solve calls it makes.
 
 Each node calls ``ScalarField.__init__`` by name, once (on CPython 3.11 a
 zero-argument ``super()`` nearly doubles a small node's cost); ``_add``,
@@ -99,7 +100,6 @@ import itertools
 import math
 import re as _re
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -908,23 +908,15 @@ class _PointwiseMatrix:
     ``_diagonal_solve``, and any other by LAPACK. A -0.0 off-diagonal is not
     diagonal here, as it changes the signs of LAPACK's zeros; and a full
     matrix stays on LAPACK, because OpenBLAS's substitution rounds
-    ``b - x * a`` once (a fused multiply-add), which numpy cannot.
-    ``solutions`` maps (grid key, CRC-32 of a stacked right-hand side) to
-    the stacked right-hand side of the first system that solved it and the
-    solution, so each distinct right-hand side is solved once per grid. A
-    hit is reused only when the right-hand side equals the stored one bit
-    for bit, so -0.0 and NaN payloads stay distinct and a collision costs
-    one more solve, never a wrong one. (zlib is loaded with numpy; hashlib
-    would map OpenSSL, 3.5 MB of RSS.)"""
+    ``b - x * a`` once (a fused multiply-add), which numpy cannot."""
 
-    __slots__ = ("rows", "mask", "diagonal", "_cache", "solutions")
+    __slots__ = ("rows", "mask", "diagonal", "_cache")
 
     def __init__(self, rows):
         self.rows = [list(row) for row in rows]
         self.mask = _listed(self.rows)[1]
         self.diagonal = all(f is f.kset.zero for i, row in enumerate(self.rows) for j, f in enumerate(row) if i != j)
         self._cache = {}
-        self.solutions = {}
         for f in itertools.chain.from_iterable(self.rows):
             f._readers += 1
 
@@ -938,6 +930,24 @@ class _PointwiseMatrix:
             got = self._cache[grid.key] = (M, finite, abs_det)
         return got
 
+    def solve(self, grid, rows, b):
+        """The solutions of k systems against this matrix, with right-hand
+        sides ``b`` (k, n, points), at the points ``rows`` of the grid (NaN
+        at the others), in one call: a diagonal matrix's columns side by side
+        in one ``_diagonal_solve``, or else one LAPACK call of single-column
+        systems against the broadcast matrix, which gives the bits of k
+        separate solves (one solve with k right-hand sides does not)."""
+        M = self.on(grid)[0][rows]
+        k, n, _ = b.shape
+        x = np.full(b.shape, math.nan)
+        if self.diagonal:  # column p of system s is column s * len(rows) + p
+            y = _diagonal_solve(np.tile(M.diagonal(0, 1, 2).T, k), b[:, :, rows].swapaxes(0, 1).reshape(n, -1))
+            x[:, :, rows] = y.reshape(n, k, -1).swapaxes(0, 1)
+        else:
+            B = b.swapaxes(1, 2)[:, rows, :, None]
+            x.swapaxes(1, 2)[:, rows] = np.linalg.solve(np.broadcast_to(M, (k, *M.shape)), B)[..., 0]
+        return x
+
 
 class LinearFieldSystem:
     """Shared n-by-n pointwise solve A(point) x = b(point), by LAPACK or,
@@ -948,13 +958,17 @@ class LinearFieldSystem:
     exactly through the solve. ``A`` is the rows of fields, or the private
     holder of another system's A; the derivative systems share their
     parent's holder, so every system against one matrix reads one assembled
-    and det-checked stack per grid, and each distinct right-hand side is
-    solved once.
+    and det-checked stack per grid. ``group`` is the list of systems that
+    one builder call makes against one holder (a connection's Koszul
+    systems, say), which this system joins; a new group when it is None.
+    The derivative systems of one group along one variable form a group,
+    which each joins as it is built. A group is solved together (see
+    ``value_at``), so no system of a group may read another's solution.
     """
 
-    __slots__ = ("_matrix", "A", "b", "mask", "kset", "n", "_cache", "_dsys", "_components")
+    __slots__ = ("_matrix", "A", "b", "mask", "kset", "n", "_cache", "_dsys", "_components", "_group")
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, group=None):
         self._matrix = A if isinstance(A, _PointwiseMatrix) else _PointwiseMatrix(A)
         self.A = self._matrix.rows
         self.b = list(b)
@@ -966,36 +980,43 @@ class LinearFieldSystem:
         self._cache = {}
         self._dsys = {}
         self._components = None
+        self._group = [] if group is None else group
+        self._group.append(self)
 
     def value_at(self, grid):
         """The solutions over a ``_Grid``: row j holds component j at every
-        point. One stacked solve runs over the points where A and b are
-        finite; the solution is NaN at the other points. The singular check
-        runs for every system; a right-hand side already solved against this
-        matrix on this grid reads the stored solution."""
+        point, NaN where A or b is not finite. The singular check runs on the
+        other points, for this system first. Every system of its group not
+        yet solved on this grid joins one solve with it, if its right-hand
+        side evaluates and is finite at exactly this system's points; any
+        other is solved when it is requested itself, and raises then."""
         got = self._cache.get(grid.key)
         if got is None:
             M, finite, abs_det = self._matrix.on(grid)
-            stack = np.array([f._values(grid) for f in self.b])
-            rows = np.flatnonzero(finite & np.isfinite(stack).all(axis=0))
+            stacks = [np.array([f._values(grid) for f in self.b])]
+            ok = finite & np.isfinite(stacks[0]).all(axis=0)
+            rows = np.flatnonzero(ok)
             singular = rows[abs_det[rows] <= MIN_ABS_DET]
             if singular.size:
                 i = singular[0]
                 raise SingularMatrixError(
                     "near-singular matrix (|det| = %.3e) in pointwise solve at %r" % (abs_det[i], grid[i])
                 )
-            key = (grid.key, zlib.crc32(stack))
-            first = self._matrix.solutions.get(key)
-            if first is not None and np.array_equal(first[0].view(np.int64), stack.view(np.int64)):
-                got = first[1]
-            else:
-                got = np.full((self.n, grid.n), math.nan)
-                if self._matrix.diagonal:
-                    got[:, rows] = _diagonal_solve(M.diagonal(0, 1, 2)[rows].T, stack[:, rows])
-                else:
-                    got.T[rows] = np.linalg.solve(M[rows], stack.T[rows, :, None])[..., 0]
-                self._matrix.solutions.setdefault(key, (stack, got))
-            self._cache[grid.key] = got
+            batch = [self]
+            for s in self._group:
+                if s is not self and grid.key not in s._cache:
+                    try:
+                        stacks.append([f._values(grid) for f in s.b])
+                    except Exception:  # whatever it raises, it raises when it is requested itself
+                        continue
+                    batch.append(s)
+            b = np.array(stacks)
+            keep = ((finite & np.isfinite(b).all(axis=1)) == ok).all(axis=1)
+            if not keep.all():
+                batch, b = list(itertools.compress(batch, keep)), b[keep]
+            for s, x in zip(batch, self._matrix.solve(grid, rows, b)):
+                s._cache[grid.key] = x
+            got = self._cache[grid.key]
         return got
 
     def components(self):
@@ -1010,7 +1031,8 @@ class LinearFieldSystem:
             x = self.components()
             rhs = [contract(self.b[c].partial(i), ((-1, self.A[c][d].partial(i), x[d]) for d in range(self.n)))
                    for c in range(self.n)]
-            sys_i = self._dsys[i] = LinearFieldSystem(self._matrix, rhs)
+            group = next((s._dsys[i]._group for s in self._group if i in s._dsys), None)
+            sys_i = self._dsys[i] = LinearFieldSystem(self._matrix, rhs, group)
         return sys_i.components()[j]
 
 

@@ -314,8 +314,8 @@ def koszul_connection(S: FrameStructure) -> ConnectionTable:
         return (S.dg[a][b][c] + S.dg[b][a][c] - S.dg[c][a][b]
                 - S.g_of_bracket(a, b, c) - S.g_of_bracket(b, a, c) + S.g_of_bracket(c, a, b)) * 0.5
 
-    n = S.n
-    return ConnectionTable(S, [[LinearFieldSystem(S._g_matrix, [rhs(a, b, c) for c in range(n)]).components()
+    n, group = S.n, []
+    return ConnectionTable(S, [[LinearFieldSystem(S._g_matrix, [rhs(a, b, c) for c in range(n)], group).components()
                                 for b in range(n)] for a in range(n)])
 
 
@@ -461,9 +461,9 @@ def curvature(S: FrameStructure, conn: ConnectionTable) -> CurvatureTensor:
 
 def inverse_metric(S: FrameStructure):
     """Inverse metric components g^{ab} as fields (pointwise solves)."""
-    n, zero = S.n, S.kset.zero
-    cols = [LinearFieldSystem(S._g_matrix, [Const(S.kset, 1.0) if i == j else zero for i in range(n)]).components()
-            for j in range(n)]
+    n, zero, group = S.n, S.kset.zero, []
+    cols = [LinearFieldSystem(S._g_matrix, [Const(S.kset, 1.0) if i == j else zero for i in range(n)], group)
+            .components() for j in range(n)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -474,16 +474,17 @@ def sectional_curvature(S: FrameStructure, curv: CurvatureTensor, a: int, b: int
     return _div(num, den, eps=1e-12, label="sectional-curvature plane (%d,%d)" % (a, b))
 
 
-def gradient(S: FrameStructure, F: ScalarField, invg):
-    """Frame components of the metric gradient of F: grad F = (g^{ab} d_b F) e_a."""
+def gradient(S: FrameStructure, dF, invg):
+    """Frame components of the metric gradient of a field F, from its frame
+    derivatives ``dF[b]`` = d_b F: grad F = (g^{ab} d_b F) e_a."""
     n = S.n
-    return [contract(S.kset.zero, ((1, invg[a][b], S.dd(b, F)) for b in range(n))) for a in range(n)]
+    return [contract(S.kset.zero, ((1, invg[a][b], dF[b]) for b in range(n))) for a in range(n)]
 
 
-def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) -> ScalarField:
-    """Metric Laplacian: g^{ab} (d_a d_b F - Gamma_ab^c d_c F)."""
+def laplacian(S: FrameStructure, conn: ConnectionTable, dF, invg) -> ScalarField:
+    """Metric Laplacian of a field F from its frame derivatives ``dF[c]`` =
+    d_c F: g^{ab} (d_a d_b F - Gamma_ab^c d_c F)."""
     n = S.n
-    dF = [S.dd(c, F) for c in range(n)]
 
     def hess(a, b):
         return contract(S.dd(a, dF[b]), ((-1, conn.gamma[a][b][c], dF[c]) for c in range(n)))
@@ -491,8 +492,9 @@ def laplacian(S: FrameStructure, conn: ConnectionTable, F: ScalarField, invg) ->
     return contract(S.kset.zero, ((1, invg[a][b], hess(a, b)) for a in range(n) for b in range(n)))
 
 
-def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarField) -> ScalarField:
-    """Laplacian as the frame sum over the normalized frame e_a/|e_a|.
+def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, dF) -> ScalarField:
+    """Laplacian of a field F as the frame sum over the normalized frame
+    e_a/|e_a|, from its frame derivatives ``dF[c]`` = d_c F.
 
     Requires a g-orthogonal frame with positive norms (the induced Kahler
     case).  With s_a = sqrt(g_aa):
@@ -504,9 +506,9 @@ def laplacian_orthonormal(S: FrameStructure, conn: ConnectionTable, F: ScalarFie
     for a in range(n):
         s = sqrt(S.g[a][a])
         inv_s = _div(Const(S.kset, 1.0), s, label="frame norm")
-        first = inv_s * S.dd(a, inv_s * S.dd(a, F))
-        correction = contract(inv_s * S.dd(a, inv_s) * S.dd(a, F), (
-            (1, _div(conn.gamma[a][a][c], S.g[a][a], label="frame norm"), S.dd(c, F)) for c in range(n)))
+        first = inv_s * S.dd(a, inv_s * dF[a])
+        correction = contract(inv_s * S.dd(a, inv_s) * dF[a], (
+            (1, _div(conn.gamma[a][a][c], S.g[a][a], label="frame norm"), dF[c]) for c in range(n)))
         out = out + first - correction
     return out
 

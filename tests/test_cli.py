@@ -686,24 +686,29 @@ class TestBuiltOnce:
 
 class TestSolveCounts:
     """Each distinct pointwise matrix is assembled and det-checked once per
-    grid, and each distinct right-hand side is solved once against it, by
-    LAPACK or, for a diagonal matrix, by ``fields._diagonal_solve``. A grid
-    here is a projection of the run's grid onto the variables that a
-    request reads, so one matrix may meet two of them."""
+    grid, and the systems of one group (a connection's Koszul systems, the
+    inverse-metric columns, the derivative systems of one group along one
+    variable) are solved against it in one call per grid, by LAPACK or, for
+    a diagonal matrix, by ``fields._diagonal_solve``. A grid here is a
+    projection of the run's grid onto the variables that a request reads,
+    so one matrix may meet two of them."""
 
     @pytest.mark.parametrize("entry,box,calls", [
         # base structure and induced metric; the induced metric on two projections
         # (det 2, solve 46 when every request was evaluated on the whole grid; solve 47
         # when each solve also built and solved its derivative systems along y, which no
         # field reads, with all-zero right-hand sides; solve 40 when the diagonal induced
-        # metric was solved by LAPACK too)
+        # metric was solved by LAPACK too; solve 8 and _diagonal_solve 32 when each
+        # distinct right-hand side was solved in a call of its own)
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)},
-         {"det": 3, "solve": 8, "_diagonal_solve": 32}),
+         {"det": 3, "solve": 2, "_diagonal_solve": 7}),
         # and the fiber; s is summed only on a grid where it is read, and no warped check
         # reads it, so the four inverse-metric columns are not solved (solve 57 when the
         # curvature tensor summed s on every grid; solve 53 when the diagonal induced
-        # metric and the fiber's orthonormal frame metric were solved by LAPACK too)
-        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 15, "_diagonal_solve": 38}),
+        # metric and the fiber's orthonormal frame metric were solved by LAPACK too;
+        # solve 15 and _diagonal_solve 38 when each distinct right-hand side was solved
+        # in a call of its own)
+        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 1, "_diagonal_solve": 4}),
     ])
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
         entry = entry()
@@ -722,33 +727,39 @@ class TestSolveCounts:
         assert dict(counts) == calls
 
     def test_solves_run_on_projected_grids(self, monkeypatch):
-        # no field of ppwave-sech reads y, so each solve runs on at most the 3 x 8
+        # no field of ppwave-sech reads y, so each system is solved on at most the 3 x 8
         # distinct (tau, x) of the 3 x 8 x 8 grid (192 rows when it ran on every point);
-        # the diagonal induced-metric systems take (n, points) stacks
+        # one call solves a group of k systems, as k broadcast (points, n, n) stacks for
+        # LAPACK and as k (n, points) blocks side by side for the diagonal induced metric
         entry = load("ppwave", iota=SECH)
         grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
         assert len(grid) == 192
-        rows = {"lapack": [], "diagonal": []}
+        calls, systems = {"lapack": 0, "diagonal": 0}, []
         solve, diagonal_solve = np.linalg.solve, fields_mod._diagonal_solve
+        init = fields_mod.LinearFieldSystem.__init__
 
         def counted(a, b):
-            rows["lapack"].append(len(a))
+            calls["lapack"] += 1
+            assert a.shape[-3] <= 24
             return solve(a, b)
 
         def counted_diagonal(d, b):
-            rows["diagonal"].append(d.shape[1])
+            calls["diagonal"] += 1
             return diagonal_solve(d, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(fields_mod, "_diagonal_solve", counted_diagonal)
+        monkeypatch.setattr(fields_mod.LinearFieldSystem, "__init__",
+                            lambda self, *args: systems.append(self) or init(self, *args))
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
-        assert all(rows.values()) and max(rows["lapack"] + rows["diagonal"]) <= 24
+        assert all(calls.values())
+        assert max(x.shape[1] for s in systems for x in s._cache.values()) <= 24
 
     NODES_BUILT = [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3121),
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3085),
         (lambda: load("warped_alpha0"), {}, 2486),
-        (lambda: load("ppwave"), {}, 2260),
+        (lambda: load("ppwave"), {}, 2224),
     ]
 
     @pytest.mark.parametrize("entry,box,nodes", NODES_BUILT, ids=["ppwave_sech", "warped_alpha0", "ppwave"])
@@ -773,8 +784,11 @@ class TestSolveCounts:
         # fold built its own), each d_a g_bc, g(e_u, [e_v, e_w]) and negative
         # 2-form pair is built once per structure and no row node stands for
         # R_abc^e (3,438, 2,995 and 2,601 when each read built its own and
-        # each tensor built its R rows), and a -1.0 fold is the k-set's shared
-        # -1.0 (3,190, 2,536 and 2,351 when each fold built its own)
+        # each tensor built its R rows), a -1.0 fold is the k-set's shared
+        # -1.0 (3,190, 2,536 and 2,351 when each fold built its own), and the
+        # Laplacian and gradient helpers read one list of d_a F per field
+        # (3,121 and 2,260 for the central entries when each helper derived
+        # d_a F again: 69 repeated derivatives per ppwave-sech run)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []
@@ -809,6 +823,42 @@ class TestSolveCounts:
         gc.collect()
         assert len(built) - loaded == nodes
         assert len(died) == len(built)
+
+
+class TestNothingOutlivesARun:
+    def test_no_structure_system_or_node_outlives_its_runs(self):
+        # the CI step "In-process peak memory stays flat" cannot see a per-structure
+        # table kept past its run (a dg table leaked to a module-level list read +0.8 MB,
+        # under its 1 MB limit); a fresh process counts what is alive instead: after 3
+        # warped_alpha0 and 3 ppwave-sech 3x8x8 runs and a collection, no frame structure
+        # or pointwise system, and no node but warped.TAU_KSET's three shared constants
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = """
+import gc
+from frame_kahler.catalog import load
+from frame_kahler.cli import run_suite
+from frame_kahler.fields import LinearFieldSystem, ScalarField
+from frame_kahler.frames import FrameStructure, grid_points
+from frame_kahler.warped import TAU_KSET
+for _ in range(3):
+    entry = load("warped_alpha0")
+    assert run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))[0].passed
+    entry = load("ppwave", iota=%r)
+    box = dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8))
+    assert run_suite(entry, "all", grid_points(entry.data.kset, box))[0].passed
+del entry
+gc.collect()
+alive = gc.get_objects()
+nodes = [o for o in alive if isinstance(o, ScalarField)]
+shared = (TAU_KSET.zero, TAU_KSET.minus_zero, TAU_KSET.minus_one)
+print(sum(isinstance(o, FrameStructure) for o in alive), sum(isinstance(o, LinearFieldSystem) for o in alive),
+      len(nodes), sorted(map(id, nodes)) == sorted(map(id, shared)))
+""" % SECH
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "3", "True"]
 
 
 class TestGridConversions:

@@ -876,9 +876,11 @@ class _Table(ScalarField):
 
 class TestSharedMatrix:
     """Every solve against one matrix reads one assembled and det-checked
-    stack per grid, and each distinct right-hand side is solved once, by
-    LAPACK or, for a diagonal matrix (every 1-by-1 one), by
-    ``fields._diagonal_solve``. The memo tests run on both paths."""
+    stack per grid, by LAPACK or, for a diagonal matrix (every 1-by-1 one),
+    by ``fields._diagonal_solve``. Systems built apart are separate groups,
+    each solved in its own call; the signed-zero and NaN tests run on both
+    paths. (A memo once solved bit-equal right-hand sides against one
+    matrix once.)"""
 
     @pytest.fixture
     def det_calls(self, monkeypatch):
@@ -894,12 +896,13 @@ class TestSharedMatrix:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
-        """(path, rows) of each LAPACK call and each diagonal solve."""
+        """(path, points) of each LAPACK call and (path, columns) of each
+        diagonal solve: a group of one system puts its points in both."""
         calls = []
         solve, diagonal_solve = np.linalg.solve, fields_mod._diagonal_solve
 
         def counted(a, b):
-            calls.append(("lapack", len(a)))
+            calls.append(("lapack", a.shape[-3]))
             return solve(a, b)
 
         def counted_diagonal(d, b):
@@ -924,28 +927,6 @@ class TestSharedMatrix:
     @staticmethod
     def hexes(values):
         return [[float.hex(v) for v in row] for row in np.asarray(values).tolist()]
-
-    def test_bit_equal_right_hand_sides_share_one_solve(self, solve_calls):
-        def A():
-            x, y = variable(KS2, "x"), variable(KS2, "y")
-            return [[constant(KS2, 2.0), x], [x, constant(KS2, 3.0) + y]]
-
-        x, y = variable(KS2, "x"), variable(KS2, "y")
-        # distinct nodes, equal values: x*y = y*x and y+1 = 1+y exactly
-        b1 = [x * y, y + 1.0]
-        b2 = [y * x, constant(KS2, 1.0) + y]
-        assert b1[0] is not b2[0] and b1[1] is not b2[1]
-        grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5), (0.0, 0.0)]
-        holder = _PointwiseMatrix(A())
-        assert not holder.diagonal
-        shared = values_on_grid([LinearFieldSystem(holder, b1).components(),
-                                 LinearFieldSystem(holder, b2).components()], grid)
-        assert solve_calls == [("lapack", 4)]
-        alone = values_on_grid([LinearFieldSystem(A(), b1).components(),
-                                LinearFieldSystem(A(), b2).components()], grid)
-        assert solve_calls == [("lapack", 4)] * 3
-        assert self.hexes(shared[0]) == self.hexes(alone[0]) == self.hexes(alone[1])
-        assert self.hexes(shared[1]) == self.hexes(alone[1])
 
     def test_signed_zeros_solve_apart(self, solve_calls):
         for path, holder in self.on_both_paths(solve_calls):
@@ -1024,16 +1005,6 @@ class TestSharedMatrix:
             direct = np.linalg.solve(np.array([[2.0, px], [px, 3.0 + py]]), np.array([py, 1.0]))
             assert before[:, k].tolist() == direct.tolist()
         assert det_calls == [3]
-
-    def test_digest_collision_is_solved_apart(self, monkeypatch, solve_calls):
-        # every right-hand side gets the same digest; only the bitwise
-        # comparison keeps distinct ones apart
-        monkeypatch.setattr(fields_mod, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
-        for path, holder in self.on_both_paths(solve_calls):
-            xs = [LinearFieldSystem(holder, [_Table(b)]).components()[0] for b in ([1.0, 2.0], [1.0, 4.0], [1.0, 2.0])]
-            values = values_on_grid(xs, [(0.0,), (2.0,)])
-            assert solve_calls == [(path, 2), (path, 2)]
-            assert values.tolist() == [[0.5, 0.5], [0.5, 1.0], [0.5, 0.5]]
 
     def test_each_grid_assembles_its_own_stack(self, det_calls):
         x = LinearFieldSystem([[variable(KS1, "tau") + 2.0]], [constant(KS1, 1.0)]).components()[0]
@@ -1137,6 +1108,112 @@ class TestDiagonalSolve:
             values[diagonal] = values_on_grid(LinearFieldSystem(holder, b).components(), grid)
         assert TestSharedMatrix.hexes(values[True]) == TestSharedMatrix.hexes(values[False])
         assert np.isnan(values[True][:, 0]).any() and (np.signbit(values[True]) & (values[True] == 0.0)).any()
+
+
+class TestBatchedSolve:
+    """The systems of one group are solved in one call per grid, with the
+    bits of separate solves: against a broadcast matrix, k single-column
+    LAPACK systems equal k ``np.linalg.solve`` calls (one solve with k
+    right-hand sides does not), and a diagonal group's columns side by side
+    equal k ``_diagonal_solve`` calls. A CI step runs this class again with
+    every SIMD dispatch target off."""
+
+    POINTS, SYSTEMS = 200, 16
+
+    @staticmethod
+    def group(holder, rhs):
+        """The systems of one group against ``holder``, one per (n, points) right-hand side."""
+        group = []
+        return [LinearFieldSystem(holder, [_Table(row) for row in b], group) for b in rhs]
+
+    @staticmethod
+    def calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("constant_matrix", [False, True], ids=["random", "constant"])
+    def test_lapack_group_equals_separate_solves(self, monkeypatch, constant_matrix):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((self.POINTS, 4, 4))
+        if constant_matrix:  # the catalog's frame metrics are constant nodes
+            M[:] = M[0]
+        rhs = rng.standard_normal((self.SYSTEMS, 4, self.POINTS)) * rng.choice([1e-3, 1.0, 1e3], (self.SYSTEMS, 1, 1))
+        rows = [[constant(KS1, M[0, i, j]) if constant_matrix else _Table(M[:, i, j]) for j in range(4)]
+                for i in range(4)]
+        holder = _PointwiseMatrix(rows)
+        assert not holder.diagonal
+        calls = self.calls(monkeypatch, np.linalg, "solve")
+        systems = self.group(holder, rhs)
+        grid = [(float(p),) for p in range(self.POINTS)]
+        got = values_on_grid([x.components() for x in systems], grid)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for x, b in zip(got, rhs):
+            want = np.linalg.solve(M, b.T[:, :, None])[..., 0].T
+            assert x.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_diagonal_group_equals_separate_diagonal_solves(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        d = rng.choice([-1.0, 1.0], (4, self.POINTS)) * rng.uniform(0.5, 2.0, (4, self.POINTS))
+        d[2, ::7] = 1e-3
+        rhs = rng.standard_normal((self.SYSTEMS, 4, self.POINTS))
+        rhs[3, :, ::5] = -0.0  # signed zeros take the replay
+        rhs[4, 1, ::3] = -0.0
+        rhs[9, 2, ::7] = 1e308  # 1e308 / 1e-3 overflows
+        rhs[12, :, ::11] = 0.0
+        zero = KS1.zero
+        holder = _PointwiseMatrix([[_Table(d[i]) if i == j else zero for j in range(4)] for i in range(4)])
+        assert holder.diagonal
+        calls = self.calls(monkeypatch, fields_mod, "_diagonal_solve")
+        systems = self.group(holder, rhs)
+        grid = [(float(p),) for p in range(self.POINTS)]
+        with np.errstate(all="ignore"):
+            got = values_on_grid([x.components() for x in systems], grid)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        with np.errstate(all="ignore"):
+            alone = [fields_mod._diagonal_solve(d, b) for b in rhs]
+            assert TestDiagonalSolve.mismatches(alone[9], TestDiagonalSolve.lapack(d, rhs[9])) == 0
+        assert not np.isfinite(alone[9]).all() and (np.signbit(alone[3]) & (alone[3] == 0.0)).any()
+        for x, want in zip(got, alone):
+            assert TestDiagonalSolve.mismatches(x, want) == 0
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "lapack"])
+    def test_requested_system_first_and_siblings_when_requested(self, monkeypatch, diagonal):
+        # the requested system is evaluated and checked first; a sibling joins its solve
+        # only if its right-hand side evaluates and is finite at exactly the same points
+        tau = variable(KS1, "tau")
+        holder = _PointwiseMatrix([[tau * (tau - 1.0) + 2.0]])
+        holder.diagonal = diagonal
+        owner, name = (fields_mod, "_diagonal_solve") if diagonal else (np.linalg, "solve")
+        calls = self.calls(monkeypatch, owner, name)
+        group = []
+        fine, raising, nan_at_1, also_nan_at_1 = (
+            LinearFieldSystem(holder, [b], group).components()[0]
+            for b in (tau, log(tau - 1.5), _Table([4.0, math.nan, 8.0]), _Table([2.0, math.nan, -0.0])))
+        grid = [(0.0,), (1.0,), (2.0,)]
+        assert values_on_grid(fine, grid).tolist() == [0.0, 0.5, 0.5]
+        assert len(calls) == 1
+        values = values_on_grid([nan_at_1, also_nan_at_1], grid)
+        assert len(calls) == 2  # one call for both: NaN at the same point
+        assert values[:, [0, 2]].tolist() == [[2.0, 2.0], [1.0, -0.0]] and np.isnan(values[:, 1]).all()
+        for _ in range(2):  # left out of every batch, it raises when requested itself
+            with pytest.raises(DomainError, match=r"log of nonpositive value -1.5 at \(0.0,\)"):
+                values_on_grid(raising, grid)
+        assert len(calls) == 2
+
+    def test_singular_point_of_a_sibling_raises_when_it_is_requested(self):
+        tau = variable(KS1, "tau")
+        group = []
+        nan_at_0 = LinearFieldSystem([[tau]], [_Table([math.nan, 2.0])], group)
+        finite = LinearFieldSystem(nan_at_0._matrix, [_Table([1.0, 2.0])], group)
+        grid = [(0.0,), (4.0,)]
+        values = values_on_grid(nan_at_0.components(), grid)
+        assert math.isnan(values[0, 0]) and values[0, 1] == 0.5
+        with pytest.raises(SingularMatrixError, match=r"\|det\| = 0.000e\+00\) in pointwise solve at \(0.0,\)"):
+            values_on_grid(finite.components(), grid)
 
 
 class TestRemapAndFolds:

@@ -274,7 +274,7 @@ class TestBuiltOnce:
         monkeypatch.setattr(FrameStructure, "dd", lambda *args: pytest.fail("a reader derived d_a g_bc again"))
         systems, accs = [], []
         monkeypatch.setattr(frames_mod, "LinearFieldSystem",
-                            lambda matrix, rhs: systems.append(rhs) or LinearFieldSystem(matrix, rhs))
+                            lambda matrix, rhs, group: systems.append(rhs) or LinearFieldSystem(matrix, rhs, group))
         conn = koszul_connection(S)
         monkeypatch.setattr(frames_mod, "contract", lambda acc, terms: accs.append(acc) or contract(acc, terms))
         assert conn.compatibility_residual(grid_points(self.KS, {"x": (-1.0, 1.0, 5)})) <= 1e-12
