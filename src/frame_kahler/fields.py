@@ -55,24 +55,26 @@ Python floats overflow silently to inf or NaN; sin, cos and sqrt apply
 numpy's ufunc to the whole array, which gives ``math``'s bits with and
 without SIMD dispatch; the other elementary functions and powers apply
 ``math`` per element, as their ufuncs differ from it in the last bit on a
-share of inputs (with SIMD dispatch; ``np.power`` also without); a
-pointwise solve runs ``np.linalg.solve``, or, against a matrix whose
-off-diagonal entries are all the shared +0.0 node (the catalog's induced
-Kahler metrics and fiber frame metrics), ``_diagonal_solve``, which gives
-LAPACK's bits in a fraction of its time. Each distinct pointwise matrix is
-assembled and det-checked once per grid, in one holder shared by every
-solve against it (derivative systems included). The systems that one
-builder call makes against a holder form a group (a connection's n^2
-Koszul systems, the n inverse-metric columns, and the derivative systems of
-one group along one variable), which is solved in one call per grid: k
-single-column systems against the broadcast matrix, or the k diagonal
-blocks side by side, which give the bits of k separate solves (one solve
-with k right-hand sides does not). A
+share of inputs (with SIMD dispatch; ``np.power`` also without).
+
+A pointwise solve gives ``np.linalg.solve``'s bits. ``_substitute`` replays
+OpenBLAS's substitutions; numpy rounds each product apart from its
+difference, where OpenBLAS fuses them, and the two agree when every product
+is exact: for a matrix whose off-diagonal entries are all the shared +0.0
+node (``_diagonal_solve``: the catalog's induced Kahler and fiber frame
+metrics), and for a constant one whose LU factors off the diagonal are all
++-0.0 or +-1.0 (``_unit_lu``: every catalog frame metric). Any other
+matrix, one with a -0.0 entry included, stays on LAPACK. Each distinct
+pointwise matrix is assembled and det-checked once per grid, in one holder
+shared by every solve against it. The systems that one builder call makes
+against a holder (a connection's n^2 Koszul systems, the n inverse-metric
+columns, the derivative systems of one group along one variable) form a
+group, solved in one call per grid with the bits of separate solves. A
 domain violation raises ``DomainError`` naming the first grid point where
 that node fails. Fields are immutable after construction. Every sum of
-products over a frame index goes through ``contract``, which never builds
-a term that is zero by construction, or its array twin
-``_contract_arrays`` (the curvature tensor, which nothing differentiates).
+products over a frame index goes through ``contract``, which never builds a
+term that is zero by construction, or its array twin ``_contract_arrays``
+(the curvature tensor, which nothing differentiates).
 
 Each k-set holds one +0.0, one -0.0 and one -1.0 node (``zero``,
 ``minus_zero``, ``minus_one``), which derivatives, negation and folds
@@ -873,6 +875,46 @@ def remap(f: ScalarField, kset: KSet) -> ScalarField:
 _TINY = np.finfo(float).tiny
 
 
+def _substitute(y, lower, upper, pivots):
+    """Overwrites ``y`` (n, columns), in pivot order, with the solutions of
+    L U x = y in the order of OpenBLAS's dgetrs on one right-hand side,
+    dividing by each pivot. ``lower[i]`` and ``upper[i]`` are the factors
+    below and above pivot i, broadcast against the rows they update."""
+    n = len(y)
+    for i in range(n - 1):
+        y[i + 1:] -= y[i] * lower[i]
+    for i in range(n - 1, -1, -1):
+        y[i] /= pivots[i]
+        y[:i] -= y[i] * upper[i]
+    return y
+
+
+def _unit_lu(rows):
+    """OpenBLAS's dgetf2 factors of a matrix of constant +0.0, 1.0 and -1.0
+    entries, as (order, lower, upper, pivots) for ``_substitute(y[order],
+    ...)``, if every factor off the diagonal is +-0.0 or +-1.0; else None.
+    Then every sum is exact, so its value, and a zero's sign, do not depend
+    on the order of its terms."""
+    a = [[f.c if f.is_constant else math.nan for f in row] for row in rows]
+    if not all(c in (1.0, -1.0) or c == 0.0 and math.copysign(1.0, c) > 0.0 for row in a for c in row):
+        return None  # a -0.0 entry would move the signs of the zeros
+    n, order = len(a), list(range(len(a)))
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        a[j], a[p], order[j], order[p] = a[p], a[j], order[p], order[j]
+        if abs(a[j][j]) < _TINY:
+            return None  # singular: the det check raises first
+        r = 1.0 / a[j][j]
+        for i in range(j + 1, n):
+            a[i][j] *= r
+            for c in range(j + 1, n):
+                a[i][c] -= a[i][j] * a[j][c]
+    if any(abs(a[i][j]) not in (0.0, 1.0) for i in range(n) for j in range(n) if i != j):
+        return None
+    lu = np.array(a)
+    return order, [lu[i + 1:, i, None] for i in range(n)], [lu[:i, i, None] for i in range(n)], lu.diagonal().tolist()
+
+
 def _diagonal_solve(d, b):
     """``np.linalg.solve`` of the diagonal matrices with diagonals ``d``
     against the right-hand sides ``b``, both (n, points) and finite, with
@@ -881,21 +923,13 @@ def _diagonal_solve(d, b):
     the +0.0 itself at a pivot below ``_TINY``), which dgetrs adds in: a
     product of zeros can only flip the sign of a zero, and zero times an
     infinite component spreads NaN. So this is ``b / d``, unless ``b`` holds
-    a -0.0 or a quotient overflows; then it replays the substitutions in
-    LAPACK's order (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 8-9). The replay alone gives the same bits but takes
+    a -0.0 or a quotient overflows; then it replays the substitutions with
+    each column's factors. The replay alone gives the same bits but takes
     1.4 to 5 times as long on each workload's solves, so division goes first."""
     q = b / d
     if np.isfinite(q).all() and not ((b == 0.0) & np.signbit(b)).any():
         return q
-    y, lz = b.copy(), np.where(np.abs(d) >= _TINY, np.copysign(0.0, d), 0.0)
-    n = len(y)
-    for i in range(n - 1):
-        y[i + 1:] += -y[i] * lz[i]
-    for i in range(n - 1, -1, -1):
-        y[i] /= d[i]
-        y[:i] += -y[i] * 0.0
-    return y
+    return _substitute(b.copy(), np.where(np.abs(d) >= _TINY, np.copysign(0.0, d), 0.0), [0.0] * len(d), d)
 
 
 class _PointwiseMatrix:
@@ -904,18 +938,17 @@ class _PointwiseMatrix:
     mask of points where ``M`` is finite and ``|det M|`` (NaN at the other
     points), so the matrix is assembled and det-checked once per grid.
     ``diagonal`` is whether every off-diagonal entry is the k-set's shared
-    +0.0 node (so every 1-by-1 matrix is): such a matrix is solved by
-    ``_diagonal_solve``, and any other by LAPACK. A -0.0 off-diagonal is not
-    diagonal here, as it changes the signs of LAPACK's zeros; and a full
-    matrix stays on LAPACK, because OpenBLAS's substitution rounds
-    ``b - x * a`` once (a fused multiply-add), which numpy cannot."""
+    +0.0 node (so every 1-by-1 matrix is), and ``lu`` holds ``_unit_lu``'s
+    factors of a constant matrix, or None; any other matrix stays on LAPACK
+    (see the module docstring)."""
 
-    __slots__ = ("rows", "mask", "diagonal", "_cache")
+    __slots__ = ("rows", "mask", "diagonal", "lu", "_cache")
 
     def __init__(self, rows):
         self.rows = [list(row) for row in rows]
         self.mask = _listed(self.rows)[1]
         self.diagonal = all(f is f.kset.zero for i, row in enumerate(self.rows) for j, f in enumerate(row) if i != j)
+        self.lu = None if self.diagonal else _unit_lu(self.rows)
         self._cache = {}
         for f in itertools.chain.from_iterable(self.rows):
             f._readers += 1
@@ -933,25 +966,31 @@ class _PointwiseMatrix:
     def solve(self, grid, rows, b):
         """The solutions of k systems against this matrix, with right-hand
         sides ``b`` (k, n, points), at the points ``rows`` of the grid (NaN
-        at the others), in one call: a diagonal matrix's columns side by side
-        in one ``_diagonal_solve``, or else one LAPACK call of single-column
-        systems against the broadcast matrix, which gives the bits of k
-        separate solves (one solve with k right-hand sides does not)."""
-        M = self.on(grid)[0][rows]
-        k, n, _ = b.shape
-        x = np.full(b.shape, math.nan)
+        at the others), in one call: by ``_diagonal_solve``, ``_substitute``
+        or LAPACK on single-column systems against the broadcast matrix (one
+        solve with k right-hand sides would move bits). When ``rows`` is
+        every point, no point is gathered or scattered."""
+        k, n, points = b.shape
+        M, whole = self.on(grid)[0], len(rows) == points
+        if not whole:
+            M, b = M[rows], b[:, :, rows]
         if self.diagonal:  # column p of system s is column s * len(rows) + p
-            y = _diagonal_solve(np.tile(M.diagonal(0, 1, 2).T, k), b[:, :, rows].swapaxes(0, 1).reshape(n, -1))
-            x[:, :, rows] = y.reshape(n, k, -1).swapaxes(0, 1)
+            y = _diagonal_solve(np.tile(M.diagonal(0, 1, 2).T, k), b.swapaxes(0, 1).reshape(n, -1))
+        elif self.lu:
+            y = _substitute(b.swapaxes(0, 1)[self.lu[0]].reshape(n, -1), *self.lu[1:])
         else:
-            B = b.swapaxes(1, 2)[:, rows, :, None]
-            x.swapaxes(1, 2)[:, rows] = np.linalg.solve(np.broadcast_to(M, (k, *M.shape)), B)[..., 0]
+            y = np.linalg.solve(np.broadcast_to(M, (k, *M.shape)), b.swapaxes(1, 2)[..., None])[..., 0]
+            y = y.transpose(2, 0, 1).reshape(n, -1)
+        x = y.reshape(n, k, -1).swapaxes(0, 1)
+        if not whole:
+            x, got = np.full((k, n, points), math.nan), x
+            x[:, :, rows] = got
         return x
 
 
 class LinearFieldSystem:
-    """Shared n-by-n pointwise solve A(point) x = b(point), by LAPACK or,
-    when the holder of A is diagonal, by ``_diagonal_solve`` (same bits).
+    """Shared n-by-n pointwise solve A(point) x = b(point), with LAPACK's
+    bits on every path of ``_PointwiseMatrix.solve``.
 
     Solution components are fields; their partials are obtained from the
     identity dx = A^{-1} (db - dA x), so derivatives of any order propagate

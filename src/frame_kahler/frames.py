@@ -235,13 +235,14 @@ class FrameStructure:
 
     @cached_property
     def dg(self) -> list:
-        """dg[a][b][c] = d_{e_a} g_bc; where g_cb is the node g_bc,
-        dg[a][c][b] is the same entry."""
-        n, g = self.n, self.g
-        dg = [[[None] * n for _ in range(n)] for _ in range(n)]
+        """dg[a][b][c] = d_{e_a} g_bc, derived once per direction for each
+        distinct node of g (g_cb is often the node g_bc, and an induced
+        metric's g_kk is its g_TT)."""
+        n, g, derived = self.n, self.g, {}  # keyed by node identity: g keeps every node alive
         for a, b, c in itertools.product(range(n), repeat=3):
-            dg[a][b][c] = dg[a][c][b] if c < b and g[c][b] is g[b][c] else self.dd(a, g[b][c])
-        return dg
+            if (a, id(g[b][c])) not in derived:
+                derived[a, id(g[b][c])] = self.dd(a, g[b][c])
+        return [[[derived[a, id(g[b][c])] for c in range(n)] for b in range(n)] for a in range(n)]
 
     @cached_property
     def _g_of_brackets(self) -> list:

@@ -688,8 +688,10 @@ class TestSolveCounts:
     """Each distinct pointwise matrix is assembled and det-checked once per
     grid, and the systems of one group (a connection's Koszul systems, the
     inverse-metric columns, the derivative systems of one group along one
-    variable) are solved against it in one call per grid, by LAPACK or, for
-    a diagonal matrix, by ``fields._diagonal_solve``. A grid here is a
+    variable) are solved against it in one call per grid: by
+    ``fields._diagonal_solve`` for a diagonal matrix, by
+    ``fields._substitute`` for a constant matrix with unit factors (every
+    catalog frame metric), and by LAPACK for any other. A grid here is a
     projection of the run's grid onto the variables that a request reads,
     so one matrix may meet two of them."""
 
@@ -699,16 +701,17 @@ class TestSolveCounts:
         # when each solve also built and solved its derivative systems along y, which no
         # field reads, with all-zero right-hand sides; solve 40 when the diagonal induced
         # metric was solved by LAPACK too; solve 8 and _diagonal_solve 32 when each
-        # distinct right-hand side was solved in a call of its own)
+        # distinct right-hand side was solved in a call of its own; solve 2 when the
+        # constant frame metric was solved by LAPACK)
         (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)},
-         {"det": 3, "solve": 2, "_diagonal_solve": 7}),
+         {"det": 3, "solve": 0, "_diagonal_solve": 7}),
         # and the fiber; s is summed only on a grid where it is read, and no warped check
         # reads it, so the four inverse-metric columns are not solved (solve 57 when the
         # curvature tensor summed s on every grid; solve 53 when the diagonal induced
         # metric and the fiber's orthonormal frame metric were solved by LAPACK too;
         # solve 15 and _diagonal_solve 38 when each distinct right-hand side was solved
-        # in a call of its own)
-        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 1, "_diagonal_solve": 4}),
+        # in a call of its own; solve 1 when the constant frame metric was solved by LAPACK)
+        (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 0, "_diagonal_solve": 4}),
     ])
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
         entry = entry()
@@ -724,42 +727,61 @@ class TestSolveCounts:
             monkeypatch.setattr(owner, name, counted)
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
-        assert dict(counts) == calls
+        assert {name: counts[name] for name in calls} == calls
+
+    @pytest.mark.parametrize("entry_id", catalog_ids())
+    def test_no_catalog_matrix_stays_on_lapack(self, monkeypatch, entry_id):
+        # every pointwise matrix of a catalog run is diagonal or has unit LU factors
+        holders, init = [], fields_mod._PointwiseMatrix.__init__
+        monkeypatch.setattr(fields_mod._PointwiseMatrix, "__init__",
+                            lambda self, rows: holders.append(self) or init(self, rows))
+        entry = load(entry_id)
+        report, _ = run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))
+        assert report.passed and holders
+        assert [h for h in holders if not (h.diagonal or h.lu)] == []
+        assert any(h.lu for h in holders)
 
     def test_solves_run_on_projected_grids(self, monkeypatch):
         # no field of ppwave-sech reads y, so each system is solved on at most the 3 x 8
         # distinct (tau, x) of the 3 x 8 x 8 grid (192 rows when it ran on every point);
-        # one call solves a group of k systems, as k broadcast (points, n, n) stacks for
-        # LAPACK and as k (n, points) blocks side by side for the diagonal induced metric
+        # one call solves a group of k <= 16 systems as k (n, points) blocks side by side,
+        # by substitution for the constant frame metric (as k broadcast (points, n, n)
+        # LAPACK stacks before) and by _diagonal_solve for the diagonal induced metric
         entry = load("ppwave", iota=SECH)
         grid = grid_points(entry.data.kset, dict(entry.grid_box, x=(-0.6, 0.6, 8), y=(-0.6, 0.6, 8)))
         assert len(grid) == 192
-        calls, systems = {"lapack": 0, "diagonal": 0}, []
-        solve, diagonal_solve = np.linalg.solve, fields_mod._diagonal_solve
-        init = fields_mod.LinearFieldSystem.__init__
+        calls, systems = {"lapack": 0, "substitute": 0, "diagonal": 0}, []
+        solve, substitute, diagonal_solve = np.linalg.solve, fields_mod._substitute, fields_mod._diagonal_solve
 
         def counted(a, b):
             calls["lapack"] += 1
-            assert a.shape[-3] <= 24
             return solve(a, b)
+
+        def counted_substitute(y, *factors):
+            calls["substitute"] += 1
+            assert y.shape[1] <= 16 * 24
+            return substitute(y, *factors)
 
         def counted_diagonal(d, b):
             calls["diagonal"] += 1
+            assert b.shape[1] <= 16 * 24
             return diagonal_solve(d, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(fields_mod, "_substitute", counted_substitute)
         monkeypatch.setattr(fields_mod, "_diagonal_solve", counted_diagonal)
+        init = fields_mod.LinearFieldSystem.__init__
         monkeypatch.setattr(fields_mod.LinearFieldSystem, "__init__",
                             lambda self, *args: systems.append(self) or init(self, *args))
         report, _ = run_suite(entry, "all", grid)
         assert report.passed
-        assert all(calls.values())
+        assert calls["substitute"] and calls["diagonal"] and calls["lapack"] == 0
         assert max(x.shape[1] for s in systems for x in s._cache.values()) <= 24
 
     NODES_BUILT = [
-        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3085),
-        (lambda: load("warped_alpha0"), {}, 2486),
-        (lambda: load("ppwave"), {}, 2224),
+        (lambda: load("ppwave", iota=SECH), {"x": (-0.6, 0.6, 8), "y": (-0.6, 0.6, 8)}, 3084),
+        (lambda: load("warped_alpha0"), {}, 2480),
+        (lambda: load("ppwave"), {}, 2221),
     ]
 
     @pytest.mark.parametrize("entry,box,nodes", NODES_BUILT, ids=["ppwave_sech", "warped_alpha0", "ppwave"])
@@ -788,7 +810,9 @@ class TestSolveCounts:
         # -1.0 (3,190, 2,536 and 2,351 when each fold built its own), and the
         # Laplacian and gradient helpers read one list of d_a F per field
         # (3,121 and 2,260 for the central entries when each helper derived
-        # d_a F again: 69 repeated derivatives per ppwave-sech run)
+        # d_a F again: 69 repeated derivatives per ppwave-sech run), and dg derives
+        # each distinct metric node once per direction (3,085, 2,486 and 2,224 when
+        # an induced metric's g_kk, the node g_TT, was derived again)
         entry = entry()
         grid = grid_points(entry.data.kset, dict(entry.grid_box, **box))
         built = []

@@ -37,7 +37,7 @@ from frame_kahler.fields import (
     variable,
 )
 
-from frame_kahler.catalog import load
+from frame_kahler.catalog import catalog_ids, load
 from frame_kahler.cli import main, run_suite
 from frame_kahler.frames import FrameStructure, curvature, grid_points, koszul_connection, values_on_grid
 from frame_kahler.warped import TAU_KSET
@@ -1216,6 +1216,127 @@ class TestBatchedSolve:
             values_on_grid(finite.components(), grid)
 
 
+class TestUnitLUSolve:
+    """A constant matrix of +0.0, 1.0 and -1.0 entries whose LU factors off
+    the diagonal are all +-0.0 or +-1.0 (every catalog frame metric) is
+    solved by ``fields._substitute`` on ``fields._unit_lu``'s factors with
+    ``np.linalg.solve``'s bits, NaN payloads aside: every product of the
+    substitution is exact, so numpy's two roundings give OpenBLAS's fused
+    one. A -0.0 entry or any other factor keeps a matrix on LAPACK. A CI
+    step runs this class again with every SIMD dispatch target off."""
+
+    VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.75]
+    EXTREME = [1e308, -1e308, 1.7e308, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf]
+    # a row swap and a pivot of 3, whose reciprocal is inexact
+    PIVOT_3 = [[-1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0], [0.0, -1.0, 1.0, 1.0]]
+
+    @staticmethod
+    def holder(m):
+        return _PointwiseMatrix([[constant(KS1, c) for c in row] for row in m])
+
+    @classmethod
+    def columns(cls, n):
+        """Every column of n entries from VALUES (6^n), then every column from EXTREME (8^n)."""
+        return np.concatenate([np.array(list(itertools.product(values, repeat=n))).T
+                               for values in (cls.VALUES, cls.EXTREME)], axis=1)
+
+    @staticmethod
+    def lapack(m, b):
+        return np.linalg.solve(np.broadcast_to(np.array(m), (b.shape[1], *np.shape(m))), b.T[:, :, None])[..., 0].T
+
+    @staticmethod
+    def substitute(lu, b):
+        order, *factors = lu
+        return fields_mod._substitute(b[order], *factors)
+
+    @staticmethod
+    def catalog_metrics():
+        """The values of each distinct constant pointwise matrix that is not
+        diagonal, over every catalog run at its default grid."""
+        found, init = {}, _PointwiseMatrix.__init__
+
+        def collect(self, rows):
+            init(self, rows)
+            if not self.diagonal and all(f.is_constant for row in self.rows for f in row):
+                values = [[f.c for f in row] for row in self.rows]
+                found[str(values)] = values
+
+        with unittest.mock.patch.object(_PointwiseMatrix, "__init__", collect):
+            for entry_id in catalog_ids():
+                entry = load(entry_id)
+                run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))
+        return list(found.values())
+
+    def test_every_catalog_frame_metric_equals_lapack(self):
+        metrics = self.catalog_metrics()
+        assert sorted(metrics) == [  # planewave's, then every other entry's
+            [[0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+            [[0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]]
+        b = self.columns(4)
+        assert b.shape[1] == 6 ** 4 + 8 ** 4
+        for m in metrics + [self.PIVOT_3]:
+            lu = self.holder(m).lu
+            assert lu is not None, m
+            with np.errstate(all="ignore"):
+                got, want = self.substitute(lu, b), self.lapack(m, b)
+            assert TestDiagonalSolve.mismatches(got, want) == 0, m
+        assert max(self.holder(self.PIVOT_3).lu[3]) == 3.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=16, max_size=16),
+           st.lists(st.lists(st.one_of(st.sampled_from(EXTREME + VALUES), st.floats()), min_size=4, max_size=4),
+                    min_size=1, max_size=8))
+    def test_unit_entries_equal_lapack(self, entries, columns):
+        m = [entries[i:i + 4] for i in range(0, 16, 4)]
+        lu = fields_mod._unit_lu([[constant(KS1, c) for c in row] for row in m])
+        if lu is None:  # singular, or a factor that is not a unit
+            return
+        b = np.array(columns, dtype=float).T
+        with np.errstate(all="ignore"):
+            got, want = self.substitute(lu, b), self.lapack(m, b)
+        assert TestDiagonalSolve.mismatches(got, want) == 0, (m, b.tolist())
+
+    def test_minus_zero_entry_stays_on_lapack(self):
+        m = [[0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        lu = self.holder(m).lu
+        m[0][0] = -0.0
+        assert self.holder(m).lu is None
+        # the +0.0 matrix's factors give other zeros and NaNs than LAPACK on the -0.0 one
+        b = self.columns(4)
+        with np.errstate(all="ignore"):
+            assert TestDiagonalSolve.mismatches(self.substitute(lu, b), self.lapack(m, b)) == 96
+
+    def test_non_unit_factor_stays_on_lapack(self):
+        m = [[2.0, 0.3], [0.3, 1.0]]
+        assert self.holder(m).lu is None
+        # unit entries, but the second column's factor is -0.5
+        assert self.holder([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]]).lu is None
+        # OpenBLAS rounds y - x * 0.3 once: substituting the factors with two roundings misses
+        b = np.random.default_rng(5).standard_normal((2, 20000))
+        factor = 0.3 * (1.0 / 2.0)
+        lu = [0, 1], [np.array([[factor]]), 0.0], [0.0, np.array([[0.3]])], [2.0, 1.0 - factor * 0.3]
+        assert TestDiagonalSolve.mismatches(self.substitute(lu, b), self.lapack(m, b)) == 5885
+
+    def test_a_system_gives_lapack_bits_on_both_paths(self):
+        # a Koszul-like group against the planewave block: -0.0, inf and overflow at some points
+        m = [[0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        b = self.columns(4)
+        w = b.shape[1] // 3
+        values = {}
+        for path in ("substitute", "lapack"):
+            holder = self.holder(m)
+            assert holder.lu is not None and not holder.diagonal
+            if path == "lapack":
+                holder.lu = None
+            group = []
+            systems = [LinearFieldSystem(holder, [_Table(row) for row in b[:, s * w:s * w + w]], group)
+                       for s in range(3)]
+            with np.errstate(all="ignore"):
+                values[path] = values_on_grid([s.components() for s in systems], [(float(p),) for p in range(w)])
+        assert TestSharedMatrix.hexes(values["substitute"].reshape(12, w)) == \
+            TestSharedMatrix.hexes(values["lapack"].reshape(12, w))
+
+
 class TestRemapAndFolds:
     def test_remap_variables(self):
         small = make_closed_form("sech(p + 2*q)^2", KSet(("p", "q")))
@@ -1420,7 +1541,8 @@ class TestReaders:
         # samples stay alive in their reference cycles: 1,147 arrays when every
         # node kept every array, 264 when a product whose merged constant
         # factor was 1.0 built a node, 259 when each read of d_a g_bc and
-        # g(e_u, [e_v, e_w]) built its own field. A row of a pointwise solve or of the
+        # g(e_u, [e_v, e_w]) built its own field, 234 when dg derived an induced
+        # metric's g_kk, the node g_TT, again. A row of a pointwise solve or of the
         # curvature tensor is a view of its holder's array, which owns the
         # data, so views are not counted
         def arrays():
@@ -1434,7 +1556,7 @@ class TestReaders:
             entry = load("warped_alpha0")
             run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))
             del entry
-            assert arrays() - before == 234
+            assert arrays() - before == 231
         finally:
             gc.enable()
             gc.collect()
