@@ -619,13 +619,19 @@ def load(entry_id: str, **params) -> CatalogEntry:
 
 @dataclass
 class CoordinateChart:
-    """Coordinate realization: metric and frame fields as functions of a
-    coordinate point, plus the projection onto the k-set variables."""
+    """Coordinate realization as functions of a (4, N) array of coordinate
+    points: ``metric_fn`` gives the (N, 4, 4) metric, ``frame_fns[a]`` the
+    (N, 4) coefficients of e_a and ``kset_point`` the (N, k) k-set points."""
 
     coord_names: tuple
     metric_fn: Callable
     frame_fns: list
     kset_point: Callable
+
+
+def _rows(p, *cols):
+    """(N, 4) frame coefficients at the (4, N) points ``p`` from four columns."""
+    return np.stack([np.broadcast_to(c, p.shape[1:]) for c in cols], axis=-1)
 
 
 def planewave_chart() -> CoordinateChart:
@@ -634,42 +640,50 @@ def planewave_chart() -> CoordinateChart:
 
     def metric(p):
         u, v, x, y = p
-        m = np.zeros((4, 4))
-        m[0, 0] = -(x * x + y * y)
-        m[0, 1] = m[1, 0] = 1.0
-        m[2, 2] = m[3, 3] = 1.0
+        m = np.zeros(p.shape[1:] + (4, 4))
+        m[..., 0, 0] = -(x * x + y * y)
+        m[..., 0, 1] = m[..., 1, 0] = 1.0
+        m[..., 2, 2] = m[..., 3, 3] = 1.0
         return m
 
     frames = [
-        lambda p: np.array([-1.0, 0.0, -p[3], p[2]]),  # k = -du - y dx + x dy
-        lambda p: np.array([0.0, 1.0, 0.0, 0.0]),      # T = dv
-        lambda p: np.array([0.0, -p[3], 1.0, 0.0]),    # x = -y dv + dx
-        lambda p: np.array([0.0, p[2], 0.0, 1.0]),     # y = x dv + dy
+        lambda p: _rows(p, -1.0, 0.0, -p[3], p[2]),  # k = -du - y dx + x dy
+        lambda p: _rows(p, 0.0, 1.0, 0.0, 0.0),      # T = dv
+        lambda p: _rows(p, 0.0, -p[3], 1.0, 0.0),    # x = -y dv + dx
+        lambda p: _rows(p, 0.0, p[2], 0.0, 1.0),     # y = x dv + dy
     ]
     return CoordinateChart(
         coord_names=("u", "v", "x", "y"),
         metric_fn=metric,
         frame_fns=frames,
-        kset_point=lambda p: (p[0],),
+        kset_point=lambda p: p[:1].T,
     )
 
 
-def _fd_bracket(chart: CoordinateChart, a: int, b: int, p: np.ndarray, h: float) -> np.ndarray:
-    """[e_a, e_b]^mu = e_a^nu d_nu e_b^mu - e_b^nu d_nu e_a^mu by central
-    differences of the coordinate coefficient functions."""
-    Xa = chart.frame_fns[a](p)
-    Xb = chart.frame_fns[b](p)
-    n = len(p)
-    out = np.zeros(n)
-    for nu in range(n):
-        hp = np.array(p, dtype=float)
-        hm = np.array(p, dtype=float)
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+def _chart_values(chart: CoordinateChart, points: np.ndarray, h: float) -> tuple:
+    """The chart side at the (4, N) ``points``: the frame metric E G E^T
+    (N, 4, 4), the coefficients (N, 6, 4) of the brackets of the pairs a < b
+    in the frame, and the twist g(k, [e_x, e_y]) (N,). Each bracket
+    [e_a, e_b]^mu = e_a^nu d_nu e_b^mu - e_b^nu d_nu e_a^mu is read from one
+    table of central differences dX[a][nu] of the coefficient functions."""
+    G = chart.metric_fn(points)
+    E = np.stack([f(points) for f in chart.frame_fns], axis=1)
+    steps = [(points.copy(), points.copy()) for _ in range(4)]
+    for nu, (hp, hm) in enumerate(steps):
         hp[nu] += h
         hm[nu] -= h
-        dXb = (chart.frame_fns[b](hp) - chart.frame_fns[b](hm)) / (2 * h)
-        dXa = (chart.frame_fns[a](hp) - chart.frame_fns[a](hm)) / (2 * h)
-        out += Xa[nu] * dXb - Xb[nu] * dXa
-    return out
+    dX = [[(f(hp) - f(hm)) / (2 * h) for hp, hm in steps] for f in chart.frame_fns]
+    B = np.zeros((len(E), len(_PAIRS), 4))  # summed from +0.0 in nu order, as at one point
+    for i, (a, b) in enumerate(_PAIRS):
+        for nu in range(4):
+            B[:, i] += E[:, a, nu, None] * dX[b][nu] - E[:, b, nu, None] * dX[a][nu]
+    M = E.transpose(0, 2, 1)  # columns are the frame fields
+    c = np.linalg.solve(np.broadcast_to(M[:, None], B.shape + (4,)), B[..., None])[..., 0]
+    twist = (E[:, K, None, :] @ G @ B[:, _PAIRS.index((X, Y)), :, None])[:, 0, 0]
+    return E @ G @ M, c, twist
 
 
 def coordinate_crosscheck(entry: CatalogEntry) -> VerificationReport:
@@ -677,31 +691,23 @@ def coordinate_crosscheck(entry: CatalogEntry) -> VerificationReport:
 
     Metric values, bracket coefficients (finite-differenced and re-expanded
     in the frame), the nullity of k and the twist are all matched at a
-    sample of coordinate points."""
+    sample of coordinate points, evaluated as one (4, N) array."""
     chart = entry.chart
     if chart is None:
         raise ValueError("entry %r has no coordinate chart" % entry.entry_id)
     report = VerificationReport(suite="coordinate-crosscheck")
     S = entry.data.structure
-    points = [np.array(p) for p in itertools.product((-0.8, 0.0, 0.8), (-0.5, 0.5), (0.3, 1.1), (-0.7, 0.4))]
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    points = np.array(list(itertools.product((-0.8, 0.0, 0.8), (-0.5, 0.5), (0.3, 1.1), (-0.7, 0.4)))).T
     h, tol = 1e-5, 1e-6
 
-    # chart side, one point at a time; frame side through the grid primitive
-    g_chart, c_chart, twist_chart = [], [], []
-    for p in points:
-        G = chart.metric_fn(p)
-        E = np.array([chart.frame_fns[a](p) for a in range(4)])
-        g_chart.append(E @ G @ E.T)
-        M = E.T  # columns are the frame fields
-        c_chart.append([np.linalg.solve(M, _fd_bracket(chart, a, b, p, h)) for a, b in pairs])
-        twist_chart.append(float(chart.frame_fns[K](p) @ G @ _fd_bracket(chart, X, Y, p, h)))
-    kset_points = _Grid.of([chart.kset_point(p) for p in points])
-    g_chart = np.moveaxis(np.array(g_chart), 0, -1)
+    # chart side on the whole point array; frame side through the grid primitive
+    g_chart, c_chart, twist_chart = _chart_values(chart, points, h)
+    kset_points = _Grid.of(chart.kset_point(points))
+    g_chart = np.moveaxis(g_chart, 0, -1)
 
     report.add("metric_values", worst_abs(g_chart - values_on_grid(S.g, kset_points)), tol)
-    c_frame = values_on_grid([S.C[a][b] for a, b in pairs], kset_points)
-    report.add("bracket_coefficients", worst_abs(np.moveaxis(np.array(c_chart), 0, -1) - c_frame), tol)
+    c_frame = values_on_grid([S.C[a][b] for a, b in _PAIRS], kset_points)
+    report.add("bracket_coefficients", worst_abs(np.moveaxis(c_chart, 0, -1) - c_frame), tol)
     report.add("k_null", worst_abs(g_chart[K, K]), tol)
-    report.add("twist", worst_abs(np.array(twist_chart) - values_on_grid(entry.data.iota, kset_points)), tol)
+    report.add("twist", worst_abs(twist_chart - values_on_grid(entry.data.iota, kset_points)), tol)
     return report

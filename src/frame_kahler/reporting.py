@@ -3,7 +3,8 @@
 A check records the worst residual seen over a grid against its tolerance,
 and passes exactly when residual <= tol; no caller sets the verdict.
 Reports serialize deterministically (no timing data in the payload), so two
-runs over identical inputs and grids produce byte-identical files.
+runs over identical inputs and grids produce byte-identical files. The JSON
+is ``json.dumps(..., indent=2)``'s byte for byte, from one template.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
@@ -19,6 +21,20 @@ SCHEMA_VERSION = 1
 TOL_TIGHT = 1e-9
 TOL_FRAME = 1e-8
 TOL_CROSS = 1e-7
+
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_BOOL = {True: "true", False: "false"}
+_JSON_CHECK = ('    {\n      "id": %s,\n      "residual": %s,\n      "tol": %s,\n'
+               '      "passed": %s,\n      "note": %s,\n      "source": %s\n    }')
+_JSON_REPORT = ('{\n  "schema_version": %d,\n  "suite": %s,\n  "grid": %s,\n'
+                '  "passed": %s,\n  "checks": %s\n}\n')
+
+
+def _json_number(x: float) -> str:
+    """``x`` as json writes a float: float.__repr__, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 @dataclass
@@ -60,27 +76,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "suite": self.suite,
-            "grid": self.grid_spec,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "id": c.check_id,
-                    "residual": c.residual,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                    "note": c.note,
-                    "source": c.source,
-                }
-                for c in self.checks
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        checks = ",\n".join(_JSON_CHECK % (
+            _json_string(c.check_id), _json_number(c.residual), _json_number(c.tol), _JSON_BOOL[c.passed],
+            _json_string(c.note), _json_string(c.source)) for c in self.checks)
+        return _JSON_REPORT % (SCHEMA_VERSION, _json_string(self.suite), _json_string(self.grid_spec),
+                               _JSON_BOOL[self.passed], "[\n%s\n  ]" % checks if checks else "[]")
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -1,6 +1,7 @@
 """Catalog entries, the document schema, and the coordinate oracle."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -16,7 +17,7 @@ from frame_kahler.catalog import (
     parse_document,
 )
 from frame_kahler.frames import consistency_suite, koszul_connection, max_abs_on_grid
-from frame_kahler.kahler import check_admissible
+from frame_kahler.kahler import K, X, Y, check_admissible
 
 
 class TestIntervalBounds:
@@ -152,6 +153,40 @@ class TestCoordinateOracle:
         assert rep.passed
         assert max(c.residual for c in rep.checks) <= 1e-6
 
+    def test_whole_array_chart_bits(self):
+        # the chart side on the (4, N) point array has the bits of the per-point
+        # algebra: E G E^T, a central-difference bracket and one solve per frame
+        # pair at each point, each callable read at that point alone
+        chart, h = catalog.planewave_chart(), 1e-5
+        points = np.array(list(itertools.product((-0.8, 0.0, 0.8), (-0.5, 0.5), (0.3, 1.1), (-0.7, 0.4)))).T
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+        def at(fn, p):
+            return fn(p[:, None])[0]
+
+        def bracket(E, p, a, b):
+            out = np.zeros(4)
+            for nu in range(4):
+                hp, hm = p.copy(), p.copy()
+                hp[nu] += h
+                hm[nu] -= h
+                dXb = (at(chart.frame_fns[b], hp) - at(chart.frame_fns[b], hm)) / (2 * h)
+                dXa = (at(chart.frame_fns[a], hp) - at(chart.frame_fns[a], hm)) / (2 * h)
+                out += E[a][nu] * dXb - E[b][nu] * dXa
+            return out
+
+        g_ref, c_ref, twist_ref = [], [], []
+        for p in points.T.copy():
+            G = at(chart.metric_fn, p)
+            E = np.array([at(f, p) for f in chart.frame_fns])
+            g_ref.append(E @ G @ E.T)
+            c_ref.append([np.linalg.solve(E.T, bracket(E, p, a, b)) for a, b in pairs])
+            twist_ref.append(float(E[K] @ G @ bracket(E, p, X, Y)))
+        g, c, twist = catalog._chart_values(chart, points, h)
+        assert g.tobytes() == np.array(g_ref).tobytes()
+        assert c.tobytes() == np.array(c_ref).tobytes()
+        assert twist.tobytes() == np.array(twist_ref).tobytes()
+
     def test_dropped_potential_flagged(self):
         # without its du^2 term the chart's k is null no more; the entry is
         # loaded afresh because its chart's metric is replaced
@@ -160,7 +195,7 @@ class TestCoordinateOracle:
 
         def metric(p):
             m = good_metric(p)
-            m[0, 0] = 0.0
+            m[:, 0, 0] = 0.0
             return m
 
         entry.chart.metric_fn = metric
@@ -169,14 +204,15 @@ class TestCoordinateOracle:
         assert "k_null" in [c.check_id for c in rep.checks if not c.passed]
 
     def test_non_finite_chart_fails(self):
-        # a chart metric that turns NaN after its first point must not read
-        # as the residual of the points before it
+        # a chart metric that is NaN at every point after the first must not
+        # read as the residual of the first point
         entry = load("planewave")
-        good_metric, calls = entry.chart.metric_fn, []
+        good_metric = entry.chart.metric_fn
 
         def metric(p):
-            calls.append(p)
-            return good_metric(p) if len(calls) == 1 else np.full((4, 4), math.nan)
+            m = good_metric(p)
+            m[1:] = math.nan
+            return m
 
         entry.chart.metric_fn = metric
         rep = coordinate_crosscheck(entry)

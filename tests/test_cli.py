@@ -712,6 +712,9 @@ class TestSolveCounts:
         # solve 15 and _diagonal_solve 38 when each distinct right-hand side was solved
         # in a call of its own; solve 1 when the constant frame metric was solved by LAPACK)
         (lambda: load("warped_alpha0"), {}, {"det": 3, "solve": 0, "_diagonal_solve": 4}),
+        # one solve for the Ricci endomorphism spectrum and one for the coordinate chart, every
+        # frame pair at every chart point (solve 145 when each point and pair was solved alone)
+        (lambda: load("planewave"), {}, {"det": 2, "solve": 2, "_diagonal_solve": 3}),
     ])
     def test_one_det_per_matrix(self, monkeypatch, entry, box, calls):
         entry = entry()
