@@ -37,7 +37,14 @@ the same operations on the same inputs, with the same bits.
 unless it is given a converted grid, which it takes as it is. A run
 converts each of its grids once and passes the converted grid on, so all
 its nodes share one key object; ``at(point)`` computes one field on a
-one-point grid, a convenience for tests and prompts. Each node's ``_mask``
+one-point grid, a convenience for tests and prompts. Points that a request
+converts itself (``values_on_grid``, ``frames.max_abs_on_grid`` or
+``min_on_grid`` given a list or an array) make a one-off grid, which no
+later request is given: every array cached under its key or its
+projections' and remaps' (node and row arrays, matrix stacks, solutions,
+curvature rows) is dropped when the request returns or raises. ``at``
+keeps the reader rule, as ``bench/spans.py`` calls ``at`` at every point
+and relies on the arrays those calls share. Each node's ``_mask``
 has a bit for each variable it reads: none for a constant, its own for a
 variable, the union of the operands' for an operation, its holder's for a
 row (``_Row``: a solve's component, a curvature entry), and every variable
@@ -204,25 +211,28 @@ class _Grid:
     points once and passes the grid, which ``of`` returns unchanged, so its
     nodes share one key object. ``len(grid)``, iteration and ``grid[i]``
     give its points, each a tuple of Python floats (as errors name a
-    point)."""
+    point). ``filled`` is None, or for a one-off grid the (cache, key)
+    entries filled on it, its projections and its remaps, for its request
+    to pop."""
 
-    __slots__ = ("cols", "n", "key", "_projections")
+    __slots__ = ("cols", "n", "key", "_projections", "filled")
 
-    def __init__(self, cols):
+    def __init__(self, cols, filled=None):
         self.cols = cols
         self.n = cols.shape[1]
         self.key = (self.n, cols.tobytes())
         self._projections = {}
+        self.filled = filled
 
     @classmethod
-    def of(cls, points):
-        """The grid of k-tuples or of an (N, k) array, or the grid itself.
-        An empty grid gets an empty column for each of the (at most 3)
-        variables any field reads."""
+    def of(cls, points, filled=None):
+        """The grid of k-tuples or of an (N, k) array, with ``filled``, or
+        the grid itself. An empty grid gets an empty column for each of the
+        (at most 3) variables any field reads."""
         if isinstance(points, _Grid):
             return points
         k = len(points[0]) if len(points) else 3
-        return cls(np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T))
+        return cls(np.ascontiguousarray(np.array(points, dtype=float).reshape(len(points), k).T), filled)
 
     def __len__(self):
         return self.n
@@ -235,7 +245,7 @@ class _Grid:
 
     def remapped(self, mapping):
         """The grid of a field whose i-th variable is this grid's mapping[i]."""
-        return _Grid(self.cols[list(mapping)])
+        return _Grid(self.cols[list(mapping)], self.filled)
 
     def projection(self, mask):
         """(grid, inverse): the points whose values in the variables of
@@ -263,7 +273,7 @@ class _Grid:
                             first.append(i)
                         inverse.append(ids[key])
                 if len(first) < self.n:
-                    got = (_Grid(self.cols[:, first]), np.asarray(inverse))
+                    got = (_Grid(self.cols[:, first], self.filled), np.asarray(inverse))
             self._projections[mask] = got
         return got or (self, None)
 
@@ -302,9 +312,14 @@ def _projected_values(fields, grid):
     A reduction that does not count points (a maximum, a minimum) can take
     the values as they are."""
     fields, mask = _listed(fields)
-    grid, inverse = _Grid.of(grid).projection(mask)
-    with np.errstate(all="ignore"):
-        return np.array(_values_of(fields, grid)), inverse
+    filled = None if isinstance(grid, _Grid) else []  # points, not a grid: a one-off grid
+    grid, inverse = _Grid.of(grid, filled).projection(mask)
+    try:
+        with np.errstate(all="ignore"):
+            return np.array(_values_of(fields, grid)), inverse
+    finally:
+        for cache, key in filled or ():
+            cache.pop(key, None)
 
 
 def values_on_grid(fields, grid) -> np.ndarray:
@@ -315,7 +330,10 @@ def values_on_grid(fields, grid) -> np.ndarray:
     Arithmetic overflow and invalid operations give inf and NaN silently, as
     with Python floats. The fields are evaluated on the grid's projection
     onto the variables they read, and the values are expanded back to every
-    point."""
+    point. Points make a one-off grid, whose arrays are dropped when the
+    request returns or raises; a converted grid keeps them for later
+    requests, and so does ``ScalarField.at``, as ``bench/spans.py`` calls
+    it at every point and relies on the arrays those calls share."""
     out, inverse = _projected_values(fields, grid)
     # np.take, not out[..., inverse]: a strided result changes the bits of a later np.dot
     return out if inverse is None else np.take(out, inverse, axis=-1)
@@ -359,6 +377,8 @@ class ScalarField:
             got = self._compute(grid)
             if self._readers != 1:
                 self._cache[grid.key] = got
+                if grid.filled is not None:
+                    grid.filled.append((self._cache, grid.key))
         return got
 
     def _compute(self, grid):  # pragma: no cover - abstract
@@ -961,6 +981,8 @@ class _PointwiseMatrix:
             abs_det = np.full(grid.n, math.nan)
             abs_det[finite] = np.abs(np.linalg.det(M[finite]))
             got = self._cache[grid.key] = (M, finite, abs_det)
+            if grid.filled is not None:
+                grid.filled.append((self._cache, grid.key))
         return got
 
     def solve(self, grid, rows, b):
@@ -1055,6 +1077,8 @@ class LinearFieldSystem:
                 batch, b = list(itertools.compress(batch, keep)), b[keep]
             for s, x in zip(batch, self._matrix.solve(grid, rows, b)):
                 s._cache[grid.key] = x
+                if grid.filled is not None:
+                    grid.filled.append((s._cache, grid.key))
             got = self._cache[grid.key]
         return got
 
@@ -1090,6 +1114,8 @@ class _Row(ScalarField):
         got = self._cache.get(grid.key)
         if got is None:
             got = self._cache[grid.key] = self.holder.value_at(grid)[self.j]
+            if grid.filled is not None:
+                grid.filled.append((self._cache, grid.key))
         return got
 
     def _derive(self, i):

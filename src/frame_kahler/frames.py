@@ -385,6 +385,8 @@ class CurvatureTensor:
         for a in range(n):
             ric[a] = _contract_arrays(None, ((1, R[c, a, :, c], 1.0) for c in range(n) if c != a))
         self._cache[grid.key] = out
+        if grid.filled is not None:
+            grid.filled.append((self._cache, grid.key))
         return out
 
     def _row_partial(self, j, i):

@@ -289,6 +289,10 @@ def ke_pde_residual(F: FiberData, lam: float, C: float) -> ScalarField:
 # implicit-tan solution branch -------------------------------------------------
 
 
+# taus per Newton batch: the temporaries of a 39,998-tau call shrink from ~3 MB to ~0.3 MB
+_ROOT_BLOCK = 4096
+
+
 def solve_implicit_w(tau, seed: float, halfwidth: float = 0.5, max_iter: int = 100):
     """Solve x = tau + tan(x) near the seed by safeguarded Newton for an
     array of taus at once; returns the array of roots.
@@ -297,9 +301,17 @@ def solve_implicit_w(tau, seed: float, halfwidth: float = 0.5, max_iter: int = 1
     to one branch of tan; outside it the step falls back to bisection when
     a sign change is available, and errors out otherwise, naming the first
     failing tau in order. A root does not depend on the other taus of the
-    call. tan is ``np.sin(x) / np.cos(x)`` (``np.tan``'s bits depend on the
+    call, so the taus are solved in consecutive blocks of 4,096, in order:
+    a block raises for its first failing tau, which is the call's first.
+    tan is ``np.sin(x) / np.cos(x)`` (``np.tan``'s bits depend on the
     host's SIMD dispatch), and the slope is ``t * t``."""
     taus = np.asarray(tau, dtype=float).reshape(-1)
+    return np.concatenate([_newton_block(taus[i:i + _ROOT_BLOCK], seed, halfwidth, max_iter)
+                           for i in range(0, taus.size or 1, _ROOT_BLOCK)])
+
+
+def _newton_block(taus, seed, halfwidth, max_iter):
+    """``solve_implicit_w`` on one block of taus."""
     lo, hi = ends = seed - halfwidth, seed + halfwidth
     tlo, thi = np.sin(ends) / np.cos(ends)
     hlo, hhi = taus + tlo - lo, taus + thi - hi

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -886,6 +887,27 @@ print(sum(isinstance(o, FrameStructure) for o in alive), sum(isinstance(o, Linea
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0", "3", "True"]
+
+
+class TestKePeakMemory:
+    def test_traced_peak_of_a_20k_ke_call(self, tmp_path, capsys):
+        # the allocations of one ke call at 20,000 samples, counted by tracemalloc after
+        # a warm-up, so the bound does not depend on the host's heap or page sizes:
+        # 13.4 MB when the Simpson and completeness grids kept their arrays through the
+        # CSV write and the 39,998-tau root batch ran as one Newton iteration; 8.4 MB
+        # once both were gone
+        argv = ["ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--complete", "--n", "20000",
+                "--format", "both", "--out", str(tmp_path / "fam")]
+        assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 10.5, "traced peak %.2f MB" % peak
 
 
 class TestGridConversions:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frame_kahler import fields as fields_mod
+from frame_kahler import frames as frames_mod
 from frame_kahler.fields import (
     CScalarField,
     DomainError,
@@ -39,7 +40,9 @@ from frame_kahler.fields import (
 
 from frame_kahler.catalog import catalog_ids, load
 from frame_kahler.cli import main, run_suite
-from frame_kahler.frames import FrameStructure, curvature, grid_points, koszul_connection, values_on_grid
+from frame_kahler.frames import (FrameStructure, curvature, grid_points, koszul_connection, max_abs_on_grid,
+                                 min_on_grid, values_on_grid)
+from frame_kahler.kahler import build_chain
 from frame_kahler.warped import TAU_KSET
 
 from conftest import central_diff, fd_plane_laplacian, second_diff
@@ -860,6 +863,20 @@ class TestProjection:
             pytest.fail("no point of the grid fails")
 
 
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The number of matrices of each ``np.linalg.det`` call."""
+    calls = []
+    det = np.linalg.det
+
+    def counted(a):
+        calls.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return calls
+
+
 class _Table(ScalarField):
     """A field over KS1 that reads fixed values (one per grid point) on every
     grid, so a test controls the exact bytes of a right-hand side."""
@@ -881,18 +898,6 @@ class TestSharedMatrix:
     each solved in its own call; the signed-zero and NaN tests run on both
     paths. (A memo once solved bit-equal right-hand sides against one
     matrix once.)"""
-
-    @pytest.fixture
-    def det_calls(self, monkeypatch):
-        calls = []
-        det = np.linalg.det
-
-        def counted(a):
-            calls.append(len(a))
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counted)
-        return calls
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
@@ -994,7 +999,8 @@ class TestSharedMatrix:
         ]
         b = [variable(KS2, "y"), constant(KS2, 1.0)]
         sol = LinearFieldSystem(A, b).components()
-        grid = [(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5)]
+        # a converted grid, which keeps its arrays past a request (a list of points would not)
+        grid = fields_mod._Grid.of([(0.4, -0.7), (0.1, 0.2), (-0.3, 0.5)])
         before = values_on_grid(sol, grid)
         assert det_calls == [3]
         derived = values_on_grid([sol[0].partial(0), sol[1].partial(1), sol[0].partial(1).partial(0)], grid)
@@ -1495,36 +1501,39 @@ def _arrays(f):
 
 
 class TestReaders:
-    """A node keeps its array for a grid only while a later read may need it:
-    unless exactly one node, matrix or system was built to read it."""
+    """A node keeps its array for a converted grid only while a later read may
+    need it: unless exactly one node, matrix or system was built to read it.
+    The reader tests pass a converted grid: a one-off grid (points that the
+    request converts itself) keeps no array past its request."""
 
     def test_one_reader_keeps_no_array(self):
         u = variable(KS2, "x") * variable(KS2, "y")
         v = u + 1.0
-        values_on_grid(v, _GRID)
+        values_on_grid(v, fields_mod._Grid.of(_GRID))
         assert u._readers == 1 and _arrays(u) == []
         assert len(_arrays(v)) == 1
 
     def test_two_readers_keep_the_array(self):
         u = variable(KS2, "x") * variable(KS2, "y")
-        values_on_grid(u * u, _GRID)
+        values_on_grid(u * u, fields_mod._Grid.of(_GRID))
         assert u._readers == 2 and len(_arrays(u)) == 1
 
     def test_contract_result_keeps_the_array(self):
         c = contract(constant(KS2, 0.0), [(1, variable(KS2, "x"), variable(KS2, "y"))])
-        values_on_grid(c + 1.0, _GRID)
+        values_on_grid(c + 1.0, fields_mod._Grid.of(_GRID))
         assert c._readers == 2 and len(_arrays(c)) == 1
 
     def test_later_reader_recomputes_the_same_bits(self):
         x, y = variable(KS2, "x"), variable(KS2, "y")
         u = exp(x) / (1.0 + y * y) + sin(x * y)
-        values_on_grid(u + 1.0, _GRID)
-        before = [float.hex(v) for v in values_on_grid(u, _GRID)]
+        grid = fields_mod._Grid.of(_GRID)
+        values_on_grid(u + 1.0, grid)
+        before = [float.hex(v) for v in values_on_grid(u, grid)]
         assert _arrays(u) == []
         w = u * u  # two more readers, built after the array was dropped
-        after = [float.hex(v) for v in values_on_grid(u, _GRID)]
+        after = [float.hex(v) for v in values_on_grid(u, grid)]
         assert len(_arrays(u)) == 1 and after == before
-        assert [float.hex(v) for v in values_on_grid(w, _GRID)] == [
+        assert [float.hex(v) for v in values_on_grid(w, grid)] == [
             float.hex(v * v) for v in map(float.fromhex, before)]
 
     def test_domain_error_in_a_one_reader_node_names_the_first_point(self):
@@ -1542,7 +1551,8 @@ class TestReaders:
         # node kept every array, 264 when a product whose merged constant
         # factor was 1.0 built a node, 259 when each read of d_a g_bc and
         # g(e_u, [e_v, e_w]) built its own field, 234 when dg derived an induced
-        # metric's g_kk, the node g_TT, again. A row of a pointwise solve or of the
+        # metric's g_kk, the node g_TT, again, 231 when the grids of requests on
+        # points (not on a converted grid) kept their arrays. A row of a pointwise solve or of the
         # curvature tensor is a view of its holder's array, which owns the
         # data, so views are not counted
         def arrays():
@@ -1556,10 +1566,102 @@ class TestReaders:
             entry = load("warped_alpha0")
             run_suite(entry, "all", grid_points(entry.data.kset, entry.grid_box))
             del entry
-            assert arrays() - before == 231
+            assert arrays() - before == 196
         finally:
             gc.enable()
             gc.collect()
+
+
+class TestOneOffGrids:
+    """A request on points that it converts itself (a list or an array: a
+    one-off grid) keeps no array past its return, under its grid's key or a
+    key of the grid's projections and remaps, also when it raises. A grid
+    that the caller converted keeps its arrays for the requests after it."""
+
+    @pytest.fixture
+    def request_grids(self, monkeypatch):
+        """Every grid built while the fixture is active."""
+        grids = []
+        init = fields_mod._Grid.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            grids.append(self)
+
+        monkeypatch.setattr(fields_mod._Grid, "__init__", recorded)
+        return grids
+
+    @staticmethod
+    def chain_request():
+        """(fields, points): the ppwave-sech Kahler chain's Ricci rows (a
+        curvature tensor), scalar curvature and Koszul coefficients (pointwise
+        solves), and a remapped field of tau; the twist reads x alone, so
+        the request runs on a projection of its 48 points."""
+        entry = load("ppwave", iota="-2*sech(x)^2")
+        chain = build_chain(entry.data)
+        u = exp(variable(KS1, "tau"))
+        moved = remap(u * u, entry.data.kset)  # the inner product reads u twice: u keeps its array
+        rows = (chain.curv.ricci, chain.conn.gamma[0], chain.conn.gamma[2], chain.ric)
+        fields = [f for table in rows for row in table for f in row] + [chain.curv.scalar, moved]
+        return fields, grid_points(entry.data.kset, entry.grid_box)
+
+    @staticmethod
+    def kept(keys):
+        """The type of every node, matrix, system or curvature tensor that
+        holds an entry under one of the grid keys."""
+        kinds = (ScalarField, _PointwiseMatrix, LinearFieldSystem, frames_mod.CurvatureTensor)
+        return [type(o).__name__ for o in gc.get_objects() if isinstance(o, kinds)
+                for key in o._cache if key in keys]
+
+    @pytest.mark.parametrize("request_fn", [values_on_grid, max_abs_on_grid])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_request_on_points_keeps_no_array(self, request_grids, request_fn, as_array):
+        fields, points = self.chain_request()
+        request_grids.clear()
+        request_fn(fields, np.array(points) if as_array else points)
+        one_off = request_grids[0]
+        assert one_off.filled and all(g.filled is one_off.filled for g in request_grids)
+        # the projection (x and tau, not y) and the remap (tau alone) are grids of the request
+        assert sorted(len(g.cols) for g in request_grids) == [1, 3, 3]
+        assert self.kept({g.key for g in request_grids}) == []
+
+    def test_domain_error_keeps_no_array(self, request_grids):
+        fields, points = self.chain_request()
+        bad = log(variable(fields[-1].kset, "tau") - 0.25)  # log of a nonpositive value at tau = -0.5
+        request_grids.clear()
+        with pytest.raises(DomainError, match=r"log of nonpositive value -0.75 at \(-0.5, -0.6, -0.6\)"):
+            values_on_grid([*fields, bad], points)
+        assert request_grids[0].filled  # arrays were cached before the error
+        assert self.kept({g.key for g in request_grids}) == []
+        with pytest.raises(DomainError):
+            min_on_grid(bad, points)
+        assert self.kept({g.key for g in request_grids}) == []
+
+    def test_converted_grid_reuses_its_arrays(self, request_grids, det_calls):
+        fields, points = self.chain_request()
+        values_on_grid(fields, points)
+        per_request = len(det_calls)
+        assert per_request > 0
+        values_on_grid(fields, points)
+        assert len(det_calls) == 2 * per_request  # points: every stack assembled again
+        request_grids.clear()
+        grid = fields_mod._Grid.of(points)
+        assert grid.filled is None
+        first = values_on_grid(fields, grid)
+        assert len(det_calls) == 3 * per_request
+        again = values_on_grid(fields, grid)
+        assert len(det_calls) == 3 * per_request and again.tobytes() == first.tobytes()
+        assert {"_Elementary", "_Row", "_PointwiseMatrix", "LinearFieldSystem", "CurvatureTensor"} <= set(
+            self.kept({g.key for g in request_grids}))
+
+    def test_at_keeps_its_one_point_arrays(self):
+        # bench/spans.py reads every builder output with ``at`` at every point, and
+        # relies on sharing between those calls: a field at a point is computed once
+        fields, points = self.chain_request()
+        row = fields[0]
+        assert _arrays(row) == []
+        first = row.at(points[5])
+        assert len(_arrays(row)) == 1 and row.at(points[5]) == first
 
 
 class TestSharedConstants:

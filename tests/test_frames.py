@@ -431,6 +431,25 @@ class TestCurvatureIdentityGathers:
         grid = grid_points(self.KS, {"x": (-1.0, 1.0, 3)})
         assert assert_reference_bits(curvature(S, conn), conn, grid) == (math.inf.hex(),) * 2
 
+    def test_document_whose_brackets_overflow(self):
+        # no harness document gives the identity sums a non-finite row: s3xr with the
+        # [e_x, e_y] coefficient along e_T at 1e160 e^tau, whose square overflows on the
+        # grid, gives R_abcd and off-diagonal Ric of inf and NaN. Each residual is inf,
+        # and inf - inf in a sum raises no RuntimeWarning
+        doc = catalog._doc_s3xr()
+        doc["brackets"]["x,y"]["T"] = "1e160*exp(tau)"
+        entry = catalog.entry_from_document("s3xr_overflow", "s3xr with an overflowing bracket", doc, {})
+        S = entry.data.structure
+        curv = curvature(S, koszul_connection(S))
+        grid = grid_points(entry.data.kset, entry.grid_box)
+        L, ric = curv._arrays(grid)[1:]
+        assert not np.isfinite(L).all() and not np.isfinite(ric[np.triu_indices(4, 1)]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [curv.pair_symmetry_residual(grid), curv.first_bianchi_residual(grid),
+                   curv.ricci_symmetry_residual(grid)]
+        assert got == [math.inf] * 3
+
     def test_non_diagonal_metric_and_constant_factors(self):
         # the catalog metrics read each lowered sum's terms one at a time, and their
         # brackets have few constant factors: a 3-frame with a non-diagonal metric,

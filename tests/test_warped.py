@@ -338,6 +338,98 @@ class TestImplicitSolve:
         assert outputs[0] == outputs[1]
 
 
+def _one_batch_roots(tau, seed, halfwidth=0.5, max_iter=100):
+    """Reference copy of the single-batch ``solve_implicit_w``, which solved
+    every tau of a call in one Newton iteration over the whole array."""
+    taus = np.asarray(tau, dtype=float).reshape(-1)
+    lo, hi = ends = seed - halfwidth, seed + halfwidth
+    tlo, thi = np.sin(ends) / np.cos(ends)
+    hlo, hhi = taus + tlo - lo, taus + thi - hi
+    roots = np.where(hlo == 0.0, lo, hi)
+    failed = np.zeros(taus.size, dtype=np.int8)  # 1: left the bracket, 2: did not converge
+    idx = np.flatnonzero((hlo != 0.0) & (hhi != 0.0))
+    # +1 where the residual is negative at lo, -1 where at hi, 0 without a bracket
+    orient = (hlo[idx] < 0.0) * 1.0 - (hhi[idx] < 0.0)
+    tau_a, lo, hi, x = taus[idx], np.full(idx.size, lo), np.full(idx.size, hi), np.full(idx.size, float(seed))
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not idx.size:
+                break
+            t = np.sin(x) / np.cos(x)
+            hx = tau_a + t - x
+            done = np.abs(hx) <= 1e-12
+            if np.count_nonzero(done):
+                roots[idx[done]] = x[done]
+                keep = ~done
+                idx, tau_a, lo, hi, orient, x, t, hx = (a[keep] for a in (idx, tau_a, lo, hi, orient, x, t, hx))
+            side = hx * orient  # x is the new lo where < 0, the new hi where > 0
+            np.copyto(lo, x, where=side < 0.0)
+            np.copyto(hi, x, where=side > 0.0)
+            slope = t * t
+            step = x - hx / slope
+            inside = (slope > 1e-300) & (lo < step) & (step < hi)  # False for an infinite or NaN step
+            if np.count_nonzero(inside) < idx.size:
+                step = np.where(inside, step, 0.5 * (lo + hi))
+                lost = ~inside & (orient == 0.0)
+                if np.count_nonzero(lost):
+                    failed[idx[lost]] = 1
+                    keep = ~lost
+                    idx, tau_a, lo, hi, orient, step = (a[keep] for a in (idx, tau_a, lo, hi, orient, step))
+            x = step
+    failed[idx] = 2
+    if np.count_nonzero(failed):
+        first = np.flatnonzero(failed)[0]
+        if failed[first] == 1:
+            raise ArithmeticError("Newton left the branch bracket (%g, %g) at tau=%g" % (ends + (taus[first],)))
+        raise ArithmeticError("implicit solve did not converge in %d iterations (tau=%g)" % (max_iter, taus[first]))
+    return roots
+
+
+class TestBlockedRoots:
+    """``solve_implicit_w`` solves in consecutive blocks of 4,096 taus, with
+    the bits and the errors of one batch over the whole array."""
+
+    @staticmethod
+    def hexes(roots):
+        return list(map(float.hex, roots.tolist()))
+
+    def test_roots_across_three_blocks(self):
+        # the second list's roots that bisect before they converge, spread through the blocks
+        outcome = TestImplicitSolve._outcome
+        bisected = [t for t in TestImplicitSolve.TAU_LISTS[1] if isinstance(outcome(_solve_one, t), float)]
+        taus = np.insert(np.linspace(0.05, 1.0, 10000), np.arange(len(bisected)) * 40, bisected)
+        assert taus.size >= 10000 and -(-taus.size // warped._ROOT_BLOCK) >= 3
+        got = solve_implicit_w(taus, -math.pi / 4.0)
+        assert self.hexes(got) == self.hexes(_one_batch_roots(taus, -math.pi / 4.0))
+
+    def test_simpson_quarter_points_of_alpha_minus2(self):
+        # the first level of the arclength integral of ``frame_kahler ke --family
+        # alpha_minus2 --n 20000``: the quarter points of the 19,999 intervals
+        tau = np.linspace(0.05, 1.0, 20000)
+        a, b = tau[:-1], tau[1:]
+        m = 0.5 * (a + b)
+        quarters = np.concatenate([0.5 * (a + m), 0.5 * (m + b)])
+        assert quarters.size == 39998
+        got = solve_implicit_w(quarters, -math.pi / 4.0)
+        assert self.hexes(got) == self.hexes(_one_batch_roots(quarters, -math.pi / 4.0))
+
+    def test_no_taus(self):
+        assert solve_implicit_w(np.array([]), -math.pi / 4.0).shape == (0,)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_failing_tau_across_blocks(self, order):
+        # 100 and 50 leave the branch bracket; they sit in blocks 1 and 2 (0 and 1 reversed)
+        taus = np.linspace(0.05, 1.0, 10000)
+        taus[5000], taus[9000] = 100.0, 50.0
+        taus = taus[::order]
+        with pytest.raises(ArithmeticError) as want:
+            _one_batch_roots(taus, -math.pi / 4.0)
+        with pytest.raises(ArithmeticError) as got:
+            solve_implicit_w(taus, -math.pi / 4.0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("at tau=%g" % (100.0 if order == 1 else 50.0))
+
+
 class TestEinsteinVerdict:
     def test_alpha0_einstein(self, built):
         be = built("warped_alpha0")
