@@ -33,7 +33,7 @@ from .catalog import (CatalogEntry, SchemaError, capped_grid_box, coordinate_cro
                       family_document, grid_axis, interval_bounds, load)
 from .central import central_suite
 from .fields import FieldError, _Grid
-from .frames import curvature, koszul_connection, max_abs_on_grid, values_on_grid
+from .frames import curvature, koszul_connection, values_on_grid, worst_abs
 from .kahler import CASE_CENTRAL, CASE_WARPED, build_kahler
 from .reporting import TOL_TIGHT, VerificationReport
 from .warped import (
@@ -63,7 +63,8 @@ def run_suite(entry: CatalogEntry, suite: str, grid=None) -> tuple:
     if central:
         return report, _central_curves(entry, grid, *found)
     tau_grid, ode = found
-    return report, _ke_curves(tau_grid, entry.family, ode)
+    fam = entry.family
+    return report, _ke_curves(fam, tau_grid.cols[0], *values_on_grid([fam.w, fam.f, fam.c_field, ode], tau_grid))
 
 
 def _central_curves(entry, grid, verdict, curv_k):
@@ -72,26 +73,40 @@ def _central_curves(entry, grid, verdict, curv_k):
     return header, np.column_stack([grid.cols.T, columns.T])
 
 
-def _ke_curves(tau_grid, fam: WarpedFamily, ode):
-    """The curve columns over ``tau_grid``, a converted grid
-    (``fields._Grid``). ``ode`` is the family's
-    ``ke_ode_residual``; ``run_suite`` and ``cmd_ke`` pass the field that
-    their check has already evaluated on that grid, so the column is read
-    from its cache."""
+# samples per ke request and intervals per adaptive Simpson call: each request
+# is a one-off grid, so the arrays it builds last one block, not the whole curve
+_BLOCK = 4096
+
+
+def _ke_curves(fam: WarpedFamily, tau, w, f, c, ode):
+    """The curve columns over the samples ``tau``: the values of w, f,
+    c = (fw)'/w and the family's ``ke_ode_residual`` there, which the
+    caller has evaluated (``run_suite`` on its converted tau grid,
+    ``cmd_ke`` block by block), and the arclength s (``_arclength``)."""
     header = ["tau", "w", "f", "c", "ke_residual", "s"]
-    c_field = fam.c_field
+    return header, np.column_stack([tau, w, f, c, ode, _arclength(fam.c_field, tau, c)])
+
+
+def _arclength(c_field, tau, c):
+    """s = integral of sqrt(max(c, 0)/2) from the first sample to each
+    sample, where ``c`` holds the values of ``c_field`` at the samples.
+    ``adaptive_simpson`` runs over consecutive blocks of ``_BLOCK``
+    intervals, evaluating ``c_field`` on raw points; its result does not
+    depend on how intervals share a call, so s does not depend on the
+    blocks."""
 
     def speed(c):
         # sqrt(max(c, 0) / 2), keeping NaN and -0.0 as Python's max does
         return np.sqrt(np.where(0.0 > c, 0.0, c) * 0.5)
 
-    columns = values_on_grid([fam.w, fam.f, c_field, ode], tau_grid)
-    tau = tau_grid.cols[0]
-    at_grid = speed(columns[2])
-    increments = adaptive_simpson(lambda t: speed(values_on_grid(c_field, t[:, None])),
-                                  tau[:-1], tau[1:], at_grid[:-1], at_grid[1:])
-    s = np.cumsum(np.concatenate([[0.0], increments]))
-    return header, np.column_stack([tau, columns.T, s])
+    def integrand(t):
+        return speed(values_on_grid(c_field, t[:, None]))
+
+    at_grid = speed(c)
+    a, b, fa, fb = tau[:-1], tau[1:], at_grid[:-1], at_grid[1:]
+    blocks = (slice(i, i + _BLOCK) for i in range(0, a.size, _BLOCK))
+    increments = [adaptive_simpson(integrand, a[k], b[k], fa[k], fb[k]) for k in blocks]
+    return np.cumsum(np.concatenate([[0.0], *increments]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +185,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ke(args) -> int:
+    """Check an Einstein family on ``--n`` samples of its finite window
+    and write its curve. The samples go through one-off requests of
+    ``_BLOCK`` raw points each (the ODE residual, f, (fw)', w and c), so
+    every array a request builds is dropped when it returns and the call
+    keeps only the five value columns; ``ke_ode_residual`` is ``worst_abs``
+    of the first and ``warped.region_checks`` reads f and (fw)'. An error
+    names a sample of the first block that fails."""
     if args.n < 1:
         raise SchemaError("--n", "need at least 1 curve sample, got %d" % args.n)
     cap = catalog_mod.MAX_GRID_POINTS  # the tau grid is a grid: refused before it is built
@@ -194,10 +216,15 @@ def cmd_ke(args) -> int:
     # the document's grid is the finite window of the interval: completeness
     # integrates over the interval itself
     lo, hi, _ = entry.grid_box["tau"]
-    tau_grid = _Grid.of(np.linspace(lo, hi, args.n)[:, None])
+    tau = np.linspace(lo, hi, args.n)
     ode = ke_ode_residual(fam, entry.data.constants.alpha)
-    report.add("ke_ode_residual", max_abs_on_grid(ode, tau_grid), TOL_TIGHT)
-    region_checks(report, fam, tau_grid)
+    columns = np.empty((5, args.n))
+    for i in range(0, args.n, _BLOCK):
+        columns[:, i:i + _BLOCK] = values_on_grid([ode, fam.f, fam.fw_prime, fam.w, fam.c_field],
+                                                  tau[i:i + _BLOCK, None])
+    ode_values, f, fw_prime, w, c = columns
+    report.add("ke_ode_residual", worst_abs(ode_values), TOL_TIGHT)
+    region_checks(report, f, fw_prime)
     if args.complete:
         cv = completeness(fam)
         report.add("completeness", 0.0, 0.0,
@@ -213,7 +240,7 @@ def cmd_ke(args) -> int:
 
     report.print_lines()
 
-    _write_report(report, _ke_curves(tau_grid, fam, ode), args)
+    _write_report(report, _ke_curves(fam, tau, w, f, c, ode_values), args)
     return 0 if report.passed else 1
 
 

@@ -38,11 +38,12 @@ unless it is given a converted grid, which it takes as it is. A run
 converts each of its grids once and passes the converted grid on, so all
 its nodes share one key object; ``at(point)`` computes one field on a
 one-point grid, a convenience for tests and prompts. Points that a request
-converts itself (``values_on_grid``, ``frames.max_abs_on_grid`` or
-``min_on_grid`` given a list or an array) make a one-off grid, which no
-later request is given: every array cached under its key or its
-projections' and remaps' (node and row arrays, matrix stacks, solutions,
-curvature rows) is dropped when the request returns or raises. ``at``
+converts itself (``values_on_grid``, ``frames.max_abs_on_grid``,
+``min_on_grid`` or a ``frames.CurvatureTensor`` reduction given a list or
+an array) make a one-off grid, which no later request is given: every
+array cached under its key or its projections' and remaps' (node and row
+arrays, matrix stacks, solutions, curvature rows) is dropped when the
+request returns or raises (``_drop_filled``). ``at``
 keeps the reader rule, as ``bench/spans.py`` calls ``at`` at every point
 and relies on the arrays those calls share. Each node's ``_mask``
 has a bit for each variable it reads: none for a constant, its own for a
@@ -318,8 +319,14 @@ def _projected_values(fields, grid):
         with np.errstate(all="ignore"):
             return np.array(_values_of(fields, grid)), inverse
     finally:
-        for cache, key in filled or ():
-            cache.pop(key, None)
+        _drop_filled(filled)
+
+
+def _drop_filled(filled):
+    """Pop the entries that a request filled on its one-off grid
+    (``_Grid.filled``; None for a converted grid, which keeps them)."""
+    for cache, key in filled or ():
+        cache.pop(key, None)
 
 
 def values_on_grid(fields, grid) -> np.ndarray:

@@ -24,10 +24,11 @@ a one-point grid): the grid becomes columns once per run (the suites'
 entry points convert it and pass the converted grid on), and each field node
 computes one array over the whole grid. Checks reduce the values with
 ``worst_abs`` (``max_abs_on_grid`` is ``worst_abs`` of ``values_on_grid``),
-``min_on_grid`` or ``spread_on_grid``; a NaN or infinite value at any grid
-point fails the check. ``max_abs_on_grid`` and ``min_on_grid`` reduce the
-values on the request's projected grid (see ``fields``), which holds the
-same set of values as the whole grid, with the same first minimum.
+``least_value`` (``min_on_grid`` likewise) or ``spread_on_grid``; a NaN
+or infinite value at any grid point fails the check. ``max_abs_on_grid``
+and ``min_on_grid`` reduce the values on the request's projected grid (see
+``fields``), which holds the same set of values as the whole grid, with the
+same first minimum.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .fields import (
     _constant_zero,
     _contract_arrays,
     _div,
+    _drop_filled,
     _factors,
     _listed,
     _projected_values,
@@ -75,6 +77,7 @@ __all__ = [
     "worst_abs",
     "max_abs_on_grid",
     "min_on_grid",
+    "least_value",
     "spread_on_grid",
     "constancy_on_grid",
     "fit_constant",
@@ -135,6 +138,15 @@ def worst_abs(values) -> float:
     return float(mags.max(initial=0.0))
 
 
+def least_value(values) -> float:
+    """Smallest of a real array's values (the first one of equal values),
+    or -inf when any value is non-finite, so that a check that the minimum
+    is large enough fails on it."""
+    if not np.isfinite(values).all():
+        return -math.inf
+    return min(values.tolist())
+
+
 def max_abs_on_grid(fields, grid) -> float:
     """``worst_abs`` of ``values_on_grid``, taken on the projected grid."""
     return worst_abs(_projected_values(fields, grid)[0])
@@ -145,11 +157,7 @@ def min_on_grid(field, grid, key=None) -> float:
     array function ``key`` (such as ``abs``) when one is given; -inf when a
     value is non-finite, so a check that the minimum is large enough fails."""
     values = _projected_values(field, grid)[0]
-    if key is not None:
-        values = key(values)
-    if not np.isfinite(values).all():
-        return -math.inf
-    return min(values.tolist())
+    return least_value(values if key is None else key(values))
 
 
 def spread_on_grid(field, grid):
@@ -393,8 +401,12 @@ class CurvatureTensor:
         raise FieldError("curvature rows have no partial derivatives")
 
     def _arrays(self, grid):  # R, L and Ric on the grid's projection onto the variables the tensor reads
-        with np.errstate(all="ignore"):
-            return _blocks(self.value_at(_Grid.of(grid).projection(self.mask)[0]), self.structure.n)
+        filled = None if isinstance(grid, _Grid) else []  # points: a one-off grid, as in values_on_grid
+        try:
+            with np.errstate(all="ignore"):
+                return _blocks(self.value_at(_Grid.of(grid, filled).projection(self.mask)[0]), self.structure.n)
+        finally:
+            _drop_filled(filled)
 
     def lowered(self, a, b, c, d) -> ScalarField:
         """R_abcd = g(R(e_a, e_b) e_c, e_d)."""

@@ -45,6 +45,7 @@ from .frames import (
     grid_points,
     grid_spec_string,
     koszul_connection,
+    least_value,
     max_abs_on_grid,
     min_on_grid,
     plane_laplacian_log_abs,
@@ -671,10 +672,12 @@ def quotient_gauss_check(F: FiberData, lam: float, C: float, grid) -> Verificati
 # the warped verification suite ------------------------------------------------
 
 
-def region_checks(report: VerificationReport, fam: WarpedFamily, tau_grid):
-    """Region inequalities of the warped reduction: f > 0 and (fw)' > 0."""
-    min_f = min_on_grid(fam.f, tau_grid)
-    min_fwp = min_on_grid(fam.fw_prime, tau_grid)
+def region_checks(report: VerificationReport, f, fw_prime):
+    """Region inequalities of the warped reduction, f > 0 and (fw)' > 0,
+    from the arrays of the values of f and (fw)' over the tau samples:
+    ``warped_suite`` evaluates them on its grid's samples, ``cli.cmd_ke``
+    block by block on its curve's."""
+    min_f, min_fwp = least_value(f), least_value(fw_prime)
     report.add("region_f_positive", 0.0 if min_f > 0.0 else max(1.0, -min_f), 0.0,
                note="min f = %.6g" % min_f)
     report.add("region_fw_increasing", 0.0 if min_fwp > 0.0 else max(1.0, -min_fwp), 0.0,
@@ -735,7 +738,7 @@ def warped_suite(entry, grid):
     ode = ke_ode_residual(fam, A.constants.alpha)
     report.extend(einstein_verdict(chain, fam.lam, grid, ode, fiber, fiber_grid, fam.C), prefix="einstein.")
     tau_grid = _tau_samples(grid)
-    region_checks(report, fam, tau_grid)
+    region_checks(report, *values_on_grid([fam.f, fam.fw_prime], tau_grid))
     report.extend(quotient_gauss_check(fiber, fam.lam, fam.C, fiber_grid), prefix="fiber.")
 
     # expectations recorded on the entry

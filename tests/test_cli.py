@@ -18,15 +18,16 @@ import numpy as np
 import pytest
 
 from frame_kahler import catalog as catalog_mod
+from frame_kahler import cli as cli_mod
 from frame_kahler import fields as fields_mod
 from frame_kahler import frames as frames_mod
 from frame_kahler.catalog import (SchemaError, capped_grid_box, catalog_ids, entry_from_document, family_document,
                                   interval_bounds, load)
 from frame_kahler.cli import _write_report, build_parser, main, run_suite
 from frame_kahler.fields import ScalarField, _Elementary, _Grid, constant, variable
-from frame_kahler.frames import grid_points
+from frame_kahler.frames import grid_points, max_abs_on_grid, min_on_grid, values_on_grid
 from frame_kahler.reporting import VerificationReport
-from frame_kahler.warped import TAU_KSET, WarpedFamily, region_checks
+from frame_kahler.warped import TAU_KSET, WarpedFamily, adaptive_simpson, ke_ode_residual, region_checks
 
 
 SECH = "-2*sech(x)^2"
@@ -890,24 +891,107 @@ print(sum(isinstance(o, FrameStructure) for o in alive), sum(isinstance(o, Linea
 
 
 class TestKePeakMemory:
-    def test_traced_peak_of_a_20k_ke_call(self, tmp_path, capsys):
-        # the allocations of one ke call at 20,000 samples, counted by tracemalloc after
-        # a warm-up, so the bound does not depend on the host's heap or page sizes:
-        # 13.4 MB when the Simpson and completeness grids kept their arrays through the
-        # CSV write and the 39,998-tau root batch ran as one Newton iteration; 8.4 MB
-        # once both were gone
-        argv = ["ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--complete", "--n", "20000",
+    """The allocations of one ke call, counted by tracemalloc after a
+    warm-up, so the bounds do not depend on the host's heap or page sizes."""
+
+    @staticmethod
+    def traced_peak(tmp_path, n):
+        """The traced peak of one ``ke --complete --format both`` call at n
+        samples, in MiB."""
+        argv = ["ke", "--family", "alpha_minus2", "--interval=0.05:1.0", "--complete", "--n", str(n),
                 "--format", "both", "--out", str(tmp_path / "fam")]
         assert main(argv) == 0
         gc.collect()
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
+
+    def test_traced_peak_of_a_20k_ke_call(self, tmp_path, capsys):
+        # 13.4 MiB when the Simpson and completeness grids kept their arrays through the
+        # CSV write and the 39,998-tau root batch ran as one Newton iteration; 8.46 MiB
+        # once both were gone, with the whole tau grid converted once and its arrays kept
+        # to the end of the call; 2.5 MiB with the samples in one-off blocks of 4,096
+        peak = self.traced_peak(tmp_path, 20000)
         capsys.readouterr()
-        assert peak < 10.5, "traced peak %.2f MB" % peak
+        assert peak < 3.0, "traced peak %.2f MiB" % peak
+
+    def test_traced_peak_grows_by_at_most_128_bytes_per_sample(self, tmp_path, capsys):
+        # ~98 B per added sample: the five value columns, the tau samples and the
+        # six-column curve table; ~424 B when the converted tau grid kept every
+        # multi-reader node's array and the arclength ran over all intervals at once
+        low, high = (self.traced_peak(tmp_path, n) for n in (20000, 60000))
+        capsys.readouterr()
+        per_sample = (high - low) * 2 ** 20 / 40000
+        assert per_sample <= 128.0, "%.1f B per sample (%.2f -> %.2f MiB)" % (per_sample, low, high)
+
+
+class TestKeSampleBlocks:
+    """``ke`` evaluates its samples in one-off requests of ``cli._BLOCK``
+    samples and its arclength over blocks of as many intervals; neither
+    moves a bit of the curve or of the report. The oracle evaluates the
+    curve on one converted grid and integrates all intervals in one
+    ``adaptive_simpson`` call."""
+
+    FAMILY = ["--family", "alpha_minus2", "--interval=0.05:1.0"]
+
+    @staticmethod
+    def oracle(n):
+        """(curve columns, ke_ode_residual, min f, min (fw)') of the
+        alpha_minus2 family on 0.05:1.0 at n samples."""
+        doc = family_document("alpha_minus2", (0.05, 1.0))
+        entry = entry_from_document("alpha_minus2", "oracle", doc, {})
+        fam = entry.family
+        lo, hi, _ = entry.grid_box["tau"]
+        grid = _Grid.of(np.linspace(lo, hi, n)[:, None])
+        ode = ke_ode_residual(fam, entry.data.constants.alpha)
+        w, f, c, residual = values_on_grid([fam.w, fam.f, fam.c_field, ode], grid)
+
+        def speed(c):
+            return np.sqrt(np.where(0.0 > c, 0.0, c) * 0.5)
+
+        tau = grid.cols[0]
+        at = speed(c)
+        increments = adaptive_simpson(lambda t: speed(values_on_grid(fam.c_field, t[:, None])),
+                                      tau[:-1], tau[1:], at[:-1], at[1:])
+        s = np.cumsum(np.concatenate([[0.0], increments]))
+        return ([tau, w, f, c, residual, s], max_abs_on_grid(ode, grid), min_on_grid(fam.f, grid),
+                min_on_grid(fam.fw_prime, grid))
+
+    @pytest.mark.parametrize("n", [1, 2, cli_mod._BLOCK, cli_mod._BLOCK + 1, 2 * cli_mod._BLOCK + 1, 20000])
+    def test_curve_and_report_match_the_unblocked_oracle(self, tmp_path, capsys, n):
+        out = tmp_path / "fam"
+        assert main(["ke", *self.FAMILY, "--n", str(n), "--format", "both", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "fam.csv").read_text().splitlines()
+        assert lines[0] == "tau,w,f,c,ke_residual,s"
+        written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).reshape(n, 6)
+        columns, ode, min_f, min_fwp = self.oracle(n)
+        for name, got, want in zip(lines[0].split(","), written.T, columns):
+            assert got.tobytes() == want.tobytes(), name
+        checks = {c["id"]: c for c in json.loads((tmp_path / "fam.json").read_text())["checks"]}
+        assert checks["ke_ode_residual"]["residual"] == ode
+        assert checks["region_f_positive"]["note"] == "min f = %.6g" % min_f
+        assert checks["region_fw_increasing"]["note"] == "min (fw)' = %.6g" % min_fwp
+
+    @pytest.mark.parametrize("f", ["2 + logabs(tau - 5000) + logabs(tau - 100)",
+                                   "2 + logabs(tau - 100) + logabs(tau - 5000)"])
+    def test_error_names_the_first_failing_sample(self, tmp_path, capsys, monkeypatch, f):
+        # f fails at tau = 100 (first block) and tau = 5000 (second block) of the
+        # samples 1, 2, ..., 8193; evaluated on the whole grid at once, the first order
+        # named 5000, where the node evaluated first fails
+        def document(*args, **kwargs):
+            doc = family_document(*args, **kwargs)
+            doc["family"]["f"] = f
+            return doc
+
+        monkeypatch.setattr(cli_mod, "family_document", document)
+        out = tmp_path / "fam.csv"
+        assert main(["ke", "--family", "alpha0", "--interval=1:8193", "--n", "8193", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: quotient has degenerate denominator 0.0 at (100.0,)\n"
+        assert not out.exists()
 
 
 class TestGridConversions:
@@ -957,7 +1041,7 @@ class TestCheckConsistency:
         tau = variable(TAU_KSET, "tau")
         fam = WarpedFamily(tau, constant(TAU_KSET, 1.0), 0.0, 0.0, (0.0, 0.5))
         report = VerificationReport(suite="region")
-        region_checks(report, fam, [(0.0,), (0.5,)])
+        region_checks(report, *values_on_grid([fam.f, fam.fw_prime], [(0.0,), (0.5,)]))
         by_id = {c.check_id: c for c in report.checks}
         assert not by_id["region_f_positive"].passed
         assert by_id["region_f_positive"].residual > by_id["region_f_positive"].tol

@@ -1625,6 +1625,20 @@ class TestOneOffGrids:
         assert sorted(len(g.cols) for g in request_grids) == [1, 3, 3]
         assert self.kept({g.key for g in request_grids}) == []
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_curvature_reduction_on_points_keeps_no_array(self, request_grids, as_array):
+        # ke's flatness probe reads max |R| on 9 listed points; the tensor and the
+        # Koszul systems kept their arrays when the tensor converted points itself
+        entry = load("ppwave", iota="-2*sech(x)^2")
+        curv = build_chain(entry.data).curv
+        points = grid_points(entry.data.kset, entry.grid_box)
+        request_grids.clear()
+        assert curv.max_component(np.array(points) if as_array else points) > 0.0
+        filled = request_grids[0].filled
+        assert any(cache is curv._cache for cache, _ in filled)  # the tensor's rows were noted
+        assert all(g.filled is filled for g in request_grids)
+        assert self.kept({g.key for g in request_grids}) == []
+
     def test_domain_error_keeps_no_array(self, request_grids):
         fields, points = self.chain_request()
         bad = log(variable(fields[-1].kset, "tau") - 0.25)  # log of a nonpositive value at tau = -0.5
